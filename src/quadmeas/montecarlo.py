@@ -38,10 +38,8 @@ from .scheme import (
     SchemeParams,
     StageMask,
     _faithful_displacement,
-    backsqueeze_param,
     feedback_displacement,
 )
-from .fock import make_squeeze
 
 __all__ = [
     "RngSeed",
@@ -384,12 +382,6 @@ class TrialEngine:
         self._xq = make_quadrature(cutoff, params.phi)
         self._cache: Dict[int, Optional[_Conditional]] = {}
         self._identity_entry: Optional[_Conditional] = None
-        if self.feedback.mode == "finite-lo":
-            q = backsqueeze_param(params.eta, pre_squeezed=mask.pre_squeeze)
-            self._back = make_squeeze(q, params.cutoff,
-                                      phase=params.phi).matrix
-        else:
-            self._back = None
 
     # -- conditional-state machinery ------------------------------------
 
@@ -430,23 +422,29 @@ class TrialEngine:
                     StateVector(post), self.second_grid, self.params.phi))
                 entry = _Conditional(p, post, mean, var, dens)
         else:
+            # the oscillator channel replaces the unitary feedback stage;
+            # it acts at working size, like every builder stage, and only
+            # the back-squeezed state is truncated to the cutoff
             stage_mask = StageMask(self.mask.pre_squeeze, False, False)
-            vec = self._builder.operator(x, stage_mask) @ self._psi
+            om = self._builder.operator(x, stage_mask, workspace=True)
+            vec = om[:, :len(self._psi)] @ self._psi
             p = float(np.linalg.norm(vec) ** 2)
             if p < _PROBABILITY_FLOOR:
                 entry = None
             else:
-                vec = vec / math.sqrt(p)
                 rho = finite_lo_displacement(
-                    vec,
+                    vec / math.sqrt(p),
                     feedback_displacement(x, self.params.eta,
                                           self.params.phi)
                     if self.mask.feedback else 0.0,
                     self.feedback.beta)
-                if self._back is not None and self.mask.back_squeeze:
-                    rho = DensityOperator(
-                        self._back @ rho.matrix @ self._back.conj().T,
-                        rho.warnings)
+                mat = rho.matrix
+                if self.mask.back_squeeze:
+                    back = self._builder._back_matrix(self.mask.pre_squeeze)
+                    mat = back @ mat @ back.conj().T
+                c = self.params.cutoff
+                mat = mat[:c, :c]
+                rho = DensityOperator(mat / np.trace(mat).real, rho.warnings)
                 mean, var = self._moments(rho)
                 dens = self._normalized(quadrature_density(
                     rho, self.second_grid, self.params.phi))

@@ -37,9 +37,15 @@ deamplified axis is the conjugate one (S(r, psi+pi/2) = S(-r, psi) exactly).
 Numerical architecture: composing truncated matrix exponentials corrupts
 low Fock blocks, so every stage is evaluated in an enlarged working space
 (margin * cutoff levels) using closed-form or sector-exact constructions,
-and only the final family is truncated to the requested cutoff.  The dense
-joint unitary is never materialized; the mixer acts through its conserved
-total-occupancy sectors.
+and only the final result is truncated to the requested cutoff.  The mixer
+acts through its conserved total-occupancy sectors, precontracted with the
+probe into V[m, p, n] = <m, p|U_mix|n, probe>.  One composition,
+SchemeFamilyBuilder._compose, evaluates B . D(x) . W(x) . P . cols with the
+readout W(x) = sum_p chi_p(x) V[:, p, :] for a batch of outcomes, and every
+builder product calls it.  One outcome contracts the readout first (a pass
+over V, then products on cols); a batch applies V to cols once as one BLAS
+product, then reads out all outcomes together.  A real V acts on the float
+view of complex columns: promoting it to complex would cost twice its size.
 """
 
 from __future__ import annotations
@@ -80,6 +86,10 @@ from .kernel import (
 )
 
 DEFAULT_GRID_SPEC = "-3:3:0.25"
+
+# Element budget of one batched displacement stack: families on large grids
+# are composed in outcome chunks, so transient memory does not grow with X.
+_STACK_ELEMENTS = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +146,6 @@ class StageMask:
     pre_squeeze: bool = True
     feedback: bool = True
     back_squeeze: bool = True
-
-    @classmethod
-    def full(cls) -> "StageMask":
-        return cls()
 
     @classmethod
     def raw(cls) -> "StageMask":
@@ -318,16 +324,19 @@ class FeedbackSpec:
 # faithful working-space operators
 
 
-def _faithful_displacement(alpha: complex, n: int) -> np.ndarray:
+def _faithful_displacement(alpha, n: int) -> np.ndarray:
     """Displacement matrix from its closed-form Laguerre elements; every
     entry is exact to rounding, unlike expm of the truncated generator
-    whose low blocks degrade once |alpha|^2 approaches the cutoff."""
+    whose low blocks degrade once |alpha|^2 approaches the cutoff.  An
+    array of amplitudes gives the stack of matrices, shape alpha.shape +
+    (n, n)."""
+    alpha = np.asarray(alpha, dtype=complex)[..., None, None]
     m = np.arange(n)[:, None]
     k = np.arange(n)[None, :]
     p = np.maximum(m, k)
     q = np.minimum(m, k)
     d = p - q
-    aa = abs(alpha) ** 2
+    aa = np.abs(alpha) ** 2
     lag = eval_genlaguerre(q, d, aa)
     pref = np.exp(0.5 * (gammaln(q + 1) - gammaln(p + 1)) - 0.5 * aa)
     base = np.where(m >= k, np.power(alpha, d, dtype=complex),
@@ -367,10 +376,12 @@ def _faithful_squeeze(r: float, n: int, phase: float = 0.0) -> np.ndarray:
 class SchemeFamilyBuilder:
     """Assembles the scheme's reduction operators in a working Fock space.
 
-    The mixer-probe contraction V[m, p, n] = <m, p|U_mix|n, probe> is
-    precomputed once per parameter set through the conserved-occupancy
-    sectors; each outcome then costs one eigenvector contraction and (for
-    unmasked stages) two or three working-space matrix products.
+    V is precomputed once per parameter set; each public method is a thin
+    caller of ``_compose`` that picks the outcomes, the mask and the input
+    columns (leading unit columns, or the padded state for densities).
+    Densities and completeness sums mask feedback and back-squeeze off:
+    those unitary dressings cancel in the Born rule at working size, which
+    :meth:`masked_pom_matrix` measures by applying them.
     """
 
     def __init__(self, params: SchemeParams, margin: float = 2.5):
@@ -418,27 +429,38 @@ class SchemeFamilyBuilder:
             np.asarray(xs, dtype=float), self.n_work,
             self.params.phi_probe).conj()
 
-    def raw_operator(self, x: float) -> np.ndarray:
-        """Uncompensated reduction operator at working size."""
-        return np.einsum("p,mpn->mn", self._chi(np.array([x]))[0], self._v)
+    def _compose(self, xs, mask: StageMask, cols: np.ndarray) -> np.ndarray:
+        """B . D(x) . W(x) . P . cols at working size for every outcome in
+        ``xs``, shape (len(xs), n_work, cols.shape[1]), with the masked-off
+        stages left out."""
+        xs = np.asarray(xs, dtype=float)
+        n = self.n_work
+        if mask.pre_squeeze:
+            cols = self._pre_matrix() @ cols
+        chi = self._chi(xs)
+        if len(xs) == 1:  # readout first: one pass over V
+            w = (np.einsum("p,mpn->mn", chi[0], self._v) @ cols)[None]
+        else:  # columns first: V @ cols once, shared by every outcome
+            cols = np.ascontiguousarray(cols, dtype=complex)
+            flat = self._v.reshape(n * n, n)
+            vc = flat @ cols if np.iscomplexobj(flat) \
+                else (flat @ cols.view(float)).view(complex)
+            vc = vc.reshape(n, n, -1).transpose(1, 0, 2).reshape(n, -1)
+            w = (chi @ vc).reshape(len(xs), n, -1)
+        if mask.feedback:
+            w = _faithful_displacement(feedback_displacement(
+                xs, self.params.eta, self.params.phi), n) @ w
+        if mask.back_squeeze:
+            w = self._back_matrix(mask.pre_squeeze) @ w
+        return w
 
     def operator(self, x: float, mask: StageMask = StageMask(), *,
                  workspace: bool = False) -> np.ndarray:
         """Reduction operator for one outcome, truncated to the requested
         cutoff unless ``workspace`` asks for the full working-space matrix."""
-        om = self.raw_operator(x)
-        if mask.pre_squeeze:
-            om = om @ self._pre_matrix()
-        if mask.feedback:
-            om = _faithful_displacement(
-                feedback_displacement(x, self.params.eta, self.params.phi),
-                self.n_work) @ om
-        if mask.back_squeeze:
-            om = self._back_matrix(mask.pre_squeeze) @ om
-        if workspace:
-            return om
-        c = self.params.cutoff
-        return om[:c, :c]
+        k = self.n_work if workspace else self.params.cutoff
+        om = self._compose([x], mask, np.eye(self.n_work)[:, :k])[0]
+        return om if workspace else om[:k]
 
     def masked_pom_matrix(self, x: float, block: int,
                           mask: StageMask = StageMask()) -> np.ndarray:
@@ -446,65 +468,35 @@ class SchemeFamilyBuilder:
         dressing stages genuinely applied (at working size, before the
         quadratic product), restricted to the leading ``block`` levels.
 
-        Unlike :meth:`pom_on_grid`, nothing here assumes the dressings
-        cancel; comparing masks through this method measures the
+        Unlike :meth:`completeness_defect`, nothing here assumes the
+        dressings cancel; comparing masks through this method measures the
         invariance instead of postulating it."""
-        raw = self.raw_operator(x)
-        cols = raw @ self._pre_matrix()[:, :block] if mask.pre_squeeze \
-            else raw[:, :block].astype(complex)
-        if mask.feedback:
-            cols = _faithful_displacement(
-                feedback_displacement(x, self.params.eta, self.params.phi),
-                self.n_work) @ cols
-        if mask.back_squeeze:
-            cols = self._back_matrix(mask.pre_squeeze) @ cols
-        return cols.conj().T @ cols
+        w = self._compose([x], mask, np.eye(self.n_work)[:, :block])[0]
+        return w.conj().T @ w
 
     def family(self, grid: Optional[OutcomeGrid] = None,
                mask: StageMask = StageMask()) -> ReductionOperatorFamily:
         g = grid if grid is not None else self.params.grid
         c = self.params.cutoff
-        chi = self._chi(g.points)
+        cols = np.eye(self.n_work)[:, :c]
+        step = max(1, _STACK_ELEMENTS // self.n_work ** 2)
         ops = np.empty((len(g), c, c), dtype=complex)
-        pre = self._pre_matrix() if mask.pre_squeeze else None
-        back = self._back_matrix(mask.pre_squeeze) if mask.back_squeeze \
-            else None
-        for i, x in enumerate(g.points):
-            om = np.einsum("p,mpn->mn", chi[i], self._v)
-            if pre is not None:
-                om = om @ pre
-            if mask.feedback:
-                om = _faithful_displacement(
-                    feedback_displacement(x, self.params.eta,
-                                          self.params.phi),
-                    self.n_work) @ om
-            if back is not None:
-                om = back @ om
-            ops[i] = om[:c, :c]
+        for i in range(0, len(g), step):
+            ops[i:i + step] = self._compose(g.points[i:i + step], mask,
+                                            cols)[:, :c]
         origin = "raw-interaction" if mask == StageMask.raw() else "compensated"
         return ReductionOperatorFamily(g, ops, origin, self._probe_warnings)
 
-    def pom_on_grid(self, grid: OutcomeGrid, block: int,
-                    mask: StageMask = StageMask()) -> np.ndarray:
-        """Probability-operator density restricted to the leading ``block``
-        Fock levels, shape (len(grid), block, block).  Only the pre-squeeze
-        flag matters here: the quadratic product is taken at working size,
-        where the outcome-dependent unitary dressings of feedback and
-        back-squeeze cancel (verified separately through
-        :meth:`masked_pom_matrix`, which applies them explicitly)."""
-        n = self.n_work
-        flat = self._v.reshape(n * n, n)
-        cols = (flat @ self._pre_matrix()[:, :block]) if mask.pre_squeeze \
-            else flat[:, :block].astype(complex)
-        cols = cols.reshape(n, n, block)
-        w = np.einsum("xp,mpk->xmk", self._chi(grid.points), cols,
-                      optimize=True)
-        return np.einsum("xmi,xmj->xij", w.conj(), w, optimize=True)
-
     def completeness_defect(self, grid: OutcomeGrid, block: int = 16,
                             mask: StageMask = StageMask()) -> float:
-        pom = self.pom_on_grid(grid, block, mask)
-        acc = np.tensordot(grid.weights(), pom, axes=(0, 0))
+        """Largest deviation from the identity of the probability operators
+        summed over ``grid``, on the leading ``block`` Fock levels; only the
+        pre-squeeze flag of ``mask`` matters (see the class docstring)."""
+        w = self._compose(grid.points,
+                          StageMask(mask.pre_squeeze, False, False),
+                          np.eye(self.n_work)[:, :block])
+        acc = np.tensordot(w.conj() * grid.weights()[:, None, None], w,
+                           axes=([0, 1], [0, 1]))
         return float(np.max(np.abs(acc - np.eye(block))))
 
     def outcome_density_values(self, state, grid: OutcomeGrid,
@@ -519,13 +511,11 @@ class SchemeFamilyBuilder:
             raise ParameterError(
                 "outcome_density_values wants a pure state; use the family "
                 "POM for mixed inputs")
-        padded = np.zeros(self.n_work, dtype=complex)
-        padded[:min(len(psi), self.n_work)] = psi[:self.n_work]
-        if mask.pre_squeeze:
-            padded = self._pre_matrix() @ padded
-        vv = np.einsum("mpn,n->mp", self._v, padded)
-        amps = np.einsum("xp,mp->xm", self._chi(grid.points), vv)
-        return np.linalg.norm(amps, axis=1) ** 2
+        padded = np.zeros((self.n_work, 1), dtype=complex)
+        padded[:min(len(psi), self.n_work), 0] = psi[:self.n_work]
+        amps = self._compose(grid.points,
+                             StageMask(mask.pre_squeeze, False, False), padded)
+        return np.linalg.norm(amps[:, :, 0], axis=1) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -309,17 +309,22 @@ def test_engine_validates_finite_lo_feasibility_on_widened_grid():
     TrialEngine(params, feedback=FeedbackSpec.finite_lo(20.0))
 
 
-def test_feedback_modes_agree_at_large_beta(canonical_engine):
-    flo = TrialEngine(CANONICAL, feedback=FeedbackSpec.finite_lo(1e3))
+@pytest.mark.parametrize("eta", [0.5, 0.8, 0.05])
+def test_feedback_modes_agree_at_large_beta(eta):
+    # the oscillator channel must act at working size like the ideal
+    # displacement: a truncated-cutoff feedback and back-squeeze leave a
+    # gap that grows with the feedback gain sqrt((1-eta)/eta)
+    params = SchemeParams(eta=eta, sigma=1.0, cutoff=30)
+    ideal = TrialEngine(params)
+    flo = TrialEngine(params, feedback=FeedbackSpec.finite_lo(1e3))
     r1, r2 = RngSeed(33).generator(), RngSeed(33).generator()
     for _ in range(300):
-        a = canonical_engine.trial(r1)
+        a = ideal.trial(r1)
         b = flo.trial(r2)
         assert a.outcome == b.outcome  # same density, same draws
         assert b.feedback_mode == "finite-lo"
         idx = int(np.argmin(np.abs(flo.grid.points - b.outcome)))
-        fid = fidelity_to_pure(canonical_engine.post_state(idx),
-                               flo.post_state(idx))
+        fid = fidelity_to_pure(ideal.post_state(idx), flo.post_state(idx))
         assert fid >= 1.0 - 1e-3
         assert abs(a.post_mean - b.post_mean) < 1e-4
         assert abs(a.post_variance - b.post_variance) < 1e-4

@@ -1,11 +1,13 @@
 """Tests for the beam-splitter/squeezer/feedback measurement pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from quadmeas import scheme
 from quadmeas.errors import InfeasibleFeedbackError, ParameterError
 from quadmeas.fock import (
     StateVector,
@@ -258,6 +260,29 @@ def test_family_origin_labels():
     b = SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=1.0, cutoff=30))
     assert b.family(mask=StageMask.raw()).origin == "raw-interaction"
     assert b.family().origin == "compensated"
+
+
+def test_batched_family_matches_per_outcome_operators(monkeypatch):
+    # family composes a batch of outcomes with the columns contracted
+    # first; operator composes one outcome with the readout contracted
+    # first.  The per-outcome path is the reference for the batched one.
+    # A small stack budget splits the 9-point grid into outcome chunks of
+    # 4, 4 and 1.
+    monkeypatch.setattr(scheme, "_STACK_ELEMENTS", 4 * 75 ** 2)
+    masks = [StageMask(), StageMask.raw(), StageMask(True, False, False),
+             StageMask(False, True, True), StageMask(True, True, False)]
+    grid = OutcomeGrid.from_range(-2.0, 2.0, 0.5)
+    worst = 0.0
+    for phi_probe in (0.0, 0.3):  # real and complex probe contraction
+        b = SchemeFamilyBuilder(SchemeParams(eta=0.4, sigma=1.5, cutoff=30,
+                                             phi_probe=phi_probe))
+        assert b.n_work == 75
+        for mask in masks:
+            fam = b.family(grid, mask)
+            for i, x in enumerate(grid.points):
+                worst = max(worst, float(np.max(np.abs(
+                    fam.operators[i] - b.operator(x, mask)))))
+    assert worst < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +541,22 @@ def test_builder_density_fast_path_matches_family_born_rule():
     slow = born_density(StateVector(vacuum(40)), b.family().pom()).values
     assert np.max(np.abs(fast - slow)) < 1e-12
     assert abs(np.trapezoid(fast, p.grid.points) - 1.0) < 1e-8
+
+
+def test_density_never_copies_the_probe_contraction():
+    # the real mixer-probe contraction V is the builder's largest array;
+    # applying it to complex columns must not cast a complex copy of it
+    b = SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=1.0, cutoff=40),
+                            margin=2.5)
+    assert not np.iscomplexobj(b._v)
+    v_bytes = b._v.nbytes
+    tracemalloc.start()
+    try:
+        b.outcome_density_values(vacuum(40), b.params.grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * v_bytes
 
 
 def test_working_level_completeness_across_presets():
