@@ -645,24 +645,37 @@ class BchReport:
 
 
 def _joint_quadratures(cutoff: int):
+    """The quadratures x, y of the signal and X, Y of the probe on the
+    joint cutoff^2 space, as sparse CSR Kronecker products: each is
+    tridiagonal per mode, so the su(2) products stay sparse, whereas dense
+    they would cost cutoff^6 flops and cutoff^4 memory apiece.  scipy.sparse
+    is imported here, not at module level, to keep it out of the import
+    time of the package."""
+    import scipy.sparse as sp
     x = make_quadrature(cutoff, 0.0)
     y = make_quadrature(cutoff, 0.5 * math.pi)
     eye = np.eye(cutoff)
-    return (np.kron(x, eye), np.kron(y, eye),
-            np.kron(eye, x), np.kron(eye, y))
+    return tuple(sp.kron(a, b, format="csr")
+                 for a, b in ((x, eye), (y, eye), (eye, x), (eye, y)))
 
 
-def _low_total_indices(cutoff: int, block_total: int) -> np.ndarray:
+def _low_total_pairs(cutoff: int, block_total: int) -> np.ndarray:
+    """Row-major (m, p) pairs of the cutoff^2 joint space with m + p <=
+    block_total, shaped (k, 2)."""
     m = np.arange(cutoff)
-    total = m[:, None] + m[None, :]
-    return np.flatnonzero((total <= block_total).ravel())
+    return np.argwhere(m[:, None] + m[None, :] <= block_total)
 
 
-def _apply_mixer_sectors(eta: float, vecs: np.ndarray) -> np.ndarray:
-    """Apply the sector-exact mixer to joint vectors shaped (n, n, k)."""
+def _apply_mixer_sectors(eta: float, vecs: np.ndarray,
+                         max_total: int) -> np.ndarray:
+    """Apply the sector-exact mixer to joint vectors shaped (n, n, k) that
+    live in the sectors of total occupancy <= max_total; the mixer conserves
+    the total, so the higher sectors are never formed."""
     n = vecs.shape[0]
     out = np.zeros_like(vecs, dtype=complex)
     for m, s, blockm in _bs_sector_blocks(eta, n):
+        if s > max_total:
+            break
         out[m, s - m, :] = blockm @ vecs[m, s - m, :]
     return out
 
@@ -679,38 +692,6 @@ def _apply_on_mode(mat: np.ndarray, vecs: np.ndarray, mode: int) -> np.ndarray:
     return out.transpose(1, 0, 2)
 
 
-def _apply_factored_mixer(eta: float, vecs: np.ndarray) -> np.ndarray:
-    """Apply the three Gauss factors (rightmost first) to joint vectors
-    shaped (n, n, k), using per-mode eigenbases so that no truncated joint
-    product ever forms."""
-    n = vecs.shape[0]
-    c = math.sqrt((1.0 - eta) / eta)
-    x = make_quadrature(n, 0.0)
-    y = make_quadrature(n, 0.5 * math.pi)
-    nu, rx = np.linalg.eigh(x)
-    mu, ry = np.linalg.eigh(y)
-    half_log = -0.5 * math.log(eta)
-    sq_sys = _faithful_squeeze(half_log, n)
-    sq_probe = _faithful_squeeze(-half_log, n)
-    v = vecs.astype(complex)
-    # rightmost factor exp(-2ic x Y): diagonal in (sys x-basis, probe y-basis)
-    v = _apply_on_mode(rx.conj().T, v, 0)
-    v = _apply_on_mode(ry.conj().T, v, 1)
-    v *= np.exp(-2j * c * np.outer(nu, mu))[:, :, None]
-    v = _apply_on_mode(rx, v, 0)
-    v = _apply_on_mode(ry, v, 1)
-    # middle factor: opposite squeezes on the two modes
-    v = _apply_on_mode(sq_sys, v, 0)
-    v = _apply_on_mode(sq_probe, v, 1)
-    # leftmost factor exp(+2ic y X)
-    v = _apply_on_mode(ry.conj().T, v, 0)
-    v = _apply_on_mode(rx.conj().T, v, 1)
-    v *= np.exp(2j * c * np.outer(mu, nu))[:, :, None]
-    v = _apply_on_mode(ry, v, 0)
-    v = _apply_on_mode(rx, v, 1)
-    return v
-
-
 def verify_bch_factorization(eta: float, cutoff: int = 40,
                              block_total: int = 10,
                              working_cutoff: Optional[int] = None,
@@ -725,40 +706,77 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
     but products of individually truncated exponentials corrupt low blocks,
     so the faithful route evaluates each factor in its own eigenbasis.
 
-    ``check_su2=False`` skips the commutator and generator-form products
-    (the expensive cutoff^2-sized matrices, and the only eta-independent
-    part), leaving those report fields None - useful when scanning eta.
+    ``check_su2=False`` skips the commutator and generator-form checks (the
+    only eta-independent part of the report), leaving those report fields
+    None - useful when scanning eta.
     """
     _check_transmissivity(eta)
     if cutoff < 40:
         raise ParameterError(
             f"factorization check wants cutoff >= 40, got {cutoff}")
+    if block_total < 0:
+        raise ParameterError(
+            f"factorization check wants block_total >= 0, got {block_total}")
     n_w = working_cutoff if working_cutoff is not None \
         else int(math.ceil(2.5 * cutoff))
-    pairs = [(m, p) for m in range(cutoff) for p in range(cutoff)
-             if m + p <= block_total]
+    if n_w <= block_total:
+        raise ParameterError(
+            f"factorization check wants working_cutoff > block_total "
+            f"= {block_total}, got {n_w}")
+    pairs = _low_total_pairs(cutoff, block_total)
+    rows = _low_total_pairs(n_w, block_total)
     basis = np.zeros((n_w, n_w, len(pairs)))
-    for k, (m, p) in enumerate(pairs):
-        basis[m, p, k] = 1.0
-    left = _apply_mixer_sectors(eta, basis)
-    right = _apply_factored_mixer(eta, basis)
-    rows = np.array([(m, p) for m in range(n_w) for p in range(n_w)
-                     if m + p <= block_total])
-    fac_dev = float(np.max(np.abs(left[rows[:, 0], rows[:, 1], :]
-                                  - right[rows[:, 0], rows[:, 1], :])))
+    basis[pairs[:, 0], pairs[:, 1], np.arange(len(pairs))] = 1.0
+    cbasis = basis.astype(complex)
+
+    def low_dev(v, ref):
+        return float(np.max(np.abs(v[rows[:, 0], rows[:, 1], :]
+                                   - ref[rows[:, 0], rows[:, 1], :])))
+
+    # the Gauss factors, each from per-mode eigenbases so that no truncated
+    # joint product ever forms
+    c = math.sqrt((1.0 - eta) / eta)
+    nu, rx = np.linalg.eigh(make_quadrature(n_w, 0.0))
+    mu, ry = np.linalg.eigh(make_quadrature(n_w, 0.5 * math.pi))
+    half_log = -0.5 * math.log(eta)
+    sq_sys = _faithful_squeeze(half_log, n_w)
+    sq_probe = _faithful_squeeze(-half_log, n_w)
+
+    def bilinear(v, basis_a, basis_b, vals, sign):
+        # exp(sign 2ic A B), diagonal in (sys A-basis, probe B-basis)
+        v = _apply_on_mode(basis_a.conj().T, v, 0)
+        v = _apply_on_mode(basis_b.conj().T, v, 1)
+        v *= np.exp(sign * 2j * c * np.outer(*vals))[:, :, None]
+        v = _apply_on_mode(basis_a, v, 0)
+        return _apply_on_mode(basis_b, v, 1)
+
+    def squeezes(v):
+        # middle factor: opposite squeezes on the two modes
+        return _apply_on_mode(sq_probe, _apply_on_mode(sq_sys, v, 0), 1)
+
+    # rightmost factor exp(-2ic x Y), then the squeezes, then exp(+2ic y X)
+    v = bilinear(cbasis, rx, ry, (nu, mu), -1.0)
+    # each factor alone, for the eta -> 1 limit where all become identity
+    devs = (low_dev(v, basis), low_dev(squeezes(cbasis), basis),
+            low_dev(bilinear(cbasis, ry, rx, (mu, nu), +1.0), basis))
+    right = bilinear(squeezes(v), ry, rx, (mu, nu), +1.0)
+    left = _apply_mixer_sectors(eta, basis, block_total)
+    fac_dev = low_dev(left, right)
 
     su_pm = su_zp = su_zm = gen_dev = None
     if check_su2:
+        import scipy.sparse as sp
+
         # su(2) commutators of the factor generators, on the low-total block
         # of the requested cutoff (products only ever reach total +- 4 there)
         xs, ys, xp, yp = _joint_quadratures(cutoff)
         j_plus = 2j * (ys @ xp)
         j_minus = 2j * (xs @ yp)
         j_z = 1j * (xp @ yp - xs @ ys)
-        idx = _low_total_indices(cutoff, block_total)
+        idx = pairs @ np.array([cutoff, 1])
 
         def block_max(mat):
-            return float(np.max(np.abs(mat[np.ix_(idx, idx)])))
+            return float(np.max(np.abs(mat[idx][:, idx].toarray())))
 
         su_pm = block_max(j_plus @ j_minus - j_minus @ j_plus - 2.0 * j_z)
         su_zp = block_max(j_z @ j_plus - j_plus @ j_z - j_plus)
@@ -766,39 +784,17 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
 
         # ladder form a b^dag - a^dag b versus quadrature form 2i(y X - x Y)
         a = make_annihilation(cutoff)
-        ladder_gen = np.kron(a, a.conj().T) - np.kron(a.conj().T, a)
+        ladder_gen = sp.kron(a, a.conj().T) - sp.kron(a.conj().T, a)
         quad_gen = 2j * (ys @ xp - xs @ yp)
-        gen_dev = float(np.max(np.abs(ladder_gen - quad_gen)))
-
-    # each factor alone, for the eta -> 1 limit where all become identity
-    c = math.sqrt((1.0 - eta) / eta)
-    x1 = make_quadrature(n_w, 0.0)
-    y1 = make_quadrature(n_w, 0.5 * math.pi)
-    nu, rx = np.linalg.eigh(x1)
-    mu, ry = np.linalg.eigh(y1)
-    devs = []
-    for basis_a, basis_b, vals, sign in (
-            (rx, ry, (nu, mu), -1.0), (ry, rx, (mu, nu), +1.0)):
-        v = _apply_on_mode(basis_a.conj().T, basis.astype(complex), 0)
-        v = _apply_on_mode(basis_b.conj().T, v, 1)
-        v *= np.exp(sign * 2j * c * np.outer(*vals))[:, :, None]
-        v = _apply_on_mode(basis_a, v, 0)
-        v = _apply_on_mode(basis_b, v, 1)
-        devs.append(float(np.max(np.abs(
-            (v - basis)[rows[:, 0], rows[:, 1], :]))))
-    sq_s = _faithful_squeeze(-0.5 * math.log(eta), n_w)
-    sq_p = _faithful_squeeze(0.5 * math.log(eta), n_w)
-    v = _apply_on_mode(sq_s, basis.astype(complex), 0)
-    v = _apply_on_mode(sq_p, v, 1)
-    mid_dev = float(np.max(np.abs((v - basis)[rows[:, 0], rows[:, 1], :])))
-    devs.insert(1, mid_dev)
+        gen_dev = float(np.max(np.abs((ladder_gen - quad_gen).data),
+                               initial=0.0))
 
     return BchReport(
         eta=eta, cutoff=cutoff, block_total=block_total, working_cutoff=n_w,
         factorization_deviation=fac_dev, su2_plus_minus_deviation=su_pm,
         su2_z_plus_deviation=su_zp, su2_z_minus_deviation=su_zm,
         generator_form_deviation=gen_dev,
-        factor_identity_deviations=tuple(devs))
+        factor_identity_deviations=devs)
 
 
 # ---------------------------------------------------------------------------

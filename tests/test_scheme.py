@@ -11,6 +11,7 @@ from quadmeas import scheme
 from quadmeas.errors import InfeasibleFeedbackError, ParameterError
 from quadmeas.fock import (
     StateVector,
+    make_beam_splitter,
     make_quadrature,
     make_squeeze,
     make_phase_rotation,
@@ -473,9 +474,54 @@ def test_bch_factorization_report():
     assert rep.generator_form_deviation < 1e-10
 
 
-def test_bch_requires_minimum_cutoff():
+@pytest.mark.parametrize("kwargs", [
+    dict(cutoff=20),
+    dict(working_cutoff=8),
+    dict(working_cutoff=10),
+    dict(block_total=-1),
+], ids=["cutoff20", "working_cutoff8", "working_cutoff10", "block_total-1"])
+def test_bch_requires_minimum_cutoff(kwargs):
     with pytest.raises(ParameterError):
-        verify_bch_factorization(0.5, cutoff=20)
+        verify_bch_factorization(0.5, **kwargs)
+
+
+def test_bch_su2_checks_fire_on_a_perturbed_probe_quadrature(monkeypatch):
+    joint = scheme._joint_quadratures
+
+    def perturbed(cutoff):
+        xs, ys, xp, yp = joint(cutoff)
+        return xs, ys, xp, (1.0 + 1e-3) * yp
+
+    monkeypatch.setattr(scheme, "_joint_quadratures", perturbed)
+    rep = verify_bch_factorization(0.5, cutoff=40, working_cutoff=48)
+    assert rep.su2_plus_minus_deviation > 1e-4
+    assert rep.su2_z_plus_deviation > 1e-4
+    assert rep.su2_z_minus_deviation > 1e-4
+    assert rep.generator_form_deviation > 1e-4
+
+
+@pytest.mark.parametrize("eta", [0.2, 0.8])
+def test_sector_bounded_mixer_matches_dense_beam_splitter(eta):
+    n_w, block_total = 20, 6
+    pairs = [(m, p) for m in range(n_w) for p in range(n_w)
+             if m + p <= block_total]
+    basis = np.zeros((n_w, n_w, len(pairs)))
+    for k, (m, p) in enumerate(pairs):
+        basis[m, p, k] = 1.0
+    got = scheme._apply_mixer_sectors(eta, basis, block_total)
+    dense = make_beam_splitter(eta, n_w).matrix @ basis.reshape(n_w ** 2, -1)
+    assert np.max(np.abs(got.reshape(n_w ** 2, -1) - dense)) < 1e-13
+
+
+def test_bch_never_forms_a_dense_joint_matrix():
+    # one dense cutoff^2 x cutoff^2 complex matrix at cutoff 40 is 41 MB
+    tracemalloc.start()
+    try:
+        verify_bch_factorization(0.5, cutoff=40, working_cutoff=48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1600 ** 2 * 16
 
 
 def test_bch_factors_approach_identity_at_full_transmission():
