@@ -112,12 +112,10 @@ from .montecarlo import (
     TrialRecord,
     TrialEngine,
     RepeatabilityStats,
-    sample_outcome,
     sample_outcomes,
     ks_against_density,
     ks_critical_value,
     finite_lo_displacement,
-    run_trial,
     repeatability_experiment,
     summarize_repeatability,
 )

@@ -436,17 +436,16 @@ def cmd_pom(cfg: RunConfig) -> int:
 def cmd_sample(cfg: RunConfig) -> int:
     """Seeded trial records; with repeat mode, second outcomes and the
     aggregate repeatability statistics."""
-    engine = TrialEngine(cfg.scheme_params(), cfg.feedback_spec())
-    rng = cfg.rngseed().generator()
+    engine = TrialEngine(cfg.scheme_params(), cfg.feedback_spec(),
+                         margin=cfg.resolved_margin(2.5))
     repeat = cfg.values["repeat"]
     n = cfg.values["trials"]
     header = ("trial", "outcome", "post_mean", "post_variance",
               "second_outcome", "feedback_mode", "resamples")
-    rows = []
-    for i in range(n):
-        rec = engine.trial(rng, want_second=repeat)
-        rows.append((i, rec.outcome, rec.post_mean, rec.post_variance,
-                     rec.second_outcome, rec.feedback_mode, rec.resamples))
+    rows = [(i, rec.outcome, rec.post_mean, rec.post_variance,
+             rec.second_outcome, rec.feedback_mode, rec.resamples)
+            for i, rec in enumerate(engine.trials(
+                cfg.rngseed().generator(), n, want_second=repeat))]
     stats: Dict[str, object] = {}
     if repeat and n >= 100:
         agg = summarize_repeatability([r[1] for r in rows],

@@ -8,13 +8,15 @@ measure/reduce/measure-again experiment.
 Sampling contract: a (seed, stream) pair fully determines every drawn number.
 Outcomes are snapped to the engine's outcome grid, so the sampled measurement
 is exactly the discretized one whose density, POM and reduction family the
-rest of the package manipulates.
+rest of the package manipulates.  Each run takes one uniform for its first
+draw, one more per resample, then one for its second outcome, so
+``TrialEngine.trials(rng, n)`` equals n ``TrialEngine.trial(rng)`` calls.
 """
 
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.special import erfinv
@@ -46,9 +48,7 @@ __all__ = [
     "TrialRecord",
     "RepeatabilityStats",
     "TrialEngine",
-    "sample_outcome",
     "sample_outcomes",
-    "run_trial",
     "repeatability_experiment",
     "summarize_repeatability",
     "finite_lo_displacement",
@@ -109,25 +109,17 @@ def _as_generator(seed) -> np.random.Generator:
 # exact inverse-CDF sampling of tabulated densities
 
 
-def _check_normalized(density: OutcomeDensity, tol: float = 1e-6) -> None:
+def _inverse_cdf(density: OutcomeDensity, u: np.ndarray) -> np.ndarray:
+    """Map uniforms through the exact inverse CDF of the piecewise-linear
+    density tabulated on the grid (quadratic inside each bin)."""
     defect = density.normalization_defect()
-    if defect > tol:
+    if defect > 1e-6:
         raise ParameterError(
             f"sampling needs a normalized density; normalization is off by "
             f"{defect:.3e}")
-
-
-def sample_outcomes(density: OutcomeDensity, n: int, seed) -> np.ndarray:
-    """Draw ``n`` outcomes distributed exactly as the piecewise-linear
-    density tabulated on the grid (quadratic inverse CDF inside each bin)."""
-    if n < 0:
-        raise ParameterError(f"sample count must be >= 0, got {n}")
-    _check_normalized(density)
-    rng = _as_generator(seed)
     pts = density.grid.points
     vals = np.clip(density.values, 0.0, None)
     cdf = density.cdf_nodes()
-    u = rng.random(n)
     j = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, len(pts) - 2)
     mass = cdf[j + 1] - cdf[j]
     s = np.where(mass > 0, (u - cdf[j]) / np.where(mass > 0, mass, 1.0), 0.0)
@@ -144,9 +136,20 @@ def sample_outcomes(density: OutcomeDensity, n: int, seed) -> np.ndarray:
     return pts[j] + t * density.grid.step
 
 
-def sample_outcome(density: OutcomeDensity, seed) -> float:
-    """Single draw; see sample_outcomes for the distribution contract."""
-    return float(sample_outcomes(density, 1, seed)[0])
+def sample_outcomes(density: OutcomeDensity, n: int, seed) -> np.ndarray:
+    """Draw ``n`` outcomes distributed exactly as the piecewise-linear
+    density tabulated on the grid."""
+    if n < 0:
+        raise ParameterError(f"sample count must be >= 0, got {n}")
+    return _inverse_cdf(density, _as_generator(seed).random(n))
+
+
+def _nearest_index(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Index of the sorted grid point nearest each x, a tie going to the
+    lower index: ``np.argmin(np.abs(points - x))`` for every x at once."""
+    hi = np.clip(np.searchsorted(points, xs), 1, len(points) - 1)
+    low_is_closer = np.abs(points[hi - 1] - xs) <= np.abs(points[hi] - xs)
+    return hi - low_is_closer
 
 
 def _cdf_at(density: OutcomeDensity, xs: np.ndarray) -> np.ndarray:
@@ -290,17 +293,14 @@ class RepeatabilityStats:
     slope_halfwidth: float
 
 
+@dataclass(eq=False)
 class _Conditional:
-    """Per-outcome cache entry: post state, its moments, second-outcome CDF."""
+    """Per-outcome cache entry: post state, moments, second-outcome density."""
 
-    __slots__ = ("probability", "post", "mean", "variance", "density")
-
-    def __init__(self, probability, post, mean, variance, density):
-        self.probability = probability
-        self.post = post
-        self.mean = mean
-        self.variance = variance
-        self.density = density
+    post: object
+    mean: float
+    variance: float
+    density: OutcomeDensity
 
 
 class TrialEngine:
@@ -385,57 +385,52 @@ class TrialEngine:
 
     # -- conditional-state machinery ------------------------------------
 
-    @staticmethod
-    def _normalized(dens: OutcomeDensity) -> OutcomeDensity:
-        norm = dens.normalization()
-        if norm <= 0:
-            raise ZeroProbabilityError(
-                "conditional density carries no mass")
-        return OutcomeDensity(dens.grid, dens.values / norm)
-
     def _moments(self, state) -> Tuple[float, float]:
-        if isinstance(state, np.ndarray) and state.ndim == 1:
+        if isinstance(state, DensityOperator):
+            xm = self._xq @ state.matrix
+            mean = float(np.trace(xm).real)
+            second = float(np.trace(self._xq @ xm).real)
+        else:
             mean = float(np.vdot(state, self._xq @ state).real)
             second = float(np.linalg.norm(self._xq @ state) ** 2)
-        else:
-            mat = state.matrix if isinstance(state, DensityOperator) else state
-            mean = float(np.trace(self._xq @ mat).real)
-            second = float(np.trace(self._xq @ (self._xq @ mat)).real)
         return mean, second - mean * mean
+
+    def _entry(self, post) -> _Conditional:
+        """Cache entry of a normalized pure vector or DensityOperator."""
+        mean, var = self._moments(post)
+        dens = quadrature_density(
+            StateVector(post) if isinstance(post, np.ndarray) else post,
+            self.second_grid, self.params.phi)
+        norm = dens.normalization()
+        if norm <= 0:
+            raise ZeroProbabilityError("conditional density carries no mass")
+        return _Conditional(post, mean, var,
+                            OutcomeDensity(dens.grid, dens.values / norm))
 
     def _conditional(self, index: int) -> Optional[_Conditional]:
         if index in self._cache:
             return self._cache[index]
         x = float(self.grid.points[index])
-        entry: Optional[_Conditional]
-        if self.feedback.mode == "ideal":
-            om = self._family.operators[index] if self._family is not None \
-                else self._builder.operator(x, self.mask)
-            vec = om @ self._psi
-            p = float(np.linalg.norm(vec) ** 2)
-            if p < _PROBABILITY_FLOOR:
-                entry = None
-            else:
-                post = vec / math.sqrt(p)
-                mean, var = self._moments(post)
-                dens = self._normalized(quadrature_density(
-                    StateVector(post), self.second_grid, self.params.phi))
-                entry = _Conditional(p, post, mean, var, dens)
-        else:
+        finite_lo = self.feedback.mode == "finite-lo"
+        if self._family is not None:
+            vec = self._family.operators[index] @ self._psi
+        elif finite_lo:
             # the oscillator channel replaces the unitary feedback stage;
             # it acts at working size, like every builder stage, and only
             # the back-squeezed state is truncated to the cutoff
             stage_mask = StageMask(self.mask.pre_squeeze, False, False)
             om = self._builder.operator(x, stage_mask, workspace=True)
             vec = om[:, :len(self._psi)] @ self._psi
-            p = float(np.linalg.norm(vec) ** 2)
-            if p < _PROBABILITY_FLOOR:
-                entry = None
-            else:
+        else:
+            vec = self._builder.operator(x, self.mask) @ self._psi
+        p = float(np.linalg.norm(vec) ** 2)
+        entry = None
+        if p >= _PROBABILITY_FLOOR:
+            post = vec / math.sqrt(p)
+            if finite_lo:
                 rho = finite_lo_displacement(
-                    vec / math.sqrt(p),
-                    feedback_displacement(x, self.params.eta,
-                                          self.params.phi)
+                    post, feedback_displacement(x, self.params.eta,
+                                                self.params.phi)
                     if self.mask.feedback else 0.0,
                     self.feedback.beta)
                 mat = rho.matrix
@@ -444,21 +439,14 @@ class TrialEngine:
                     mat = back @ mat @ back.conj().T
                 c = self.params.cutoff
                 mat = mat[:c, :c]
-                rho = DensityOperator(mat / np.trace(mat).real, rho.warnings)
-                mean, var = self._moments(rho)
-                dens = self._normalized(quadrature_density(
-                    rho, self.second_grid, self.params.phi))
-                entry = _Conditional(p, rho, mean, var, dens)
+                post = DensityOperator(mat / np.trace(mat).real, rho.warnings)
+            entry = self._entry(post)
         self._cache[index] = entry
         return entry
 
     def _identity_conditional(self) -> _Conditional:
         if self._identity_entry is None:
-            mean, var = self._moments(self._psi)
-            dens = self._normalized(quadrature_density(
-                StateVector(self._psi), self.second_grid, self.params.phi))
-            self._identity_entry = _Conditional(1.0, self._psi, mean, var,
-                                                dens)
+            self._identity_entry = self._entry(self._psi)
         return self._identity_entry
 
     def post_state(self, index: int):
@@ -472,41 +460,54 @@ class TrialEngine:
 
     # -- sampling -------------------------------------------------------
 
-    def trial(self, rng, want_second: bool = False,
-              identity_control: bool = False,
-              max_resamples: int = _MAX_RESAMPLES) -> TrialRecord:
+    def trials(self, rng, n: int, want_second: bool = False,
+               identity_control: bool = False) -> List[TrialRecord]:
+        """The records of ``n`` successive ``trial`` calls on ``rng``, drawn
+        as one batch that leaves ``rng`` where those calls leave it."""
         rng = _as_generator(rng)
-        for attempt in range(max_resamples + 1):
-            x_raw = sample_outcome(self.density, rng)
-            index = int(np.argmin(np.abs(self.grid.points - x_raw)))
-            if identity_control:
-                entry = self._identity_conditional()
+        pts = self.grid.points
+        u = rng.random(n * (2 if want_second else 1))
+        first = _nearest_index(pts, _inverse_cdf(self.density, u)).tolist()
+        u, runs, pos = u.tolist(), [], 0
+        for _ in range(n):
+            for resamples in range(_MAX_RESAMPLES + 1):
+                index, pos = first[pos], pos + 1
+                entry = self._identity_conditional() if identity_control \
+                    else self._conditional(index)
+                if entry is not None:
+                    break
+                extra = rng.random(1)  # keeps later runs on their uniforms
+                u += extra.tolist()
+                first += _nearest_index(
+                    pts, _inverse_cdf(self.density, extra)).tolist()
             else:
-                entry = self._conditional(index)
-            if entry is None:
-                continue
-            second = None
-            if want_second:
-                second = float(sample_outcomes(entry.density, 1, rng)[0])
-            return TrialRecord(
-                outcome=float(self.grid.points[index]),
-                post_mean=entry.mean, post_variance=entry.variance,
-                second_outcome=second,
-                feedback_mode="identity-control" if identity_control
-                else self.feedback.mode,
-                resamples=attempt)
-        raise ZeroProbabilityError(
-            f"no outcome with probability mass found in "
-            f"{max_resamples + 1} draws (grid artifact)")
+                raise ZeroProbabilityError(
+                    f"no outcome with probability mass found in "
+                    f"{_MAX_RESAMPLES + 1} draws (grid artifact)")
+            runs.append((index, entry, resamples, pos))  # pos: 2nd uniform
+            pos += want_second
+        second = {}
+        if want_second:
+            groups = {}
+            for i, run in enumerate(runs):
+                groups.setdefault(run[1], []).append(i)
+            for entry, rows in groups.items():
+                xs = _inverse_cdf(entry.density,
+                                  np.array([u[runs[i][3]] for i in rows]))
+                second.update(zip(rows, xs.tolist()))
+        mode = "identity-control" if identity_control else self.feedback.mode
+        return [TrialRecord(outcome=float(pts[index]), post_mean=entry.mean,
+                            post_variance=entry.variance,
+                            second_outcome=second.get(i), feedback_mode=mode,
+                            resamples=resamples)
+                for i, (index, entry, resamples, _) in enumerate(runs)]
 
-
-def run_trial(params: SchemeParams, feedback: Optional[FeedbackSpec] = None,
-              seed=0, engine: Optional[TrialEngine] = None,
-              want_second: bool = False) -> TrialRecord:
-    """One measurement run.  Pass an engine to amortize setup over many
-    runs; otherwise one is built for this call."""
-    eng = engine if engine is not None else TrialEngine(params, feedback)
-    return eng.trial(_as_generator(seed), want_second=want_second)
+    def trial(self, rng, want_second: bool = False,
+              identity_control: bool = False) -> TrialRecord:
+        """One run: draw an outcome (redrawing outcomes without probability
+        mass), reduce the input state (``identity_control`` leaves it as
+        is), and with ``want_second`` measure the same quadrature again."""
+        return self.trials(rng, 1, want_second, identity_control)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -561,12 +562,8 @@ def repeatability_experiment(params: SchemeParams, n_trials: int, seed,
         raise ParameterError(
             f"repeatability statistics want n_trials >= 100, got {n_trials}")
     eng = engine if engine is not None else TrialEngine(params, feedback)
-    rng = _as_generator(seed)
-    first = np.empty(n_trials)
-    second = np.empty(n_trials)
-    for i in range(n_trials):
-        rec = eng.trial(rng, want_second=True,
-                        identity_control=identity_control)
-        first[i] = rec.outcome
-        second[i] = rec.second_outcome
-    return summarize_repeatability(first, second, confidence)
+    recs = eng.trials(seed, n_trials, want_second=True,
+                      identity_control=identity_control)
+    return summarize_repeatability([r.outcome for r in recs],
+                                   [r.second_outcome for r in recs],
+                                   confidence)

@@ -705,6 +705,8 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
     2.5x the requested cutoff): the factorization is an operator identity,
     but products of individually truncated exponentials corrupt low blocks,
     so the faithful route evaluates each factor in its own eigenbasis.
+    block_total is at most cutoff - 2: from total cutoff - 1 on, the su(2)
+    products reach the truncation edge of the cutoff^2 joint space.
 
     ``check_su2=False`` skips the commutator and generator-form checks (the
     only eta-independent part of the report), leaving those report fields
@@ -714,9 +716,10 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
     if cutoff < 40:
         raise ParameterError(
             f"factorization check wants cutoff >= 40, got {cutoff}")
-    if block_total < 0:
+    if not 0 <= block_total <= cutoff - 2:
         raise ParameterError(
-            f"factorization check wants block_total >= 0, got {block_total}")
+            f"factorization check wants 0 <= block_total <= cutoff - 2 "
+            f"= {cutoff - 2}, got {block_total}")
     n_w = working_cutoff if working_cutoff is not None \
         else int(math.ceil(2.5 * cutoff))
     if n_w <= block_total:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from quadmeas import cli
 from quadmeas.cli import main, parse_grid_spec, resolve_config
 
 
@@ -264,6 +265,20 @@ class TestSample:
         # eta=0.5, sigma=1: gain 2/3, conditional variance 1/12
         assert_allclose(post_mean, outcome * (2.0 / 3.0), atol=1e-6)
         assert_allclose(post_var, 1.0 / 12.0, atol=1e-6)
+
+    def test_margin_reaches_the_engine(self, tmp_path, monkeypatch):
+        margins = []
+
+        class SpyEngine(cli.TrialEngine):
+            def __init__(self, *args, **kwargs):
+                margins.append(kwargs.get("margin"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "TrialEngine", SpyEngine)
+        assert main(["sample", "--trials", "3", "--cutoff", "20",
+                     "--margin", "3.5",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert margins == [3.5]
 
     def test_infeasible_feedback_exits_1(self, capsys):
         assert main(["sample", "--feedback", "finite-lo", "--beta", "2.0",

@@ -28,9 +28,8 @@ from quadmeas.montecarlo import (
     finite_lo_displacement,
     ks_against_density,
     ks_critical_value,
+    _nearest_index,
     repeatability_experiment,
-    run_trial,
-    sample_outcome,
     sample_outcomes,
 )
 from quadmeas.scheme import (
@@ -95,10 +94,29 @@ def test_trial_sequence_bit_identical():
     assert recs1 == recs2
 
 
-def test_run_trial_convenience_matches_engine(canonical_engine):
-    direct = run_trial(CANONICAL, seed=RngSeed(4))
-    via_engine = canonical_engine.trial(RngSeed(4).generator())
-    assert direct == via_engine
+@pytest.mark.parametrize("want_second,poisoned,identity_control", [
+    (False, False, False),
+    (True, False, False),
+    (False, True, False),
+    (True, True, False),
+    (True, False, True),
+], ids=["first", "second", "first-resampled", "second-resampled",
+        "identity-control"])
+def test_batched_trials_follow_the_sequential_stream(want_second, poisoned,
+                                                     identity_control):
+    eng = TrialEngine(CANONICAL)
+    if poisoned:
+        # reject the two most probable outcomes, so runs resample mid-batch
+        for index in np.argsort(eng.density.values)[-2:]:
+            eng._cache[int(index)] = None
+    r1, r2 = RngSeed(21).generator(), RngSeed(21).generator()
+    batch = eng.trials(r1, 300, want_second, identity_control)
+    one_by_one = [eng.trial(r2, want_second, identity_control)
+                  for _ in range(300)]
+    assert batch == one_by_one
+    assert r1.random() == r2.random()
+    if poisoned:
+        assert sum(r.resamples for r in batch) >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +161,22 @@ def test_point_mass_density_sampled_into_its_bin():
     dens = OutcomeDensity(OutcomeGrid(pts), vals)
     draws = sample_outcomes(dens, 200, RngSeed(3))
     assert np.all(np.abs(draws - 0.5) <= step)
-    assert sample_outcome(dens, RngSeed(3)) == draws[0]
+
+
+def test_nearest_index_matches_argmin_with_ties_to_the_left():
+    # lo + step * arange(n) is not exactly evenly spaced in floating point
+    pts = OutcomeGrid.from_range(-3.7, 4.1, 0.03).points
+    assert len(np.unique(np.diff(pts))) > 1
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    ties = np.abs(pts[:-1] - mids) == np.abs(pts[1:] - mids)
+    assert ties.sum() > 10
+    xs = np.concatenate([
+        pts, mids, [pts[0], pts[-1], pts[0] - 1.0, pts[-1] + 1.0],
+        np.random.default_rng(5).uniform(pts[0], pts[-1], 10 ** 4)])
+    want = np.array([np.argmin(np.abs(pts - x)) for x in xs])
+    assert np.array_equal(_nearest_index(pts, xs), want)
+    assert np.array_equal(_nearest_index(pts, mids[ties]),
+                          np.flatnonzero(ties))
 
 
 def test_sampler_rejects_unnormalized_density(canonical_engine):

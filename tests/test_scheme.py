@@ -479,7 +479,10 @@ def test_bch_factorization_report():
     dict(working_cutoff=8),
     dict(working_cutoff=10),
     dict(block_total=-1),
-], ids=["cutoff20", "working_cutoff8", "working_cutoff10", "block_total-1"])
+    dict(block_total=39),
+    dict(block_total=40),
+], ids=["cutoff20", "working_cutoff8", "working_cutoff10", "block_total-1",
+        "block_total39", "block_total40"])
 def test_bch_requires_minimum_cutoff(kwargs):
     with pytest.raises(ParameterError):
         verify_bch_factorization(0.5, **kwargs)
