@@ -37,15 +37,23 @@ deamplified axis is the conjugate one (S(r, psi+pi/2) = S(-r, psi) exactly).
 Numerical architecture: composing truncated matrix exponentials corrupts
 low Fock blocks, so every stage is evaluated in an enlarged working space
 (margin * cutoff levels) using closed-form or sector-exact constructions,
-and only the final result is truncated to the requested cutoff.  The mixer
-acts through its conserved total-occupancy sectors, precontracted with the
-probe into V[m, p, n] = <m, p|U_mix|n, probe>.  One composition,
-SchemeFamilyBuilder._compose, evaluates B . D(x) . W(x) . P . cols with the
-readout W(x) = sum_p chi_p(x) V[:, p, :] for a batch of outcomes, and every
-builder product calls it.  One outcome contracts the readout first (a pass
-over V, then products on cols); a batch applies V to cols once as one BLAS
-product, then reads out all outcomes together.  A real V acts on the float
-view of complex columns: promoting it to complex would cost twice its size.
+and only the final result is truncated to the requested cutoff.  Each
+squeeze and each sector of the mixer is the exponential of a real
+antisymmetric tridiagonal generator, whose needed columns follow exactly
+from one symmetric tridiagonal eigendecomposition
+(_tridiagonal_expm_columns); no dense expm runs.  The mixer acts through its
+conserved total-occupancy sectors s, precontracted with the probe: V[m, p, n]
+= <m, p|U_mix|n, probe> is nonzero only for p = n + k - m with k a probe
+level, and the squeezed probe has K of those above 1e-17 (K = 35 at sigma =
+0.5 or 2, one for the vacuum).  The builder stores only that band, B[s, m, j]
+= <m, s-m|U_mix|s-k_j, k_j> amp_{k_j}, O(n^2 K) instead of n^3.  One
+composition, SchemeFamilyBuilder._compose, evaluates B . D(x) . W(x) . P .
+cols with the readout W(x) = sum_p chi_p(x) V[:, p, :] for a batch of
+outcomes, and every builder product calls it.  One outcome gathers W(x) from
+the band (one n x n slab per probe level), then multiplies cols; a batch
+applies the band to the gathered cols of every sector in one matmul, then
+reads out all outcomes together.  A real band acts on the float view of
+complex columns: promoting it to complex would cost twice its size.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import InfeasibleFeedbackError, ParameterError
@@ -90,6 +98,10 @@ DEFAULT_GRID_SPEC = "-3:3:0.25"
 # Element budget of one batched displacement stack: families on large grids
 # are composed in outcome chunks, so transient memory does not grow with X.
 _STACK_ELEMENTS = 1 << 19
+
+# Probe levels with |amplitude| at or below this floor are left out of the
+# mixer-probe band; each one dropped moves an operator entry by at most it.
+_PROBE_FLOOR = 1e-17
 
 
 # ---------------------------------------------------------------------------
@@ -344,25 +356,50 @@ def _faithful_displacement(alpha, n: int) -> np.ndarray:
     return pref * lag * base
 
 
+def _tridiagonal_expm_columns(e: np.ndarray, cols: np.ndarray,
+                              n_rows: Optional[int] = None) -> np.ndarray:
+    """Columns ``cols`` of exp(G), leading ``n_rows`` rows (default all),
+    for the real antisymmetric tridiagonal G with G[k, k+1] = e[k] =
+    -G[k+1, k].
+
+    G = D (iT) D^-1 with D = diag(i^k) and T the symmetric tridiagonal of
+    off-diagonal e, so from T = q diag(lam) q^T
+
+        exp(G)[a, b] = Re(i^(a-b) sum_l q[a, l] q[b, l] e^(i lam_l)),
+
+    two real products whose entries are exact to rounding for any norm of
+    G, where the column recurrences of the squeeze and the mixer are not.
+    """
+    lam, q = eigh_tridiagonal(np.zeros(len(e) + 1), e)
+    cols = np.asarray(cols)
+    q_cols = q[cols].T
+    q_rows = q[:n_rows]
+    c = (q_rows * np.cos(lam)) @ q_cols
+    s = (q_rows * np.sin(lam)) @ q_cols
+    shift = (np.arange(len(q_rows))[:, None] - cols[None, :]) % 4
+    return np.choose(shift, (c, -s, -c, s))
+
+
 def _faithful_squeeze(r: float, n: int, phase: float = 0.0) -> np.ndarray:
-    """Squeeze matrix whose low columns are faithful: the generator is
-    exponentiated in an extended space (n e^{2|r|} levels) and truncated
-    back, and the parity split keeps the expm cheap.  The pump phase enters
-    as the exact element phase e^{i(m-k) phase}."""
+    """Squeeze matrix whose n x n entries are exact to rounding.
+
+    The generator (r/2)(a^dag^2 - a^2) couples levels of one parity only,
+    and each parity block is a real antisymmetric tridiagonal.  It is taken
+    in an extended space of n e^{2|r|} + 40 levels, so that truncating the
+    generator there leaves the kept corner untouched, and only the kept
+    columns and rows of its exponential are formed
+    (:func:`_tridiagonal_expm_columns`).  The pump phase enters as the
+    exact element phase e^{i(m-k) phase}."""
     if r == 0.0:
         return np.eye(n, dtype=complex)
     n_ext = int(math.ceil(n * math.exp(2.0 * abs(r)))) + 40
-    out = np.zeros((n_ext, n_ext))
+    block = np.zeros((n, n), dtype=complex)
     for parity in (0, 1):
-        idx = np.arange(parity, n_ext, 2)
-        d = len(idx)
-        gen = np.zeros((d, d))
-        lower = idx[:-1].astype(float)
-        amp = 0.5 * r * np.sqrt((lower + 1.0) * (lower + 2.0))
-        gen[np.arange(1, d), np.arange(d - 1)] = amp
-        gen[np.arange(d - 1), np.arange(1, d)] = -amp
-        out[np.ix_(idx, idx)] = expm(gen)
-    block = out[:n, :n].astype(complex)
+        lower = np.arange(parity, n_ext - 2, 2, dtype=float)
+        kept = (n - parity + 1) // 2
+        block[parity::2, parity::2] = _tridiagonal_expm_columns(
+            -0.5 * r * np.sqrt((lower + 1.0) * (lower + 2.0)),
+            np.arange(kept), kept)
     if phase != 0.0:
         ph = np.exp(1j * phase * np.arange(n))
         block = ph[:, None] * block * ph.conj()[None, :]
@@ -376,9 +413,11 @@ def _faithful_squeeze(r: float, n: int, phase: float = 0.0) -> np.ndarray:
 class SchemeFamilyBuilder:
     """Assembles the scheme's reduction operators in a working Fock space.
 
-    V is precomputed once per parameter set; each public method is a thin
-    caller of ``_compose`` that picks the outcomes, the mask and the input
-    columns (leading unit columns, or the padded state for densities).
+    The mixer-probe band (see the module docstring) is computed once per
+    parameter set, the pre- and back-squeezes on first use; no array holds
+    n_work^3 elements.  Each public method is a thin caller of ``_compose``
+    that picks the outcomes, the mask and the input columns (leading unit
+    columns, or the padded state for densities).
     Densities and completeness sums mask feedback and back-squeeze off:
     those unitary dressings cancel in the Born rule at working size, which
     :meth:`masked_pom_matrix` measures by applying them.
@@ -394,21 +433,34 @@ class SchemeFamilyBuilder:
         probe = squeezed_vacuum(params.sigma, self.n_work,
                                 phase=params.phi_probe)
         self._probe_warnings = probe.warnings
-        self._v = self._contract_probe(probe.amplitudes)
+        self._levels, self._band = self._contract_probe(probe.amplitudes)
         self._s_pre = None
         self._s_back = {}
 
-    def _contract_probe(self, probe_vec: np.ndarray) -> np.ndarray:
+    def _contract_probe(self, probe_vec: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """The probe levels k_j kept (|amplitude| above the floor) and the
+        band B[s, m, j] = <m, s-m|U_mix|s-k_j, k_j> amp_{k_j}, shape
+        (n_work + k_max, n_work, K): every entry of V[m, p, n] with
+        p = n + k_j - m.  Sector s of the mixer is exp of a real
+        antisymmetric tridiagonal, and only its K input columns are formed.
+        """
         n = self.n_work
-        complex_probe = np.iscomplexobj(probe_vec) and np.any(
-            np.abs(probe_vec.imag) > 0.0)
-        v = np.zeros((n, n, n),
-                     dtype=complex if complex_probe else float)
-        amps = probe_vec if complex_probe else probe_vec.real
-        for m, s, block in _bs_sector_blocks(self.params.eta, n):
-            v[m[:, None], (s - m)[:, None], m[None, :]] = \
-                block * amps[s - m][None, :]
-        return v
+        levels = np.flatnonzero(np.abs(probe_vec) > _PROBE_FLOOR)
+        amps = probe_vec[levels]
+        if not np.any(amps.imag):
+            amps = amps.real
+        # mixer angle, cos(theta) = sqrt(eta)
+        theta = math.atan(feedback_coefficient(self.params.eta))
+        band = np.zeros((n + levels[-1], n, len(levels)), dtype=amps.dtype)
+        for s in range(len(band)):
+            lo, hi = max(0, s - n + 1), min(s, n - 1)
+            j = np.flatnonzero((s - levels >= lo) & (s - levels <= hi))
+            m = np.arange(lo + 1, hi + 1, dtype=float)
+            band[s, lo:hi + 1][:, j] = _tridiagonal_expm_columns(
+                theta * np.sqrt(m * (s - m + 1.0)),
+                s - levels[j] - lo) * amps[j]
+        return levels, band
 
     def _pre_matrix(self) -> np.ndarray:
         if self._s_pre is None:
@@ -435,18 +487,35 @@ class SchemeFamilyBuilder:
         stages left out."""
         xs = np.asarray(xs, dtype=float)
         n = self.n_work
+        levels, band = self._levels, self._band
         if mask.pre_squeeze:
             cols = self._pre_matrix() @ cols
         chi = self._chi(xs)
-        if len(xs) == 1:  # readout first: one pass over V
-            w = (np.einsum("p,mpn->mn", chi[0], self._v) @ cols)[None]
-        else:  # columns first: V @ cols once, shared by every outcome
-            cols = np.ascontiguousarray(cols, dtype=complex)
-            flat = self._v.reshape(n * n, n)
-            vc = flat @ cols if np.iscomplexobj(flat) \
-                else (flat @ cols.view(float)).view(complex)
-            vc = vc.reshape(n, n, -1).transpose(1, 0, 2).reshape(n, -1)
-            w = (chi @ vc).reshape(len(xs), n, -1)
+        m = np.arange(n)
+        if len(xs) == 1:  # readout first, one (n_in, m) slab per level:
+            # W[m, n_in] = sum_j chi[p] B[s, m, j], s = n_in + k_j, p = s - m
+            chi_pad = np.zeros(2 * n + levels[-1], dtype=complex)
+            chi_pad[n:2 * n] = chi[0]
+            offset = m[:, None] - m[None, :] + n
+            w_t = np.zeros((n, n), dtype=complex)
+            for j, k in enumerate(levels):
+                w_t += chi_pad[offset + k] * band[k:k + n, :, j]
+            w = (w_t.T @ cols)[None]
+        else:  # columns first: the band acts on cols once, per sector
+            n_sec = len(band)
+            pad = np.zeros((n + 2 * levels[-1], cols.shape[1]), dtype=complex)
+            pad[levels[-1]:levels[-1] + n] = cols
+            gathered = pad[np.arange(n_sec)[:, None] - levels[None, :]
+                           + levels[-1]]
+            y = np.zeros((n_sec + 1, n, cols.shape[1]), dtype=complex)
+            if np.iscomplexobj(band):
+                np.matmul(band, gathered, out=y[:n_sec])
+            else:  # a real band acts on the float view, never cast
+                np.matmul(band, gathered.view(float),
+                          out=y[:n_sec].view(float))
+            # vc[p, m] = Y[m + p, m]; sectors past the band are zero
+            vc = y[np.minimum(m[:, None] + m[None, :], n_sec), m[None, :]]
+            w = (chi @ vc.reshape(n, -1)).reshape(len(xs), n, -1)
         if mask.feedback:
             w = _faithful_displacement(feedback_displacement(
                 xs, self.params.eta, self.params.phi), n) @ w
@@ -502,7 +571,8 @@ class SchemeFamilyBuilder:
     def outcome_density_values(self, state, grid: OutcomeGrid,
                                mask: StageMask = StageMask()) -> np.ndarray:
         """Born density of the measurement outcome for a pure input, without
-        materializing the family."""
+        materializing the family.  Amplitude beyond the working space
+        raises ParameterError: it would be dropped, not measured."""
         if isinstance(state, StateVector):
             psi = state.amplitudes
         else:
@@ -511,6 +581,10 @@ class SchemeFamilyBuilder:
             raise ParameterError(
                 "outcome_density_values wants a pure state; use the family "
                 "POM for mixed inputs")
+        if np.any(psi[self.n_work:]):
+            raise ParameterError(
+                f"the state has amplitude at levels >= the working size "
+                f"{self.n_work}; raise the margin")
         padded = np.zeros((self.n_work, 1), dtype=complex)
         padded[:min(len(psi), self.n_work), 0] = psi[:self.n_work]
         amps = self._compose(grid.points,

@@ -6,15 +6,20 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
+from scipy.special import comb
 
 from quadmeas import scheme
 from quadmeas.errors import InfeasibleFeedbackError, ParameterError
 from quadmeas.fock import (
     StateVector,
+    _bs_sector_blocks,
     make_beam_splitter,
     make_quadrature,
     make_squeeze,
     make_phase_rotation,
+    quadrature_eigenvector_matrix,
+    squeezed_vacuum,
 )
 from quadmeas.gaussian import displacement_transform, vacuum_gaussian
 from quadmeas.kernel import (
@@ -35,6 +40,7 @@ from quadmeas.scheme import (
     StageMask,
     _faithful_displacement,
     _faithful_squeeze,
+    _tridiagonal_expm_columns,
     backsqueeze_param,
     build_scheme_family,
     feedback_coefficient,
@@ -284,6 +290,89 @@ def test_batched_family_matches_per_outcome_operators(monkeypatch):
                 worst = max(worst, float(np.max(np.abs(
                     fam.operators[i] - b.operator(x, mask)))))
     assert worst < 1e-12
+
+
+def dense_probe_contraction(b):
+    # V[m, p, n] = <m, p|U_mix|n, probe>, scattered from the dense sector
+    # exponentials: the independent reference for the banded contraction
+    n = b.n_work
+    probe = squeezed_vacuum(b.params.sigma, n,
+                            phase=b.params.phi_probe).amplitudes
+    v = np.zeros((n, n, n), dtype=complex)
+    for m, s, block in _bs_sector_blocks(b.params.eta, n):
+        v[m[:, None], (s - m)[:, None], m[None, :]] = \
+            block * probe[s - m][None, :]
+    return v
+
+
+@pytest.mark.parametrize("sigma,phi_probe", [
+    (0.5, None), (1.0, None), (2.0, None), (0.5, 0.7)])
+def test_banded_readout_matches_dense_probe_contraction(sigma, phi_probe):
+    # phi_probe = phi = 0 gives a real band, phi_probe 0.7 a complex one
+    b = SchemeFamilyBuilder(SchemeParams(eta=0.3, sigma=sigma,
+                                         phi_probe=phi_probe, cutoff=16))
+    assert np.iscomplexobj(b._band) == (phi_probe is not None)
+    v = dense_probe_contraction(b)
+    eye = np.eye(b.n_work)
+    for xs in ([0.6], [-1.7, -0.2, 0.0, 0.9, 2.4]):
+        chi = quadrature_eigenvector_matrix(
+            xs, b.n_work, b.params.phi_probe).conj()
+        dense = np.einsum("xp,mpn->xmn", chi, v)
+        got = b._compose(xs, StageMask.raw(), eye)
+        assert np.max(np.abs(got - dense)) < 1e-13
+
+
+def test_tridiagonal_exponential_columns_match_expm():
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for d in range(1, 61):
+        e = rng.uniform(-2.0, 2.0, d - 1)
+        ref = expm(np.diag(e, 1) - np.diag(e, -1))
+        cols = np.sort(rng.choice(d, size=max(1, d // 3), replace=False))
+        rows = int(rng.integers(1, d + 1))
+        for got, want in ((_tridiagonal_expm_columns(e, np.arange(d)), ref),
+                          (_tridiagonal_expm_columns(e, cols),
+                           ref[:, cols]),
+                          (_tridiagonal_expm_columns(e, cols, rows),
+                           ref[:rows, cols])):
+            assert got.shape == want.shape
+            worst = max(worst, float(np.max(np.abs(got - want))))
+    assert worst < 1e-13
+
+
+@pytest.mark.parametrize("n,r", [(140, 0.805), (160, -0.916),
+                                 (100, -1.524)])
+def test_faithful_squeeze_vacuum_column_matches_closed_form(n, r):
+    # the eta = 0.2 mixer squeeze of the BCH check, the eta = 0.2
+    # back-squeeze, and a squeeze whose extended space is 21x the kept one
+    exact = squeezed_vacuum(math.exp(2.0 * r), 8 * n, phase=0.4).amplitudes
+    got = _faithful_squeeze(r, n, 0.4)[:, 0]
+    assert np.max(np.abs(got - exact[:n])) <= 1e-14
+
+
+@pytest.mark.parametrize("eta", [0.2, 0.7])
+def test_band_columns_match_sector_blocks(eta):
+    b = SchemeFamilyBuilder(SchemeParams(eta=eta, sigma=0.5, cutoff=12))
+    levels, band, n = b._levels, b._band, b.n_work
+    assert len(levels) > 1
+    amps = squeezed_vacuum(0.5, n).amplitudes.real[levels]
+    for m, s, block in _bs_sector_blocks(eta, n):
+        if s >= len(band):  # no kept probe level reaches these sectors
+            break
+        for j, k in enumerate(levels):
+            if m[0] <= s - k <= m[-1]:
+                want = block[:, s - k - m[0]] * amps[j]
+            else:
+                want = 0.0
+            assert np.max(np.abs(band[s, m, j] - want)) < 1e-13
+    # a vacuum probe keeps one level: the band is U|s, 0>, a binomial
+    vac = SchemeFamilyBuilder(SchemeParams(eta=eta, sigma=1.0, cutoff=12))
+    assert list(vac._levels) == [0]
+    for s in range(vac.n_work):
+        m = np.arange(s + 1)
+        binom = np.sqrt(comb(s, m)) * math.sqrt(eta) ** m \
+            * math.sqrt(1.0 - eta) ** (s - m)
+        assert np.max(np.abs(vac._band[s, :s + 1, 0] - binom)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -593,19 +682,52 @@ def test_builder_density_fast_path_matches_family_born_rule():
 
 
 def test_density_never_copies_the_probe_contraction():
-    # the real mixer-probe contraction V is the builder's largest array;
-    # applying it to complex columns must not cast a complex copy of it
-    b = SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=1.0, cutoff=40),
+    # the real mixer-probe band is the builder's largest array; applying it
+    # to complex columns must not cast a complex copy of it
+    b = SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=0.5, cutoff=40),
                             margin=2.5)
-    assert not np.iscomplexobj(b._v)
-    v_bytes = b._v.nbytes
+    assert len(b._levels) > 1
+    assert not np.iscomplexobj(b._band)
+    band_bytes = b._band.nbytes
     tracemalloc.start()
     try:
         b.outcome_density_values(vacuum(40), b.params.grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * v_bytes
+    assert peak < 0.5 * band_bytes
+
+
+def test_pom_size_builder_stays_below_dense_contraction_memory():
+    # cutoff 100, margin 2.5: a dense n_work^3 contraction alone is 125 MB
+    tracemalloc.start()
+    try:
+        b = SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=0.5, cutoff=100),
+                                margin=2.5)
+        b.outcome_density_values(vacuum(100), b.params.grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b.n_work == 250
+    assert peak < 50 * 2 ** 20
+
+
+def test_density_rejects_amplitude_beyond_working_space():
+    b = SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=1.0, cutoff=10),
+                            margin=2.0)
+    assert b.n_work == 20
+    high = np.zeros(31)
+    high[30] = 1.0
+    mixed = np.zeros(31)
+    mixed[[0, 30]] = math.sqrt(0.5)
+    for psi in (high, mixed):
+        with pytest.raises(ParameterError):
+            b.outcome_density_values(psi, b.params.grid)
+    padded = np.zeros(40)
+    padded[0] = 1.0
+    assert_allclose(b.outcome_density_values(padded, b.params.grid),
+                    b.outcome_density_values(vacuum(10), b.params.grid),
+                    rtol=0.0, atol=1e-15)
 
 
 def test_working_level_completeness_across_presets():
