@@ -48,7 +48,6 @@ from .scheme import (
     GaussianSchemeOracle,
     SchemeFamilyBuilder,
     SchemeParams,
-    _faithful_displacement,
     build_scheme_family,
     measurement_width,
     verify_bch_factorization,
@@ -473,12 +472,11 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 def _finite_lo_reference_error(beta: float, cutoff: int = 30) -> float:
     """Trace distance between the oscillator-realized and ideal unit
-    displacement on a fixed mildly excited reference state."""
-    ref = coherent_state(0.5, cutoff)
-    disp = _faithful_displacement(1.0, cutoff)
-    base = np.outer(ref.amplitudes, ref.amplitudes.conj())
-    ideal = disp @ base @ disp.conj().T
-    return trace_distance(finite_lo_displacement(ref, 1.0, beta), ideal)
+    displacement on a fixed mildly excited reference state; the ideal
+    result is the closed form D(1)|0.5> = |1.5>."""
+    return trace_distance(
+        finite_lo_displacement(coherent_state(0.5, cutoff), 1.0, beta),
+        coherent_state(1.5, cutoff))
 
 
 def cmd_sweep(cfg: RunConfig) -> int:

@@ -19,11 +19,11 @@ by construction); states are 1-d, operators 2-d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm, eigh
+from scipy.linalg import eigh_tridiagonal, expm
 
 from .errors import DimensionMismatchError, ParameterError
 
@@ -436,20 +436,12 @@ def quadrature_eigenvector(x: float, cutoff: int, phase: float = 0.0) -> StateVe
     it is stable for every x in the guarded range |x| <= sqrt(g + 1/2).
     """
     cutoff = _check_cutoff(cutoff)
-    chi = np.empty(cutoff, dtype=float)
-    chi[0] = (2.0 / math.pi) ** 0.25 * math.exp(-x * x)
-    if cutoff > 1:
-        chi[1] = 2.0 * x * chi[0]
-    for n in range(1, cutoff - 1):
-        chi[n + 1] = (2.0 * x * chi[n] - math.sqrt(n) * chi[n - 1]) / math.sqrt(n + 1)
     warn: Tuple[str, ...] = ()
     xmax = math.sqrt(guard_level(cutoff) + 0.5)
     if abs(x) > xmax:
         warn = (f"quadrature value |x| = {abs(x):.3g} exceeds the guarded "
                 f"range sqrt(guard_level + 1/2) = {xmax:.3g}",)
-    if phase == 0.0:
-        return StateVector(chi.astype(complex), warn)
-    return StateVector(chi * np.exp(1j * phase * np.arange(cutoff)), warn)
+    return StateVector(quadrature_eigenvector_matrix([x], cutoff, phase)[0], warn)
 
 
 def quadrature_eigenvector_matrix(xs: Sequence[float], cutoff: int,
@@ -468,15 +460,27 @@ def quadrature_eigenvector_matrix(xs: Sequence[float], cutoff: int,
     return out * np.exp(1j * phase * np.arange(cutoff))[None, :]
 
 
+def quadrature_spectrum(cutoff: int, phase: float = 0.0
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvector columns of the truncated x_phase = R x_0
+    R^dag, R = diag(e^{i k phase}): one eigh_tridiagonal of the real x_0
+    (off-diagonal sqrt(k+1)/2), with eigenvector row k times e^{i k phase}."""
+    cutoff = _check_cutoff(cutoff)
+    evals, vecs = eigh_tridiagonal(np.zeros(cutoff),
+                                   0.5 * np.sqrt(np.arange(1.0, cutoff)))
+    if phase != 0.0:
+        vecs = vecs * np.exp(1j * phase * np.arange(cutoff))[:, None]
+    return evals, vecs
+
+
 def function_of_quadrature(f, cutoff: int, phase: float = 0.0) -> np.ndarray:
-    """Spectral calculus f(x_phase) through eigh of the truncated quadrature.
+    """Spectral calculus f(x_phase) from :func:`quadrature_spectrum`.
 
     Only trustworthy when f is resolved by the eigenvalue spacing of the
     truncated operator (~ pi / (2 sqrt(cutoff)) near the center); callers
     needing sharp f should enlarge the cutoff and truncate afterwards.
     """
-    xq = make_quadrature(cutoff, phase)
-    evals, vecs = eigh(xq)
+    evals, vecs = quadrature_spectrum(cutoff, phase)
     return (vecs * np.asarray([f(v) for v in evals])) @ vecs.conj().T
 
 
@@ -514,14 +518,18 @@ def partial_trace(joint: np.ndarray, sys_cutoff: int, probe_cutoff: int,
 # expectation values and distances
 
 
+def _as_array(state) -> np.ndarray:
+    """The vector or matrix of a StateVector, a DensityOperator or an array."""
+    if isinstance(state, StateVector):
+        return state.amplitudes
+    if isinstance(state, DensityOperator):
+        return state.matrix
+    return np.asarray(state)
+
+
 def expectation(op: np.ndarray, state) -> complex:
     """<op> in a StateVector or DensityOperator (or raw ndarray of either kind)."""
-    if isinstance(state, StateVector):
-        v = state.amplitudes
-        return complex(v.conj() @ (op @ v))
-    if isinstance(state, DensityOperator):
-        return complex(np.trace(op @ state.matrix))
-    arr = np.asarray(state)
+    arr = _as_array(state)
     if arr.ndim == 1:
         return complex(arr.conj() @ (op @ arr))
     return complex(np.trace(op @ arr))
@@ -535,12 +543,7 @@ def variance(op: np.ndarray, state) -> float:
 
 def _state_matrix(state) -> np.ndarray:
     """Density matrix of a StateVector, DensityOperator, vector or matrix."""
-    if isinstance(state, StateVector):
-        arr = state.amplitudes
-    elif isinstance(state, DensityOperator):
-        arr = state.matrix
-    else:
-        arr = np.asarray(state)
+    arr = _as_array(state)
     if arr.ndim == 1:
         return np.outer(arr, arr.conj())
     return arr
@@ -556,14 +559,8 @@ def trace_distance(rho, tau) -> float:
 
 def fidelity_to_pure(psi, rho) -> float:
     """<psi| rho |psi> for a pure reference vector psi."""
-    if isinstance(psi, StateVector):
-        psi = psi.amplitudes
-    psi = np.asarray(psi).ravel()
-    if isinstance(rho, StateVector):
-        rho = rho.amplitudes
-    elif isinstance(rho, DensityOperator):
-        rho = rho.matrix
-    rho = np.asarray(rho)
+    psi = _as_array(psi).ravel()
+    rho = _as_array(rho)
     if rho.ndim == 1:
         return float(abs(np.vdot(psi, rho)) ** 2)
     return float(np.real(psi.conj() @ (rho @ psi)))

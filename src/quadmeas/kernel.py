@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import (
     DimensionMismatchError,
@@ -29,8 +28,8 @@ from .fock import (
     Operator,
     StateVector,
     guard_level,
-    make_quadrature,
     quadrature_eigenvector_matrix,
+    quadrature_spectrum,
 )
 
 
@@ -370,7 +369,7 @@ def spectral_kernel_family(kernel_fn: Callable[[float, np.ndarray], np.ndarray],
     cutoff (margin * cutoff) and truncated back.  ``kernel_fn(x, evals)``
     returns the kernel values at outcome x over the eigenvalue array."""
     n_work = max(int(math.ceil(margin * cutoff)), cutoff)
-    evals, vecs = eigh(make_quadrature(n_work, phase))
+    evals, vecs = quadrature_spectrum(n_work, phase)
     t = vecs[:cutoff, :]
     ops = np.empty((len(grid), cutoff, cutoff), dtype=complex)
     for i, x in enumerate(grid.points):

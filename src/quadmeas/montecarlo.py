@@ -27,7 +27,8 @@ from .errors import (
     ParameterError,
     ZeroProbabilityError,
 )
-from .fock import DensityOperator, StateVector, make_quadrature, vacuum_state
+from .fock import (DensityOperator, StateVector, _state_matrix,
+                   make_quadrature, vacuum_state)
 from .kernel import (
     OutcomeDensity,
     OutcomeGrid,
@@ -124,14 +125,11 @@ def _inverse_cdf(density: OutcomeDensity, u: np.ndarray) -> np.ndarray:
     mass = cdf[j + 1] - cdf[j]
     s = np.where(mass > 0, (u - cdf[j]) / np.where(mass > 0, mass, 1.0), 0.0)
     f0, f1 = vals[j], vals[j + 1]
-    rise = f1 - f0
-    tot = f0 + f1
-    # solve (2 f0 t + rise t^2) / (f0 + f1) = s for t in [0, 1]
-    disc = np.sqrt(np.maximum(f0 * f0 + s * rise * np.where(tot > 0, tot, 1.0),
-                              0.0))
+    # solve (2 f0 t + (f1 - f0) t^2) / (f0 + f1) = s for t in [0, 1], in
+    # the root form that does not cancel when f1 is close to f0
+    disc = np.sqrt((1.0 - s) * f0 * f0 + s * f1 * f1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_quad = (disc - f0) / rise
-    t = np.where(np.abs(rise) > 1e-300 * np.maximum(tot, 1.0), t_quad, s)
+        t = s * (f0 + f1) / (disc + f0)
     t = np.clip(np.where(np.isfinite(t), t, s), 0.0, 1.0)
     return pts[j] + t * density.grid.step
 
@@ -225,16 +223,8 @@ def finite_lo_displacement(state, target_amplitude: complex, beta: float,
     beta_mag = abs(complex(beta))
     if beta_mag <= 0:
         raise ParameterError(f"oscillator amplitude must be > 0, got {beta}")
-    if isinstance(state, StateVector):
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-        warnings = state.warnings
-    elif isinstance(state, DensityOperator):
-        rho, warnings = state.matrix, state.warnings
-    else:
-        rho = np.asarray(state, dtype=complex)
-        if rho.ndim == 1:
-            rho = np.outer(rho, rho.conj())
-        warnings = ()
+    rho = np.asarray(_state_matrix(state), dtype=complex)
+    warnings = getattr(state, "warnings", ())
     target = complex(target_amplitude)
     ratio = abs(target) / beta_mag
     if ratio >= 1.0:

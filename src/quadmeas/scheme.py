@@ -36,12 +36,14 @@ deamplified axis is the conjugate one (S(r, psi+pi/2) = S(-r, psi) exactly).
 
 Numerical architecture: composing truncated matrix exponentials corrupts
 low Fock blocks, so every stage is evaluated in an enlarged working space
-(margin * cutoff levels) using closed-form or sector-exact constructions,
-and only the final result is truncated to the requested cutoff.  Each
-squeeze and each sector of the mixer is the exponential of a real
+(margin * cutoff levels) from tridiagonal eigendecompositions, exact to
+rounding, and only the final result is truncated to the requested cutoff.
+Each squeeze and each sector of the mixer is the exponential of a real
 antisymmetric tridiagonal generator, whose needed columns follow exactly
 from one symmetric tridiagonal eigendecomposition
-(_tridiagonal_expm_columns); no dense expm runs.  The mixer acts through its
+(_tridiagonal_expm_columns); no dense expm runs.  The feedback displacement
+is exp(-2it x_{phi+pi/2}), from fock.quadrature_spectrum like every
+quadrature spectrum here (_faithful_displacement).  The mixer acts through its
 conserved total-occupancy sectors s, precontracted with the probe: V[m, p, n]
 = <m, p|U_mix|n, probe> is nonzero only for p = n + k - m with k a probe
 level, and the squeezed probe has K of those above 1e-17 (K = 35 at sigma =
@@ -59,12 +61,12 @@ complex columns: promoting it to complex would cost twice its size.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import InfeasibleFeedbackError, ParameterError
 from .fock import (
@@ -73,8 +75,8 @@ from .fock import (
     _check_transmissivity,
     make_annihilation,
     make_quadrature,
-    make_squeeze,
     quadrature_eigenvector_matrix,
+    quadrature_spectrum,
     squeezed_vacuum,
 )
 from .gaussian import (
@@ -102,6 +104,12 @@ _STACK_ELEMENTS = 1 << 19
 # Probe levels with |amplitude| at or below this floor are left out of the
 # mixer-probe band; each one dropped moves an operator entry by at most it.
 _PROBE_FLOOR = 1e-17
+
+# Kept size -> (room: the largest amplitude its displacement spectrum serves,
+# the x_0 eigenvalues stacked on the kept eigenvector rows).  The room starts
+# at the default grid's largest feedback at eta = 0.5, so sampling keeps it.
+_DISPLACEMENT_ROOM_FLOOR = 3.0
+_displacement_spectra: Dict[int, Tuple[float, np.ndarray]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +272,6 @@ def psa_from_params(params: SchemeParams) -> PsaSpec:
     )
 
 
-def psa_squeeze_operator(stage: PsaStage, cutoff: int) -> np.ndarray:
-    """Truncated unitary of one PSA stage: S(-ln(G)/2) along the pump
-    phase."""
-    return make_squeeze(stage.squeeze_parameter, cutoff,
-                        phase=stage.pump_phase).matrix
-
-
 # ---------------------------------------------------------------------------
 # feedback specification
 
@@ -337,23 +338,36 @@ class FeedbackSpec:
 
 
 def _faithful_displacement(alpha, n: int) -> np.ndarray:
-    """Displacement matrix from its closed-form Laguerre elements; every
-    entry is exact to rounding, unlike expm of the truncated generator
-    whose low blocks degrade once |alpha|^2 approaches the cutoff.  An
-    array of amplitudes gives the stack of matrices, shape alpha.shape +
-    (n, n)."""
-    alpha = np.asarray(alpha, dtype=complex)[..., None, None]
-    m = np.arange(n)[:, None]
-    k = np.arange(n)[None, :]
-    p = np.maximum(m, k)
-    q = np.minimum(m, k)
-    d = p - q
-    aa = np.abs(alpha) ** 2
-    lag = eval_genlaguerre(q, d, aa)
-    pref = np.exp(0.5 * (gammaln(q + 1) - gammaln(p + 1)) - 0.5 * aa)
-    base = np.where(m >= k, np.power(alpha, d, dtype=complex),
-                    np.power(-np.conjugate(alpha), d, dtype=complex))
-    return pref * lag * base
+    """Displacement matrix whose n x n entries are exact to rounding: the
+    kept corner of D(t e^{i phi}) = exp(-2it x_{phi+pi/2}) at the extended
+    size (sqrt(n) + t)^2 + 12 (sqrt(n) + t) + 40, with t grown only when an
+    amplitude needs more room; an array of amplitudes gives the stack, shape
+    alpha.shape + (n, n).  x_0 has eigenvalues +-lam with eigenvector rows k
+    equal up to (-1)^k, so Q e^{-2it lam} Q^T is Q (cos + sin) Q^T at even
+    level differences d and -i times it at odd d."""
+    alpha = np.asarray(alpha, dtype=complex)
+    t = np.abs(alpha)
+    room = max(np.max(t, initial=0), _DISPLACEMENT_ROOM_FLOOR)
+    if room > _displacement_spectra.get(n, (0.0,))[0]:
+        r = math.sqrt(n) + room
+        lam, q = quadrature_spectrum(int(math.ceil(r * r + 12.0 * r + 40.0)))
+        # kept in a memory map of its own: left in the malloc heap, it would
+        # pin the heap's top and keep the freed transients of later calls
+        # resident (+20 MB of peak RSS over a run of verify calls)
+        kept = np.ndarray((n + 1, len(lam)),
+                          buffer=mmap.mmap(-1, 8 * (n + 1) * len(lam)))
+        kept[0], kept[1:] = lam, q[:n]
+        _displacement_spectra[n] = (room, kept)
+    lam, q = _displacement_spectra[n][1][0], _displacement_spectra[n][1][1:]
+    w = np.cos(2.0 * t[..., None] * lam) + np.sin(2.0 * t[..., None] * lam)
+    # rotating to phi + pi/2 multiplies entry (a, b) by i^d e^{i d phi},
+    # d = a - b, which with the -i at odd d leaves the signs (1, 1, -1, -1)
+    sign = np.array([1, 1, -1, -1])[(np.arange(n)[:, None] - np.arange(n)) % 4]
+    u = np.exp(1j * np.angle(alpha)[..., None] * np.arange(n))
+    out = np.empty(t.shape + (n, n), dtype=complex)
+    for i in np.ndindex(t.shape):  # one (n, N) temporary at a time
+        out[i] = (q * w[i]) @ q.T * sign * np.outer(u[i], u[i].conj())
+    return out
 
 
 def _tridiagonal_expm_columns(e: np.ndarray, cols: np.ndarray,
@@ -813,8 +827,8 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
     # the Gauss factors, each from per-mode eigenbases so that no truncated
     # joint product ever forms
     c = math.sqrt((1.0 - eta) / eta)
-    nu, rx = np.linalg.eigh(make_quadrature(n_w, 0.0))
-    mu, ry = np.linalg.eigh(make_quadrature(n_w, 0.5 * math.pi))
+    nu, rx = quadrature_spectrum(n_w)
+    mu, ry = quadrature_spectrum(n_w, 0.5 * math.pi)
     half_log = -0.5 * math.log(eta)
     sq_sys = _faithful_squeeze(half_log, n_w)
     sq_probe = _faithful_squeeze(-half_log, n_w)

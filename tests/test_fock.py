@@ -27,6 +27,7 @@ from quadmeas import (
     partial_trace,
     quadrature_eigenvector,
     quadrature_eigenvector_matrix,
+    quadrature_spectrum,
     squeezed_vacuum,
     trace_distance,
     vacuum_state,
@@ -241,6 +242,21 @@ def test_function_of_quadrature_polynomial_exact():
     x = make_quadrature(40)
     g = guard_level(40)
     assert_allclose(m[:g, :g], (x @ x)[:g, :g], atol=1e-10)
+
+
+def test_quadrature_spectrum_matches_dense_eigh():
+    # the tridiagonal spectrum with phased rows gives the (bounded) spectral
+    # functions of a dense eigh of the truncated quadrature
+    n = 120
+    for phase in (0.0, 0.7):
+        evals, vecs = quadrature_spectrum(n, phase)
+        ref_evals, ref_vecs = np.linalg.eigh(make_quadrature(n, phase))
+        assert np.max(np.abs(evals - ref_evals)) < 1e-13
+        for f in (lambda v: np.exp(-(v - 0.4) ** 2), lambda v: np.exp(-2j * v),
+                  np.tanh):
+            mine = (vecs * f(evals)) @ vecs.conj().T
+            ref = (ref_vecs * f(ref_evals)) @ ref_vecs.conj().T
+            assert np.max(np.abs(mine - ref)) < 1e-13
 
 
 # --- beam splitter and joint space ------------------------------------------

@@ -28,6 +28,8 @@ from quadmeas.montecarlo import (
     finite_lo_displacement,
     ks_against_density,
     ks_critical_value,
+    _cdf_at,
+    _inverse_cdf,
     _nearest_index,
     repeatability_experiment,
     sample_outcomes,
@@ -161,6 +163,21 @@ def test_point_mass_density_sampled_into_its_bin():
     dens = OutcomeDensity(OutcomeGrid(pts), vals)
     draws = sample_outcomes(dens, 200, RngSeed(3))
     assert np.all(np.abs(draws - 0.5) <= step)
+
+
+def test_inverse_cdf_is_stable_when_neighbouring_values_are_close():
+    # one bin with rise/f0 ~ 1.7e-5: the root must not lose the digits that
+    # (disc - f0) / rise cancels, so a relative 1e-15 change of f0 and f1
+    # moves the drawn point by rounding only
+    u = np.array([0.1, 0.3, 0.5, 0.77, 0.95])
+    grid = OutcomeGrid(np.array([0.0, 1.0]))
+    f0, f1 = 1.0 - 0.85e-5, 1.0 + 0.85e-5
+    dens = OutcomeDensity(grid, np.array([f0, f1]))
+    moved = OutcomeDensity(grid, np.array([f0 * (1 + 1e-15),
+                                           f1 * (1 - 1e-15)]))
+    t = _inverse_cdf(dens, u)
+    assert np.max(np.abs(_inverse_cdf(moved, u) - t)) < 1e-14
+    assert np.max(np.abs(_cdf_at(dens, t) - u)) < 1e-15
 
 
 def test_nearest_index_matches_argmin_with_ties_to_the_left():

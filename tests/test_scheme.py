@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import expm
-from scipy.special import comb
+from scipy.linalg import eigh_tridiagonal, expm
+from scipy.special import comb, eval_genlaguerre, gammaln
 
-from quadmeas import scheme
+from quadmeas import fock, scheme
 from quadmeas.errors import InfeasibleFeedbackError, ParameterError
 from quadmeas.fock import (
     StateVector,
@@ -48,7 +48,6 @@ from quadmeas.scheme import (
     measurement_width,
     presqueeze_param,
     psa_from_params,
-    psa_squeeze_operator,
     verify_bch_factorization,
 )
 
@@ -145,6 +144,66 @@ def test_feedback_amplitude():
     assert_allclose(amp, math.sqrt(1.5) * 0.8 * np.exp(0.3j), atol=1e-14)
 
 
+def _laguerre_displacement(alpha, n):
+    """Closed-form displacement elements, the oracle for the spectral
+    construction: <m|D(alpha)|k> = sqrt(q!/p!) e^{-|alpha|^2/2}
+    L_q^{(p-q)}(|alpha|^2) times alpha^(m-k) below the diagonal and
+    (-conj alpha)^(k-m) above, with p = max(m, k), q = min(m, k)."""
+    alpha = np.asarray(alpha, dtype=complex)[..., None, None]
+    m = np.arange(n)[:, None]
+    k = np.arange(n)[None, :]
+    p, q = np.maximum(m, k), np.minimum(m, k)
+    aa = np.abs(alpha) ** 2
+    pref = np.exp(0.5 * (gammaln(q + 1) - gammaln(p + 1)) - 0.5 * aa)
+    base = np.where(m >= k, np.power(alpha, p - q, dtype=complex),
+                    np.power(-np.conjugate(alpha), p - q, dtype=complex))
+    return pref * eval_genlaguerre(q, p - q, aa) * base
+
+
+def test_displacement_matches_laguerre_oracle():
+    amps = (0.0, 0.3, -2.2, 1.5 + 0.7j, 4j, 6 * np.exp(0.7j))
+    for n in (2, 30, 60, 100):
+        for alpha in amps:
+            assert np.max(np.abs(_faithful_displacement(alpha, n)
+                                 - _laguerre_displacement(alpha, n))) < 1e-13
+    # an array of amplitudes gives the stack of matrices
+    stack = _faithful_displacement(np.reshape(amps, (2, 3)), 40)
+    assert stack.shape == (2, 3, 40, 40)
+    assert np.max(np.abs(stack - _laguerre_displacement(
+        np.reshape(amps, (2, 3)), 40))) < 1e-13
+
+
+def test_displacement_column_zero_is_the_coherent_state():
+    n = 210
+    for alpha in (5.0, 9j, 6 * np.exp(0.7j)):
+        k = np.arange(n)
+        closed = np.exp(-0.5 * abs(alpha) ** 2 + k * np.log(abs(alpha))
+                        - 0.5 * gammaln(k + 1) + 1j * k * np.angle(alpha))
+        col = _faithful_displacement(alpha, n)[:, 0]
+        assert np.max(np.abs(col - closed)) < 2e-14
+
+
+def test_one_displacement_spectrum_serves_every_outcome(monkeypatch):
+    sizes = []
+
+    def counting(d, e, *args, **kwargs):
+        sizes.append(len(d))
+        return eigh_tridiagonal(d, e, *args, **kwargs)
+
+    monkeypatch.setattr(fock, "eigh_tridiagonal", counting)
+    monkeypatch.setattr(scheme, "_displacement_spectra", {})
+    # eta = 0.2 gives feedback amplitudes up to 6 on the default grid
+    b = SchemeFamilyBuilder(SchemeParams(eta=0.2, sigma=1.0, cutoff=30))
+    b.family()
+    for x in b.params.grid.points:
+        b.operator(x)
+    assert len(sizes) == 1
+    # a larger amplitude grows the room once; smaller ones reuse it
+    _faithful_displacement(7.0, b.n_work)
+    _faithful_displacement(np.array([0.5, -6.5j]), b.n_work)
+    assert len(sizes) == 2 and sizes[1] > sizes[0]
+
+
 def test_feedback_matches_dressing_amplitude():
     # displacing by the feedback amplitude must invert the translation left
     # by the uncompensated pipeline
@@ -168,7 +227,8 @@ def test_psa_gains_from_params():
 
 def test_psa_gain_one_probe_stage_is_identity():
     spec = psa_from_params(SchemeParams(eta=0.5, sigma=1.0))
-    op = psa_squeeze_operator(spec.probe, 30)
+    op = make_squeeze(spec.probe.squeeze_parameter, 30,
+                      phase=spec.probe.pump_phase).matrix
     assert_allclose(op, np.eye(30), atol=1e-14)
 
 
@@ -182,7 +242,9 @@ def test_psa_stage_validation():
 def test_psa_gain_four_quarters_working_variance():
     # a gain-G amplifier pumped on the working quadrature maps
     # var(x) -> var(x)/G
-    op = psa_squeeze_operator(PsaStage(4.0, 0.0), 60)
+    stage = PsaStage(4.0, 0.0)
+    op = make_squeeze(stage.squeeze_parameter, 60,
+                      phase=stage.pump_phase).matrix
     var = quad_variance(op @ vacuum(60).astype(complex), 60)
     assert_allclose(var, 1.0 / 16.0, atol=1e-9)
 
@@ -200,8 +262,9 @@ def test_psa_pump_phase_reproduces_plain_squeezers():
         ]
         for stage, param in pairs:
             direct = make_squeeze(param, 40, phase=phi).matrix
-            assert np.max(np.abs(psa_squeeze_operator(stage, 40) - direct)) \
-                < 1e-12
+            via_stage = make_squeeze(stage.squeeze_parameter, 40,
+                                     phase=stage.pump_phase).matrix
+            assert np.max(np.abs(via_stage - direct)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
