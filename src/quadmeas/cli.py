@@ -12,6 +12,9 @@ reports have the stable top-level shape {meta, checks, results}.  The
 metadata timestamp honors SOURCE_DATE_EPOCH for byte-reproducible runs.
 
 Exit codes: 0 success, 1 check or experiment failure, 2 configuration error.
+Each distinct warning that the library's constructors attached to the
+objects a command used goes to stderr once, as ``warning: <text>``; it
+changes neither the exit code nor the artifact.
 
 Config file schema (same names accept ``--flag`` spellings where listed):
 
@@ -29,7 +32,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -331,6 +334,11 @@ def _emit_json(cfg: RunConfig, checks: List[Dict[str, object]],
                            allow_nan=False) + "\n")
 
 
+def _print_warnings(warnings: Iterable[str]) -> None:
+    for text in dict.fromkeys(warnings):
+        print(f"warning: {text}", file=sys.stderr)
+
+
 def _rows_to_results(header: Sequence[str],
                      rows: Sequence[Sequence[object]]) -> Dict[str, list]:
     return {name: [row[i] for row in rows] for i, name in enumerate(header)}
@@ -354,6 +362,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "completeness": cfg.values["completeness_tol"],
     }
     checks: List[Dict[str, object]] = []
+    warnings: List[str] = []
 
     def add(name, eta, sigma, value, tol):
         checks.append({"name": name, "eta": eta, "sigma": sigma,
@@ -363,6 +372,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     for eta, sigma in pairs:
         res = build_scheme_family(cfg.scheme_params(eta, sigma),
                                   margin=margin)
+        warnings += res.family.warnings + res.target.warnings
         add("pipeline-identity", eta, sigma, res.max_deviation,
             tols["pipeline-identity"])
         add("pom-identity", eta, sigma, res.pom_deviation,
@@ -393,6 +403,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         rows = [(c["name"], c["eta"], c["sigma"], c["value"], c["tolerance"],
                  "pass" if c["passed"] else "FAIL") for c in checks]
         _emit_csv(cfg, header, rows)
+    _print_warnings(warnings)
     for c in failed:
         print(f"FAIL {c['name']}: value {_fmt(c['value'])} exceeds "
               f"tolerance {_fmt(c['tolerance'])}", file=sys.stderr)
@@ -429,6 +440,7 @@ def cmd_pom(cfg: RunConfig) -> int:
         _emit_csv(cfg, header, rows,
                   stats={"normalization_defect":
                          density.normalization_defect()})
+    _print_warnings(builder.warnings)
     return 0
 
 
@@ -467,16 +479,18 @@ def cmd_sample(cfg: RunConfig) -> int:
         _emit_json(cfg, [], results)
     else:
         _emit_csv(cfg, header, rows, stats=stats or None)
+    _print_warnings(engine.warnings)
     return 0
 
 
-def _finite_lo_reference_error(beta: float, cutoff: int = 30) -> float:
+def _finite_lo_reference_error(beta: float, cutoff: int = 30
+                               ) -> Tuple[float, Tuple[str, ...]]:
     """Trace distance between the oscillator-realized and ideal unit
-    displacement on a fixed mildly excited reference state; the ideal
-    result is the closed form D(1)|0.5> = |1.5>."""
-    return trace_distance(
-        finite_lo_displacement(coherent_state(0.5, cutoff), 1.0, beta),
-        coherent_state(1.5, cutoff))
+    displacement on a fixed mildly excited reference state, with the
+    realized state's warnings; the ideal result is the closed form
+    D(1)|0.5> = |1.5>."""
+    rho = finite_lo_displacement(coherent_state(0.5, cutoff), 1.0, beta)
+    return trace_distance(rho, coherent_state(1.5, cutoff)), rho.warnings
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -487,12 +501,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
     margin = cfg.resolved_margin(4.0)
     header = ("eta", "sigma", "beta", "metric", "value", "status")
     rows: List[Tuple] = []
+    warnings: List[str] = []
     any_error = False
     for eta in etas:
         for sigma in sigmas:
             try:
                 res = build_scheme_family(
                     cfg.scheme_params(eta, sigma), margin=margin)
+                warnings += res.family.warnings + res.target.warnings
                 rows.append((eta, sigma, None, "identity-deviation",
                              res.max_deviation, "ok"))
             except QuadmeasError as exc:
@@ -501,8 +517,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
                              f"error:{type(exc).__name__}"))
     for beta in betas:
         try:
-            rows.append((None, None, beta, "feedback-error",
-                         _finite_lo_reference_error(beta), "ok"))
+            error, beta_warnings = _finite_lo_reference_error(beta)
+            warnings += beta_warnings
+            rows.append((None, None, beta, "feedback-error", error, "ok"))
         except QuadmeasError as exc:
             any_error = True
             rows.append((None, None, beta, "feedback-error", None,
@@ -511,6 +528,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         _emit_json(cfg, [], _rows_to_results(header, rows))
     else:
         _emit_csv(cfg, header, rows)
+    _print_warnings(warnings)
     return 1 if any_error else 0
 
 

@@ -359,6 +359,18 @@ def conditional_density(state, fam: ReductionOperatorFamily, x: float,
     return quadrature_density(post, second_grid or fam.grid, second_phase)
 
 
+def _working_size(cutoff: int, margin: float) -> int:
+    return max(int(math.ceil(margin * cutoff)), cutoff)
+
+
+def _vn_kernel(delta: float) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The target's kernel (2 pi delta^2)^{-1/4} exp[-(x - lam)^2 / (4
+    delta^2)] as a function of outcome and eigenvalue (broadcasting)."""
+    norm = (2.0 * math.pi * delta * delta) ** -0.25
+    return lambda x, evals: norm * np.exp(-((x - evals) ** 2)
+                                          / (4.0 * delta * delta))
+
+
 def spectral_kernel_family(kernel_fn: Callable[[float, np.ndarray], np.ndarray],
                            grid: OutcomeGrid, cutoff: int, phase: float = 0.0,
                            margin: float = 2.5, origin: str = "analytic-target",
@@ -368,8 +380,7 @@ def spectral_kernel_family(kernel_fn: Callable[[float, np.ndarray], np.ndarray],
     spectral calculus on the quadrature operator at an enlarged working
     cutoff (margin * cutoff) and truncated back.  ``kernel_fn(x, evals)``
     returns the kernel values at outcome x over the eigenvalue array."""
-    n_work = max(int(math.ceil(margin * cutoff)), cutoff)
-    evals, vecs = quadrature_spectrum(n_work, phase)
+    evals, vecs = quadrature_spectrum(_working_size(cutoff, margin), phase)
     t = vecs[:cutoff, :]
     ops = np.empty((len(grid), cutoff, cutoff), dtype=complex)
     for i, x in enumerate(grid.points):
@@ -401,7 +412,7 @@ def vn_target_family(delta: float, grid: OutcomeGrid, cutoff: int,
     """
     if delta <= 0:
         raise ParameterError(f"kernel width delta must be > 0, got {delta}")
-    n_work = max(int(math.ceil(margin * cutoff)), cutoff)
+    n_work = _working_size(cutoff, margin)
     warnings: Tuple[str, ...] = ()
     if grid.step > delta:
         # Fine for pointwise evaluation; integrals over this grid undersample.
@@ -413,10 +424,31 @@ def vn_target_family(delta: float, grid: OutcomeGrid, cutoff: int,
         warnings += (
             f"kernel width {delta:.3g} below the eigenvalue spacing "
             f"{spacing:.3g} of the working cutoff {n_work}; enlarge margin",)
-    norm = (2.0 * math.pi * delta * delta) ** -0.25
-    return spectral_kernel_family(
-        lambda x, evals: norm * np.exp(-((x - evals) ** 2) / (4.0 * delta * delta)),
-        grid, cutoff, phase, margin, warnings=warnings)
+    return spectral_kernel_family(_vn_kernel(delta), grid, cutoff, phase,
+                                  margin, warnings=warnings)
+
+
+def _vn_target_completeness_defect(delta: float, grid: OutcomeGrid,
+                                   cutoff: int, block: int,
+                                   margin: float = 2.5) -> float:
+    """``vn_target_family(delta, grid, cutoff, phase, margin)
+    .completeness_defect(block)`` from the spectrum alone, for every phase.
+
+    With t the leading cutoff rows of the x_0 eigenvectors and F[x, l] =
+    k(x, lam_l) real, Omega(x) = t diag(F[x]) t^T is symmetric, so
+
+        sum_x w_x Omega(x)^dag Omega(x) = t [(t^T t) o (F^T diag(w) F)] t^T,
+
+    an n_work^2 Gram contraction in place of the (len(grid), cutoff,
+    cutoff) family.  The phase conjugates that sum by a diagonal unitary,
+    which leaves the moduli of its deviation from the identity as they
+    are."""
+    evals, vecs = quadrature_spectrum(_working_size(cutoff, margin))
+    t = vecs[:cutoff]
+    f = _vn_kernel(delta)(grid.points[:, None], evals[None, :])
+    gram = (f.T * grid.weights()) @ f
+    acc = t[:block] @ ((t.T @ t) * gram) @ t[:block].T
+    return float(np.max(np.abs(acc - np.eye(len(acc)))))
 
 
 def widen_grid_for_density(density_fn: Callable[[np.ndarray], np.ndarray],

@@ -335,6 +335,7 @@ class TrialEngine:
             self._builder = SchemeFamilyBuilder(params, margin)
         state = input_state if input_state is not None \
             else vacuum_state(cutoff)
+        self._input_warnings = state.warnings
         psi = np.asarray(state.amplitudes, dtype=complex)
         if len(psi) != cutoff:
             raise ParameterError(
@@ -438,6 +439,16 @@ class TrialEngine:
         if self._identity_entry is None:
             self._identity_entry = self._entry(self._psi)
         return self._identity_entry
+
+    @property
+    def warnings(self) -> Tuple[str, ...]:
+        """Warnings the constructors attached to what this engine used: the
+        input state, the builder's probe (or the kernel family) and the
+        conditional states formed so far."""
+        source = self._family if self._family is not None else self._builder
+        posts = tuple(w for e in self._cache.values() if e is not None
+                      for w in getattr(e.post, "warnings", ()))
+        return self._input_warnings + source.warnings + posts
 
     def post_state(self, index: int):
         """Normalized post-measurement state at a grid index (pure vector

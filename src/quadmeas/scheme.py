@@ -56,6 +56,11 @@ the band (one n x n slab per probe level), then multiplies cols; a batch
 applies the band to the gathered cols of every sector in one matmul, then
 reads out all outcomes together.  A real band acts on the float view of
 complex columns: promoting it to complex would cost twice its size.
+Completeness sums form no outcome stack: sum_x w_x W(x)^dag W(x) contracts
+the band's readout columns with the Gram matrix chi^dag diag(w) chi of the
+probe quadrature functions over the grid, and the target's sum follows from
+its spectrum alike.  verify_bch_factorization keeps to the corner of the
+joint space that its comparison reads.
 """
 
 from __future__ import annotations
@@ -92,6 +97,7 @@ from .gaussian import (
 from .kernel import (
     OutcomeGrid,
     ReductionOperatorFamily,
+    _vn_target_completeness_defect,
     vn_target_family,
 )
 
@@ -429,9 +435,10 @@ class SchemeFamilyBuilder:
 
     The mixer-probe band (see the module docstring) is computed once per
     parameter set, the pre- and back-squeezes on first use; no array holds
-    n_work^3 elements.  Each public method is a thin caller of ``_compose``
-    that picks the outcomes, the mask and the input columns (leading unit
-    columns, or the padded state for densities).
+    n_work^3 elements.  Each public method but the completeness sum is a
+    thin caller of ``_compose`` that picks the outcomes, the mask and the
+    input columns (leading unit columns, or the padded state for densities).
+    ``warnings`` holds those the probe's constructor attached.
     Densities and completeness sums mask feedback and back-squeeze off:
     those unitary dressings cancel in the Born rule at working size, which
     :meth:`masked_pom_matrix` measures by applying them.
@@ -446,7 +453,7 @@ class SchemeFamilyBuilder:
                           int(math.ceil(margin * params.cutoff)))
         probe = squeezed_vacuum(params.sigma, self.n_work,
                                 phase=params.phi_probe)
-        self._probe_warnings = probe.warnings
+        self.warnings = probe.warnings
         self._levels, self._band = self._contract_probe(probe.amplitudes)
         self._s_pre = None
         self._s_back = {}
@@ -495,6 +502,27 @@ class SchemeFamilyBuilder:
             np.asarray(xs, dtype=float), self.n_work,
             self.params.phi_probe).conj()
 
+    def _readout_columns(self, cols: np.ndarray) -> np.ndarray:
+        """vc[p, m, c] = sum_n V[m, p, n] cols[n, c], shape (n_work, n_work,
+        cols.shape[1]): the band applied to the gathered cols of every
+        sector in one matmul, so the readout is W(x) cols = sum_p chi_p(x)
+        vc[p]."""
+        n = self.n_work
+        levels, band = self._levels, self._band
+        n_sec = len(band)
+        pad = np.zeros((n + 2 * levels[-1], cols.shape[1]), dtype=complex)
+        pad[levels[-1]:levels[-1] + n] = cols
+        gathered = pad[np.arange(n_sec)[:, None] - levels[None, :]
+                       + levels[-1]]
+        y = np.zeros((n_sec + 1, n, cols.shape[1]), dtype=complex)
+        if np.iscomplexobj(band):
+            np.matmul(band, gathered, out=y[:n_sec])
+        else:  # a real band acts on the float view, never cast
+            np.matmul(band, gathered.view(float), out=y[:n_sec].view(float))
+        # vc[p, m] = Y[m + p, m]; sectors past the band are zero
+        m = np.arange(n)
+        return y[np.minimum(m[:, None] + m[None, :], n_sec), m[None, :]]
+
     def _compose(self, xs, mask: StageMask, cols: np.ndarray) -> np.ndarray:
         """B . D(x) . W(x) . P . cols at working size for every outcome in
         ``xs``, shape (len(xs), n_work, cols.shape[1]), with the masked-off
@@ -505,9 +533,9 @@ class SchemeFamilyBuilder:
         if mask.pre_squeeze:
             cols = self._pre_matrix() @ cols
         chi = self._chi(xs)
-        m = np.arange(n)
         if len(xs) == 1:  # readout first, one (n_in, m) slab per level:
             # W[m, n_in] = sum_j chi[p] B[s, m, j], s = n_in + k_j, p = s - m
+            m = np.arange(n)
             chi_pad = np.zeros(2 * n + levels[-1], dtype=complex)
             chi_pad[n:2 * n] = chi[0]
             offset = m[:, None] - m[None, :] + n
@@ -516,20 +544,8 @@ class SchemeFamilyBuilder:
                 w_t += chi_pad[offset + k] * band[k:k + n, :, j]
             w = (w_t.T @ cols)[None]
         else:  # columns first: the band acts on cols once, per sector
-            n_sec = len(band)
-            pad = np.zeros((n + 2 * levels[-1], cols.shape[1]), dtype=complex)
-            pad[levels[-1]:levels[-1] + n] = cols
-            gathered = pad[np.arange(n_sec)[:, None] - levels[None, :]
-                           + levels[-1]]
-            y = np.zeros((n_sec + 1, n, cols.shape[1]), dtype=complex)
-            if np.iscomplexobj(band):
-                np.matmul(band, gathered, out=y[:n_sec])
-            else:  # a real band acts on the float view, never cast
-                np.matmul(band, gathered.view(float),
-                          out=y[:n_sec].view(float))
-            # vc[p, m] = Y[m + p, m]; sectors past the band are zero
-            vc = y[np.minimum(m[:, None] + m[None, :], n_sec), m[None, :]]
-            w = (chi @ vc.reshape(n, -1)).reshape(len(xs), n, -1)
+            w = (chi @ self._readout_columns(cols).reshape(n, -1)).reshape(
+                len(xs), n, -1)
         if mask.feedback:
             w = _faithful_displacement(feedback_displacement(
                 xs, self.params.eta, self.params.phi), n) @ w
@@ -568,18 +584,26 @@ class SchemeFamilyBuilder:
             ops[i:i + step] = self._compose(g.points[i:i + step], mask,
                                             cols)[:, :c]
         origin = "raw-interaction" if mask == StageMask.raw() else "compensated"
-        return ReductionOperatorFamily(g, ops, origin, self._probe_warnings)
+        return ReductionOperatorFamily(g, ops, origin, self.warnings)
 
     def completeness_defect(self, grid: OutcomeGrid, block: int = 16,
                             mask: StageMask = StageMask()) -> float:
         """Largest deviation from the identity of the probability operators
         summed over ``grid``, on the leading ``block`` Fock levels; only the
-        pre-squeeze flag of ``mask`` matters (see the class docstring)."""
-        w = self._compose(grid.points,
-                          StageMask(mask.pre_squeeze, False, False),
-                          np.eye(self.n_work)[:, :block])
-        acc = np.tensordot(w.conj() * grid.weights()[:, None, None], w,
-                           axes=([0, 1], [0, 1]))
+        pre-squeeze flag of ``mask`` matters (see the class docstring).
+
+        With vc the readout columns (W(x) cols = sum_p chi_p(x) vc[p]),
+        sum_x w_x W(x)^dag W(x) = sum_{p,q} G[p, q] vc[p]^dag vc[q] for the
+        n_work x n_work Gram matrix G = chi^dag diag(w) chi, so the band is
+        applied once and no (len(grid), n_work, block) stack forms."""
+        n = self.n_work
+        cols = self._pre_matrix()[:, :block] if mask.pre_squeeze \
+            else np.eye(n)[:, :block]
+        vc = self._readout_columns(cols)
+        chi = self._chi(grid.points)
+        gram = (chi.conj().T * grid.weights()) @ chi
+        acc = vc.reshape(n * n, -1).conj().T @ (
+            gram @ vc.reshape(n, -1)).reshape(n * n, -1)
         return float(np.max(np.abs(acc - np.eye(block))))
 
     def outcome_density_values(self, state, grid: OutcomeGrid,
@@ -692,9 +716,8 @@ def build_scheme_family(params: SchemeParams,
     cgrid = completeness_grid if completeness_grid is not None \
         else OutcomeGrid.from_range(-8.0, 8.0, 0.02)
     cf = builder.completeness_defect(cgrid, block, compensate)
-    tgt_wide = vn_target_family(params.delta, cgrid, params.cutoff,
-                                phase=params.phi, margin=margin)
-    ct = tgt_wide.completeness_defect(block)
+    ct = _vn_target_completeness_defect(params.delta, cgrid, params.cutoff,
+                                        block, margin)
     return PipelineResult(
         params=params, mask=compensate, family=family, target=target,
         block=block, max_deviation=float(np.max(per_x)),
@@ -768,16 +791,17 @@ def _apply_mixer_sectors(eta: float, vecs: np.ndarray,
     return out
 
 
-def _apply_on_mode(mat: np.ndarray, vecs: np.ndarray, mode: int) -> np.ndarray:
-    """Left-multiply joint vectors (n_sys, n_probe, k) by a one-mode matrix
-    acting on the given mode, via a reshaped BLAS product."""
+def _on_mode(mat: np.ndarray, vecs: np.ndarray, mode: int) -> np.ndarray:
+    """Left-multiply complex joint vectors (n_sys, n_probe, k) by a one-mode
+    matrix (rows, n) on the given mode.  A real matrix acts on the float
+    view, so no complex copy of it forms; mode 1 is a matmul batched over
+    mode 0, so no transposed copy of ``vecs`` forms."""
+    f = vecs.view(mat.dtype)
     if mode == 0:
-        n = vecs.shape[0]
-        return (mat @ vecs.reshape(n, -1)).reshape(vecs.shape)
-    swapped = vecs.transpose(1, 0, 2)
-    n = swapped.shape[0]
-    out = (mat @ swapped.reshape(n, -1)).reshape(swapped.shape)
-    return out.transpose(1, 0, 2)
+        out = (mat @ f.reshape(len(f), -1)).reshape((len(mat),) + f.shape[1:])
+    else:
+        out = np.matmul(mat, f)
+    return out.view(complex)
 
 
 def verify_bch_factorization(eta: float, cutoff: int = 40,
@@ -795,6 +819,18 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
     so the faithful route evaluates each factor in its own eigenbasis.
     block_total is at most cutoff - 2: from total cutoff - 1 on, the su(2)
     products reach the truncation edge of the cutoff^2 joint space.
+
+    Only what the comparison reads is formed.  With b = block_total + 1 the
+    basis and the compared rows both live in the (b, b) corner of the joint
+    space: each chain starts from b columns of its first eigenbasis and
+    ends on b rows of its last, and the mixer side never leaves the corner,
+    as it conserves the total.  The x eigenbasis Q of
+    fock.quadrature_spectrum and both squeezes are real, and the y basis is
+    D Q with D = diag(i^k), a diagonal phase, so the outer one-mode factors
+    act as real matrices on the float view of the complex vectors.  The six
+    middle ones (Q on each mode, the squeezes, Q^T on each mode) fold with
+    the D between them into one matrix per mode: the only two products at
+    working size.
 
     ``check_su2=False`` skips the commutator and generator-form checks (the
     only eta-independent part of the report), leaving those report fields
@@ -814,43 +850,46 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
         raise ParameterError(
             f"factorization check wants working_cutoff > block_total "
             f"= {block_total}, got {n_w}")
-    pairs = _low_total_pairs(cutoff, block_total)
-    rows = _low_total_pairs(n_w, block_total)
-    basis = np.zeros((n_w, n_w, len(pairs)))
+    b = block_total + 1
+    pairs = _low_total_pairs(b, block_total)
+    basis = np.zeros((b, b, len(pairs)), dtype=complex)
     basis[pairs[:, 0], pairs[:, 1], np.arange(len(pairs))] = 1.0
-    cbasis = basis.astype(complex)
 
     def low_dev(v, ref):
-        return float(np.max(np.abs(v[rows[:, 0], rows[:, 1], :]
-                                   - ref[rows[:, 0], rows[:, 1], :])))
+        return float(np.max(np.abs(v[pairs[:, 0], pairs[:, 1]]
+                                   - ref[pairs[:, 0], pairs[:, 1]])))
 
-    # the Gauss factors, each from per-mode eigenbases so that no truncated
-    # joint product ever forms
+    # the Gauss factors: exp(s 2ic A B) is diagonal in the (A, B) eigenbasis
+    # pair, and y = D x D^dag, so every factor acts through the real Q
     c = math.sqrt((1.0 - eta) / eta)
-    nu, rx = quadrature_spectrum(n_w)
-    mu, ry = quadrature_spectrum(n_w, 0.5 * math.pi)
+    nu, q = quadrature_spectrum(n_w)
+    d = np.array([1.0, 1j, -1.0, -1j])[np.arange(n_w) % 4]
+    phase = np.exp(-2j * c * np.outer(nu, nu))[:, :, None]  # exp(-2ic x Y)
     half_log = -0.5 * math.log(eta)
-    sq_sys = _faithful_squeeze(half_log, n_w)
-    sq_probe = _faithful_squeeze(-half_log, n_w)
+    sq_sys = np.ascontiguousarray(_faithful_squeeze(half_log, n_w).real)
+    sq_probe = np.ascontiguousarray(_faithful_squeeze(-half_log, n_w).real)
 
-    def bilinear(v, basis_a, basis_b, vals, sign):
-        # exp(sign 2ic A B), diagonal in (sys A-basis, probe B-basis)
-        v = _apply_on_mode(basis_a.conj().T, v, 0)
-        v = _apply_on_mode(basis_b.conj().T, v, 1)
-        v *= np.exp(sign * 2j * c * np.outer(*vals))[:, :, None]
-        v = _apply_on_mode(basis_a, v, 0)
-        return _apply_on_mode(basis_b, v, 1)
+    def spread(v):  # (Q (x) Q)^T from the corner to the working space
+        return _on_mode(q[:b].T, _on_mode(q[:b].T, v, 0), 1)
 
-    def squeezes(v):
-        # middle factor: opposite squeezes on the two modes
-        return _apply_on_mode(sq_probe, _apply_on_mode(sq_sys, v, 0), 1)
+    def gather(v):  # (Q (x) Q), kept to the compared rows
+        return _on_mode(q[:b], _on_mode(q[:b], v, 0), 1)
 
-    # rightmost factor exp(-2ic x Y), then the squeezes, then exp(+2ic y X)
-    v = bilinear(cbasis, rx, ry, (nu, mu), -1.0)
-    # each factor alone, for the eta -> 1 limit where all become identity
-    devs = (low_dev(v, basis), low_dev(squeezes(cbasis), basis),
-            low_dev(bilinear(cbasis, ry, rx, (mu, nu), +1.0), basis))
-    right = bilinear(squeezes(v), ry, rx, (mu, nu), +1.0)
+    # exp(-2ic x Y) = (1 (x) D) Q^{(x)2} phase Q^{T(x)2} (1 (x) D^dag), and
+    # exp(+2ic y X) the same with D on the system mode and phase conjugated;
+    # each factor alone is compared too, for the eta -> 1 limit where all
+    # become identity
+    v = spread(basis * d[:b].conj()[None, :, None]) * phase
+    devs = (low_dev(gather(v) * d[:b, None], basis),
+            low_dev(_on_mode(sq_probe[:b, :b],
+                             _on_mode(sq_sys[:b, :b], basis, 0), 1), basis),
+            low_dev(gather(spread(basis * d[:b].conj()[:, None, None])
+                           * phase.conj()) * d[:b, None, None], basis))
+    # the middle six products folded per mode: Q, the squeeze and the D of
+    # one outer factor, then the Q^T of the other
+    v = _on_mode(q.T @ (d.conj()[:, None] * (sq_sys @ q)), v, 0)
+    v = _on_mode(q.T @ (sq_probe @ (d[:, None] * q)), v, 1)
+    right = gather(v * phase.conj()) * d[:b, None, None]
     left = _apply_mixer_sectors(eta, basis, block_total)
     fac_dev = low_dev(left, right)
 

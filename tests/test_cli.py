@@ -343,6 +343,71 @@ class TestSweep:
         assert status[1].startswith("error:ParameterError")
 
 
+class TestWarnings:
+    """Warnings the constructors attach reach stderr once each, and change
+    neither the exit code nor the artifact."""
+
+    PROBE = ("warning: squeeze parameter r = -1.96 for sigma = 0.02 "
+             "populates the top of a cutoff-105 basis")
+    NARROW = ["--sigma", "0.02", "--cutoff", "30", "--margin", "3.5"]
+
+    @staticmethod
+    def run_twice(args, tmp_path, monkeypatch, capsys):
+        """Exit code, stderr lines of the first run, and whether the two
+        runs wrote the same bytes."""
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        codes, errs = [], []
+        for out in outs:
+            codes.append(main(args + ["--out", str(out)]))
+            errs.append(capsys.readouterr().err.splitlines())
+        assert codes[0] == codes[1] and errs[0] == errs[1]
+        assert "warning" not in outs[0].read_text()
+        return codes[0], errs[0], outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_verify_prints_the_target_warning(self, tmp_path, monkeypatch,
+                                              capsys):
+        code, err, same = self.run_twice(
+            ["verify", "--eta", "0.2", "--sigma", "0.5"], tmp_path,
+            monkeypatch, capsys)
+        assert code == 0 and same
+        assert err == ["warning: grid step 0.25 exceeds the kernel width "
+                       "0.158; sums over this grid undersample the outcome "
+                       "continuum"]
+
+    def test_pom_prints_the_probe_warning(self, tmp_path, monkeypatch,
+                                          capsys):
+        code, err, same = self.run_twice(["pom"] + self.NARROW, tmp_path,
+                                         monkeypatch, capsys)
+        assert code == 0 and same
+        assert err == [self.PROBE]
+
+    def test_sample_prints_the_probe_warning(self, tmp_path, monkeypatch,
+                                             capsys):
+        code, err, same = self.run_twice(
+            ["sample", "--trials", "20", "--seed", "3"] + self.NARROW,
+            tmp_path, monkeypatch, capsys)
+        assert code == 0 and same
+        assert err == [self.PROBE]
+
+    def test_sweep_prints_each_distinct_warning_once(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # both cells share the probe and its warning; their targets differ
+        code, err, same = self.run_twice(
+            ["sweep", "--sweep-eta", "0.2,0.5"] + self.NARROW, tmp_path,
+            monkeypatch, capsys)
+        assert code == 0 and same
+        assert err[0] == self.PROBE
+        assert len(err) == len(set(err)) == 5
+        assert all(line.startswith("warning: ") for line in err)
+
+    def test_clean_run_prints_nothing(self, tmp_path, monkeypatch, capsys):
+        code, err, same = self.run_twice(
+            ["verify", "--eta", "0.5", "--sigma", "1.0"], tmp_path,
+            monkeypatch, capsys)
+        assert code == 0 and same and err == []
+
+
 class TestAtomicWrite:
     def test_no_partial_file_on_runtime_failure(self, tmp_path):
         out = tmp_path / "never.csv"

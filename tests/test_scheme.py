@@ -1,5 +1,6 @@
 """Tests for the beam-splitter/squeezer/feedback measurement pipeline."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal, expm
 from scipy.special import comb, eval_genlaguerre, gammaln
 
-from quadmeas import fock, scheme
+from quadmeas import fock, kernel, scheme
 from quadmeas.errors import InfeasibleFeedbackError, ParameterError
 from quadmeas.fock import (
     StateVector,
@@ -30,8 +31,10 @@ from quadmeas.kernel import (
     quadrature_density,
     reduce_state,
     spectral_kernel_family,
+    vn_target_family,
 )
 from quadmeas.scheme import (
+    BchReport,
     FeedbackSpec,
     GaussianSchemeOracle,
     PsaStage,
@@ -679,6 +682,120 @@ def test_bch_never_forms_a_dense_joint_matrix():
     assert peak < 1600 ** 2 * 16
 
 
+def _dense_bch_reference(eta, cutoff, block_total, working_cutoff):
+    """The factorization check as the library ran it before it kept to the
+    compared corner: complex x and y eigenbases from quadrature_spectrum at
+    phases 0 and pi/2, and every one-mode factor a dense complex product on
+    the full (n, n, k) joint stack, mode 1 through a transposed copy; the
+    su(2) and generator checks on the sparse quadratures as before.  The
+    basis columns go through in chunks, which bounds memory and leaves every
+    maximum as it is."""
+    import scipy.sparse as sp
+
+    n_w = working_cutoff
+    pairs = scheme._low_total_pairs(cutoff, block_total)
+    rows = scheme._low_total_pairs(n_w, block_total)
+    c = math.sqrt((1.0 - eta) / eta)
+    nu, rx = fock.quadrature_spectrum(n_w)
+    mu, ry = fock.quadrature_spectrum(n_w, 0.5 * math.pi)
+    sq_sys = _faithful_squeeze(-0.5 * math.log(eta), n_w)
+    sq_probe = _faithful_squeeze(0.5 * math.log(eta), n_w)
+
+    def on_mode(mat, vecs, mode):
+        if mode == 1:
+            return on_mode(mat, vecs.transpose(1, 0, 2), 0).transpose(1, 0, 2)
+        return (mat @ vecs.reshape(len(vecs), -1)).reshape(vecs.shape)
+
+    def bilinear(v, basis_a, basis_b, vals, sign):
+        v = on_mode(basis_b.conj().T, on_mode(basis_a.conj().T, v, 0), 1)
+        v *= np.exp(sign * 2j * c * np.outer(*vals))[:, :, None]
+        return on_mode(basis_b, on_mode(basis_a, v, 0), 1)
+
+    def squeezes(v):
+        return on_mode(sq_probe, on_mode(sq_sys, v, 0), 1)
+
+    def low_dev(v, ref):
+        return np.max(np.abs(v[rows[:, 0], rows[:, 1]]
+                             - ref[rows[:, 0], rows[:, 1]]))
+
+    fac, devs = 0.0, np.zeros(3)
+    for chunk in np.array_split(np.arange(len(pairs)),
+                                -(-len(pairs) // 64)):
+        basis = np.zeros((n_w, n_w, len(chunk)), dtype=complex)
+        basis[pairs[chunk, 0], pairs[chunk, 1], np.arange(len(chunk))] = 1.0
+        v = bilinear(basis, rx, ry, (nu, mu), -1.0)
+        devs = np.maximum(devs, [
+            low_dev(v, basis), low_dev(squeezes(basis), basis),
+            low_dev(bilinear(basis, ry, rx, (mu, nu), +1.0), basis)])
+        right = bilinear(squeezes(v), ry, rx, (mu, nu), +1.0)
+        left = scheme._apply_mixer_sectors(eta, basis, block_total)
+        fac = max(fac, low_dev(left, right))
+
+    xs, ys, xp, yp = scheme._joint_quadratures(cutoff)
+    j_plus, j_minus = 2j * (ys @ xp), 2j * (xs @ yp)
+    j_z = 1j * (xp @ yp - xs @ ys)
+    idx = pairs @ np.array([cutoff, 1])
+
+    def block_max(mat):
+        return float(np.max(np.abs(mat[idx][:, idx].toarray())))
+
+    a = fock.make_annihilation(cutoff)
+    ladder_gen = sp.kron(a, a.conj().T) - sp.kron(a.conj().T, a)
+    return BchReport(
+        eta=eta, cutoff=cutoff, block_total=block_total,
+        working_cutoff=n_w, factorization_deviation=float(fac),
+        su2_plus_minus_deviation=block_max(
+            j_plus @ j_minus - j_minus @ j_plus - 2.0 * j_z),
+        su2_z_plus_deviation=block_max(j_z @ j_plus - j_plus @ j_z - j_plus),
+        su2_z_minus_deviation=block_max(
+            j_z @ j_minus - j_minus @ j_z + j_minus),
+        generator_form_deviation=float(np.max(np.abs(
+            (ladder_gen - 2j * (ys @ xp - xs @ yp)).data), initial=0.0)),
+        factor_identity_deviations=tuple(float(x) for x in devs))
+
+
+@pytest.mark.parametrize("block_total", [4, 10, 20, 36])
+@pytest.mark.parametrize("working_cutoff", [48, 140])
+@pytest.mark.parametrize("eta", [0.2, 0.5, 0.8])
+def test_bch_matches_dense_reference(eta, working_cutoff, block_total):
+    got = verify_bch_factorization(eta, 40, block_total, working_cutoff)
+    ref = _dense_bch_reference(eta, 40, block_total, working_cutoff)
+    for field in dataclasses.fields(BchReport):
+        a, b = getattr(got, field.name), getattr(ref, field.name)
+        if isinstance(a, float):
+            assert abs(a - b) <= 1e-14, field.name
+        elif isinstance(a, tuple):
+            assert np.max(np.abs(np.subtract(a, b))) <= 1e-14, field.name
+        else:
+            assert a == b, field.name
+
+
+def test_bch_factorization_senses_a_perturbed_squeeze(monkeypatch):
+    # the squeezes at r (1 + 1e-6) no longer complete the factorization,
+    # which reads 1e-14 to 6e-13 at these sizes when they are exact
+    exact = scheme._faithful_squeeze
+    monkeypatch.setattr(scheme, "_faithful_squeeze",
+                        lambda r, n, phase=0.0: exact(r * (1.0 + 1e-6), n,
+                                                      phase))
+    for eta in (0.2, 0.5, 0.8):
+        rep = verify_bch_factorization(eta, 40, working_cutoff=140,
+                                       check_su2=False)
+        assert rep.factorization_deviation > 1e-7
+
+
+def test_bch_at_the_cli_size_stays_in_its_memory_budget():
+    # the corner chains keep two (140, 140, 66) complex stacks of 20.7 MB
+    # alive at a time; the full-stack chains peaked at 115 MB
+    for eta in (0.2, 0.5, 0.8):
+        tracemalloc.start()
+        try:
+            verify_bch_factorization(eta, 40, working_cutoff=140)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 75 * 2 ** 20
+
+
 def test_bch_factors_approach_identity_at_full_transmission():
     devs = []
     for eps in (1e-8, 1e-12):
@@ -791,6 +908,49 @@ def test_density_rejects_amplitude_beyond_working_space():
     assert_allclose(b.outcome_density_values(padded, b.params.grid),
                     b.outcome_density_values(vacuum(10), b.params.grid),
                     rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mask", [StageMask(), StageMask.raw()],
+                         ids=["full", "raw"])
+@pytest.mark.parametrize("phi_probe", [None, 0.7])
+def test_completeness_gram_sum_matches_outcome_stacks(mask, phi_probe):
+    # 601 outcomes on [-3, 3] leave out enough of the continuum that the
+    # defect is far from rounding, so agreement checks the contraction
+    grid = OutcomeGrid.from_range(-3.0, 3.0, 0.01)
+    assert len(grid) == 601
+    b = SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=2.0, cutoff=30,
+                                         phi_probe=phi_probe), margin=3.0)
+    block = 16
+    w = b._compose(grid.points, StageMask(mask.pre_squeeze, False, False),
+                   np.eye(b.n_work)[:, :block])
+    acc = np.einsum("x,xmc,xmd->cd", grid.weights(), w.conj(), w)
+    explicit = np.max(np.abs(acc - np.eye(block)))
+    assert explicit > 1e-3
+    assert abs(b.completeness_defect(grid, block, mask) - explicit) < 1e-13
+
+
+@pytest.mark.parametrize("eta, sigma, phi", [(0.2, 2.0, 0.0),
+                                             (0.5, 1.0, 0.4),
+                                             (0.8, 0.5, 0.0)])
+def test_target_completeness_gram_sum_matches_family(eta, sigma, phi):
+    grid = OutcomeGrid.from_range(-8.0, 8.0, 0.02)
+    delta = measurement_width(eta, sigma)
+    family = vn_target_family(delta, grid, 40, phase=phi, margin=4.0)
+    gram = kernel._vn_target_completeness_defect(delta, grid, 40, 16, 4.0)
+    assert abs(gram - family.completeness_defect(16)) < 1e-13
+
+
+def test_scheme_family_at_the_cli_size_stays_in_its_memory_budget():
+    # neither an (801, n_work, block) outcome stack nor an 801-point target
+    # family forms for the completeness sums (111 MB with them)
+    p = SchemeParams(eta=0.2, sigma=2.0, cutoff=40)
+    tracemalloc.start()
+    try:
+        build_scheme_family(p, margin=4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2 ** 20
 
 
 def test_working_level_completeness_across_presets():
