@@ -36,19 +36,23 @@ deamplified axis is the conjugate one (S(r, psi+pi/2) = S(-r, psi) exactly).
 
 Numerical architecture: composing truncated matrix exponentials corrupts
 low Fock blocks, so every stage is evaluated in an enlarged working space
-(margin * cutoff levels) from tridiagonal eigendecompositions, exact to
-rounding, and only the final result is truncated to the requested cutoff.
-Each squeeze and each sector of the mixer is the exponential of a real
-antisymmetric tridiagonal generator, whose needed columns follow exactly
-from one symmetric tridiagonal eigendecomposition
-(_tridiagonal_expm_columns); no dense expm runs.  The feedback displacement
-is exp(-2it x_{phi+pi/2}), from fock.quadrature_spectrum like every
-quadrature spectrum here (_faithful_displacement).  The mixer acts through its
-conserved total-occupancy sectors s, precontracted with the probe: V[m, p, n]
-= <m, p|U_mix|n, probe> is nonzero only for p = n + k - m with k a probe
-level, and the squeezed probe has K of those above 1e-17 (K = 35 at sigma =
-0.5 or 2, one for the vacuum).  The builder stores only that band, B[s, m, j]
-= <m, s-m|U_mix|s-k_j, k_j> amp_{k_j}, O(n^2 K) instead of n^3.  One
+(margin * cutoff levels) with every entry exact to rounding, and only the
+final result is truncated to the requested cutoff.  Each parity block of a
+squeeze is the exponential of a real antisymmetric tridiagonal generator,
+whose needed columns follow exactly from one symmetric tridiagonal
+eigendecomposition (_tridiagonal_expm_columns); no dense expm runs.  The
+feedback displacement is exp(-2it x_{phi+pi/2}), from fock.quadrature_spectrum
+like every quadrature spectrum here (_faithful_displacement).  The mixer acts
+through its conserved total-occupancy sectors s, precontracted with the
+probe: V[m, p, n] = <m, p|U_mix|n, probe> is nonzero only for p = n + k - m
+with k a probe level, and the squeezed probe has K of those above 1e-17
+(K = 35 at sigma = 0.5 or 2, one for the vacuum).  The builder stores only
+that band, B[s, m, j] = <m, s-m|U_mix|s-k_j, k_j> amp_{k_j}, O(n^2 K)
+instead of n^3.  Sector s of the mixer is the Wigner matrix d^{s/2}(2 theta),
+cos(theta) = sqrt(eta); the band's columns of sector s follow from those of
+sector s - 1 by a real two-sided recurrence that never grows the operator
+norm, so no eigendecomposition runs and the truncated sectors hold the exact
+elements of the untruncated mixer (SchemeFamilyBuilder._contract_probe).  One
 composition, SchemeFamilyBuilder._compose, evaluates B . D(x) . W(x) . P .
 cols with the readout W(x) = sum_p chi_p(x) V[:, p, :] for a batch of
 outcomes, and every builder product calls it.  One outcome gathers W(x) from
@@ -388,7 +392,8 @@ def _tridiagonal_expm_columns(e: np.ndarray, cols: np.ndarray,
         exp(G)[a, b] = Re(i^(a-b) sum_l q[a, l] q[b, l] e^(i lam_l)),
 
     two real products whose entries are exact to rounding for any norm of
-    G, where the column recurrences of the squeeze and the mixer are not.
+    G, where a column recurrence of the squeeze, or a one-sided one of the
+    mixer, is not.
     """
     lam, q = eigh_tridiagonal(np.zeros(len(e) + 1), e)
     cols = np.asarray(cols)
@@ -434,10 +439,11 @@ class SchemeFamilyBuilder:
     """Assembles the scheme's reduction operators in a working Fock space.
 
     The mixer-probe band (see the module docstring) is computed once per
-    parameter set, the pre- and back-squeezes on first use; no array holds
-    n_work^3 elements.  Each public method but the completeness sum is a
-    thin caller of ``_compose`` that picks the outcomes, the mask and the
-    input columns (leading unit columns, or the padded state for densities).
+    parameter set by a sector recurrence with no eigendecomposition, the
+    pre- and back-squeezes on first use; no array holds n_work^3 elements.
+    Each public method but the completeness sum is a thin caller of
+    ``_compose`` that picks the outcomes, the mask and the input columns
+    (leading unit columns, or the padded state for densities).
     ``warnings`` holds those the probe's constructor attached.
     Densities and completeness sums mask feedback and back-squeeze off:
     those unitary dressings cancel in the Born rule at working size, which
@@ -463,24 +469,55 @@ class SchemeFamilyBuilder:
         """The probe levels k_j kept (|amplitude| above the floor) and the
         band B[s, m, j] = <m, s-m|U_mix|s-k_j, k_j> amp_{k_j}, shape
         (n_work + k_max, n_work, K): every entry of V[m, p, n] with
-        p = n + k_j - m.  Sector s of the mixer is exp of a real
-        antisymmetric tridiagonal, and only its K input columns are formed.
+        p = n + k_j - m and m, p, n < n_work, an exact element of the
+        untruncated mixer in every sector.
+
+        X_s[m, k] = <m, s-m|U_mix|s-k, k> follows from X = X_{s-1},
+        starting at X_0 = [[1]]:
+
+          s X_s[m, k] = sqrt(s-k) (c sqrt(m) X[m-1, k] + r sqrt(s-m) X[m, k])
+                      + sqrt(k) (c sqrt(s-m) X[m, k-1] - r sqrt(m) X[m-1, k-1])
+
+        with transmission and reflection amplitudes c = sqrt(eta) and
+        r = sqrt(1-eta), from U a^dag U^dag = c a^dag + r b^dag,
+        U b^dag U^dag = -r a^dag + c b^dag and a^dag a + b^dag b = s on
+        sector s.  Row (m, p) reads only rows (m-1, p) and (m, p-1), so
+        keeping rows m < n_work is exact; only columns k <= k_max are formed.
         """
         n = self.n_work
         levels = np.flatnonzero(np.abs(probe_vec) > _PROBE_FLOOR)
         amps = probe_vec[levels]
         if not np.any(amps.imag):
             amps = amps.real
-        # mixer angle, cos(theta) = sqrt(eta)
-        theta = math.atan(feedback_coefficient(self.params.eta))
-        band = np.zeros((n + levels[-1], n, len(levels)), dtype=amps.dtype)
+        k_max = levels[-1]
+        c, r = math.sqrt(self.params.eta), math.sqrt(1.0 - self.params.eta)
+        band = np.zeros((n + k_max, n, len(levels)), dtype=amps.dtype)
+        root = np.sqrt(np.arange(n + k_max + 1.0))
+        x = np.zeros((n, k_max + 1))  # X_s: rows m < n, columns k <= k_max
+        x[0, 0] = 1.0
         for s in range(len(band)):
-            lo, hi = max(0, s - n + 1), min(s, n - 1)
-            j = np.flatnonzero((s - levels >= lo) & (s - levels <= hi))
-            m = np.arange(lo + 1, hi + 1, dtype=float)
-            band[s, lo:hi + 1][:, j] = _tridiagonal_expm_columns(
-                theta * np.sqrt(m * (s - m + 1.0)),
-                s - levels[j] - lo) * amps[j]
+            if s:
+                # The step is X -> (L_1 X R_1 + L_2 X R_2)/s, with L_i the
+                # images of a^dag, b^dag on the rows and R_i the ladders
+                # sqrt(s-k), sqrt(k) on the columns: L_1 L_1^dag +
+                # L_2 L_2^dag = R_1^dag R_1 + R_2^dag R_2 = s 1, so it never
+                # grows the operator norm and rounding errors add up instead
+                # of multiplying.  The one-sided step U|n+1, k> = (c a^dag +
+                # r b^dag) U|n, k>/sqrt(n+1) amplifies them by up to
+                # sqrt(C(n+k, k)), about 1e35 at n_work 250.
+                rows, cols = min(s + 1, n), min(s + 1, k_max + 1)
+                up = np.zeros((rows, cols))  # sqrt(m) X[m-1, k]
+                up[1:] = x[:rows - 1, :cols] * root[1:rows, None]
+                stay = x[:rows, :cols] \
+                    * root[s + 1 - rows:s + 1][::-1, None]  # sqrt(s-m) X[m, k]
+                new = (c * up + r * stay) \
+                    * (root[s + 1 - cols:s + 1][::-1] / s)
+                new[:, 1:] += (c * stay[:, :-1] - r * up[:, :-1]) \
+                    * (root[1:cols] / s)
+                x[:rows, :cols] = new
+            lo = max(0, s - n + 1)  # rows with p = s - m < n
+            j = np.searchsorted(levels, lo)  # inputs with s - k_j < n
+            band[s, lo:, j:] = x[lo:, levels[j:]] * amps[j:]
         return levels, band
 
     def _pre_matrix(self) -> np.ndarray:

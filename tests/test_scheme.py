@@ -358,16 +358,31 @@ def test_batched_family_matches_per_outcome_operators(monkeypatch):
     assert worst < 1e-12
 
 
+def untruncated_sector_blocks(b):
+    # (rows m, mask of the rows with m, p < n_work, sector s, block) of the
+    # mixer at n_work + k_max levels per mode, so that no sector the band
+    # holds is truncated: the dense expm reference
+    n, k_max = b.n_work, b._levels[-1]
+    for m, s, block in _bs_sector_blocks(b.params.eta, n + k_max):
+        if s >= n + k_max:
+            break
+        keep = (m < n) & (s - m < n)
+        yield m, keep, s, block
+
+
 def dense_probe_contraction(b):
-    # V[m, p, n] = <m, p|U_mix|n, probe>, scattered from the dense sector
-    # exponentials: the independent reference for the banded contraction
+    # V[m, p, n] = <m, p|U_mix|n, probe>, scattered from the untruncated
+    # sector exponentials: the independent reference for the banded
+    # contraction
     n = b.n_work
-    probe = squeezed_vacuum(b.params.sigma, n,
-                            phase=b.params.phi_probe).amplitudes
+    probe = np.zeros(2 * n, dtype=complex)  # the builder's n_work levels
+    probe[:n] = squeezed_vacuum(b.params.sigma, n,
+                                phase=b.params.phi_probe).amplitudes
     v = np.zeros((n, n, n), dtype=complex)
-    for m, s, block in _bs_sector_blocks(b.params.eta, n):
-        v[m[:, None], (s - m)[:, None], m[None, :]] = \
-            block * probe[s - m][None, :]
+    for m, keep, s, block in untruncated_sector_blocks(b):
+        inputs = m < n
+        v[m[keep, None], (s - m[keep])[:, None], m[None, inputs]] = \
+            block[np.ix_(keep, inputs)] * probe[s - m[inputs]][None, :]
     return v
 
 
@@ -418,19 +433,20 @@ def test_faithful_squeeze_vacuum_column_matches_closed_form(n, r):
 
 @pytest.mark.parametrize("eta", [0.2, 0.7])
 def test_band_columns_match_sector_blocks(eta):
+    # every sector, the truncated ones (s >= n_work) included, holds the
+    # exact elements of the untruncated mixer
     b = SchemeFamilyBuilder(SchemeParams(eta=eta, sigma=0.5, cutoff=12))
     levels, band, n = b._levels, b._band, b.n_work
     assert len(levels) > 1
+    assert len(band) == n + levels[-1]
     amps = squeezed_vacuum(0.5, n).amplitudes.real[levels]
-    for m, s, block in _bs_sector_blocks(eta, n):
-        if s >= len(band):  # no kept probe level reaches these sectors
-            break
+    for m, keep, s, block in untruncated_sector_blocks(b):
         for j, k in enumerate(levels):
-            if m[0] <= s - k <= m[-1]:
-                want = block[:, s - k - m[0]] * amps[j]
+            if m[0] <= s - k <= m[-1] and s - k < n:
+                want = block[keep, s - k - m[0]] * amps[j]
             else:
                 want = 0.0
-            assert np.max(np.abs(band[s, m, j] - want)) < 1e-13
+            assert np.max(np.abs(band[s, m[keep], j] - want)) < 1e-13
     # a vacuum probe keeps one level: the band is U|s, 0>, a binomial
     vac = SchemeFamilyBuilder(SchemeParams(eta=eta, sigma=1.0, cutoff=12))
     assert list(vac._levels) == [0]
@@ -439,6 +455,40 @@ def test_band_columns_match_sector_blocks(eta):
         binom = np.sqrt(comb(s, m)) * math.sqrt(eta) ** m \
             * math.sqrt(1.0 - eta) ** (s - m)
         assert np.max(np.abs(vac._band[s, :s + 1, 0] - binom)) < 1e-13
+
+
+@pytest.mark.parametrize("sigma", [0.2, 5.0])
+@pytest.mark.parametrize("eta", [0.02, 0.98])
+def test_band_stays_exact_deep_into_the_recurrence(eta, sigma):
+    # sectors are built one from the last, up to n_work 400 here; a
+    # one-sided recurrence would amplify rounding by up to sqrt(C(n+k, k))
+    b = SchemeFamilyBuilder(SchemeParams(eta=eta, sigma=sigma, cutoff=160))
+    levels, band, n = b._levels, b._band, b.n_work
+    assert n == 400 and len(levels) > 1
+    amps = squeezed_vacuum(sigma, n).amplitudes.real[levels]
+    theta = math.atan(math.sqrt((1.0 - eta) / eta))
+    worst = 0.0
+    for s in range(0, n, 7):  # untruncated sectors: rows m <= s < n
+        j = np.flatnonzero(levels <= s)
+        m = np.arange(1, s + 1, dtype=float)
+        want = _tridiagonal_expm_columns(theta * np.sqrt(m * (s - m + 1.0)),
+                                         s - levels[j]) * amps[j]
+        worst = max(worst, float(np.max(np.abs(band[s, :s + 1][:, j]
+                                               - want))))
+        assert not np.any(band[s, s + 1:])
+    assert worst < 1e-13
+
+
+def test_builder_init_runs_no_eigendecomposition(monkeypatch):
+    calls = []
+
+    def counting(d, e, *args, **kwargs):
+        calls.append(len(d))
+        return eigh_tridiagonal(d, e, *args, **kwargs)
+
+    monkeypatch.setattr(scheme, "eigh_tridiagonal", counting)
+    SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=0.5, cutoff=100), 2.5)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
