@@ -63,8 +63,12 @@ complex columns: promoting it to complex would cost twice its size.
 Completeness sums form no outcome stack: sum_x w_x W(x)^dag W(x) contracts
 the band's readout columns with the Gram matrix chi^dag diag(w) chi of the
 probe quadrature functions over the grid, and the target's sum follows from
-its spectrum alike.  verify_bch_factorization keeps to the corner of the
-joint space that its comparison reads.
+its spectrum alike.  verify_bch_factorization compares on the corner of
+the joint space that its comparison reads, and runs the factorization in
+joint-parity sectors: in the even and odd halves e_l, o_l of the x
+eigenbasis every factor is real up to a phase per parity, and the Gauss
+factors only couple the sectors ee with oo and eo with oe, so each parity
+class of m + p is carried as two real half-size stacks.
 """
 
 from __future__ import annotations
@@ -828,17 +832,33 @@ def _apply_mixer_sectors(eta: float, vecs: np.ndarray,
     return out
 
 
-def _on_mode(mat: np.ndarray, vecs: np.ndarray, mode: int) -> np.ndarray:
-    """Left-multiply complex joint vectors (n_sys, n_probe, k) by a one-mode
-    matrix (rows, n) on the given mode.  A real matrix acts on the float
-    view, so no complex copy of it forms; mode 1 is a matmul batched over
-    mode 0, so no transposed copy of ``vecs`` forms."""
-    f = vecs.view(mat.dtype)
-    if mode == 0:
-        out = (mat @ f.reshape(len(f), -1)).reshape((len(mat),) + f.shape[1:])
-    else:
-        out = np.matmul(mat, f)
-    return out.view(complex)
+def _parity_quadrature_basis(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues lam >= 0 of the quadrature x truncated to n levels,
+    shape (h,) with h = ceil(n/2), and its parity-adapted eigenbasis f,
+    shape (n, h).  The eigenvectors of +-lam_l are (e_l +- o_l)/sqrt(2)
+    with e_l on the even levels and o_l on the odd ones, so f = sqrt(2) q
+    over the eigenvectors q of lam_l > 0 holds e_l on its even rows and o_l
+    on its odd rows: f[0::2] and f[1::2] are orthonormal bases of the even
+    and of the odd levels with x e_l = lam_l o_l and x o_l = lam_l e_l.
+    For odd n the zero eigenvector is purely even and has no partner; its
+    column, last, is zero on the odd rows, which keeps both halves h wide."""
+    lam, q = quadrature_spectrum(n)
+    pos = n // 2
+    f = np.zeros((n, (n + 1) // 2))
+    f[:, :pos] = math.sqrt(2.0) * q[:, n - pos:]
+    if n % 2:
+        f[0::2, pos] = q[0::2, pos]
+    return np.concatenate((lam[n - pos:], np.zeros(n % 2))), f
+
+
+def _corner(rows: np.ndarray, v: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rows @ v[j] @ cols^T for every j of a stack v shaped (k, h, h), the
+    signal mode on axis 1 and the probe mode on axis 2.  A complex v meets
+    the real rows on its float view, so no complex copy of them forms;
+    cols^T is made contiguous, as the stacked matmul ran about 1.5x slower
+    on the transposed view (1 BLAS thread, k = 36, h = 70)."""
+    return (np.matmul(rows, v.view(float)).view(v.dtype)
+            @ np.ascontiguousarray(cols.T))
 
 
 def verify_bch_factorization(eta: float, cutoff: int = 40,
@@ -857,17 +877,32 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
     block_total is at most cutoff - 2: from total cutoff - 1 on, the su(2)
     products reach the truncation edge of the cutoff^2 joint space.
 
-    Only what the comparison reads is formed.  With b = block_total + 1 the
-    basis and the compared rows both live in the (b, b) corner of the joint
-    space: each chain starts from b columns of its first eigenbasis and
-    ends on b rows of its last, and the mixer side never leaves the corner,
-    as it conserves the total.  The x eigenbasis Q of
-    fock.quadrature_spectrum and both squeezes are real, and the y basis is
-    D Q with D = diag(i^k), a diagonal phase, so the outer one-mode factors
-    act as real matrices on the float view of the complex vectors.  The six
-    middle ones (Q on each mode, the squeezes, Q^T on each mode) fold with
-    the D between them into one matrix per mode: the only two products at
-    working size.
+    Only what the comparison reads is formed, in joint-parity sectors.
+    With b = block_total + 1 the basis and the compared rows both live in
+    the (b, b) corner of the joint space, and the mixer side never leaves
+    it, as it conserves the total.  The other side runs in the parity
+    bases e_l, o_l of the x eigenvectors (_parity_quadrature_basis), h =
+    ceil(n_w/2) wide, in which every factor is real up to a phase per
+    parity:
+
+    - the y basis is D Q with D = diag(i^k), which is a real sign on the
+      even levels and i times one on the odd levels;
+    - the squeezes are real and keep parity, so each middle factor (Q^T,
+      the squeeze and the D between, per mode) folds into two real h x h
+      blocks, the odd one times -i on the signal and +i on the probe;
+    - exp(-+2ic x Y) acts on the pair (e_l, o_l) (x) (e_m, o_m) as
+      cos(t) -+ i sin(t) sigma_x (x) sigma_x, t = 2c lam_l lam_m: it only
+      couples the sectors ee with oo and eo with oe.
+
+    So the basis vectors split by the parity of m + p, and each class is
+    carried in two real (k_class, h, h) stacks: its slot A (signal even)
+    and its slot B (signal odd) stored as -iB, the real and the imaginary
+    part of one complex stack z = A + B.  Each Gauss factor multiplies z by
+    exp(-+i t) elementwise, as A + B is the combination in which it is
+    diagonal; the middle factors act on the two parts with their real
+    blocks.  Every
+    other phase is a scalar per basis vector, per class or per compared
+    row, and no product runs at working size n_w.
 
     ``check_su2=False`` skips the commutator and generator-form checks (the
     only eta-independent part of the report), leaving those report fields
@@ -889,71 +924,104 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
             f"= {block_total}, got {n_w}")
     b = block_total + 1
     pairs = _low_total_pairs(b, block_total)
-    basis = np.zeros((b, b, len(pairs)), dtype=complex)
-    basis[pairs[:, 0], pairs[:, 1], np.arange(len(pairs))] = 1.0
+    m, p = pairs.T
+    basis = np.zeros((len(pairs), b, b))
+    basis[np.arange(len(pairs)), m, p] = 1.0
 
-    def low_dev(v, ref):
-        return float(np.max(np.abs(v[pairs[:, 0], pairs[:, 1]]
-                                   - ref[pairs[:, 0], pairs[:, 1]])))
+    def low_dev(v, ref):  # over the compared rows of stacks (k, b, b)
+        return float(np.max(np.abs(v[:, m, p] - ref[:, m, p])))
 
-    # the Gauss factors: exp(s 2ic A B) is diagonal in the (A, B) eigenbasis
-    # pair, and y = D x D^dag, so every factor acts through the real Q
     c = math.sqrt((1.0 - eta) / eta)
-    nu, q = quadrature_spectrum(n_w)
+    lam, f = _parity_quadrature_basis(n_w)
+    e = np.exp(-2j * c * np.outer(lam, lam))  # exp(-2ic x Y) per pair
     d = np.array([1.0, 1j, -1.0, -1j])[np.arange(n_w) % 4]
-    phase = np.exp(-2j * c * np.outer(nu, nu))[:, :, None]  # exp(-2ic x Y)
-    half_log = -0.5 * math.log(eta)
-    sq_sys = np.ascontiguousarray(_faithful_squeeze(half_log, n_w).real)
-    sq_probe = np.ascontiguousarray(_faithful_squeeze(-half_log, n_w).real)
+    sgn = d.real + d.imag  # D is sgn on even levels and i sgn on odd ones
+    # S(-r) = S(r)^T: the generator is real antisymmetric, and so is its
+    # truncation in the extended space that gives the kept corner
+    sq_sys = _faithful_squeeze(-0.5 * math.log(eta), n_w).real
+    sq_probe = sq_sys.T
+    # Q^T D^dag S_sys Q and Q^T S_probe D Q per parity: real, bar the -i
+    # and +i of the odd blocks
+    mid_sys = [f[k::2].T @ (sgn[k::2, None] * sq_sys[k::2, k::2]) @ f[k::2]
+               for k in (0, 1)]
+    mid_probe = [f[k::2].T @ (sq_probe[k::2, k::2] * sgn[k::2]) @ f[k::2]
+                 for k in (0, 1)]
 
-    def spread(v):  # (Q (x) Q)^T from the corner to the working space
-        return _on_mode(q[:b].T, _on_mode(q[:b].T, v, 0), 1)
-
-    def gather(v):  # (Q (x) Q), kept to the compared rows
-        return _on_mode(q[:b], _on_mode(q[:b], v, 0), 1)
+    def gather(z, cls):  # the compared rows: slot A is Re z, B = i Im z
+        out = np.zeros((len(z), b, b), dtype=complex)
+        out[:, 0::2, cls::2] = _corner(f[0:b:2], z, f[cls:b:2]).real
+        out[:, 1::2, 1 - cls::2] = 1j * _corner(f[1:b:2], z,
+                                                f[1 - cls:b:2]).imag
+        return out
 
     # exp(-2ic x Y) = (1 (x) D) Q^{(x)2} phase Q^{T(x)2} (1 (x) D^dag), and
-    # exp(+2ic y X) the same with D on the system mode and phase conjugated;
+    # exp(+2ic y X) the same with D on the signal mode and phase conjugated;
     # each factor alone is compared too, for the eta -> 1 limit where all
-    # become identity
-    v = spread(basis * d[:b].conj()[None, :, None]) * phase
-    devs = (low_dev(gather(v) * d[:b, None], basis),
-            low_dev(_on_mode(sq_probe[:b, :b],
-                             _on_mode(sq_sys[:b, :b], basis, 0), 1), basis),
-            low_dev(gather(spread(basis * d[:b].conj()[:, None, None])
-                           * phase.conj()) * d[:b, None, None], basis))
-    # the middle six products folded per mode: Q, the squeeze and the D of
-    # one outer factor, then the Q^T of the other
-    v = _on_mode(q.T @ (d.conj()[:, None] * (sq_sys @ q)), v, 0)
-    v = _on_mode(q.T @ (sq_probe @ (d[:, None] * q)), v, 1)
-    right = gather(v * phase.conj()) * d[:b, None, None]
-    left = _apply_mixer_sectors(eta, basis, block_total)
-    fac_dev = low_dev(left, right)
+    # become identity.  The basis vectors are real in the parity bases, so
+    # there the second factor alone gives the conjugate of the first.
+    g_yx, g_xy, right = (np.empty(basis.shape, complex) for _ in range(3))
+    for cls in (0, 1):
+        # the class's vectors, those that start in slot A first; z = (A +
+        # B) / start holds A / start and -iB / start, both real, as its
+        # real and imaginary parts (start = -i for a start in slot B)
+        cols = np.flatnonzero((m + p) % 2 == cls)
+        cols = cols[np.argsort(m[cols] % 2, kind="stable")]
+        mc, pc = m[cols], p[cols]
+        k_a = np.count_nonzero(mc % 2 == 0)
+        x = f[mc][:, :, None] * f[pc][:, None, :]
+        z = np.empty(x.shape, dtype=complex)
+        np.multiply(x[:k_a], e, out=z[:k_a])
+        np.multiply(x[k_a:], 1j * e, out=z[k_a:])
+        start = np.where(mc % 2 == 0, 1.0, -1j)[:, None, None]
+        alone = gather(z, cls) * start
+        g_yx[cols] = alone * d[pc].conj()[:, None, None] * d[:b]
+        g_xy[cols] = alone.conj() * d[mc].conj()[:, None, None] * d[:b, None]
+        # the middle factors: the signal and probe phases of slot A are
+        # 1 and i^cls, those of slot B -i and i^(1-cls), so both slots
+        # carry i^cls once B's block takes the sign (-1)^cls
+        z.real = _corner(mid_sys[0], np.ascontiguousarray(z.real),
+                         mid_probe[cls])
+        z.imag = _corner((-1) ** cls * mid_sys[1],
+                         np.ascontiguousarray(z.imag), mid_probe[1 - cls])
+        z *= e.conj()
+        right[cols] = (gather(z, cls) * start * 1j ** cls
+                       * d[pc].conj()[:, None, None] * d[:b, None])
+    # the squeezes alone map |m, p> to the outer product of their columns
+    devs = (low_dev(g_yx, basis),
+            low_dev(sq_sys[:b, m].T[:, :, None] * sq_probe[:b, p].T[:, None],
+                    basis),
+            low_dev(g_xy, basis))
+    left = _apply_mixer_sectors(eta, basis.transpose(1, 2, 0), block_total)
+    fac_dev = low_dev(left.transpose(2, 0, 1), right)
 
     su_pm = su_zp = su_zm = gen_dev = None
     if check_su2:
         import scipy.sparse as sp
 
         # su(2) commutators of the factor generators, on the low-total block
-        # of the requested cutoff (products only ever reach total +- 4 there)
+        # of the requested cutoff (products only ever reach total +- 4
+        # there), each product formed on the compared rows and columns only
         xs, ys, xp, yp = _joint_quadratures(cutoff)
         j_plus = 2j * (ys @ xp)
         j_minus = 2j * (xs @ yp)
-        j_z = 1j * (xp @ yp - xs @ ys)
+        gens = (j_plus, j_minus, 1j * (xp @ yp - xs @ ys))
         idx = pairs @ np.array([cutoff, 1])
+        g_rows = [g[idx] for g in gens]
+        g_cols = [g[:, idx] for g in gens]
+        g_block = [g[idx].toarray() for g in g_cols]
 
-        def block_max(mat):
-            return float(np.max(np.abs(mat[idx][:, idx].toarray())))
+        def comm_max(i, k, rest):  # [g_i, g_k] - rest on the compared block
+            comm = (g_rows[i] @ g_cols[k] - g_rows[k] @ g_cols[i]).toarray()
+            return float(np.max(np.abs(comm - rest)))
 
-        su_pm = block_max(j_plus @ j_minus - j_minus @ j_plus - 2.0 * j_z)
-        su_zp = block_max(j_z @ j_plus - j_plus @ j_z - j_plus)
-        su_zm = block_max(j_z @ j_minus - j_minus @ j_z + j_minus)
+        su_pm = comm_max(0, 1, 2.0 * g_block[2])
+        su_zp = comm_max(2, 0, g_block[0])
+        su_zm = comm_max(2, 1, -g_block[1])
 
         # ladder form a b^dag - a^dag b versus quadrature form 2i(y X - x Y)
         a = make_annihilation(cutoff)
         ladder_gen = sp.kron(a, a.conj().T) - sp.kron(a.conj().T, a)
-        quad_gen = 2j * (ys @ xp - xs @ yp)
-        gen_dev = float(np.max(np.abs((ladder_gen - quad_gen).data),
+        gen_dev = float(np.max(np.abs((ladder_gen - (j_plus - j_minus)).data),
                                initial=0.0))
 
     return BchReport(

@@ -805,7 +805,7 @@ def _dense_bch_reference(eta, cutoff, block_total, working_cutoff):
 
 
 @pytest.mark.parametrize("block_total", [4, 10, 20, 36])
-@pytest.mark.parametrize("working_cutoff", [48, 140])
+@pytest.mark.parametrize("working_cutoff", [48, 49, 140, 141])
 @pytest.mark.parametrize("eta", [0.2, 0.5, 0.8])
 def test_bch_matches_dense_reference(eta, working_cutoff, block_total):
     got = verify_bch_factorization(eta, 40, block_total, working_cutoff)
@@ -818,6 +818,40 @@ def test_bch_matches_dense_reference(eta, working_cutoff, block_total):
             assert np.max(np.abs(np.subtract(a, b))) <= 1e-14, field.name
         else:
             assert a == b, field.name
+
+
+@pytest.mark.parametrize("n_w", [48, 49, 140])
+def test_parity_bases_fold_the_bch_factors_per_parity(n_w):
+    # the premises of the joint-parity sectors: e_l and o_l are orthonormal
+    # bases of the even and the odd levels (o with a zero column at odd
+    # n_w) and x e_l = lam_l o_l, to eigenvector rounding (|x| ~ 8 here);
+    # the probe squeeze is the transpose of the signal one; and in the
+    # bases [e | o] each folded middle factor has no even<->odd block, a
+    # real even block and an odd block -i (signal) or +i (probe) times a
+    # real one
+    lam, f = scheme._parity_quadrature_basis(n_w)
+    h = (n_w + 1) // 2
+    assert lam.shape == (h,) and f.shape == (n_w, h)
+    assert np.all(lam[:n_w // 2] > 0) and np.all(lam[n_w // 2:] == 0)
+    even, odd = np.zeros((n_w, h)), np.zeros((n_w, h))
+    even[0::2], odd[1::2] = f[0::2], f[1::2]
+    x = make_quadrature(n_w)
+    assert np.max(np.abs(even.T @ even - np.eye(h))) < 1e-13
+    assert np.max(np.abs(odd.T @ odd - np.diag(lam > 0))) < 1e-13
+    assert np.max(np.abs(x @ even - odd * lam)) < 1e-13
+    assert np.max(np.abs(x @ odd - even * lam)) < 1e-13
+    d = np.diag(np.array([1, 1j, -1, -1j])[np.arange(n_w) % 4])
+    basis = np.hstack((even, odd))
+    for eta in (0.2, 0.8):
+        s_sys = _faithful_squeeze(-0.5 * math.log(eta), n_w)
+        s_probe = _faithful_squeeze(0.5 * math.log(eta), n_w)
+        assert np.max(np.abs(s_probe - s_sys.T)) < 1e-15
+        for mid, odd_phase in ((d.conj() @ s_sys, -1j), (s_probe @ d, 1j)):
+            folded = basis.T @ mid @ basis
+            assert np.max(np.abs(folded[:h, h:])) <= 1e-14
+            assert np.max(np.abs(folded[h:, :h])) <= 1e-14
+            assert np.max(np.abs(folded[:h, :h].imag)) <= 1e-14
+            assert np.max(np.abs((folded[h:, h:] / odd_phase).imag)) <= 1e-14
 
 
 def test_bch_factorization_senses_a_perturbed_squeeze(monkeypatch):
@@ -834,8 +868,10 @@ def test_bch_factorization_senses_a_perturbed_squeeze(monkeypatch):
 
 
 def test_bch_at_the_cli_size_stays_in_its_memory_budget():
-    # the corner chains keep two (140, 140, 66) complex stacks of 20.7 MB
-    # alive at a time; the full-stack chains peaked at 115 MB
+    # the joint-parity chains hold one class, at most (36, 70, 70), at a
+    # time and peak at 9.3 MiB; the corner chains, with two (140, 140, 66)
+    # complex stacks alive at a time, peaked at 60.5 MiB, and the
+    # full-stack chains at 115 MB
     for eta in (0.2, 0.5, 0.8):
         tracemalloc.start()
         try:
@@ -843,7 +879,7 @@ def test_bch_at_the_cli_size_stays_in_its_memory_budget():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 75 * 2 ** 20
+        assert peak < 12 * 2 ** 20
 
 
 def test_bch_factors_approach_identity_at_full_transmission():
