@@ -326,12 +326,38 @@ def _emit_csv(cfg: RunConfig, header: Sequence[str],
     _write_text(cfg.values["out"], "\n".join(lines) + "\n")
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, byte
+    for byte, for documents with string keys.  Indentation forces json's
+    pure-Python encoder, so the dicts and lists are walked here and each
+    list of scalars goes to the C encoder in one call, with the indented
+    item separator."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("JSON object keys here must be str")
+        body = ",\n".join(f"{inner}{json.dumps(key)}: {_json_text(v, inner)}"
+                          for key, v in sorted(obj.items()))
+        return "{\n" + body + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if any(issubclass(t, (dict, list, tuple))
+               for t in set(map(type, obj))):
+            body = ",\n".join(inner + _json_text(v, inner) for v in obj)
+        else:
+            body = inner + json.dumps(obj, separators=(",\n" + inner, ": "),
+                                      allow_nan=False)[1:-1]
+        return "[\n" + body + "\n" + indent + "]"
+    return json.dumps(obj, allow_nan=False)
+
+
 def _emit_json(cfg: RunConfig, checks: List[Dict[str, object]],
                results: Dict[str, object]) -> None:
     doc = {"meta": _metadata(cfg), "checks": checks, "results": results}
-    _write_text(cfg.values["out"],
-                json.dumps(doc, sort_keys=True, indent=2,
-                           allow_nan=False) + "\n")
+    _write_text(cfg.values["out"], _json_text(doc) + "\n")
 
 
 def _print_warnings(warnings: Iterable[str]) -> None:
@@ -451,16 +477,20 @@ def cmd_sample(cfg: RunConfig) -> int:
                          margin=cfg.resolved_margin(2.5))
     repeat = cfg.values["repeat"]
     n = cfg.values["trials"]
-    header = ("trial", "outcome", "post_mean", "post_variance",
-              "second_outcome", "feedback_mode", "resamples")
-    rows = [(i, rec.outcome, rec.post_mean, rec.post_variance,
-             rec.second_outcome, rec.feedback_mode, rec.resamples)
-            for i, rec in enumerate(engine.trials(
-                cfg.rngseed().generator(), n, want_second=repeat))]
+    batch = engine.trials(cfg.rngseed().generator(), n, want_second=repeat)
+    columns = {
+        "trial": list(range(n)),
+        "outcome": batch.outcome.tolist(),
+        "post_mean": batch.post_mean.tolist(),
+        "post_variance": batch.post_variance.tolist(),
+        "second_outcome": [None] * n if batch.second_outcome is None
+        else batch.second_outcome.tolist(),
+        "feedback_mode": [batch.feedback_mode] * n,
+        "resamples": batch.resamples.tolist(),
+    }
     stats: Dict[str, object] = {}
     if repeat and n >= 100:
-        agg = summarize_repeatability([r[1] for r in rows],
-                                      [r[4] for r in rows],
+        agg = summarize_repeatability(batch.outcome, batch.second_outcome,
                                       cfg.values["confidence"])
         stats = {
             "n_trials": agg.n_trials,
@@ -473,12 +503,13 @@ def cmd_sample(cfg: RunConfig) -> int:
             "confidence": agg.confidence,
         }
     if cfg.values["format"] == "json":
-        results = _rows_to_results(header, rows)
+        results: Dict[str, object] = dict(columns)
         if stats:
             results["stats"] = stats
         _emit_json(cfg, [], results)
     else:
-        _emit_csv(cfg, header, rows, stats=stats or None)
+        _emit_csv(cfg, tuple(columns), list(zip(*columns.values())),
+                  stats=stats or None)
     _print_warnings(engine.warnings)
     return 0
 

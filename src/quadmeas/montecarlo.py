@@ -1,7 +1,7 @@
 """Stochastic measurement runs.
 
 Draws outcomes from tabulated Born densities by exact inverse-CDF sampling,
-applies the matching reduction operator (with ideal or finite-local-oscillator
+applies the matching reduction (with ideal or finite-local-oscillator
 feedback), and aggregates repeatability statistics for the
 measure/reduce/measure-again experiment.
 
@@ -9,8 +9,10 @@ Sampling contract: a (seed, stream) pair fully determines every drawn number.
 Outcomes are snapped to the engine's outcome grid, so the sampled measurement
 is exactly the discretized one whose density, POM and reduction family the
 rest of the package manipulates.  Each run takes one uniform for its first
-draw, one more per resample, then one for its second outcome, so
-``TrialEngine.trials(rng, n)`` equals n ``TrialEngine.trial(rng)`` calls.
+draw, one more per resample, then one for its second outcome.
+``TrialEngine.trials(rng, n)`` returns a ``TrialBatch``, the records of n runs
+as columns: column by column it equals the ``TrialRecord``s of n
+``TrialEngine.trial(rng)`` calls, and it leaves ``rng`` where they leave it.
 """
 
 import hashlib
@@ -28,25 +30,22 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .fock import (DensityOperator, StateVector, _state_matrix,
-                   make_quadrature, vacuum_state)
-from .kernel import (
-    OutcomeDensity,
-    OutcomeGrid,
-    quadrature_density,
-    widen_grid_for_density,
-)
+                   make_quadrature, quadrature_eigenvector_matrix,
+                   vacuum_state)
+from .kernel import OutcomeDensity, OutcomeGrid, widen_grid_for_density
 from .scheme import (
     FeedbackSpec,
     SchemeFamilyBuilder,
     SchemeParams,
     StageMask,
-    _faithful_displacement,
+    _displace_columns,
     feedback_displacement,
 )
 
 __all__ = [
     "RngSeed",
     "TrialRecord",
+    "TrialBatch",
     "RepeatabilityStats",
     "TrialEngine",
     "sample_outcomes",
@@ -238,8 +237,10 @@ def finite_lo_displacement(state, target_amplitude: complex, beta: float,
     if deficit > 1e-10:
         warnings = warnings + (
             f"finite-lo port truncation lost trace {deficit:.3e}",)
-    disp = _faithful_displacement(target, rho.shape[0])
-    return DensityOperator(disp @ lossy @ disp.conj().T, warnings)
+    # D rho D^dag = D (D lossy^dag)^dag, two column applications
+    half = _displace_columns([target], lossy.conj().T[None])
+    out = _displace_columns([target], half.conj().transpose(0, 2, 1))[0]
+    return DensityOperator(out, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +270,38 @@ class TrialRecord:
 
 
 @dataclass(frozen=True)
+class TrialBatch:
+    """The records of successive runs as columns: one array entry per run
+    of each ``TrialRecord`` field, ``second_outcome`` None unless the runs
+    measured again, and the ``feedback_mode`` they share."""
+
+    outcome: np.ndarray
+    post_mean: np.ndarray
+    post_variance: np.ndarray
+    second_outcome: Optional[np.ndarray]
+    feedback_mode: str
+    resamples: np.ndarray
+
+    def __post_init__(self):
+        names = ("outcome", "post_mean", "post_variance") \
+            + (("second_outcome",) if self.second_outcome is not None else ())
+        finite = np.all(np.isfinite(
+            np.stack([getattr(self, name) for name in names])), axis=1)
+        if not np.all(finite):
+            raise ParameterError(
+                f"non-finite trial field {names[int(np.argmin(finite))]}")
+
+    def record(self, i: int) -> TrialRecord:
+        """Run ``i`` as a TrialRecord."""
+        second = self.second_outcome
+        return TrialRecord(
+            float(self.outcome[i]), float(self.post_mean[i]),
+            float(self.post_variance[i]),
+            None if second is None else float(second[i]),
+            self.feedback_mode, int(self.resamples[i]))
+
+
+@dataclass(frozen=True)
 class RepeatabilityStats:
     """Aggregate of measure/reduce/measure-again runs: spread of the second
     outcome around the first, and the regression of second on first."""
@@ -295,8 +328,17 @@ class _Conditional:
 
 class TrialEngine:
     """Samples outcomes of one parameter set and applies the matching
-    reduction, reusing the outcome density, the per-outcome reduction
-    operators and the per-outcome conditional densities across trials.
+    reduction, reusing the outcome density and caching, per drawn outcome,
+    its conditional entry: the post state, its working-quadrature moments
+    and its second-outcome density.  No reduction operator is formed.
+
+    The entries are made in batches.  The drawn outcomes with no entry yet
+    are reduced together: one ``SchemeFamilyBuilder._compose`` call on the
+    padded input column (at working size for finite-lo feedback, whose
+    oscillator channel then acts on each post state), or one row gather of
+    the kernel family applied to the input.  The moments and second-outcome
+    densities of all of them come from one eigenvector matrix on the
+    second grid.
 
     The first measurement is drawn from the Born density on a grid widened
     until its edges are negligible, then snapped to the nearest grid point;
@@ -344,9 +386,10 @@ class TrialEngine:
         self._psi = psi / np.linalg.norm(psi)
         if kernel_family is not None:
             self.grid = kernel_family.grid
-            vals = np.linalg.norm(
-                np.einsum("xmn,n->xm", kernel_family.operators, self._psi),
-                axis=1) ** 2
+            # the reduced input at every outcome, which sampling reads too
+            self._family_vecs = np.einsum("xmn,n->xm",
+                                          kernel_family.operators, self._psi)
+            vals = np.linalg.norm(self._family_vecs, axis=1) ** 2
             peak = float(np.max(vals))
             if peak > 0 and max(vals[0], vals[-1]) > 1e-8 * peak:
                 raise GridRangeError(
@@ -376,68 +419,104 @@ class TrialEngine:
 
     # -- conditional-state machinery ------------------------------------
 
-    def _moments(self, state) -> Tuple[float, float]:
-        if isinstance(state, DensityOperator):
-            xm = self._xq @ state.matrix
-            mean = float(np.trace(xm).real)
-            second = float(np.trace(self._xq @ xm).real)
-        else:
-            mean = float(np.vdot(state, self._xq @ state).real)
-            second = float(np.linalg.norm(self._xq @ state) ** 2)
-        return mean, second - mean * mean
-
-    def _entry(self, post) -> _Conditional:
-        """Cache entry of a normalized pure vector or DensityOperator."""
-        mean, var = self._moments(post)
-        dens = quadrature_density(
-            StateVector(post) if isinstance(post, np.ndarray) else post,
-            self.second_grid, self.params.phi)
-        norm = dens.normalization()
-        if norm <= 0:
-            raise ZeroProbabilityError("conditional density carries no mass")
-        return _Conditional(post, mean, var,
-                            OutcomeDensity(dens.grid, dens.values / norm))
-
-    def _conditional(self, index: int) -> Optional[_Conditional]:
-        if index in self._cache:
-            return self._cache[index]
-        x = float(self.grid.points[index])
-        finite_lo = self.feedback.mode == "finite-lo"
+    def _reduced(self, indices: np.ndarray) -> np.ndarray:
+        """The input reduced at each grid index, unnormalized, one row per
+        index: its cutoff levels, or for finite-lo feedback its working-size
+        column before the feedback stage, which the oscillator channel
+        replaces."""
         if self._family is not None:
-            vec = self._family.operators[index] @ self._psi
-        elif finite_lo:
-            # the oscillator channel replaces the unitary feedback stage;
-            # it acts at working size, like every builder stage, and only
-            # the back-squeezed state is truncated to the cutoff
-            stage_mask = StageMask(self.mask.pre_squeeze, False, False)
-            om = self._builder.operator(x, stage_mask, workspace=True)
-            vec = om[:, :len(self._psi)] @ self._psi
+            return self._family_vecs[indices]
+        n, c = self._builder.n_work, len(self._psi)
+        padded = np.zeros((n, 1), dtype=complex)
+        padded[:c, 0] = self._psi
+        xs = self.grid.points[indices]
+        if self.feedback.mode == "finite-lo":
+            mask = StageMask(self.mask.pre_squeeze, False, False)
+            return self._builder._compose(xs, mask, padded)[:, :, 0]
+        return self._builder._compose(xs, self.mask, padded)[:, :c, 0]
+
+    def _has_mass(self, indices: np.ndarray, pending: Dict) -> np.ndarray:
+        """Whether each drawn grid index has probability mass.  Indices with
+        no cache entry and none in ``pending`` (index -> normalized post
+        vector, or None below the probability floor) are reduced in one
+        batch and added to ``pending``."""
+        new = [i for i in np.unique(indices).tolist()
+               if i not in self._cache and i not in pending]
+        if new:
+            vecs = self._reduced(np.array(new))
+            probs = np.linalg.norm(vecs, axis=1) ** 2
+            for i, vec, p in zip(new, vecs, probs.tolist()):
+                pending[i] = vec / math.sqrt(p) \
+                    if p >= _PROBABILITY_FLOOR else None
+        mass = np.ones(len(self.grid), dtype=bool)
+        for known in (self._cache, pending):
+            mass[[i for i, e in known.items() if e is None]] = False
+        return mass[indices]
+
+    def _store(self, indices: np.ndarray, pending: Dict) -> None:
+        """Cache the entries of the drawn grid indices that have none, from
+        their ``pending`` post vectors (see ``_has_mass``)."""
+        new = [i for i in np.unique(indices).tolist() if i not in self._cache]
+        live = [i for i in new if pending[i] is not None]
+        self._cache.update((i, None) for i in new if pending[i] is None)
+        if not live:
+            return
+        if self.feedback.mode == "finite-lo":
+            posts = [self._oscillator_post(i, pending[i]) for i in live]
         else:
-            vec = self._builder.operator(x, self.mask) @ self._psi
-        p = float(np.linalg.norm(vec) ** 2)
-        entry = None
-        if p >= _PROBABILITY_FLOOR:
-            post = vec / math.sqrt(p)
-            if finite_lo:
-                rho = finite_lo_displacement(
-                    post, feedback_displacement(x, self.params.eta,
-                                                self.params.phi)
-                    if self.mask.feedback else 0.0,
-                    self.feedback.beta)
-                mat = rho.matrix
-                if self.mask.back_squeeze:
-                    back = self._builder._back_matrix(self.mask.pre_squeeze)
-                    mat = back @ mat @ back.conj().T
-                c = self.params.cutoff
-                mat = mat[:c, :c]
-                post = DensityOperator(mat / np.trace(mat).real, rho.warnings)
-            entry = self._entry(post)
-        self._cache[index] = entry
-        return entry
+            posts = [pending[i] for i in live]
+        self._cache.update(zip(live, self._entries(posts)))
+
+    def _oscillator_post(self, index: int, post: np.ndarray
+                         ) -> DensityOperator:
+        """The finite-lo post state: the oscillator channel acts on the
+        working-size post vector, like every builder stage, and only the
+        back-squeezed state is truncated to the cutoff."""
+        rho = finite_lo_displacement(
+            post, feedback_displacement(float(self.grid.points[index]),
+                                        self.params.eta, self.params.phi)
+            if self.mask.feedback else 0.0,
+            self.feedback.beta)
+        mat = rho.matrix
+        if self.mask.back_squeeze:
+            back = self._builder._back_matrix(self.mask.pre_squeeze)
+            mat = back @ mat @ back.conj().T
+        c = self.params.cutoff
+        mat = mat[:c, :c]
+        return DensityOperator(mat / np.trace(mat).real, rho.warnings)
+
+    def _entries(self, posts: list) -> List[_Conditional]:
+        """Cache entries of normalized post states, all pure vectors or all
+        DensityOperators: working-quadrature moments and the density of an
+        ideal second measurement, from one eigenvector matrix."""
+        chi = quadrature_eigenvector_matrix(self.second_grid.points,
+                                            len(self._psi), self.params.phi)
+        xq = self._xq
+        if isinstance(posts[0], DensityOperator):
+            rho = np.array([p.matrix for p in posts])
+            xr = xq @ rho
+            mean = np.einsum("enn->e", xr).real
+            second = np.einsum("mn,enm->e", xq, xr).real
+            vals = np.clip(np.sum((chi.conj() @ rho) * chi, axis=2).real,
+                           0.0, None)
+        else:
+            vecs = np.array(posts)
+            xv = vecs @ xq.T
+            mean = np.einsum("en,en->e", vecs.conj(), xv).real
+            second = np.linalg.norm(xv, axis=1) ** 2
+            vals = np.abs(vecs @ chi.conj().T) ** 2
+        norms = vals @ self.second_grid.weights()
+        if np.any(norms <= 0):
+            raise ZeroProbabilityError("conditional density carries no mass")
+        return [_Conditional(post, m, s - m * m,
+                             OutcomeDensity(self.second_grid, v / z))
+                for post, m, s, v, z in zip(posts, mean.tolist(),
+                                            second.tolist(), vals,
+                                            norms.tolist())]
 
     def _identity_conditional(self) -> _Conditional:
         if self._identity_entry is None:
-            self._identity_entry = self._entry(self._psi)
+            self._identity_entry = self._entries([self._psi])[0]
         return self._identity_entry
 
     @property
@@ -453,7 +532,10 @@ class TrialEngine:
     def post_state(self, index: int):
         """Normalized post-measurement state at a grid index (pure vector
         for ideal feedback, density operator for finite-lo feedback)."""
-        entry = self._conditional(index)
+        pending: Dict = {}
+        self._has_mass(np.array([index]), pending)
+        self._store(np.array([index]), pending)
+        entry = self._cache[index]
         if entry is None:
             raise ZeroProbabilityError(
                 f"outcome {self.grid.points[index]} has no probability mass")
@@ -462,53 +544,76 @@ class TrialEngine:
     # -- sampling -------------------------------------------------------
 
     def trials(self, rng, n: int, want_second: bool = False,
-               identity_control: bool = False) -> List[TrialRecord]:
+               identity_control: bool = False) -> TrialBatch:
         """The records of ``n`` successive ``trial`` calls on ``rng``, drawn
-        as one batch that leaves ``rng`` where those calls leave it."""
+        as one batch that leaves ``rng`` where those calls leave it.
+
+        The uniforms of all runs are drawn at once, each run's first
+        followed by its second with ``want_second``.  An outcome without
+        probability mass passes the run on to the next uniform and draws one
+        more at the end of the stream, so each loop here is over such
+        resample events, never over runs."""
         rng = _as_generator(rng)
         pts = self.grid.points
-        u = rng.random(n * (2 if want_second else 1))
-        first = _nearest_index(pts, _inverse_cdf(self.density, u)).tolist()
-        u, runs, pos = u.tolist(), [], 0
-        for _ in range(n):
-            for resamples in range(_MAX_RESAMPLES + 1):
-                index, pos = first[pos], pos + 1
-                entry = self._identity_conditional() if identity_control \
-                    else self._conditional(index)
-                if entry is not None:
-                    break
-                extra = rng.random(1)  # keeps later runs on their uniforms
-                u += extra.tolist()
-                first += _nearest_index(
-                    pts, _inverse_cdf(self.density, extra)).tolist()
+        step = 2 if want_second else 1
+        u = rng.random(n * step)
+        first = _nearest_index(pts, _inverse_cdf(self.density, u))
+        index = np.empty(n, dtype=first.dtype)
+        start = np.empty(n, dtype=first.dtype)  # each run's accepted uniform
+        resamples = np.zeros(n, dtype=int)
+        pending: Dict = {}
+        rejected, done, pos = [], 0, 0
+        while done < n:
+            starts = pos + step * np.arange(n - done)
+            drawn = first[starts]
+            if identity_control:
+                stop = n - done
             else:
+                mass = self._has_mass(drawn, pending)
+                stop = n - done if mass.all() else int(np.argmin(mass))
+            index[done:done + stop] = drawn[:stop]
+            start[done:done + stop] = starts[:stop]
+            done += stop
+            if done == n:
+                break
+            rejected.append(drawn[stop])
+            resamples[done] += 1
+            extra = rng.random(1)  # keeps later runs on their uniforms
+            u = np.concatenate([u, extra])
+            first = np.concatenate([
+                first, _nearest_index(pts, _inverse_cdf(self.density, extra))])
+            if resamples[done] > _MAX_RESAMPLES:
                 raise ZeroProbabilityError(
                     f"no outcome with probability mass found in "
                     f"{_MAX_RESAMPLES + 1} draws (grid artifact)")
-            runs.append((index, entry, resamples, pos))  # pos: 2nd uniform
-            pos += want_second
-        second = {}
+            pos = starts[stop] + 1
+        if identity_control:
+            entries = [self._identity_conditional()]
+            which = np.zeros(n, dtype=int)
+        else:
+            self._store(np.concatenate(
+                [index, np.array(rejected, dtype=index.dtype)]), pending)
+            keys, which = np.unique(index, return_inverse=True)
+            entries = [self._cache[i] for i in keys.tolist()]
+        second = None
         if want_second:
-            groups = {}
-            for i, run in enumerate(runs):
-                groups.setdefault(run[1], []).append(i)
-            for entry, rows in groups.items():
-                xs = _inverse_cdf(entry.density,
-                                  np.array([u[runs[i][3]] for i in rows]))
-                second.update(zip(rows, xs.tolist()))
+            second = np.empty(n)
+            for k, entry in enumerate(entries):
+                rows = np.flatnonzero(which == k)
+                second[rows] = _inverse_cdf(entry.density, u[start[rows] + 1])
         mode = "identity-control" if identity_control else self.feedback.mode
-        return [TrialRecord(outcome=float(pts[index]), post_mean=entry.mean,
-                            post_variance=entry.variance,
-                            second_outcome=second.get(i), feedback_mode=mode,
-                            resamples=resamples)
-                for i, (index, entry, resamples, _) in enumerate(runs)]
+        return TrialBatch(
+            outcome=pts[index],
+            post_mean=np.array([e.mean for e in entries])[which],
+            post_variance=np.array([e.variance for e in entries])[which],
+            second_outcome=second, feedback_mode=mode, resamples=resamples)
 
     def trial(self, rng, want_second: bool = False,
               identity_control: bool = False) -> TrialRecord:
         """One run: draw an outcome (redrawing outcomes without probability
         mass), reduce the input state (``identity_control`` leaves it as
         is), and with ``want_second`` measure the same quadrature again."""
-        return self.trials(rng, 1, want_second, identity_control)[0]
+        return self.trials(rng, 1, want_second, identity_control).record(0)
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +668,7 @@ def repeatability_experiment(params: SchemeParams, n_trials: int, seed,
         raise ParameterError(
             f"repeatability statistics want n_trials >= 100, got {n_trials}")
     eng = engine if engine is not None else TrialEngine(params, feedback)
-    recs = eng.trials(seed, n_trials, want_second=True,
-                      identity_control=identity_control)
-    return summarize_repeatability([r.outcome for r in recs],
-                                   [r.second_outcome for r in recs],
+    batch = eng.trials(seed, n_trials, want_second=True,
+                       identity_control=identity_control)
+    return summarize_repeatability(batch.outcome, batch.second_outcome,
                                    confidence)

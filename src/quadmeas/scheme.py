@@ -41,8 +41,11 @@ final result is truncated to the requested cutoff.  Each parity block of a
 squeeze is the exponential of a real antisymmetric tridiagonal generator,
 whose needed columns follow exactly from one symmetric tridiagonal
 eigendecomposition (_tridiagonal_expm_columns); no dense expm runs.  The
-feedback displacement is exp(-2it x_{phi+pi/2}), from fock.quadrature_spectrum
-like every quadrature spectrum here (_faithful_displacement).  The mixer acts
+feedback displacement D(t e^{i phi}) = exp(-2it x_{phi+pi/2}) acts on the
+columns it displaces, as r o q (e^{-2it lam} o q^T (conj(r) o w)) with
+r_k = e^{ik(phi + pi/2)} and lam, q from the memoized spectrum of x_0
+(fock.quadrature_spectrum, like every quadrature spectrum here), so no
+displacement matrix forms (_displace_columns).  The mixer acts
 through its conserved total-occupancy sectors s, precontracted with the
 probe: V[m, p, n] = <m, p|U_mix|n, probe> is nonzero only for p = n + k - m
 with k a probe level, and the squeezed probe has K of those above 1e-17
@@ -111,8 +114,9 @@ from .kernel import (
 
 DEFAULT_GRID_SPEC = "-3:3:0.25"
 
-# Element budget of one batched displacement stack: families on large grids
-# are composed in outcome chunks, so transient memory does not grow with X.
+# Element budget, counted as X n_work^2, of one batched composition: families
+# on large grids are composed in outcome chunks, so transient memory does not
+# grow with X.
 _STACK_ELEMENTS = 1 << 19
 
 # Probe levels with |amplitude| at or below this floor are left out of the
@@ -351,15 +355,20 @@ class FeedbackSpec:
 # faithful working-space operators
 
 
-def _faithful_displacement(alpha, n: int) -> np.ndarray:
-    """Displacement matrix whose n x n entries are exact to rounding: the
-    kept corner of D(t e^{i phi}) = exp(-2it x_{phi+pi/2}) at the extended
-    size (sqrt(n) + t)^2 + 12 (sqrt(n) + t) + 40, with t grown only when an
-    amplitude needs more room; an array of amplitudes gives the stack, shape
-    alpha.shape + (n, n).  x_0 has eigenvalues +-lam with eigenvector rows k
-    equal up to (-1)^k, so Q e^{-2it lam} Q^T is Q (cos + sin) Q^T at even
-    level differences d and -i times it at odd d."""
+def _displace_columns(alpha, cols: np.ndarray) -> np.ndarray:
+    """D(alpha[x]) @ cols[x] for amplitudes shaped (X,) and columns shaped
+    (X, n, c), every entry exact to rounding, with no n x n matrix formed.
+
+    D(t e^{i phi}) = exp(-2it x_{phi+pi/2}) is taken at the extended size
+    (sqrt(n) + t)^2 + 12 (sqrt(n) + t) + 40, with t grown only when an
+    amplitude needs more room.  With x_0 = Q diag(lam) Q^T there, q the
+    kept n rows of Q and r_k = e^{ik(phi + pi/2)},
+
+        D(t e^{i phi}) w = r o q (e^{-2it lam} o q^T (conj(r) o w)),
+
+    two real products that act on the float view of all X c columns."""
     alpha = np.asarray(alpha, dtype=complex)
+    n_out, n, c = cols.shape
     t = np.abs(alpha)
     room = max(np.max(t, initial=0), _DISPLACEMENT_ROOM_FLOOR)
     if room > _displacement_spectra.get(n, (0.0,))[0]:
@@ -373,15 +382,30 @@ def _faithful_displacement(alpha, n: int) -> np.ndarray:
         kept[0], kept[1:] = lam, q[:n]
         _displacement_spectra[n] = (room, kept)
     lam, q = _displacement_spectra[n][1][0], _displacement_spectra[n][1][1:]
-    w = np.cos(2.0 * t[..., None] * lam) + np.sin(2.0 * t[..., None] * lam)
-    # rotating to phi + pi/2 multiplies entry (a, b) by i^d e^{i d phi},
-    # d = a - b, which with the -i at odd d leaves the signs (1, 1, -1, -1)
-    sign = np.array([1, 1, -1, -1])[(np.arange(n)[:, None] - np.arange(n)) % 4]
-    u = np.exp(1j * np.angle(alpha)[..., None] * np.arange(n))
-    out = np.empty(t.shape + (n, n), dtype=complex)
-    for i in np.ndindex(t.shape):  # one (n, N) temporary at a time
-        out[i] = (q * w[i]) @ q.T * sign * np.outer(u[i], u[i].conj())
+    k = np.arange(n)
+    r = np.array([1, 1j, -1, -1j])[k % 4] \
+        * np.exp(1j * np.angle(alpha)[:, None] * k)
+    v = np.empty((n, n_out, c), dtype=complex)  # level-major: one product
+    np.multiply(cols.transpose(1, 0, 2), r.T.conj()[:, :, None], out=v)
+    spec = (q.T @ v.reshape(n, -1).view(float)).view(complex)
+    spec = spec.reshape(len(lam), n_out, c)
+    spec *= np.exp(-2j * lam[:, None] * t)[:, :, None]
+    w = (q @ spec.reshape(len(lam), -1).view(float)).view(complex)
+    out = np.empty((n_out, n, c), dtype=complex)
+    np.multiply(w.reshape(n, n_out, c).transpose(1, 0, 2), r[:, :, None],
+                out=out)
     return out
+
+
+def _faithful_displacement(alpha, n: int) -> np.ndarray:
+    """Displacement matrix whose n x n entries are exact to rounding: the
+    columns of the identity displaced by :func:`_displace_columns`; an
+    array of amplitudes gives the stack, shape alpha.shape + (n, n)."""
+    alpha = np.asarray(alpha, dtype=complex)
+    flat = alpha.reshape(-1)
+    out = _displace_columns(flat, np.broadcast_to(np.eye(n),
+                                                  (len(flat), n, n)))
+    return out.reshape(alpha.shape + (n, n))
 
 
 def _tridiagonal_expm_columns(e: np.ndarray, cols: np.ndarray,
@@ -588,8 +612,8 @@ class SchemeFamilyBuilder:
             w = (chi @ self._readout_columns(cols).reshape(n, -1)).reshape(
                 len(xs), n, -1)
         if mask.feedback:
-            w = _faithful_displacement(feedback_displacement(
-                xs, self.params.eta, self.params.phi), n) @ w
+            w = _displace_columns(feedback_displacement(
+                xs, self.params.eta, self.params.phi), w)
         if mask.back_squeeze:
             w = self._back_matrix(mask.pre_squeeze) @ w
         return w

@@ -408,6 +408,59 @@ class TestWarnings:
         assert code == 0 and same and err == []
 
 
+class TestJsonWriter:
+    """The JSON writer against json.dumps(doc, sort_keys=True, indent=2,
+    allow_nan=False), byte for byte."""
+
+    @staticmethod
+    def reference(doc):
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--eta", "0.5", "--sigma", "1.0"],
+        ["pom", "--cutoff", "20"],
+        ["sample", "--trials", "150", "--seed", "3"],
+        ["sample", "--trials", "150", "--seed", "3", "--repeat"],
+        ["sweep", "--sweep-eta", "0.3,0.6", "--sweep-beta", "5,10",
+         "--cutoff", "20"],
+    ], ids=["verify", "pom", "sample", "sample-repeat", "sweep"])
+    def test_command_documents(self, args, tmp_path, monkeypatch):
+        docs = []
+        writer = cli._json_text
+
+        def spy(obj, indent=""):
+            if indent == "":
+                docs.append(obj)
+            return writer(obj, indent)
+
+        monkeypatch.setattr(cli, "_json_text", spy)
+        out = tmp_path / "doc.json"
+        assert main(args + ["--format", "json", "--out", str(out)]) == 0
+        assert len(docs) == 1
+        assert out.read_bytes() == (self.reference(docs[0]) + "\n").encode()
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], None, True, False, 0, -7, 2.5, -0.0, 1e300, "plain",
+        "non-ASCII \u00e9\u20ac\U0001d11e \"quoted\"\n\ttabbed",
+        [{}], [[]], [{"b": 1, "a": [1, 2]}, {"c": None}],
+        {"z": {"y": [True, None, -0.0, "\u00fc"]}, "a": [[1, [2, []]], {}]},
+        {"\u00e9": (1, 2.5), "b": [1, [2], {"k": []}, 3], "a": ()},
+        {"ints": list(range(-3, 3)), "floats": [0.1, -0.0, 5e-324]},
+    ])
+    def test_edge_documents(self, doc):
+        assert cli._json_text(doc) == self.reference(doc)
+
+    @pytest.mark.parametrize("doc", [
+        math.nan, [1.0, math.inf], {"a": {"b": [-math.inf]}},
+        [{"a": math.nan}], {"x": math.nan},
+    ])
+    def test_non_finite_floats_raise(self, doc):
+        with pytest.raises(ValueError):
+            self.reference(doc)
+        with pytest.raises(ValueError):
+            cli._json_text(doc)
+
+
 class TestAtomicWrite:
     def test_no_partial_file_on_runtime_failure(self, tmp_path):
         out = tmp_path / "never.csv"

@@ -13,16 +13,25 @@ from quadmeas.errors import (
     ZeroProbabilityError,
 )
 from quadmeas.fock import (
+    DensityOperator,
+    StateVector,
     coherent_state,
     fidelity_to_pure,
+    make_quadrature,
     trace_distance,
     vacuum_state,
 )
 from quadmeas.gaussian import gap_variance_ideal_second
-from quadmeas.kernel import OutcomeDensity, OutcomeGrid, vn_target_family
+from quadmeas.kernel import (
+    OutcomeDensity,
+    OutcomeGrid,
+    quadrature_density,
+    vn_target_family,
+)
 from quadmeas.montecarlo import (
     RepeatabilityStats,
     RngSeed,
+    TrialBatch,
     TrialEngine,
     TrialRecord,
     finite_lo_displacement,
@@ -39,6 +48,9 @@ from quadmeas.scheme import (
     SchemeParams,
     StageMask,
     _faithful_displacement,
+    _faithful_squeeze,
+    backsqueeze_param,
+    feedback_displacement,
 )
 
 CANONICAL = SchemeParams(eta=0.5, sigma=1.0, cutoff=30)
@@ -115,10 +127,160 @@ def test_batched_trials_follow_the_sequential_stream(want_second, poisoned,
     batch = eng.trials(r1, 300, want_second, identity_control)
     one_by_one = [eng.trial(r2, want_second, identity_control)
                   for _ in range(300)]
-    assert batch == one_by_one
+    assert isinstance(batch, TrialBatch) and len(batch.outcome) == 300
+    for name in ("outcome", "post_mean", "post_variance", "resamples"):
+        assert np.array_equal(getattr(batch, name),
+                              [getattr(r, name) for r in one_by_one])
+    if want_second:
+        assert np.array_equal(batch.second_outcome,
+                              [r.second_outcome for r in one_by_one])
+    else:
+        assert batch.second_outcome is None
+        assert all(r.second_outcome is None for r in one_by_one)
+    assert {r.feedback_mode for r in one_by_one} == {batch.feedback_mode}
+    assert [batch.record(i) for i in range(300)] == one_by_one
     assert r1.random() == r2.random()
     if poisoned:
-        assert sum(r.resamples for r in batch) >= 2
+        assert batch.resamples.sum() >= 2
+
+
+def _reference_entry(eng, index):
+    """The per-outcome path that the batched entries replace: the builder's
+    operator(x) @ psi (or the family's operator), normalized, then one state
+    at a time its oscillator channel, moments and second-outcome density.
+    None for an outcome below the probability floor."""
+    x = float(eng.grid.points[index])
+    psi, c, params = eng._psi, len(eng._psi), eng.params
+    finite_lo = eng.feedback.mode == "finite-lo"
+    if eng._family is not None:
+        vec = eng._family.operators[index] @ psi
+    elif finite_lo:
+        om = eng._builder.operator(
+            x, StageMask(eng.mask.pre_squeeze, False, False), workspace=True)
+        vec = om[:, :c] @ psi
+    else:
+        vec = eng._builder.operator(x, eng.mask) @ psi
+    p = np.linalg.norm(vec) ** 2
+    if p < 1e-14:
+        return None
+    post = vec / math.sqrt(p)
+    xq = make_quadrature(c, params.phi)
+    if finite_lo:
+        amp = feedback_displacement(x, params.eta, params.phi) \
+            if eng.mask.feedback else 0.0
+        rho = finite_lo_displacement(post, amp, eng.feedback.beta).matrix
+        if eng.mask.back_squeeze:
+            back = _faithful_squeeze(backsqueeze_param(
+                params.eta, eng.mask.pre_squeeze), len(rho), params.phi)
+            rho = back @ rho @ back.conj().T
+        rho = rho[:c, :c] / np.trace(rho[:c, :c]).real
+        post = rho
+        mean = np.trace(xq @ rho).real
+        var = np.trace(xq @ xq @ rho).real - mean ** 2
+        dens = quadrature_density(DensityOperator(rho), eng.second_grid,
+                                  params.phi)
+    else:
+        mean = np.vdot(post, xq @ post).real
+        var = np.linalg.norm(xq @ post) ** 2 - mean ** 2
+        dens = quadrature_density(StateVector(post), eng.second_grid,
+                                  params.phi)
+    return post, mean, var, dens.values / dens.normalization()
+
+
+def _assert_entry_matches(entry, ref):
+    post, mean, var, dens = ref
+    got = entry.post.matrix if isinstance(entry.post, DensityOperator) \
+        else entry.post
+    assert np.max(np.abs(got - post)) < 1e-13
+    assert abs(entry.mean - mean) < 1e-13
+    assert abs(entry.variance - var) < 1e-13
+    assert np.max(np.abs(entry.density.values - dens)) < 1e-13
+
+
+WIDE = OutcomeGrid.from_range(-4.25, 4.25, 0.25)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TrialEngine(CANONICAL),
+    lambda: TrialEngine(CANONICAL, feedback=FeedbackSpec.finite_lo(50.0)),
+    lambda: TrialEngine(
+        CANONICAL, feedback=FeedbackSpec.finite_lo(50.0),
+        mask=StageMask(True, True, False)),
+    lambda: TrialEngine(CANONICAL, mask=StageMask.raw()),
+    lambda: TrialEngine(SchemeParams(eta=0.3, sigma=0.7, phi=0.4,
+                                     phi_probe=0.9, cutoff=30)),
+    lambda: TrialEngine(
+        SchemeParams(eta=0.5, sigma=1.0, cutoff=40, grid=WIDE),
+        input_state=coherent_state(0.5, 40),
+        kernel_family=vn_target_family(DELTA_CANONICAL, WIDE, 40)),
+], ids=["ideal", "finite-lo", "finite-lo-no-back", "raw", "phi-probe",
+        "kernel-family"])
+def test_batched_conditionals_match_the_per_outcome_operators(make):
+    eng = make()
+    batch = eng.trials(RngSeed(4).generator(), 500, want_second=True)
+    assert len(eng._cache) >= 10
+    for index, entry in eng._cache.items():
+        _assert_entry_matches(entry, _reference_entry(eng, index))
+    # every run reads its own outcome's entry
+    index = _nearest_index(eng.grid.points, batch.outcome)
+    assert np.array_equal(batch.post_mean,
+                          [eng._cache[i].mean for i in index.tolist()])
+
+
+def test_identity_control_entry_is_the_input_state(canonical_engine):
+    eng = canonical_engine
+    batch = eng.trials(RngSeed(4).generator(), 50, want_second=True,
+                       identity_control=True)
+    assert batch.feedback_mode == "identity-control"
+    entry = eng._identity_conditional()
+    xq = make_quadrature(30, 0.0)
+    psi = eng._psi
+    mean = np.vdot(psi, xq @ psi).real
+    dens = quadrature_density(StateVector(psi), eng.second_grid)
+    _assert_entry_matches(entry, (psi, mean,
+                                  np.linalg.norm(xq @ psi) ** 2 - mean ** 2,
+                                  dens.values / dens.normalization()))
+    assert np.all(batch.post_mean == entry.mean)
+
+
+def test_poisoned_entries_stay_honoured():
+    eng = TrialEngine(CANONICAL)
+    poisoned = [int(i) for i in np.argsort(eng.density.values)[-3:]]
+    for index in poisoned:
+        eng._cache[index] = None
+    batch = eng.trials(RngSeed(8).generator(), 400, want_second=True)
+    assert all(eng._cache[i] is None for i in poisoned)
+    assert not np.isin(batch.outcome, eng.grid.points[poisoned]).any()
+    assert batch.resamples.sum() > 0
+    for index, entry in eng._cache.items():
+        if index not in poisoned:
+            _assert_entry_matches(entry, _reference_entry(eng, index))
+
+
+def test_one_composition_per_batch_of_new_outcomes(monkeypatch):
+    eng = TrialEngine(CANONICAL)
+    calls = []
+    compose = eng._builder._compose
+
+    def counting(xs, mask, cols):
+        calls.append((len(xs), cols.shape))
+        return compose(xs, mask, cols)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampling formed a reduction operator")
+
+    monkeypatch.setattr(eng._builder, "_compose", counting)
+    monkeypatch.setattr(eng._builder, "operator", refuse)
+    batch = eng.trials(RngSeed(5).generator(), 3000, want_second=True)
+    distinct = len(np.unique(batch.outcome))
+    assert calls == [(distinct, (eng._builder.n_work, 1))]
+    # a second batch composes only the outcomes it draws first
+    eng.trials(RngSeed(5).generator(), 3000, want_second=True)
+    assert len(calls) == 1
+    # a longer one reaches one outcome the first did not draw
+    more = eng.trials(RngSeed(6).generator(), 20000)
+    assert len(np.setdiff1d(more.outcome, batch.outcome)) == 1
+    assert calls[1:] == [(1, (eng._builder.n_work, 1))]
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,25 @@ def test_displacement_matches_laguerre_oracle():
         np.reshape(amps, (2, 3)), 40))) < 1e-13
 
 
+def test_displaced_columns_match_laguerre_oracle(monkeypatch):
+    # (X, n, c) stacks, one amplitude per stack entry; the second batch
+    # needs more room than the floor, so the memoized spectrum grows
+    monkeypatch.setattr(scheme, "_displacement_spectra", {})
+    rng = np.random.default_rng(4)
+    n, c = 60, 7
+    for amps in (np.array([0.0, 0.3, -2.2, 1.5 + 0.7j]),
+                 np.array([4j, 6 * np.exp(0.7j), -5.5])):
+        cols = rng.normal(size=(len(amps), n, c)) \
+            + 1j * rng.normal(size=(len(amps), n, c))
+        cols /= np.linalg.norm(cols, axis=1, keepdims=True)
+        got = scheme._displace_columns(amps, cols)
+        assert got.shape == (len(amps), n, c)
+        want = _laguerre_displacement(amps, n) @ cols
+        assert np.max(np.abs(got - want)) < 1e-13
+        assert scheme._displacement_spectra[n][0] \
+            == max(3.0, np.max(np.abs(amps)))
+
+
 def test_displacement_column_zero_is_the_coherent_state():
     n = 210
     for alpha in (5.0, 9j, 6 * np.exp(0.7j)):
