@@ -442,10 +442,9 @@ def cmd_pom(cfg: RunConfig) -> int:
     params = cfg.scheme_params()
     builder = SchemeFamilyBuilder(params, cfg.resolved_margin(2.5))
     psi = vacuum_state(params.cutoff).amplitudes
-    grid = widen_grid_for_density(
+    grid, vals = widen_grid_for_density(
         lambda pts: builder.outcome_density_values(psi, OutcomeGrid(pts)),
         params.grid)
-    vals = builder.outcome_density_values(psi, grid)
     density = OutcomeDensity(grid, vals)
     oracle_mean, oracle_var = GaussianSchemeOracle(params).outcome_moments()
     oracle_vals = np.exp(-0.5 * (grid.points - oracle_mean) ** 2

@@ -151,7 +151,8 @@ class ReductionOperatorFamily:
         return self.operators[i]
 
     def pom(self) -> "PomDensity":
-        mats = np.einsum("xmn,xmk->xnk", self.operators.conj(), self.operators)
+        ops = self.operators
+        mats = ops.conj().transpose(0, 2, 1) @ ops
         return PomDensity(self.grid, mats, self.warnings)
 
     def completeness_defect(self, block: Optional[int] = None) -> float:
@@ -453,16 +454,18 @@ def _vn_target_completeness_defect(delta: float, grid: OutcomeGrid,
 
 def widen_grid_for_density(density_fn: Callable[[np.ndarray], np.ndarray],
                            grid: OutcomeGrid, edge_tolerance: float = 1e-8,
-                           max_widenings: int = 40) -> OutcomeGrid:
+                           max_widenings: int = 40
+                           ) -> Tuple[OutcomeGrid, np.ndarray]:
     """Extend the grid (same step) until the density at both edges falls
     below edge_tolerance * peak.  density_fn maps a point array to density
-    values."""
+    values.  Returns the grid and the density values evaluated on it, so
+    callers need not evaluate them again."""
     g = grid
     for _ in range(max_widenings):
         vals = np.asarray(density_fn(g.points), dtype=float)
         peak = float(np.max(vals))
         if peak <= 0 or max(vals[0], vals[-1]) <= edge_tolerance * peak:
-            return g
+            return g, vals
         g = g.widened(0.25 * (g.x_max - g.x_min))
     raise GridRangeError(
         f"density edges still above {edge_tolerance} of peak after "

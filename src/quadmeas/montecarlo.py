@@ -17,11 +17,11 @@ as columns: column by column it equals the ``TrialRecord``s of n
 
 import hashlib
 import math
+import statistics
 from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.special import erfinv
 
 from .errors import (
     GridRangeError,
@@ -396,12 +396,10 @@ class TrialEngine:
                     "kernel family grid does not cover the outcome "
                     "distribution; build it on a wider grid")
         else:
-            self.grid = widen_grid_for_density(
+            self.grid, vals = widen_grid_for_density(
                 lambda pts: self._builder.outcome_density_values(
                     self._psi, OutcomeGrid(pts), self.mask),
                 params.grid)
-            vals = self._builder.outcome_density_values(self._psi, self.grid,
-                                                        self.mask)
         norm = 0.5 * self.grid.step * float(np.sum(vals[1:] + vals[:-1]))
         if norm <= 0:
             raise ZeroProbabilityError("outcome density carries no mass")
@@ -647,7 +645,7 @@ def summarize_repeatability(first, second,
     slope = float(x_center @ (second - np.mean(second)) / sxx)
     resid = (second - np.mean(second)) - slope * x_center
     slope_se = math.sqrt(float(resid @ resid) / (n - 2) / sxx)
-    z = math.sqrt(2.0) * float(erfinv(confidence))
+    z = statistics.NormalDist().inv_cdf(0.5 * (1.0 + confidence))
     return RepeatabilityStats(
         n_trials=n, diff_mean=dmean, diff_variance=dvar, slope=slope,
         confidence=confidence,

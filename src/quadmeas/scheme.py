@@ -37,10 +37,11 @@ deamplified axis is the conjugate one (S(r, psi+pi/2) = S(-r, psi) exactly).
 Numerical architecture: composing truncated matrix exponentials corrupts
 low Fock blocks, so every stage is evaluated in an enlarged working space
 (margin * cutoff levels) with every entry exact to rounding, and only the
-final result is truncated to the requested cutoff.  Each parity block of a
-squeeze is the exponential of a real antisymmetric tridiagonal generator,
-whose needed columns follow exactly from one symmetric tridiagonal
-eigendecomposition (_tridiagonal_expm_columns); no dense expm runs.  The
+final result is truncated to the requested cutoff.  A squeeze rescales the
+quadrature wavefunction, so its kept n x n corner is an integral of
+Hermite functions that the n-node Gauss-Hermite rule evaluates exactly,
+with the nodes from the eigenvalues of the truncated x_0 and no extended
+space or eigenvectors (_faithful_squeeze); no dense expm runs.  The
 feedback displacement D(t e^{i phi}) = exp(-2it x_{phi+pi/2}) acts on the
 columns it displaces, as r o q (e^{-2it lam} o q^T (conj(r) o w)) with
 r_k = e^{ik(phi + pi/2)} and lam, q from the memoized spectrum of x_0
@@ -408,51 +409,50 @@ def _faithful_displacement(alpha, n: int) -> np.ndarray:
     return out.reshape(alpha.shape + (n, n))
 
 
-def _tridiagonal_expm_columns(e: np.ndarray, cols: np.ndarray,
-                              n_rows: Optional[int] = None) -> np.ndarray:
-    """Columns ``cols`` of exp(G), leading ``n_rows`` rows (default all),
-    for the real antisymmetric tridiagonal G with G[k, k+1] = e[k] =
-    -G[k+1, k].
-
-    G = D (iT) D^-1 with D = diag(i^k) and T the symmetric tridiagonal of
-    off-diagonal e, so from T = q diag(lam) q^T
-
-        exp(G)[a, b] = Re(i^(a-b) sum_l q[a, l] q[b, l] e^(i lam_l)),
-
-    two real products whose entries are exact to rounding for any norm of
-    G, where a column recurrence of the squeeze, or a one-sided one of the
-    mixer, is not.
-    """
-    lam, q = eigh_tridiagonal(np.zeros(len(e) + 1), e)
-    cols = np.asarray(cols)
-    q_cols = q[cols].T
-    q_rows = q[:n_rows]
-    c = (q_rows * np.cos(lam)) @ q_cols
-    s = (q_rows * np.sin(lam)) @ q_cols
-    shift = (np.arange(len(q_rows))[:, None] - cols[None, :]) % 4
-    return np.choose(shift, (c, -s, -c, s))
-
-
 def _faithful_squeeze(r: float, n: int, phase: float = 0.0) -> np.ndarray:
-    """Squeeze matrix whose n x n entries are exact to rounding.
+    """Squeeze matrix whose n x n entries are exact to rounding, at a cost
+    that does not depend on r.
 
-    The generator (r/2)(a^dag^2 - a^2) couples levels of one parity only,
-    and each parity block is a real antisymmetric tridiagonal.  It is taken
-    in an extended space of n e^{2|r|} + 40 levels, so that truncating the
-    generator there leaves the kept corner untouched, and only the kept
-    columns and rows of its exponential are formed
-    (:func:`_tridiagonal_expm_columns`).  The pump phase enters as the
-    exact element phase e^{i(m-k) phase}."""
+    S(r) maps psi(y) to e^{-r/2} psi(e^{-r} y), so with s = e^{-|r|} and
+    beta = sqrt(2/(1 + s^2)), y = beta z turns
+
+        <m|S(|r|)|k> = e^{-|r|/2} int chi_m(y) chi_k(s y) dy
+
+    into a polynomial of degree m + k <= 2n - 2 times e^{-2z^2}, which the
+    n-node Gauss rule of that weight integrates exactly: its nodes lam_l are
+    the eigenvalues of the truncated x_0 (one eigenvalues-only
+    eigh_tridiagonal, refined by a Newton step on chi_n(lam) = 0, where
+    chi_n' = 2 sqrt(n) chi_{n-1}), its Christoffel weights W_l =
+    1 / sum_{i<n} chi_i(lam_l)^2, and
+
+      S[m, k] = e^{-|r|/2} beta sum_l W_l chi_m(beta lam_l) chi_k(s beta lam_l).
+
+    The nodes are symmetric, so the half with lam >= 0 carries doubled
+    weights and each parity block is one real product.  S(-r) = S(r)^T
+    exactly, the transpose of the same product.  The pump phase enters as
+    the exact element phase e^{i(m-k) phase}."""
     if r == 0.0:
         return np.eye(n, dtype=complex)
-    n_ext = int(math.ceil(n * math.exp(2.0 * abs(r)))) + 40
-    block = np.zeros((n, n), dtype=complex)
+    lam = eigh_tridiagonal(np.zeros(n), 0.5 * np.sqrt(np.arange(1.0, n)),
+                           eigvals_only=True)[n // 2:]  # odd n: 0 first
+    chi = quadrature_eigenvector_matrix(lam, n + 1).real
+    lam = lam - chi[:, n] / (2.0 * math.sqrt(n) * chi[:, n - 1])
+    s = math.exp(-abs(r))
+    beta = math.sqrt(2.0 / (1.0 + s * s))
+    h = len(lam)
+    chi = quadrature_eigenvector_matrix(
+        np.concatenate((lam, beta * lam, s * beta * lam)), n).real
+    w = 2.0 * math.exp(-0.5 * abs(r)) * beta / np.sum(chi[:h] ** 2, axis=1)
+    if n % 2:
+        w[0] *= 0.5  # the zero node counts once
+    rows, cols = chi[h:2 * h], chi[2 * h:]
+    block = np.zeros((n, n))
     for parity in (0, 1):
-        lower = np.arange(parity, n_ext - 2, 2, dtype=float)
-        kept = (n - parity + 1) // 2
-        block[parity::2, parity::2] = _tridiagonal_expm_columns(
-            -0.5 * r * np.sqrt((lower + 1.0) * (lower + 2.0)),
-            np.arange(kept), kept)
+        block[parity::2, parity::2] = rows[:, parity::2].T \
+            @ (w[:, None] * cols[:, parity::2])
+    if r < 0:
+        block = block.T
+    block = block.astype(complex)
     if phase != 0.0:
         ph = np.exp(1j * phase * np.arange(n))
         block = ph[:, None] * block * ph.conj()[None, :]
@@ -960,8 +960,8 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
     e = np.exp(-2j * c * np.outer(lam, lam))  # exp(-2ic x Y) per pair
     d = np.array([1.0, 1j, -1.0, -1j])[np.arange(n_w) % 4]
     sgn = d.real + d.imag  # D is sgn on even levels and i sgn on odd ones
-    # S(-r) = S(r)^T: the generator is real antisymmetric, and so is its
-    # truncation in the extended space that gives the kept corner
+    # S(-r) = S(r)^T, as S(r) is real orthogonal; _faithful_squeeze takes
+    # one as the transpose of the other's product, so this is exact
     sq_sys = _faithful_squeeze(-0.5 * math.log(eta), n_w).real
     sq_probe = sq_sys.T
     # Q^T D^dag S_sys Q and Q^T S_probe D Q per parity: real, bar the -i

@@ -60,10 +60,10 @@ def _params(eta, sigma, cutoff, grid=GRID_25):
 
 def _vacuum_density(builder, base_grid, edge_tolerance=1e-8):
     psi = vacuum_state(builder.params.cutoff).amplitudes
-    grid = widen_grid_for_density(
+    grid, vals = widen_grid_for_density(
         lambda pts: builder.outcome_density_values(psi, OutcomeGrid(pts)),
         base_grid, edge_tolerance=edge_tolerance)
-    return OutcomeDensity(grid, builder.outcome_density_values(psi, grid))
+    return OutcomeDensity(grid, vals)
 
 
 @pytest.fixture(scope="module")
@@ -156,11 +156,10 @@ def test_gaussian_oracle_equivalence_and_convolution_law():
         builder = SchemeFamilyBuilder(_params(eta, sigma, 60), 3.5)
         for make_state, gauss_input in inputs:
             psi = make_state(60).amplitudes
-            grid = widen_grid_for_density(
+            grid, vals = widen_grid_for_density(
                 lambda pts: builder.outcome_density_values(
                     psi, OutcomeGrid(pts)),
                 GRID_25, edge_tolerance=1e-10)
-            vals = builder.outcome_density_values(psi, grid)
             mean, var = GaussianSchemeOracle(
                 _params(eta, sigma, 60), gauss_input).outcome_moments()
             oracle = normal_pdf(grid.points, mean, var)

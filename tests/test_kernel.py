@@ -376,7 +376,7 @@ def test_conditional_density_is_ideal_second_measurement():
 def test_widen_grid_for_density_reaches_quiet_edges():
     start = OutcomeGrid.from_range(-0.5, 0.5, 0.05)
     fn = lambda xs: np.exp(-2.0 * xs ** 2)
-    g = widen_grid_for_density(fn, start)
-    vals = fn(g.points)
+    g, vals = widen_grid_for_density(fn, start)
+    assert np.array_equal(vals, fn(g.points))
     assert max(vals[0], vals[-1]) <= 1e-8 * vals.max()
     assert g.step == pytest.approx(start.step)

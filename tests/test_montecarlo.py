@@ -2,6 +2,9 @@
 modes, and repeatability statistics against the Gaussian oracle."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -42,6 +45,7 @@ from quadmeas.montecarlo import (
     _nearest_index,
     repeatability_experiment,
     sample_outcomes,
+    summarize_repeatability,
 )
 from quadmeas.scheme import (
     FeedbackSpec,
@@ -639,3 +643,29 @@ def test_repeatability_stats_fields_finite():
                  "slope_halfwidth"):
         assert math.isfinite(getattr(stats, name))
     assert stats.diff_mean_halfwidth > 0
+
+
+@pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99, 0.999])
+def test_repeatability_quantile_matches_erfinv(confidence):
+    from scipy.special import erfinv
+
+    rng = np.random.default_rng(4)
+    first = rng.normal(size=200)
+    stats = summarize_repeatability(first, 0.8 * first
+                                    + rng.normal(size=200), confidence)
+    z = stats.diff_mean_halfwidth / math.sqrt(stats.diff_variance / 200)
+    assert abs(z - math.sqrt(2.0) * float(erfinv(confidence))) <= 1e-13
+
+
+def test_package_import_leaves_scipy_special_out():
+    # scipy.special would cost about a tenth of the package's import time
+    import quadmeas
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadmeas.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, quadmeas; print(sorted(m for m in sys.modules "
+         "if m.startswith('scipy.special')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

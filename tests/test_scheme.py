@@ -43,7 +43,6 @@ from quadmeas.scheme import (
     StageMask,
     _faithful_displacement,
     _faithful_squeeze,
-    _tridiagonal_expm_columns,
     backsqueeze_param,
     build_scheme_family,
     feedback_coefficient,
@@ -422,6 +421,41 @@ def test_banded_readout_matches_dense_probe_contraction(sigma, phi_probe):
         assert np.max(np.abs(got - dense)) < 1e-13
 
 
+def _tridiagonal_expm_columns(e, cols, n_rows=None):
+    """Columns ``cols`` of exp(G), leading ``n_rows`` rows (default all),
+    for the real antisymmetric tridiagonal G with G[k, k+1] = e[k] =
+    -G[k+1, k]: with G = D (iT) D^-1, D = diag(i^k), and T = q diag(lam)
+    q^T the symmetric tridiagonal of off-diagonal e,
+
+        exp(G)[a, b] = Re(i^(a-b) sum_l q[a, l] q[b, l] e^(i lam_l)),
+
+    two real products, exact to rounding for any norm of G."""
+    lam, q = eigh_tridiagonal(np.zeros(len(e) + 1), e)
+    cols = np.asarray(cols)
+    q_cols = q[cols].T
+    q_rows = q[:n_rows]
+    c = (q_rows * np.cos(lam)) @ q_cols
+    s = (q_rows * np.sin(lam)) @ q_cols
+    shift = (np.arange(len(q_rows))[:, None] - cols[None, :]) % 4
+    return np.choose(shift, (c, -s, -c, s))
+
+
+def eigen_route_squeeze(r, n):
+    """S(r) on n levels by its generator (r/2)(a^dag^2 - a^2): each parity
+    block is the exponential of a real antisymmetric tridiagonal, taken in
+    an extended space of n e^{2|r|} + 40 levels, so that truncating the
+    generator there leaves the kept corner untouched."""
+    n_ext = int(math.ceil(n * math.exp(2.0 * abs(r)))) + 40
+    block = np.zeros((n, n))
+    for parity in (0, 1):
+        lower = np.arange(parity, n_ext - 2, 2, dtype=float)
+        kept = (n - parity + 1) // 2
+        block[parity::2, parity::2] = _tridiagonal_expm_columns(
+            -0.5 * r * np.sqrt((lower + 1.0) * (lower + 2.0)),
+            np.arange(kept), kept)
+    return block
+
+
 def test_tridiagonal_exponential_columns_match_expm():
     rng = np.random.default_rng(5)
     worst = 0.0
@@ -444,10 +478,55 @@ def test_tridiagonal_exponential_columns_match_expm():
                                  (100, -1.524)])
 def test_faithful_squeeze_vacuum_column_matches_closed_form(n, r):
     # the eta = 0.2 mixer squeeze of the BCH check, the eta = 0.2
-    # back-squeeze, and a squeeze whose extended space is 21x the kept one
+    # back-squeeze, and r = -1.524, where the generator's exponential would
+    # need an extended space 21x the kept one
     exact = squeezed_vacuum(math.exp(2.0 * r), 8 * n, phase=0.4).amplitudes
     got = _faithful_squeeze(r, n, 0.4)[:, 0]
     assert np.max(np.abs(got - exact[:n])) <= 1e-14
+
+
+# the pre-squeeze, the back-squeeze and the BCH check's -ln(eta)/2 at eta
+# 0.2, 0.5 and 0.8 (0.5 ln(eta(1-eta)) is the same at 0.2 and 0.8)
+_WORKLOAD_SQUEEZES = sorted({round(f(eta), 12) for eta in (0.2, 0.5, 0.8)
+                             for f in (presqueeze_param, backsqueeze_param,
+                                       lambda e: -0.5 * math.log(e))})
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in (100, 140, 160, 250)
+                                 for r in _WORKLOAD_SQUEEZES]
+                         + [(100, 1.5), (100, -1.5), (49, 0.805),
+                            (101, -0.916)])
+def test_faithful_squeeze_matches_eigen_route(n, r):
+    # the quadrature form against the generator's exponential in an
+    # extended space, at every workload size; odd n has a zero node
+    want = eigen_route_squeeze(r, n)
+    got = _faithful_squeeze(r, n)
+    assert np.max(np.abs(got - want)) <= 1e-13
+    ph = np.exp(0.7j * np.arange(n))
+    assert np.max(np.abs(_faithful_squeeze(r, n, 0.7)
+                         - ph[:, None] * want * ph.conj())) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [48, 49, 140])
+def test_faithful_squeeze_inverse_is_its_transpose_exactly(n):
+    for r in (0.3466, 0.805, 1.5):
+        assert np.array_equal(_faithful_squeeze(-r, n),
+                              _faithful_squeeze(r, n).T)
+
+
+def test_faithful_squeeze_runs_one_eigenvalue_solve(monkeypatch):
+    calls = []
+
+    def counting(d, e, *args, **kwargs):
+        calls.append((len(d), kwargs.get("eigvals_only", False)))
+        return eigh_tridiagonal(d, e, *args, **kwargs)
+
+    monkeypatch.setattr(scheme, "eigh_tridiagonal", counting)
+    for n, r in ((140, 0.805), (100, -1.5), (49, 0.1)):
+        calls.clear()
+        _faithful_squeeze(r, n, 0.4)
+        assert len(calls) == 1
+        assert calls[0][0] <= n and calls[0][1]
 
 
 @pytest.mark.parametrize("eta", [0.2, 0.7])
