@@ -46,6 +46,7 @@ from .fock import (
     make_beam_splitter,
     quadrature_eigenvector,
     quadrature_eigenvector_matrix,
+    quadrature_nodes,
     quadrature_spectrum,
     function_of_quadrature,
     joint_state,

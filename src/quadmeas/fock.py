@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, expm
 
 from .errors import DimensionMismatchError, ParameterError
 
@@ -444,17 +444,40 @@ def quadrature_eigenvector(x: float, cutoff: int, phase: float = 0.0) -> StateVe
     return StateVector(quadrature_eigenvector_matrix([x], cutoff, phase)[0], warn)
 
 
+# chi_0(x) is subnormal past x^2 ~ 708; a mantissa past 2^_SHIFT moves
+# 2^_SHIFT into its row's exponent, so none overflows.
+_FAR_SQ = 700.0
+_SHIFT = 512
+
+
 def quadrature_eigenvector_matrix(xs: Sequence[float], cutoff: int,
                                   phase: float = 0.0) -> np.ndarray:
-    """Stack quadrature_eigenvector over a grid: returns (len(xs), cutoff)."""
+    """Stack quadrature_eigenvector over a grid: returns (len(xs), cutoff).
+
+    A point with x^2 > 700 starts the recurrence from the mantissa of
+    chi_0 = (2/pi)^{1/4} (e^{-x^2/16})^16 and scales its row by its
+    exponent at the end, so every value is exact to rounding or a true
+    underflow at any x."""
     xs = np.asarray(xs, dtype=float)
     out = np.empty((xs.shape[0], cutoff), dtype=float)
     out[:, 0] = (2.0 / math.pi) ** 0.25 * np.exp(-xs * xs)
+    far = np.flatnonzero(xs * xs > _FAR_SQ)
+    if far.size:
+        mant, expo = np.frexp(np.exp(-0.0625 * xs[far] ** 2))
+        out[far, 0] = (2.0 / math.pi) ** 0.25 * mant ** 16
+        expo = 16 * expo
     if cutoff > 1:
         out[:, 1] = 2.0 * xs * out[:, 0]
     for n in range(1, cutoff - 1):
         out[:, n + 1] = (2.0 * xs * out[:, n]
                          - math.sqrt(n) * out[:, n - 1]) / math.sqrt(n + 1)
+        if far.size:
+            big = far[np.abs(out[far, n + 1]) > 2.0 ** _SHIFT]
+            if big.size:
+                out[big, :n + 2] *= 2.0 ** -_SHIFT
+                expo[np.isin(far, big)] += _SHIFT
+    if far.size:
+        out[far] = np.ldexp(out[far], expo[:, None])
     if phase == 0.0:
         return out.astype(complex)
     return out * np.exp(1j * phase * np.arange(cutoff))[None, :]
@@ -471,6 +494,14 @@ def quadrature_spectrum(cutoff: int, phase: float = 0.0
     if phase != 0.0:
         vecs = vecs * np.exp(1j * phase * np.arange(cutoff))[:, None]
     return evals, vecs
+
+
+def quadrature_nodes(cutoff: int) -> np.ndarray:
+    """Eigenvalues of the truncated x_0, ascending, from one
+    eigvalsh_tridiagonal: the zeros of chi_cutoff, so the nodes of the
+    cutoff-point Gauss rule of weight e^{-2x^2}."""
+    return eigvalsh_tridiagonal(np.zeros(cutoff),
+                                0.5 * np.sqrt(np.arange(1.0, cutoff)))
 
 
 def function_of_quadrature(f, cutoff: int, phase: float = 0.0) -> np.ndarray:

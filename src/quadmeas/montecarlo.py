@@ -645,7 +645,9 @@ def summarize_repeatability(first, second,
     slope = float(x_center @ (second - np.mean(second)) / sxx)
     resid = (second - np.mean(second)) - slope * x_center
     slope_se = math.sqrt(float(resid @ resid) / (n - 2) / sxx)
-    z = statistics.NormalDist().inv_cdf(0.5 * (1.0 + confidence))
+    # the lower tail: 0.5 (1 - c) is exact for c >= 0.5 and inside (0, 0.5)
+    # for every c in (0, 1), where 0.5 (1 + c) rounds to 1 near c = 1
+    z = -statistics.NormalDist().inv_cdf(0.5 * (1.0 - confidence))
     return RepeatabilityStats(
         n_trials=n, diff_mean=dmean, diff_variance=dvar, slope=slope,
         confidence=confidence,

@@ -83,7 +83,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import InfeasibleFeedbackError, ParameterError
 from .fock import (
@@ -93,6 +92,7 @@ from .fock import (
     make_annihilation,
     make_quadrature,
     quadrature_eigenvector_matrix,
+    quadrature_nodes,
     quadrature_spectrum,
     squeezed_vacuum,
 )
@@ -420,21 +420,22 @@ def _faithful_squeeze(r: float, n: int, phase: float = 0.0) -> np.ndarray:
 
     into a polynomial of degree m + k <= 2n - 2 times e^{-2z^2}, which the
     n-node Gauss rule of that weight integrates exactly: its nodes lam_l are
-    the eigenvalues of the truncated x_0 (one eigenvalues-only
-    eigh_tridiagonal, refined by a Newton step on chi_n(lam) = 0, where
-    chi_n' = 2 sqrt(n) chi_{n-1}), its Christoffel weights W_l =
-    1 / sum_{i<n} chi_i(lam_l)^2, and
+    the eigenvalues of the truncated x_0 (fock.quadrature_nodes), refined
+    by a Newton step on chi_n(lam) = 0, where chi_n' = 2 sqrt(n) chi_{n-1},
+    its Christoffel weights W_l = 1 / sum_{i<n} chi_i(lam_l)^2, and
 
       S[m, k] = e^{-|r|/2} beta sum_l W_l chi_m(beta lam_l) chi_k(s beta lam_l).
 
     The nodes are symmetric, so the half with lam >= 0 carries doubled
-    weights and each parity block is one real product.  S(-r) = S(r)^T
-    exactly, the transpose of the same product.  The pump phase enters as
-    the exact element phase e^{i(m-k) phase}."""
+    weights and each parity block is one real product.  The largest node
+    is about sqrt(n), so from n ~ 730 on chi_0 is subnormal there while
+    chi_{n-1} does not; quadrature_eigenvector_matrix keeps every chi
+    exact to rounding past that point.  S(-r) = S(r)^T exactly, the
+    transpose of the same product.  The pump phase enters as the exact
+    element phase e^{i(m-k) phase}."""
     if r == 0.0:
         return np.eye(n, dtype=complex)
-    lam = eigh_tridiagonal(np.zeros(n), 0.5 * np.sqrt(np.arange(1.0, n)),
-                           eigvals_only=True)[n // 2:]  # odd n: 0 first
+    lam = quadrature_nodes(n)[n // 2:]  # odd n: 0 first
     chi = quadrature_eigenvector_matrix(lam, n + 1).real
     lam = lam - chi[:, n] / (2.0 * math.sqrt(n) * chi[:, n - 1])
     s = math.exp(-abs(r))

@@ -27,6 +27,7 @@ from quadmeas import (
     partial_trace,
     quadrature_eigenvector,
     quadrature_eigenvector_matrix,
+    quadrature_nodes,
     quadrature_spectrum,
     squeezed_vacuum,
     trace_distance,
@@ -234,6 +235,29 @@ def test_eigenvector_matrix_agrees_with_single_calls():
     for i, x in enumerate(xs):
         assert_allclose(m[i], quadrature_eigenvector(x, 15, phase=0.3).amplitudes,
                         atol=1e-14)
+
+
+def test_eigenvector_matrix_holds_where_chi0_underflows():
+    # the outer nodes of the truncated x_0 at n 800 pass x^2 = 745, where
+    # chi_0 = (2/pi)^{1/4} e^{-x^2} underflows while chi_799 is of order
+    # one; there the eigenvector columns are chi_k(lam) / |chi(lam)| up to
+    # sign
+    n = 800
+    lam, vecs = quadrature_spectrum(n)
+    top = np.arange(n - 12, n)
+    assert lam[top[0]] ** 2 < 700.0 and lam[-1] ** 2 > 745.0
+    chi = quadrature_eigenvector_matrix(lam[top], n).real
+    unit = chi / np.linalg.norm(chi, axis=1)[:, None]
+    sign = np.sign(unit[:, -1] * vecs[-1, top])
+    assert np.max(np.abs(unit * sign[:, None] - vecs[:, top].T)) < 5e-14
+
+
+@pytest.mark.parametrize("n", [2, 48, 49])
+def test_quadrature_nodes_are_the_spectrum(n):
+    # the eigenvalues-only driver rounds apart from the one with vectors
+    assert_allclose(quadrature_nodes(n), quadrature_spectrum(n)[0],
+                    rtol=0, atol=5e-14)
+    assert np.array_equal(quadrature_nodes(1), [0.0])
 
 
 def test_function_of_quadrature_polynomial_exact():

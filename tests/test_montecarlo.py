@@ -645,7 +645,9 @@ def test_repeatability_stats_fields_finite():
     assert stats.diff_mean_halfwidth > 0
 
 
-@pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99, 0.999])
+# 1 - 2^-53, the largest confidence below 1, rounds 0.5 (1 + c) up to 1
+@pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99, 0.999,
+                                        1.0 - 2.0 ** -53])
 def test_repeatability_quantile_matches_erfinv(confidence):
     from scipy.special import erfinv
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, expm
 from scipy.special import comb, eval_genlaguerre, gammaln
 
 from quadmeas import fock, kernel, scheme
@@ -495,10 +495,11 @@ _WORKLOAD_SQUEEZES = sorted({round(f(eta), 12) for eta in (0.2, 0.5, 0.8)
 @pytest.mark.parametrize("n,r", [(n, r) for n in (100, 140, 160, 250)
                                  for r in _WORKLOAD_SQUEEZES]
                          + [(100, 1.5), (100, -1.5), (49, 0.805),
-                            (101, -0.916)])
+                            (101, -0.916), (800, 0.112)])
 def test_faithful_squeeze_matches_eigen_route(n, r):
     # the quadrature form against the generator's exponential in an
-    # extended space, at every workload size; odd n has a zero node
+    # extended space, at every workload size; odd n has a zero node, and
+    # at n 800 (pom --cutoff 320) chi_0 underflows at the outer nodes
     want = eigen_route_squeeze(r, n)
     got = _faithful_squeeze(r, n)
     assert np.max(np.abs(got - want)) <= 1e-13
@@ -517,16 +518,20 @@ def test_faithful_squeeze_inverse_is_its_transpose_exactly(n):
 def test_faithful_squeeze_runs_one_eigenvalue_solve(monkeypatch):
     calls = []
 
-    def counting(d, e, *args, **kwargs):
-        calls.append((len(d), kwargs.get("eigvals_only", False)))
-        return eigh_tridiagonal(d, e, *args, **kwargs)
+    def counting(solver):
+        def run(d, e, *args, **kwargs):
+            calls.append((solver.__name__, len(d)))
+            return solver(d, e, *args, **kwargs)
+        return run
 
-    monkeypatch.setattr(scheme, "eigh_tridiagonal", counting)
+    monkeypatch.setattr(fock, "eigh_tridiagonal", counting(eigh_tridiagonal))
+    monkeypatch.setattr(fock, "eigvalsh_tridiagonal",
+                        counting(eigvalsh_tridiagonal))
     for n, r in ((140, 0.805), (100, -1.5), (49, 0.1)):
         calls.clear()
         _faithful_squeeze(r, n, 0.4)
         assert len(calls) == 1
-        assert calls[0][0] <= n and calls[0][1]
+        assert calls[0][0] == "eigvalsh_tridiagonal" and calls[0][1] <= n
 
 
 @pytest.mark.parametrize("eta", [0.2, 0.7])
@@ -584,7 +589,8 @@ def test_builder_init_runs_no_eigendecomposition(monkeypatch):
         calls.append(len(d))
         return eigh_tridiagonal(d, e, *args, **kwargs)
 
-    monkeypatch.setattr(scheme, "eigh_tridiagonal", counting)
+    monkeypatch.setattr(fock, "eigh_tridiagonal", counting)
+    monkeypatch.setattr(fock, "eigvalsh_tridiagonal", counting)
     SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=0.5, cutoff=100), 2.5)
     assert calls == []
 
