@@ -29,7 +29,6 @@ from .fock import (
     GUARD_FRACTION,
     guard_level,
     StateVector,
-    JointState,
     Operator,
     DensityOperator,
     vacuum_state,
@@ -37,21 +36,11 @@ from .fock import (
     coherent_state,
     squeezed_vacuum,
     make_annihilation,
-    make_creation,
-    make_number,
     make_quadrature,
-    make_phase_rotation,
-    make_displacement,
-    make_squeeze,
-    make_beam_splitter,
     quadrature_eigenvector,
     quadrature_eigenvector_matrix,
     quadrature_nodes,
     quadrature_spectrum,
-    function_of_quadrature,
-    joint_state,
-    joint_operator,
-    partial_trace,
     expectation,
     variance,
     trace_distance,
@@ -62,12 +51,9 @@ from .kernel import (
     ReductionOperatorFamily,
     PomDensity,
     OutcomeDensity,
-    reduction_from_interaction,
-    pom_from_reduction,
     born_density,
     quadrature_density,
     reduce_state,
-    conditional_density,
     vn_target_family,
     spectral_kernel_family,
     widen_grid_for_density,

@@ -1,12 +1,10 @@
-"""Truncated-Fock-basis core: states, ladder operators, Gaussian unitaries.
+"""Truncated-Fock-basis core: states, ladder operators, quadrature spectra.
 
 Conventions used throughout the package
 ---------------------------------------
 * Quadrature at phase ``phi``:  x_phi = (a_dag * e^{i phi} + a * e^{-i phi}) / 2,
   so the vacuum quadrature variance is 1/4 and
   [x_phi, x_{phi+pi/2}] = i/2.
-* Joint two-mode kets are ordered with the *system* index varying slowest:
-  element ``m * probe_dim + q`` is |m>_sys |q>_probe.
 * Every construction that can silently lose amplitude past the truncation
   boundary carries a guard band: the top ``GUARD_FRACTION`` of the Fock
   levels is treated as untrusted, and constructors attach warnings when a
@@ -20,10 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, expm
 
 from .errors import DimensionMismatchError, ParameterError
 
@@ -100,34 +97,6 @@ class StateVector:
         return DensityOperator(np.outer(self.amplitudes,
                                         self.amplitudes.conj()),
                                self.warnings)
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Pure state of the system+probe pair, system index slowest.
-
-    ``amplitudes`` is stored flat with length sys_cutoff * probe_cutoff;
-    ``as_matrix()`` reshapes to (sys_cutoff, probe_cutoff).
-    """
-
-    amplitudes: np.ndarray
-    sys_cutoff: int
-    probe_cutoff: int
-    warnings: Tuple[str, ...] = ()
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if amp.shape[0] != self.sys_cutoff * self.probe_cutoff:
-            raise DimensionMismatchError(
-                "joint amplitudes have length %d, expected %d * %d"
-                % (amp.shape[0], self.sys_cutoff, self.probe_cutoff))
-        object.__setattr__(self, "amplitudes", amp)
-
-    def as_matrix(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.sys_cutoff, self.probe_cutoff)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -321,103 +290,10 @@ def make_annihilation(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
 
 
-def make_creation(cutoff: int) -> np.ndarray:
-    return make_annihilation(cutoff).conj().T
-
-
-def make_number(cutoff: int) -> np.ndarray:
-    cutoff = _check_cutoff(cutoff)
-    return np.diag(np.arange(cutoff, dtype=float)).astype(complex)
-
-
 def make_quadrature(cutoff: int, phase: float = 0.0) -> np.ndarray:
     """x_phase = (a_dag e^{i phase} + a e^{-i phase}) / 2."""
     a = make_annihilation(cutoff)
     return 0.5 * (a.conj().T * np.exp(1j * phase) + a * np.exp(-1j * phase))
-
-
-def make_phase_rotation(cutoff: int, phase: float) -> np.ndarray:
-    """exp(i phase n): rotates the quadrature angle by +phase."""
-    cutoff = _check_cutoff(cutoff)
-    return np.diag(np.exp(1j * phase * np.arange(cutoff)))
-
-
-def make_displacement(alpha: complex, cutoff: int) -> Operator:
-    """D(alpha) = expm(alpha a_dag - conj(alpha) a) on the truncated basis.
-
-    The matrix is exactly unitary by construction (expm of an anti-Hermitian
-    truncation), at the price of faithfulness near the truncation boundary;
-    a guard warning is attached when |alpha|^2 reaches the guard band.
-    """
-    cutoff = _check_cutoff(cutoff)
-    a = make_annihilation(cutoff)
-    gen = alpha * a.conj().T - np.conjugate(alpha) * a
-    warn: Tuple[str, ...] = ()
-    if abs(alpha) ** 2 > guard_level(cutoff):
-        warn = (f"displacement |alpha|^2 = {abs(alpha)**2:.3g} exceeds the "
-                f"guard level {guard_level(cutoff)} of a cutoff-{cutoff} basis",)
-    return Operator(expm(gen), warn, unitary_flag=True)
-
-
-def make_squeeze(r: float, cutoff: int, phase: float = 0.0) -> Operator:
-    """S(r, phase) = expm((r/2)(a_dag^2 e^{2i phase} - a^2 e^{-2i phase})).
-
-    Positive r stretches the ``phase`` quadrature: S_dag x S = e^r x at
-    phase=0.  Exactly unitary on the truncated basis; a guard warning is
-    attached for |r| > 2.5 where the truncated action is untrustworthy.
-    """
-    cutoff = _check_cutoff(cutoff)
-    a = make_annihilation(cutoff)
-    a2 = a @ a
-    gen = 0.5 * r * (a2.conj().T * np.exp(2j * phase) - a2 * np.exp(-2j * phase))
-    warn: Tuple[str, ...] = ()
-    if abs(r) > 2.5:
-        warn = (f"squeeze parameter |r| = {abs(r):.3g} > 2.5 exceeds the "
-                f"guard threshold for a truncated basis",)
-    return Operator(expm(gen), warn, unitary_flag=True)
-
-
-def _bs_sector_blocks(eta: float, na: int, nb: Optional[int] = None):
-    """Yield (rows_a, sector_total, block) for the two-mode mixer at
-    intensity transmissivity eta.
-
-    The generator theta*(a b_dag - a_dag b), theta = atan(sqrt((1-eta)/eta)),
-    conserves total photon number, so the unitary is block-diagonal over
-    sectors of fixed m+q = s; each block is the expm of a small real
-    antisymmetric tridiagonal matrix and therefore exact to rounding.
-    ``block[i, j]`` couples |rows_a[i], s-rows_a[i]> <- |rows_a[j], s-rows_a[j]>.
-    """
-    eta = _check_transmissivity(eta)
-    nb = na if nb is None else nb
-    theta = math.atan(math.sqrt((1.0 - eta) / eta))
-    for s in range(na + nb - 1):
-        m = np.arange(max(0, s - (nb - 1)), min(s, na - 1) + 1)
-        d = len(m)
-        if d == 1:
-            yield m, s, np.ones((1, 1))
-            continue
-        g = np.zeros((d, d))
-        mm = m[1:].astype(float)
-        amp = theta * np.sqrt(mm) * np.sqrt(s - mm + 1.0)
-        g[np.arange(d - 1), np.arange(1, d)] = amp
-        g[np.arange(1, d), np.arange(d - 1)] = -amp
-        yield m, s, expm(g)
-
-
-def make_beam_splitter(eta: float, cutoff: int) -> Operator:
-    """Two-mode mixer U = expm(theta (a b_dag - a_dag b)) with
-    cos(theta) = sqrt(eta), on the flattened joint basis (system slowest).
-
-    Heisenberg action: U_dag a U = sqrt(eta) a - sqrt(1-eta) b and
-    U_dag b U = sqrt(1-eta) a + sqrt(eta) b.  Assembled exactly from the
-    photon-number-conserving sector blocks.
-    """
-    cutoff = _check_cutoff(cutoff)
-    u = np.zeros((cutoff * cutoff, cutoff * cutoff))
-    for m, s, block in _bs_sector_blocks(eta, cutoff):
-        idx = m * cutoff + (s - m)
-        u[np.ix_(idx, idx)] = block
-    return Operator(u.astype(complex), unitary_flag=True)
 
 
 # ---------------------------------------------------------------------------
@@ -454,95 +330,87 @@ def quadrature_eigenvector_matrix(xs: Sequence[float], cutoff: int,
                                   phase: float = 0.0) -> np.ndarray:
     """Stack quadrature_eigenvector over a grid: returns (len(xs), cutoff).
 
-    A point with x^2 > 700 starts the recurrence from the mantissa of
-    chi_0 = (2/pi)^{1/4} (e^{-x^2/16})^16 and scales its row by its
+    The recurrence runs level by level on contiguous rows of one (cutoff,
+    len(xs)) array, in place, and the result is copied out in C order.  A
+    point with x^2 > 700 starts the recurrence from the mantissa of
+    chi_0 = (2/pi)^{1/4} (e^{-x^2/16})^16 and scales its column by its
     exponent at the end, so every value is exact to rounding or a true
     underflow at any x."""
     xs = np.asarray(xs, dtype=float)
-    out = np.empty((xs.shape[0], cutoff), dtype=float)
-    out[:, 0] = (2.0 / math.pi) ** 0.25 * np.exp(-xs * xs)
+    two_x = 2.0 * xs
+    chi = np.empty((cutoff, xs.shape[0]))
+    chi[0] = (2.0 / math.pi) ** 0.25 * np.exp(-xs * xs)
     far = np.flatnonzero(xs * xs > _FAR_SQ)
     if far.size:
         mant, expo = np.frexp(np.exp(-0.0625 * xs[far] ** 2))
-        out[far, 0] = (2.0 / math.pi) ** 0.25 * mant ** 16
+        chi[0, far] = (2.0 / math.pi) ** 0.25 * mant ** 16
         expo = 16 * expo
     if cutoff > 1:
-        out[:, 1] = 2.0 * xs * out[:, 0]
+        np.multiply(two_x, chi[0], out=chi[1])
+    tmp = np.empty(xs.shape[0])
     for n in range(1, cutoff - 1):
-        out[:, n + 1] = (2.0 * xs * out[:, n]
-                         - math.sqrt(n) * out[:, n - 1]) / math.sqrt(n + 1)
+        nxt = chi[n + 1]
+        np.multiply(two_x, chi[n], out=nxt)
+        np.multiply(chi[n - 1], math.sqrt(n), out=tmp)
+        np.subtract(nxt, tmp, out=nxt)
+        np.divide(nxt, math.sqrt(n + 1), out=nxt)
         if far.size:
-            big = far[np.abs(out[far, n + 1]) > 2.0 ** _SHIFT]
+            big = far[np.abs(nxt[far]) > 2.0 ** _SHIFT]
             if big.size:
-                out[big, :n + 2] *= 2.0 ** -_SHIFT
+                chi[:n + 2, big] *= 2.0 ** -_SHIFT
                 expo[np.isin(far, big)] += _SHIFT
     if far.size:
-        out[far] = np.ldexp(out[far], expo[:, None])
+        chi[:, far] = np.ldexp(chi[:, far], expo[None, :])
     if phase == 0.0:
-        return out.astype(complex)
-    return out * np.exp(1j * phase * np.arange(cutoff))[None, :]
+        return np.ascontiguousarray(chi.T, dtype=complex)
+    out = np.empty((xs.shape[0], cutoff), dtype=complex)
+    return np.multiply(chi.T, np.exp(1j * phase * np.arange(cutoff)), out=out)
+
+
+def _x0_svd(cutoff: int, vectors: bool = True):
+    """np.linalg.svd of B = x_0[0::2, 1::2], the ceil(n/2) x floor(n/2)
+    lower bidiagonal B[j, j] = sqrt(2j+1)/2, B[j+1, j] = sqrt(2j+2)/2 of
+    the truncated x_0, whose diagonal is zero: in the even-odd level order
+    x_0 = [[0, B], [B^T, 0]], so its eigenpairs are +-s_l with
+    (u_l, +-v_l)/sqrt(2), and for odd n the null vector of B^T, the last
+    column of u, has the eigenvalue 0 (Golub & Kahan 1965).  The singular
+    values come descending."""
+    j = np.arange(cutoff // 2)
+    b = np.zeros(((cutoff + 1) // 2, cutoff // 2))
+    b[j, j] = 0.5 * np.sqrt(2.0 * j + 1.0)
+    j = j[:(cutoff - 1) // 2]
+    b[j + 1, j] = 0.5 * np.sqrt(2.0 * j + 2.0)
+    return np.linalg.svd(b, compute_uv=vectors)
 
 
 def quadrature_spectrum(cutoff: int, phase: float = 0.0
                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvector columns of the truncated x_phase = R x_0
-    R^dag, R = diag(e^{i k phase}): one eigh_tridiagonal of the real x_0
-    (off-diagonal sqrt(k+1)/2), with eigenvector row k times e^{i k phase}."""
+    """Eigenvalues, ascending, and eigenvector columns of the truncated
+    x_phase = R x_0 R^dag, R = diag(e^{i k phase}): one half-size SVD of
+    the real x_0 (_x0_svd), with eigenvector row k times e^{i k phase}."""
     cutoff = _check_cutoff(cutoff)
-    evals, vecs = eigh_tridiagonal(np.zeros(cutoff),
-                                   0.5 * np.sqrt(np.arange(1.0, cutoff)))
+    u, s, vt = _x0_svd(cutoff)
+    k = len(s)
+    evals = np.concatenate((-s, np.zeros(cutoff - 2 * k), s[::-1]))
+    vecs = np.zeros((cutoff, cutoff))
+    half = math.sqrt(0.5)
+    vecs[0::2, :k] = half * u[:, :k]
+    vecs[1::2, :k] = -half * vt.T
+    if cutoff % 2:
+        vecs[0::2, k] = u[:, k]
+    vecs[0::2, cutoff - k:] = half * u[:, k - 1::-1]
+    vecs[1::2, cutoff - k:] = half * vt[::-1].T
     if phase != 0.0:
         vecs = vecs * np.exp(1j * phase * np.arange(cutoff))[:, None]
     return evals, vecs
 
 
 def quadrature_nodes(cutoff: int) -> np.ndarray:
-    """Eigenvalues of the truncated x_0, ascending, from one
-    eigvalsh_tridiagonal: the zeros of chi_cutoff, so the nodes of the
+    """Eigenvalues of the truncated x_0, ascending, from the singular values
+    of one _x0_svd: the zeros of chi_cutoff, so the nodes of the
     cutoff-point Gauss rule of weight e^{-2x^2}."""
-    return eigvalsh_tridiagonal(np.zeros(cutoff),
-                                0.5 * np.sqrt(np.arange(1.0, cutoff)))
-
-
-def function_of_quadrature(f, cutoff: int, phase: float = 0.0) -> np.ndarray:
-    """Spectral calculus f(x_phase) from :func:`quadrature_spectrum`.
-
-    Only trustworthy when f is resolved by the eigenvalue spacing of the
-    truncated operator (~ pi / (2 sqrt(cutoff)) near the center); callers
-    needing sharp f should enlarge the cutoff and truncate afterwards.
-    """
-    evals, vecs = quadrature_spectrum(cutoff, phase)
-    return (vecs * np.asarray([f(v) for v in evals])) @ vecs.conj().T
-
-
-# ---------------------------------------------------------------------------
-# joint-space helpers
-
-
-def joint_state(sys_state: StateVector, probe_state: StateVector) -> JointState:
-    amp = np.kron(sys_state.amplitudes, probe_state.amplitudes)
-    return JointState(amp, sys_state.cutoff, probe_state.cutoff,
-                      sys_state.warnings + probe_state.warnings)
-
-
-def joint_operator(op_sys: np.ndarray, op_probe: np.ndarray) -> np.ndarray:
-    """kron with the system factor slowest, matching JointState ordering."""
-    return np.kron(op_sys, op_probe)
-
-
-def partial_trace(joint: np.ndarray, sys_cutoff: int, probe_cutoff: int,
-                  keep: str = "system") -> np.ndarray:
-    """Trace a flattened (sys*probe, sys*probe) density matrix down to one mode."""
-    if joint.shape != (sys_cutoff * probe_cutoff, sys_cutoff * probe_cutoff):
-        raise DimensionMismatchError(
-            f"joint matrix shape {joint.shape} does not match "
-            f"{sys_cutoff} x {probe_cutoff} modes")
-    r = joint.reshape(sys_cutoff, probe_cutoff, sys_cutoff, probe_cutoff)
-    if keep == "system":
-        return np.einsum("mqnq->mn", r)
-    if keep == "probe":
-        return np.einsum("mqmr->qr", r)
-    raise ParameterError(f"keep must be 'system' or 'probe', got {keep!r}")
+    s = _x0_svd(cutoff, vectors=False)
+    return np.concatenate((-s, np.zeros(cutoff % 2), s[::-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -244,37 +244,6 @@ class OutcomeDensity:
 # constructions
 
 
-def reduction_from_interaction(joint_unitary, probe: StateVector,
-                               grid: OutcomeGrid, measured_phase: float = 0.0,
-                               origin: str = "raw-interaction",
-                               ) -> ReductionOperatorFamily:
-    """Reduction family of an indirect measurement: couple the system to a
-    probe prepared in ``probe`` via ``joint_unitary`` (system index slowest),
-    then project the probe on quadrature eigenvectors at ``measured_phase``:
-
-        Omega(x) = (I tensor <x|) U (I tensor |probe>).
-    """
-    u = _as_matrix(joint_unitary)
-    n_probe = probe.cutoff
-    if u.shape[0] % n_probe != 0:
-        raise DimensionMismatchError(
-            f"joint dimension {u.shape[0]} incompatible with probe cutoff "
-            f"{n_probe}")
-    n_sys = u.shape[0] // n_probe
-    contracted = np.einsum(
-        "mpnq,q->mpn", u.reshape(n_sys, n_probe, n_sys, n_probe),
-        probe.amplitudes)
-    chi = quadrature_eigenvector_matrix(grid.points, n_probe, measured_phase)
-    ops = np.einsum("xp,mpn->xmn", chi.conj(), contracted, optimize=True)
-    return ReductionOperatorFamily(grid, ops, origin, probe.warnings)
-
-
-def pom_from_reduction(fam: ReductionOperatorFamily) -> PomDensity:
-    """pi(x) = Omega(x)^dag Omega(x): invariant under any x-dependent
-    unitary dressing of the family."""
-    return fam.pom()
-
-
 def born_density(state, pom: Union[PomDensity, ReductionOperatorFamily],
                  edge_tolerance: Optional[float] = 1e-8) -> OutcomeDensity:
     """Outcome density p(x) = Tr[rho pi(x)] on the grid.
@@ -347,17 +316,6 @@ def reduce_state(state, omega, floor: float = 1e-14):
             f"outcome density {p:.3e} below floor {floor:.1e}")
     return p, DensityOperator(post / p,
                               state.warnings if isinstance(state, DensityOperator) else ())
-
-
-def conditional_density(state, fam: ReductionOperatorFamily, x: float,
-                        second_phase: float,
-                        second_grid: Optional[OutcomeGrid] = None,
-                        ) -> OutcomeDensity:
-    """Density p(y|x) of an ideal quadrature measurement at ``second_phase``
-    performed on the post-measurement state of outcome x (snapped to the
-    nearest grid point)."""
-    _, post = reduce_state(state, fam.at_outcome(x))
-    return quadrature_density(post, second_grid or fam.grid, second_phase)
 
 
 def _working_size(cutoff: int, margin: float) -> int:

@@ -56,13 +56,15 @@ instead of n^3.  Sector s of the mixer is the Wigner matrix d^{s/2}(2 theta),
 cos(theta) = sqrt(eta); the band's columns of sector s follow from those of
 sector s - 1 by a real two-sided recurrence that never grows the operator
 norm, so no eigendecomposition runs and the truncated sectors hold the exact
-elements of the untruncated mixer (SchemeFamilyBuilder._contract_probe).  One
+elements of the untruncated mixer (_mixer_sectors, which the probe
+contraction and the factorization check's mixer side share).  One
 composition, SchemeFamilyBuilder._compose, evaluates B . D(x) . W(x) . P .
 cols with the readout W(x) = sum_p chi_p(x) V[:, p, :] for a batch of
 outcomes, and every builder product calls it.  One outcome gathers W(x) from
 the band (one n x n slab per probe level), then multiplies cols; a batch
 applies the band to the gathered cols of every sector in one matmul, then
-reads out all outcomes together.  A real band acts on the float view of
+reads out all outcomes together, and a family's outcome chunks share that
+one application.  A real band acts on the float view of
 complex columns: promoting it to complex would cost twice its size.
 Completeness sums form no outcome stack: sum_x w_x W(x)^dag W(x) contracts
 the band's readout columns with the Gram matrix chi^dag diag(w) chi of the
@@ -72,7 +74,9 @@ the joint space that its comparison reads, and runs the factorization in
 joint-parity sectors: in the even and odd halves e_l, o_l of the x
 eigenbasis every factor is real up to a phase per parity, and the Gauss
 factors only couple the sectors ee with oo and eo with oe, so each parity
-class of m + p is carried as two real half-size stacks.
+class of m + p is carried as two real half-size stacks.  Its su(2) and
+generator-form checks take every joint operator as Kronecker terms of
+one-mode matrices and evaluate only the entries they compare.
 """
 
 from __future__ import annotations
@@ -87,8 +91,8 @@ import numpy as np
 from .errors import InfeasibleFeedbackError, ParameterError
 from .fock import (
     StateVector,
-    _bs_sector_blocks,
     _check_transmissivity,
+    _x0_svd,
     make_annihilation,
     make_quadrature,
     quadrature_eigenvector_matrix,
@@ -460,6 +464,49 @@ def _faithful_squeeze(r: float, n: int, phase: float = 0.0) -> np.ndarray:
     return block
 
 
+def _mixer_sectors(eta: float, n_rows: int, n_cols: int, n_sectors: int):
+    """Yield (s, X_s) for s < n_sectors, X_s[m, k] = <m, s-m|U_mix|s-k, k>
+    on the rows m < n_rows and columns k < n_cols, every entry an exact
+    element of the untruncated mixer.  X_s is one array overwritten in
+    place at each step.
+
+    X_s follows from X = X_{s-1}, starting at X_0 = [[1]]:
+
+      s X_s[m, k] = sqrt(s-k) (c sqrt(m) X[m-1, k] + r sqrt(s-m) X[m, k])
+                  + sqrt(k) (c sqrt(s-m) X[m, k-1] - r sqrt(m) X[m-1, k-1])
+
+    with transmission and reflection amplitudes c = sqrt(eta) and
+    r = sqrt(1-eta), from U a^dag U^dag = c a^dag + r b^dag,
+    U b^dag U^dag = -r a^dag + c b^dag and a^dag a + b^dag b = s on
+    sector s.  Row (m, p) reads only rows (m-1, p) and (m, p-1), so
+    keeping rows m < n_rows is exact; so is keeping columns k < n_cols.
+    """
+    c, r = math.sqrt(eta), math.sqrt(1.0 - eta)
+    root = np.sqrt(np.arange(n_sectors + 1.0))
+    x = np.zeros((n_rows, n_cols))
+    x[0, 0] = 1.0
+    for s in range(n_sectors):
+        if s:
+            # The step is X -> (L_1 X R_1 + L_2 X R_2)/s, with L_i the
+            # images of a^dag, b^dag on the rows and R_i the ladders
+            # sqrt(s-k), sqrt(k) on the columns: L_1 L_1^dag +
+            # L_2 L_2^dag = R_1^dag R_1 + R_2^dag R_2 = s 1, so it never
+            # grows the operator norm and rounding errors add up instead
+            # of multiplying.  The one-sided step U|n+1, k> = (c a^dag +
+            # r b^dag) U|n, k>/sqrt(n+1) amplifies them by up to
+            # sqrt(C(n+k, k)), about 1e35 at n_work 250.
+            rows, cols = min(s + 1, n_rows), min(s + 1, n_cols)
+            up = np.zeros((rows, cols))  # sqrt(m) X[m-1, k]
+            up[1:] = x[:rows - 1, :cols] * root[1:rows, None]
+            stay = x[:rows, :cols] \
+                * root[s + 1 - rows:s + 1][::-1, None]  # sqrt(s-m) X[m, k]
+            new = (c * up + r * stay) * (root[s + 1 - cols:s + 1][::-1] / s)
+            new[:, 1:] += (c * stay[:, :-1] - r * up[:, :-1]) \
+                * (root[1:cols] / s)
+            x[:rows, :cols] = new
+        yield s, x
+
+
 # ---------------------------------------------------------------------------
 # the pipeline builder
 
@@ -499,51 +546,15 @@ class SchemeFamilyBuilder:
         band B[s, m, j] = <m, s-m|U_mix|s-k_j, k_j> amp_{k_j}, shape
         (n_work + k_max, n_work, K): every entry of V[m, p, n] with
         p = n + k_j - m and m, p, n < n_work, an exact element of the
-        untruncated mixer in every sector.
-
-        X_s[m, k] = <m, s-m|U_mix|s-k, k> follows from X = X_{s-1},
-        starting at X_0 = [[1]]:
-
-          s X_s[m, k] = sqrt(s-k) (c sqrt(m) X[m-1, k] + r sqrt(s-m) X[m, k])
-                      + sqrt(k) (c sqrt(s-m) X[m, k-1] - r sqrt(m) X[m-1, k-1])
-
-        with transmission and reflection amplitudes c = sqrt(eta) and
-        r = sqrt(1-eta), from U a^dag U^dag = c a^dag + r b^dag,
-        U b^dag U^dag = -r a^dag + c b^dag and a^dag a + b^dag b = s on
-        sector s.  Row (m, p) reads only rows (m-1, p) and (m, p-1), so
-        keeping rows m < n_work is exact; only columns k <= k_max are formed.
-        """
+        untruncated mixer in every sector (_mixer_sectors)."""
         n = self.n_work
         levels = np.flatnonzero(np.abs(probe_vec) > _PROBE_FLOOR)
         amps = probe_vec[levels]
         if not np.any(amps.imag):
             amps = amps.real
         k_max = levels[-1]
-        c, r = math.sqrt(self.params.eta), math.sqrt(1.0 - self.params.eta)
         band = np.zeros((n + k_max, n, len(levels)), dtype=amps.dtype)
-        root = np.sqrt(np.arange(n + k_max + 1.0))
-        x = np.zeros((n, k_max + 1))  # X_s: rows m < n, columns k <= k_max
-        x[0, 0] = 1.0
-        for s in range(len(band)):
-            if s:
-                # The step is X -> (L_1 X R_1 + L_2 X R_2)/s, with L_i the
-                # images of a^dag, b^dag on the rows and R_i the ladders
-                # sqrt(s-k), sqrt(k) on the columns: L_1 L_1^dag +
-                # L_2 L_2^dag = R_1^dag R_1 + R_2^dag R_2 = s 1, so it never
-                # grows the operator norm and rounding errors add up instead
-                # of multiplying.  The one-sided step U|n+1, k> = (c a^dag +
-                # r b^dag) U|n, k>/sqrt(n+1) amplifies them by up to
-                # sqrt(C(n+k, k)), about 1e35 at n_work 250.
-                rows, cols = min(s + 1, n), min(s + 1, k_max + 1)
-                up = np.zeros((rows, cols))  # sqrt(m) X[m-1, k]
-                up[1:] = x[:rows - 1, :cols] * root[1:rows, None]
-                stay = x[:rows, :cols] \
-                    * root[s + 1 - rows:s + 1][::-1, None]  # sqrt(s-m) X[m, k]
-                new = (c * up + r * stay) \
-                    * (root[s + 1 - cols:s + 1][::-1] / s)
-                new[:, 1:] += (c * stay[:, :-1] - r * up[:, :-1]) \
-                    * (root[1:cols] / s)
-                x[:rows, :cols] = new
+        for s, x in _mixer_sectors(self.params.eta, n, k_max + 1, len(band)):
             lo = max(0, s - n + 1)  # rows with p = s - m < n
             j = np.searchsorted(levels, lo)  # inputs with s - k_j < n
             band[s, lo:, j:] = x[lo:, levels[j:]] * amps[j:]
@@ -589,18 +600,22 @@ class SchemeFamilyBuilder:
         m = np.arange(n)
         return y[np.minimum(m[:, None] + m[None, :], n_sec), m[None, :]]
 
-    def _compose(self, xs, mask: StageMask, cols: np.ndarray) -> np.ndarray:
+    def _compose(self, xs, mask: StageMask, cols: np.ndarray,
+                 vc: Optional[np.ndarray] = None) -> np.ndarray:
         """B . D(x) . W(x) . P . cols at working size for every outcome in
         ``xs``, shape (len(xs), n_work, cols.shape[1]), with the masked-off
-        stages left out."""
+        stages left out.  ``vc``, the readout columns of P . cols, may be
+        passed by a caller that composes several batches of outcomes on the
+        same columns, so that P and the band act on them once."""
         xs = np.asarray(xs, dtype=float)
         n = self.n_work
         levels, band = self._levels, self._band
-        if mask.pre_squeeze:
+        if vc is None and mask.pre_squeeze:
             cols = self._pre_matrix() @ cols
         chi = self._chi(xs)
-        if len(xs) == 1:  # readout first, one (n_in, m) slab per level:
-            # W[m, n_in] = sum_j chi[p] B[s, m, j], s = n_in + k_j, p = s - m
+        if vc is None and len(xs) == 1:  # readout first, one (n_in, m)
+            # slab per level: W[m, n_in] = sum_j chi[p] B[s, m, j],
+            # s = n_in + k_j, p = s - m
             m = np.arange(n)
             chi_pad = np.zeros(2 * n + levels[-1], dtype=complex)
             chi_pad[n:2 * n] = chi[0]
@@ -610,8 +625,9 @@ class SchemeFamilyBuilder:
                 w_t += chi_pad[offset + k] * band[k:k + n, :, j]
             w = (w_t.T @ cols)[None]
         else:  # columns first: the band acts on cols once, per sector
-            w = (chi @ self._readout_columns(cols).reshape(n, -1)).reshape(
-                len(xs), n, -1)
+            if vc is None:
+                vc = self._readout_columns(cols)
+            w = (chi @ vc.reshape(n, -1)).reshape(len(xs), n, -1)
         if mask.feedback:
             w = _displace_columns(feedback_displacement(
                 xs, self.params.eta, self.params.phi), w)
@@ -644,11 +660,14 @@ class SchemeFamilyBuilder:
         g = grid if grid is not None else self.params.grid
         c = self.params.cutoff
         cols = np.eye(self.n_work)[:, :c]
+        if mask.pre_squeeze:
+            cols = self._pre_matrix() @ cols
+        vc = self._readout_columns(cols)  # shared by every outcome chunk
         step = max(1, _STACK_ELEMENTS // self.n_work ** 2)
         ops = np.empty((len(g), c, c), dtype=complex)
         for i in range(0, len(g), step):
             ops[i:i + step] = self._compose(g.points[i:i + step], mask,
-                                            cols)[:, :c]
+                                            cols, vc)[:, :c]
         origin = "raw-interaction" if mask == StageMask.raw() else "compensated"
         return ReductionOperatorFamily(g, ops, origin, self.warnings)
 
@@ -821,19 +840,56 @@ class BchReport:
     factor_identity_deviations: Tuple[float, float, float]
 
 
-def _joint_quadratures(cutoff: int):
-    """The quadratures x, y of the signal and X, Y of the probe on the
-    joint cutoff^2 space, as sparse CSR Kronecker products: each is
-    tridiagonal per mode, so the su(2) products stay sparse, whereas dense
-    they would cost cutoff^6 flops and cutoff^4 memory apiece.  scipy.sparse
-    is imported here, not at module level, to keep it out of the import
-    time of the package."""
-    import scipy.sparse as sp
+def _mode_quadratures(cutoff: int):
+    """The quadratures x, y of the signal and X, Y of the probe as one-mode
+    cutoff x cutoff matrices; each joint operator is a sum of Kronecker
+    terms of these, so no cutoff^2 x cutoff^2 matrix forms."""
     x = make_quadrature(cutoff, 0.0)
     y = make_quadrature(cutoff, 0.5 * math.pi)
-    eye = np.eye(cutoff)
-    return tuple(sp.kron(a, b, format="csr")
-                 for a, b in ((x, eye), (y, eye), (eye, x), (eye, y)))
+    return x, y, x, y
+
+
+def _bands(a: np.ndarray):
+    """The diagonal offsets at which the one-mode matrix a is nonzero."""
+    n = len(a)
+    return [d for d in range(1 - n, n) if np.any(np.diagonal(a, d))]
+
+
+def _kron_entries(terms, m, p, m2, p2) -> np.ndarray:
+    """Entries <m, p| sum coef A (x) B |m2, p2> of a joint operator given as
+    Kronecker terms [(coef, A, B)] of one-mode matrices, elementwise over
+    broadcast index arrays; zero where an index leaves the modes."""
+    n = len(terms[0][1])
+    inside = (m2 >= 0) & (m2 < n) & (p2 >= 0) & (p2 < n)
+    m2, p2 = np.clip(m2, 0, n - 1), np.clip(p2, 0, n - 1)
+    return np.where(inside, sum(c * (a[m, m2] * b[p, p2])
+                                for c, a, b in terms), 0.0)
+
+
+def _product_block(f, g, m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """<m_i, p_i| F G |m_k, p_k> for joint operators F, G given as Kronecker
+    terms: the sum over the intermediate joint levels J = (m_i + d, p_i + e)
+    that F reaches, in descending order of J, of F's entry times G's."""
+    offsets = sorted({(d, e) for _, a, b in f for d in _bands(a)
+                      for e in _bands(b)}, reverse=True)
+    acc = 0.0
+    for d, e in offsets:
+        j_m, j_p = m + d, p + e
+        acc = acc + _kron_entries(f, m, p, j_m, j_p)[:, None] \
+            * _kron_entries(g, j_m[:, None], j_p[:, None], m, p)
+    return acc
+
+
+def _kron_max(terms) -> float:
+    """Largest |entry| of sum coef A (x) B over the whole joint space: the
+    entries at mode offsets (d, e) are the outer products of the factors'
+    d-th and e-th diagonals, and only the offsets some term reaches can
+    hold a nonzero entry."""
+    offsets = {(d, e) for _, a, b in terms for d in _bands(a)
+               for e in _bands(b)}
+    return max((float(np.max(np.abs(sum(
+        c * np.outer(np.diagonal(a, d), np.diagonal(b, e))
+        for c, a, b in terms)))) for d, e in offsets), default=0.0)
 
 
 def _low_total_pairs(cutoff: int, block_total: int) -> np.ndarray:
@@ -845,35 +901,36 @@ def _low_total_pairs(cutoff: int, block_total: int) -> np.ndarray:
 
 def _apply_mixer_sectors(eta: float, vecs: np.ndarray,
                          max_total: int) -> np.ndarray:
-    """Apply the sector-exact mixer to joint vectors shaped (n, n, k) that
-    live in the sectors of total occupancy <= max_total; the mixer conserves
-    the total, so the higher sectors are never formed."""
+    """Apply the mixer to joint vectors shaped (n, n, k) that live in the
+    sectors of total occupancy <= max_total, sector by sector from the
+    recurrence of _mixer_sectors; the mixer conserves the total, so the
+    higher sectors are never formed."""
     n = vecs.shape[0]
     out = np.zeros_like(vecs, dtype=complex)
-    for m, s, blockm in _bs_sector_blocks(eta, n):
-        if s > max_total:
-            break
-        out[m, s - m, :] = blockm @ vecs[m, s - m, :]
+    for s, x in _mixer_sectors(eta, n, n, min(max_total, 2 * n - 2) + 1):
+        m = np.arange(max(0, s - n + 1), min(s, n - 1) + 1)
+        out[m, s - m, :] = x[np.ix_(m, m)] @ vecs[s - m, m, :]
     return out
 
 
 def _parity_quadrature_basis(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """The eigenvalues lam >= 0 of the quadrature x truncated to n levels,
-    shape (h,) with h = ceil(n/2), and its parity-adapted eigenbasis f,
-    shape (n, h).  The eigenvectors of +-lam_l are (e_l +- o_l)/sqrt(2)
-    with e_l on the even levels and o_l on the odd ones, so f = sqrt(2) q
-    over the eigenvectors q of lam_l > 0 holds e_l on its even rows and o_l
-    on its odd rows: f[0::2] and f[1::2] are orthonormal bases of the even
+    ascending, shape (h,) with h = ceil(n/2), and its parity-adapted
+    eigenbasis f, shape (n, h).  The eigenvectors of +-lam_l are (e_l +-
+    o_l)/sqrt(2) with e_l on the even levels and o_l on the odd ones, and
+    e_l, o_l are the singular vectors u_l, v_l of x[0::2, 1::2]
+    (fock._x0_svd): f[0::2] and f[1::2] are orthonormal bases of the even
     and of the odd levels with x e_l = lam_l o_l and x o_l = lam_l e_l.
     For odd n the zero eigenvector is purely even and has no partner; its
     column, last, is zero on the odd rows, which keeps both halves h wide."""
-    lam, q = quadrature_spectrum(n)
-    pos = n // 2
+    u, s, vt = _x0_svd(n)
+    k = len(s)
     f = np.zeros((n, (n + 1) // 2))
-    f[:, :pos] = math.sqrt(2.0) * q[:, n - pos:]
+    f[0::2, :k] = u[:, k - 1::-1]
+    f[1::2, :k] = vt[::-1].T
     if n % 2:
-        f[0::2, pos] = q[0::2, pos]
-    return np.concatenate((lam[n - pos:], np.zeros(n % 2))), f
+        f[0::2, k] = u[:, k]
+    return np.concatenate((s[::-1], np.zeros(n % 2))), f
 
 
 def _corner(rows: np.ndarray, v: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -1021,33 +1078,29 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
 
     su_pm = su_zp = su_zm = gen_dev = None
     if check_su2:
-        import scipy.sparse as sp
-
         # su(2) commutators of the factor generators, on the low-total block
         # of the requested cutoff (products only ever reach total +- 4
-        # there), each product formed on the compared rows and columns only
-        xs, ys, xp, yp = _joint_quadratures(cutoff)
-        j_plus = 2j * (ys @ xp)
-        j_minus = 2j * (xs @ yp)
-        gens = (j_plus, j_minus, 1j * (xp @ yp - xs @ ys))
-        idx = pairs @ np.array([cutoff, 1])
-        g_rows = [g[idx] for g in gens]
-        g_cols = [g[:, idx] for g in gens]
-        g_block = [g[idx].toarray() for g in g_cols]
+        # there): one-mode products per Kronecker term, evaluated on the
+        # compared rows and columns only
+        xs, ys, xp, yp = _mode_quadratures(cutoff)
+        one = np.eye(cutoff)
+        j_plus = [(2j, ys, xp)]
+        j_minus = [(2j, xs, yp)]
+        j_z = [(1j, one, xp @ yp), (-1j, xs @ ys, one)]
 
-        def comm_max(i, k, rest):  # [g_i, g_k] - rest on the compared block
-            comm = (g_rows[i] @ g_cols[k] - g_rows[k] @ g_cols[i]).toarray()
-            return float(np.max(np.abs(comm - rest)))
+        def comm_max(g, h, rest):  # [g, h] - rest on the compared block
+            comm = _product_block(g, h, m, p) - _product_block(h, g, m, p)
+            return float(np.max(np.abs(
+                comm - _kron_entries(rest, m[:, None], p[:, None], m, p))))
 
-        su_pm = comm_max(0, 1, 2.0 * g_block[2])
-        su_zp = comm_max(2, 0, g_block[0])
-        su_zm = comm_max(2, 1, -g_block[1])
+        su_pm = comm_max(j_plus, j_minus, [(2.0 * c, a, b) for c, a, b in j_z])
+        su_zp = comm_max(j_z, j_plus, j_plus)
+        su_zm = comm_max(j_z, j_minus, [(-c, a, b) for c, a, b in j_minus])
 
         # ladder form a b^dag - a^dag b versus quadrature form 2i(y X - x Y)
         a = make_annihilation(cutoff)
-        ladder_gen = sp.kron(a, a.conj().T) - sp.kron(a.conj().T, a)
-        gen_dev = float(np.max(np.abs((ladder_gen - (j_plus - j_minus)).data),
-                               initial=0.0))
+        gen_dev = _kron_max([(1.0, a, a.conj().T), (-1.0, a.conj().T, a),
+                             (-2j, ys, xp), (2j, xs, yp)])
 
     return BchReport(
         eta=eta, cutoff=cutoff, block_total=block_total, working_cutoff=n_w,

@@ -4,6 +4,8 @@ merging, output formats, and reproducibility of seeded runs."""
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -468,3 +470,37 @@ class TestAtomicWrite:
                      "--trials", "5", "--out", str(out)]) == 1
         assert not out.exists()
         assert not list(tmp_path.glob(".quadmeas-*"))
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+
+def test_package_and_cli_commands_load_no_scipy(tmp_path):
+    # scipy.linalg was 0.25 s of a 0.43 s package import; a lazy import in
+    # a command would only move that cost into the first run
+    import quadmeas
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadmeas.__file__)))
+    out = str(tmp_path / "out.json")
+    script = f"""
+import sys
+import quadmeas
+from quadmeas import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+print(scipy_modules())
+for argv in (["pom", "--cutoff", "20"],
+             ["sample", "--trials", "200", "--repeat", "--cutoff", "20"],
+             ["verify", "--eta", "0.5", "--sigma", "1"],
+             ["sweep", "--sweep-eta", "0.5", "--cutoff", "20",
+              "--sweep-beta", "20"]):
+    assert cli.main(argv + ["--format", "json", "--out", {out!r}]) == 0, argv
+print(scipy_modules())
+"""
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split("\n")[:2] == ["[]", "[]"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from quadmeas import (
     GUARD_FRACTION,
@@ -12,19 +13,9 @@ from quadmeas import (
     expectation,
     fidelity_to_pure,
     fock_state,
-    function_of_quadrature,
     guard_level,
-    joint_operator,
-    joint_state,
     make_annihilation,
-    make_beam_splitter,
-    make_creation,
-    make_displacement,
-    make_number,
-    make_phase_rotation,
     make_quadrature,
-    make_squeeze,
-    partial_trace,
     quadrature_eigenvector,
     quadrature_eigenvector_matrix,
     quadrature_nodes,
@@ -33,6 +24,19 @@ from quadmeas import (
     trace_distance,
     vacuum_state,
     variance,
+)
+
+from dense_reference import (
+    function_of_quadrature,
+    joint_operator,
+    joint_state,
+    make_beam_splitter,
+    make_creation,
+    make_displacement,
+    make_number,
+    make_phase_rotation,
+    make_squeeze,
+    partial_trace,
 )
 
 CUT = 40
@@ -258,6 +262,32 @@ def test_quadrature_nodes_are_the_spectrum(n):
     assert_allclose(quadrature_nodes(n), quadrature_spectrum(n)[0],
                     rtol=0, atol=5e-14)
     assert np.array_equal(quadrature_nodes(1), [0.0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 48, 49, 160, 250, 612, 800])
+def test_quadrature_spectrum_matches_scipy_tridiagonal_solvers(n):
+    # scipy's tridiagonal solvers as an independent oracle of the half-size
+    # SVD; the values-only oracle is bisection (stebz): the default values
+    # driver (sterf) is itself off by up to 4.4e-13 at n 800, where these
+    # nodes and eigh_tridiagonal's eigenvalues agree with 40-digit Newton
+    # refinements to 1.1e-14
+    off = 0.5 * np.sqrt(np.arange(1.0, n))
+    ref_vals, ref_vecs = eigh_tridiagonal(np.zeros(n), off)
+    nodes = quadrature_nodes(n)
+    assert np.max(np.abs(nodes - eigvalsh_tridiagonal(
+        np.zeros(n), off, lapack_driver="stebz"))) <= 1e-13
+    assert np.array_equal(nodes, -nodes[::-1])
+    for phase in (0.0, 0.7):
+        vals, vecs = quadrature_spectrum(n, phase)
+        r = np.exp(1j * phase * np.arange(n))
+        assert np.max(np.abs(vals - ref_vals)) <= 1e-13
+        sign = np.sign(np.sum((vecs * r.conj()[:, None]).real * ref_vecs,
+                              axis=0))
+        assert np.max(np.abs(vecs * sign - ref_vecs * r[:, None])) <= 1e-13
+        # residual of x_phase = R x_0 R^dag, with R the phase vecs carry
+        x = r[:, None] * make_quadrature(n).real * r.conj()[None, :]
+        assert np.max(np.abs(x @ vecs - vecs * vals)) <= 1e-13
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(n))) <= 1e-14
 
 
 def test_function_of_quadrature_polynomial_exact():

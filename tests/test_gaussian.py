@@ -34,6 +34,13 @@ from quadmeas.gaussian import (
     vacuum_gaussian,
 )
 
+from dense_reference import (
+    joint_operator,
+    joint_state,
+    make_beam_splitter,
+    make_squeeze,
+)
+
 
 def fock_moments(amplitudes, cutoff_sys, cutoff_probe=None):
     """Mean vector and symmetrized covariance of the quadratures of a Fock
@@ -108,7 +115,7 @@ def test_squeeze_variance_matches_fock():
     st = squeeze_symplectic(0.3).apply(vacuum_gaussian())
     assert_allclose(st.cov[0, 0], math.exp(0.6) / 4.0, rtol=1e-12)
     cut = 60
-    vec = fock.make_squeeze(0.3, cut).matrix @ fock.vacuum_state(cut).amplitudes
+    vec = make_squeeze(0.3, cut).matrix @ fock.vacuum_state(cut).amplitudes
     mean, cov = fock_moments(vec, cut)
     assert_allclose(cov[0, 0], st.cov[0, 0], atol=1e-8)
     assert_allclose(cov[1, 1], st.cov[1, 1], atol=1e-8)
@@ -155,10 +162,10 @@ def test_two_mode_evolution_matches_fock_moments():
 
     sys_state = fock.coherent_state(0.6, cut)
     probe = fock.squeezed_vacuum(0.5, cut)
-    vec = fock.joint_state(sys_state, probe).amplitudes
-    vec = fock.make_beam_splitter(eta, cut).matrix @ vec
-    vec = fock.joint_operator(fock.make_squeeze(0.2, cut).matrix,
-                              np.eye(cut)) @ vec
+    vec = joint_state(sys_state, probe).amplitudes
+    vec = make_beam_splitter(eta, cut).matrix @ vec
+    vec = joint_operator(make_squeeze(0.2, cut).matrix,
+                         np.eye(cut)) @ vec
     mean, cov = fock_moments(vec, cut, cut)
     assert_allclose(mean, out.mean, atol=1e-8)
     assert_allclose(cov, out.cov, atol=1e-8)

@@ -18,11 +18,6 @@ from quadmeas.fock import (
     StateVector,
     coherent_state,
     fock_state,
-    function_of_quadrature,
-    make_beam_splitter,
-    make_displacement,
-    make_phase_rotation,
-    make_squeeze,
     squeezed_vacuum,
     vacuum_state,
 )
@@ -33,14 +28,22 @@ from quadmeas.kernel import (
     PomDensity,
     ReductionOperatorFamily,
     born_density,
-    conditional_density,
     fitted_kernel_width,
-    pom_from_reduction,
     quadrature_density,
     reduce_state,
-    reduction_from_interaction,
     vn_target_family,
     widen_grid_for_density,
+)
+
+from dense_reference import (
+    conditional_density,
+    function_of_quadrature,
+    make_beam_splitter,
+    make_displacement,
+    make_phase_rotation,
+    make_squeeze,
+    pom_from_reduction,
+    reduction_from_interaction,
 )
 
 

@@ -7,18 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, expm
+from scipy.linalg import eigh_tridiagonal, expm
 from scipy.special import comb, eval_genlaguerre, gammaln
 
 from quadmeas import fock, kernel, scheme
 from quadmeas.errors import InfeasibleFeedbackError, ParameterError
 from quadmeas.fock import (
     StateVector,
-    _bs_sector_blocks,
-    make_beam_splitter,
     make_quadrature,
-    make_squeeze,
-    make_phase_rotation,
     quadrature_eigenvector_matrix,
     squeezed_vacuum,
 )
@@ -51,6 +47,13 @@ from quadmeas.scheme import (
     presqueeze_param,
     psa_from_params,
     verify_bch_factorization,
+)
+
+from dense_reference import (
+    _bs_sector_blocks,
+    make_beam_splitter,
+    make_phase_rotation,
+    make_squeeze,
 )
 
 VACUUM_VAR = 0.25
@@ -205,13 +208,17 @@ def test_displacement_column_zero_is_the_coherent_state():
 
 
 def test_one_displacement_spectrum_serves_every_outcome(monkeypatch):
+    # spectra are the x_0 SVDs with vectors; the squeezes' nodes take the
+    # singular values only
     sizes = []
+    svd = fock._x0_svd
 
-    def counting(d, e, *args, **kwargs):
-        sizes.append(len(d))
-        return eigh_tridiagonal(d, e, *args, **kwargs)
+    def counting(cutoff, vectors=True):
+        if vectors:
+            sizes.append(cutoff)
+        return svd(cutoff, vectors)
 
-    monkeypatch.setattr(fock, "eigh_tridiagonal", counting)
+    monkeypatch.setattr(fock, "_x0_svd", counting)
     monkeypatch.setattr(scheme, "_displacement_spectra", {})
     # eta = 0.2 gives feedback amplitudes up to 6 on the default grid
     b = SchemeFamilyBuilder(SchemeParams(eta=0.2, sigma=1.0, cutoff=30))
@@ -517,21 +524,18 @@ def test_faithful_squeeze_inverse_is_its_transpose_exactly(n):
 
 def test_faithful_squeeze_runs_one_eigenvalue_solve(monkeypatch):
     calls = []
+    svd = fock._x0_svd
 
-    def counting(solver):
-        def run(d, e, *args, **kwargs):
-            calls.append((solver.__name__, len(d)))
-            return solver(d, e, *args, **kwargs)
-        return run
+    def counting(cutoff, vectors=True):
+        calls.append((vectors, cutoff))
+        return svd(cutoff, vectors)
 
-    monkeypatch.setattr(fock, "eigh_tridiagonal", counting(eigh_tridiagonal))
-    monkeypatch.setattr(fock, "eigvalsh_tridiagonal",
-                        counting(eigvalsh_tridiagonal))
+    monkeypatch.setattr(fock, "_x0_svd", counting)
     for n, r in ((140, 0.805), (100, -1.5), (49, 0.1)):
         calls.clear()
         _faithful_squeeze(r, n, 0.4)
         assert len(calls) == 1
-        assert calls[0][0] == "eigvalsh_tridiagonal" and calls[0][1] <= n
+        assert calls[0][0] is False and calls[0][1] <= n
 
 
 @pytest.mark.parametrize("eta", [0.2, 0.7])
@@ -584,13 +588,13 @@ def test_band_stays_exact_deep_into_the_recurrence(eta, sigma):
 
 def test_builder_init_runs_no_eigendecomposition(monkeypatch):
     calls = []
+    svd = fock._x0_svd
 
-    def counting(d, e, *args, **kwargs):
-        calls.append(len(d))
-        return eigh_tridiagonal(d, e, *args, **kwargs)
+    def counting(cutoff, vectors=True):
+        calls.append(cutoff)
+        return svd(cutoff, vectors)
 
-    monkeypatch.setattr(fock, "eigh_tridiagonal", counting)
-    monkeypatch.setattr(fock, "eigvalsh_tridiagonal", counting)
+    monkeypatch.setattr(fock, "_x0_svd", counting)
     SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=0.5, cutoff=100), 2.5)
     assert calls == []
 
@@ -798,13 +802,13 @@ def test_bch_requires_minimum_cutoff(kwargs):
 
 
 def test_bch_su2_checks_fire_on_a_perturbed_probe_quadrature(monkeypatch):
-    joint = scheme._joint_quadratures
+    modes = scheme._mode_quadratures
 
     def perturbed(cutoff):
-        xs, ys, xp, yp = joint(cutoff)
+        xs, ys, xp, yp = modes(cutoff)
         return xs, ys, xp, (1.0 + 1e-3) * yp
 
-    monkeypatch.setattr(scheme, "_joint_quadratures", perturbed)
+    monkeypatch.setattr(scheme, "_mode_quadratures", perturbed)
     rep = verify_bch_factorization(0.5, cutoff=40, working_cutoff=48)
     assert rep.su2_plus_minus_deviation > 1e-4
     assert rep.su2_z_plus_deviation > 1e-4
@@ -840,15 +844,20 @@ def _dense_bch_reference(eta, cutoff, block_total, working_cutoff):
     """The factorization check as the library ran it before it kept to the
     compared corner: complex x and y eigenbases from quadrature_spectrum at
     phases 0 and pi/2, and every one-mode factor a dense complex product on
-    the full (n, n, k) joint stack, mode 1 through a transposed copy; the
-    su(2) and generator checks on the sparse quadratures as before.  The
-    basis columns go through in chunks, which bounds memory and leaves every
-    maximum as it is."""
+    the full (n, n, k) joint stack, mode 1 through a transposed copy.  The
+    mixer side exponentiates each sector's generator by
+    _tridiagonal_expm_columns (scipy's expm misses these sectors by up to
+    5.5e-14 at eta 0.5, against 40-digit mpmath, this route by 3.2e-15);
+    the su(2) and generator checks run on sparse cutoff^2 x cutoff^2 joint
+    quadratures.  None of this shares code with the library's mixer
+    recurrence or its Kronecker-term checks.  The basis columns go through
+    in chunks, which bounds memory and leaves every maximum as it is."""
     import scipy.sparse as sp
 
     n_w = working_cutoff
-    pairs = scheme._low_total_pairs(cutoff, block_total)
-    rows = scheme._low_total_pairs(n_w, block_total)
+    k = np.arange(cutoff)
+    pairs = np.argwhere(k[:, None] + k[None, :] <= block_total)
+    rows = pairs[pairs[:, 0] < n_w]
     c = math.sqrt((1.0 - eta) / eta)
     nu, rx = fock.quadrature_spectrum(n_w)
     mu, ry = fock.quadrature_spectrum(n_w, 0.5 * math.pi)
@@ -868,6 +877,17 @@ def _dense_bch_reference(eta, cutoff, block_total, working_cutoff):
     def squeezes(v):
         return on_mode(sq_probe, on_mode(sq_sys, v, 0), 1)
 
+    theta = math.atan(math.sqrt((1.0 - eta) / eta))
+
+    def mixer(v):  # sectors s <= block_total < n_w, none truncated
+        out = np.zeros_like(v)
+        for s in range(block_total + 1):
+            m = np.arange(s + 1)
+            block = _tridiagonal_expm_columns(
+                theta * np.sqrt(m[1:] * (s - m[1:] + 1.0)), m)
+            out[m, s - m] = block @ v[m, s - m]
+        return out
+
     def low_dev(v, ref):
         return np.max(np.abs(v[rows[:, 0], rows[:, 1]]
                              - ref[rows[:, 0], rows[:, 1]]))
@@ -882,10 +902,13 @@ def _dense_bch_reference(eta, cutoff, block_total, working_cutoff):
             low_dev(v, basis), low_dev(squeezes(basis), basis),
             low_dev(bilinear(basis, ry, rx, (mu, nu), +1.0), basis)])
         right = bilinear(squeezes(v), ry, rx, (mu, nu), +1.0)
-        left = scheme._apply_mixer_sectors(eta, basis, block_total)
-        fac = max(fac, low_dev(left, right))
+        fac = max(fac, low_dev(mixer(basis), right))
 
-    xs, ys, xp, yp = scheme._joint_quadratures(cutoff)
+    x = make_quadrature(cutoff, 0.0)
+    y = make_quadrature(cutoff, 0.5 * math.pi)
+    eye = np.eye(cutoff)
+    xs, ys, xp, yp = (sp.kron(a, b, format="csr")
+                      for a, b in ((x, eye), (y, eye), (eye, x), (eye, y)))
     j_plus, j_minus = 2j * (ys @ xp), 2j * (xs @ yp)
     j_z = 1j * (xp @ yp - xs @ ys)
     idx = pairs @ np.array([cutoff, 1])
