@@ -321,7 +321,7 @@ def quadrature_eigenvector(x: float, cutoff: int, phase: float = 0.0) -> StateVe
 
 
 # chi_0(x) is subnormal past x^2 ~ 708; a mantissa past 2^_SHIFT moves
-# 2^_SHIFT into its row's exponent, so none overflows.
+# 2^_SHIFT into its point's exponent, so none overflows.
 _FAR_SQ = 700.0
 _SHIFT = 512
 

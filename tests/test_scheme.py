@@ -855,9 +855,8 @@ def _dense_bch_reference(eta, cutoff, block_total, working_cutoff):
     import scipy.sparse as sp
 
     n_w = working_cutoff
-    k = np.arange(cutoff)
+    k = np.arange(cutoff)  # basis pairs and compared rows: block_total < n_w
     pairs = np.argwhere(k[:, None] + k[None, :] <= block_total)
-    rows = pairs[pairs[:, 0] < n_w]
     c = math.sqrt((1.0 - eta) / eta)
     nu, rx = fock.quadrature_spectrum(n_w)
     mu, ry = fock.quadrature_spectrum(n_w, 0.5 * math.pi)
@@ -889,8 +888,8 @@ def _dense_bch_reference(eta, cutoff, block_total, working_cutoff):
         return out
 
     def low_dev(v, ref):
-        return np.max(np.abs(v[rows[:, 0], rows[:, 1]]
-                             - ref[rows[:, 0], rows[:, 1]]))
+        return np.max(np.abs(v[pairs[:, 0], pairs[:, 1]]
+                             - ref[pairs[:, 0], pairs[:, 1]]))
 
     fac, devs = 0.0, np.zeros(3)
     for chunk in np.array_split(np.arange(len(pairs)),
