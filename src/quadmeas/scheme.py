@@ -74,9 +74,11 @@ the joint space that its comparison reads, and runs the factorization in
 joint-parity sectors: in the even and odd halves e_l, o_l of the x
 eigenbasis every factor is real up to a phase per parity, and the Gauss
 factors only couple the sectors ee with oo and eo with oe, so each parity
-class of m + p is carried as two real half-size stacks.  Its su(2) and
-generator-form checks take every joint operator as Kronecker terms of
-one-mode matrices and evaluate only the entries they compare.
+class of m + p is carried as two real half-size stacks.  Its su(2) checks
+hold each generator as a dense matrix on the joint levels of total at most
+2 above the compared block, which every product there stays in, and its
+generator-form check reads only the entries that its Kronecker terms of
+one-mode matrices can hold.
 """
 
 from __future__ import annotations
@@ -88,11 +90,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from . import fock
 from .errors import InfeasibleFeedbackError, ParameterError
 from .fock import (
     StateVector,
     _check_transmissivity,
-    _x0_svd,
     make_annihilation,
     make_quadrature,
     quadrature_eigenvector_matrix,
@@ -600,22 +602,18 @@ class SchemeFamilyBuilder:
         m = np.arange(n)
         return y[np.minimum(m[:, None] + m[None, :], n_sec), m[None, :]]
 
-    def _compose(self, xs, mask: StageMask, cols: np.ndarray,
-                 vc: Optional[np.ndarray] = None) -> np.ndarray:
+    def _compose(self, xs, mask: StageMask, cols: np.ndarray) -> np.ndarray:
         """B . D(x) . W(x) . P . cols at working size for every outcome in
         ``xs``, shape (len(xs), n_work, cols.shape[1]), with the masked-off
-        stages left out.  ``vc``, the readout columns of P . cols, may be
-        passed by a caller that composes several batches of outcomes on the
-        same columns, so that P and the band act on them once."""
+        stages left out."""
         xs = np.asarray(xs, dtype=float)
         n = self.n_work
         levels, band = self._levels, self._band
-        if vc is None and mask.pre_squeeze:
+        if mask.pre_squeeze:
             cols = self._pre_matrix() @ cols
         chi = self._chi(xs)
-        if vc is None and len(xs) == 1:  # readout first, one (n_in, m)
-            # slab per level: W[m, n_in] = sum_j chi[p] B[s, m, j],
-            # s = n_in + k_j, p = s - m
+        if len(xs) == 1:  # readout first, one (n_in, m) slab per level:
+            # W[m, n_in] = sum_j chi[p] B[s, m, j], s = n_in + k_j, p = s - m
             m = np.arange(n)
             chi_pad = np.zeros(2 * n + levels[-1], dtype=complex)
             chi_pad[n:2 * n] = chi[0]
@@ -625,9 +623,14 @@ class SchemeFamilyBuilder:
                 w_t += chi_pad[offset + k] * band[k:k + n, :, j]
             w = (w_t.T @ cols)[None]
         else:  # columns first: the band acts on cols once, per sector
-            if vc is None:
-                vc = self._readout_columns(cols)
-            w = (chi @ vc.reshape(n, -1)).reshape(len(xs), n, -1)
+            w = (chi @ self._readout_columns(cols).reshape(n, -1)).reshape(
+                len(xs), n, -1)
+        return self._finish(xs, mask, w)
+
+    def _finish(self, xs: np.ndarray, mask: StageMask,
+                w: np.ndarray) -> np.ndarray:
+        """The feedback displacement and the back-squeeze, as ``mask`` asks,
+        applied to the readouts w, shape (len(xs), n_work, k)."""
         if mask.feedback:
             w = _displace_columns(feedback_displacement(
                 xs, self.params.eta, self.params.phi), w)
@@ -659,15 +662,19 @@ class SchemeFamilyBuilder:
                mask: StageMask = StageMask()) -> ReductionOperatorFamily:
         g = grid if grid is not None else self.params.grid
         c = self.params.cutoff
-        cols = np.eye(self.n_work)[:, :c]
+        n = self.n_work
+        cols = np.eye(n)[:, :c]
         if mask.pre_squeeze:
             cols = self._pre_matrix() @ cols
-        vc = self._readout_columns(cols)  # shared by every outcome chunk
-        step = max(1, _STACK_ELEMENTS // self.n_work ** 2)
+        # the readout columns do not depend on the outcome: one band product
+        # serves every chunk
+        vc = self._readout_columns(cols).reshape(n, -1)
+        step = max(1, _STACK_ELEMENTS // n ** 2)
         ops = np.empty((len(g), c, c), dtype=complex)
         for i in range(0, len(g), step):
-            ops[i:i + step] = self._compose(g.points[i:i + step], mask,
-                                            cols, vc)[:, :c]
+            xs = g.points[i:i + step]
+            w = (self._chi(xs) @ vc).reshape(len(xs), n, c)
+            ops[i:i + step] = self._finish(xs, mask, w)[:, :c]
         origin = "raw-interaction" if mask == StageMask.raw() else "compensated"
         return ReductionOperatorFamily(g, ops, origin, self.warnings)
 
@@ -849,47 +856,15 @@ def _mode_quadratures(cutoff: int):
     return x, y, x, y
 
 
-def _bands(a: np.ndarray):
-    """The diagonal offsets at which the one-mode matrix a is nonzero."""
-    n = len(a)
-    return [d for d in range(1 - n, n) if np.any(np.diagonal(a, d))]
-
-
-def _kron_entries(terms, m, p, m2, p2) -> np.ndarray:
-    """Entries <m, p| sum coef A (x) B |m2, p2> of a joint operator given as
-    Kronecker terms [(coef, A, B)] of one-mode matrices, elementwise over
-    broadcast index arrays; zero where an index leaves the modes."""
-    n = len(terms[0][1])
-    inside = (m2 >= 0) & (m2 < n) & (p2 >= 0) & (p2 < n)
-    m2, p2 = np.clip(m2, 0, n - 1), np.clip(p2, 0, n - 1)
-    return np.where(inside, sum(c * (a[m, m2] * b[p, p2])
-                                for c, a, b in terms), 0.0)
-
-
-def _product_block(f, g, m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """<m_i, p_i| F G |m_k, p_k> for joint operators F, G given as Kronecker
-    terms: the sum over the intermediate joint levels J = (m_i + d, p_i + e)
-    that F reaches, in descending order of J, of F's entry times G's."""
-    offsets = sorted({(d, e) for _, a, b in f for d in _bands(a)
-                      for e in _bands(b)}, reverse=True)
-    acc = 0.0
-    for d, e in offsets:
-        j_m, j_p = m + d, p + e
-        acc = acc + _kron_entries(f, m, p, j_m, j_p)[:, None] \
-            * _kron_entries(g, j_m[:, None], j_p[:, None], m, p)
-    return acc
-
-
 def _kron_max(terms) -> float:
-    """Largest |entry| of sum coef A (x) B over the whole joint space: the
-    entries at mode offsets (d, e) are the outer products of the factors'
-    d-th and e-th diagonals, and only the offsets some term reaches can
-    hold a nonzero entry."""
-    offsets = {(d, e) for _, a, b in terms for d in _bands(a)
-               for e in _bands(b)}
-    return max((float(np.max(np.abs(sum(
-        c * np.outer(np.diagonal(a, d), np.diagonal(b, e))
-        for c, a, b in terms)))) for d, e in offsets), default=0.0)
+    """Largest |entry| of sum coef A (x) B over the whole joint space.  Only
+    an entry (i, j) that some A holds and (p, q) that some B holds can be
+    nonzero, so the sum is taken on those alone."""
+    coefs, mats_a, mats_b = zip(*terms)
+    ij = np.nonzero(sum(np.abs(a) for a in mats_a))
+    pq = np.nonzero(sum(np.abs(b) for b in mats_b))
+    held = sum(c * np.multiply.outer(a[ij], b[pq]) for c, a, b in terms)
+    return float(np.max(np.abs(held), initial=0.0))
 
 
 def _low_total_pairs(cutoff: int, block_total: int) -> np.ndarray:
@@ -923,7 +898,7 @@ def _parity_quadrature_basis(n: int) -> Tuple[np.ndarray, np.ndarray]:
     and of the odd levels with x e_l = lam_l o_l and x o_l = lam_l e_l.
     For odd n the zero eigenvector is purely even and has no partner; its
     column, last, is zero on the odd rows, which keeps both halves h wide."""
-    u, s, vt = _x0_svd(n)
+    u, s, vt = fock._x0_svd(n)
     k = len(s)
     f = np.zeros((n, (n + 1) // 2))
     f[0::2, :k] = u[:, k - 1::-1]
@@ -1078,24 +1053,32 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
 
     su_pm = su_zp = su_zm = gen_dev = None
     if check_su2:
-        # su(2) commutators of the factor generators, on the low-total block
-        # of the requested cutoff (products only ever reach total +- 4
-        # there): one-mode products per Kronecker term, evaluated on the
-        # compared rows and columns only
+        # su(2) commutators of the factor generators on the compared block,
+        # the pairs of total <= block_total.  Each generator moves the total
+        # by at most 2, so every product there runs through the pairs t of
+        # total <= block_total + 2 alone: each generator is a dense matrix
+        # on t, filled from one-mode matrices, and each commutator two
+        # matmuls on the compared rows and columns
         xs, ys, xp, yp = _mode_quadratures(cutoff)
+        tm, tp = _low_total_pairs(cutoff, block_total + 2).T
+        cmp = np.flatnonzero(tm + tp <= block_total)
+
+        def on_t(terms):  # sum coef A (x) B on the pairs t
+            return sum(c * a[tm[:, None], tm] * b[tp[:, None], tp]
+                       for c, a, b in terms)
+
         one = np.eye(cutoff)
-        j_plus = [(2j, ys, xp)]
-        j_minus = [(2j, xs, yp)]
-        j_z = [(1j, one, xp @ yp), (-1j, xs @ ys, one)]
+        j_plus = on_t([(2j, ys, xp)])
+        j_minus = on_t([(2j, xs, yp)])
+        j_z = on_t([(1j, one, xp @ yp), (-1j, xs @ ys, one)])
 
         def comm_max(g, h, rest):  # [g, h] - rest on the compared block
-            comm = _product_block(g, h, m, p) - _product_block(h, g, m, p)
-            return float(np.max(np.abs(
-                comm - _kron_entries(rest, m[:, None], p[:, None], m, p))))
+            comm = g[cmp] @ h[:, cmp] - h[cmp] @ g[:, cmp]
+            return float(np.max(np.abs(comm - rest[np.ix_(cmp, cmp)])))
 
-        su_pm = comm_max(j_plus, j_minus, [(2.0 * c, a, b) for c, a, b in j_z])
+        su_pm = comm_max(j_plus, j_minus, 2.0 * j_z)
         su_zp = comm_max(j_z, j_plus, j_plus)
-        su_zm = comm_max(j_z, j_minus, [(-c, a, b) for c, a, b in j_minus])
+        su_zm = comm_max(j_z, j_minus, -j_minus)
 
         # ladder form a b^dag - a^dag b versus quadrature form 2i(y X - x Y)
         a = make_annihilation(cutoff)

@@ -930,8 +930,12 @@ def _dense_bch_reference(eta, cutoff, block_total, working_cutoff):
         factor_identity_deviations=tuple(float(x) for x in devs))
 
 
-@pytest.mark.parametrize("block_total", [4, 10, 20, 36])
-@pytest.mark.parametrize("working_cutoff", [48, 49, 140, 141])
+# block_total 38 = cutoff - 2 is the largest allowed: there the su(2)
+# products reach the last level of each mode; its reference costs 7-9 s a
+# case at the larger working sizes, so it runs at the two small ones
+@pytest.mark.parametrize("working_cutoff,block_total",
+                         [(w, b) for w in (48, 49, 140, 141)
+                          for b in (4, 10, 20, 36)] + [(48, 38), (49, 38)])
 @pytest.mark.parametrize("eta", [0.2, 0.5, 0.8])
 def test_bch_matches_dense_reference(eta, working_cutoff, block_total):
     got = verify_bch_factorization(eta, 40, block_total, working_cutoff)
