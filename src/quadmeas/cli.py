@@ -51,6 +51,7 @@ from .scheme import (
     GaussianSchemeOracle,
     SchemeFamilyBuilder,
     SchemeParams,
+    _check_margin,
     build_scheme_family,
     measurement_width,
     verify_bch_factorization,
@@ -249,6 +250,8 @@ def resolve_config(argv: Sequence[str]) -> RunConfig:
         cfg.scheme_params()
         cfg.feedback_spec()
         cfg.rngseed()
+        if values["margin"] is not None:
+            _check_margin(values["margin"])
     except QuadmeasError as exc:
         raise _ConfigError(str(exc)) from None
     if cfg.command == "sweep":

@@ -328,14 +328,25 @@ _SHIFT = 512
 
 def quadrature_eigenvector_matrix(xs: Sequence[float], cutoff: int,
                                   phase: float = 0.0) -> np.ndarray:
-    """Stack quadrature_eigenvector over a grid: returns (len(xs), cutoff).
+    """Stack quadrature_eigenvector over a grid: returns (len(xs), cutoff),
+    the real Hermite functions of _hermite_functions with level k times
+    e^{i k phase}, copied out in C order."""
+    chi = _hermite_functions(xs, cutoff)
+    if phase == 0.0:
+        return np.ascontiguousarray(chi, dtype=complex)
+    out = np.empty(chi.shape, dtype=complex)
+    return np.multiply(chi, np.exp(1j * phase * np.arange(cutoff)), out=out)
+
+
+def _hermite_functions(xs: Sequence[float], cutoff: int) -> np.ndarray:
+    """chi_n(x) for n < cutoff at every x, real, shaped (len(xs), cutoff):
+    the transposed view of a level-major array.
 
     The recurrence runs level by level on contiguous rows of one (cutoff,
-    len(xs)) array, in place, and the result is copied out in C order.  A
-    point with x^2 > 700 starts the recurrence from the mantissa of
-    chi_0 = (2/pi)^{1/4} (e^{-x^2/16})^16 and scales its column by its
-    exponent at the end, so every value is exact to rounding or a true
-    underflow at any x."""
+    len(xs)) array, in place.  A point with x^2 > 700 starts the recurrence
+    from the mantissa of chi_0 = (2/pi)^{1/4} (e^{-x^2/16})^16 and scales
+    its column by its exponent at the end, so every value is exact to
+    rounding or a true underflow at any x."""
     xs = np.asarray(xs, dtype=float)
     two_x = 2.0 * xs
     chi = np.empty((cutoff, xs.shape[0]))
@@ -361,10 +372,7 @@ def quadrature_eigenvector_matrix(xs: Sequence[float], cutoff: int,
                 expo[np.isin(far, big)] += _SHIFT
     if far.size:
         chi[:, far] = np.ldexp(chi[:, far], expo[None, :])
-    if phase == 0.0:
-        return np.ascontiguousarray(chi.T, dtype=complex)
-    out = np.empty((xs.shape[0], cutoff), dtype=complex)
-    return np.multiply(chi.T, np.exp(1j * phase * np.arange(cutoff)), out=out)
+    return chi.T
 
 
 def _x0_svd(cutoff: int, vectors: bool = True):

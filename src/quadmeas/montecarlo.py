@@ -477,7 +477,11 @@ class TrialEngine:
             self.feedback.beta)
         mat = rho.matrix
         if self.mask.back_squeeze:
-            back = self._builder._back_matrix(self.mask.pre_squeeze)
+            # the builder's back-squeeze is that of phi = 0: R_phi carries
+            # it to the frame of phi
+            frame = self._builder._frame()
+            back = frame[:, None] * self._builder._back_matrix(
+                self.mask.pre_squeeze) * frame.conj()
             mat = back @ mat @ back.conj().T
         c = self.params.cutoff
         mat = mat[:c, :c]

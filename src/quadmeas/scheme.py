@@ -37,16 +37,25 @@ deamplified axis is the conjugate one (S(r, psi+pi/2) = S(-r, psi) exactly).
 Numerical architecture: composing truncated matrix exponentials corrupts
 low Fock blocks, so every stage is evaluated in an enlarged working space
 (margin * cutoff levels) with every entry exact to rounding, and only the
-final result is truncated to the requested cutoff.  A squeeze rescales the
-quadrature wavefunction, so its kept n x n corner is an integral of
-Hermite functions that the n-node Gauss-Hermite rule evaluates exactly,
-with the nodes from the eigenvalues of the truncated x_0 and no extended
-space or eigenvectors (_faithful_squeeze); no dense expm runs.  The
-feedback displacement D(t e^{i phi}) = exp(-2it x_{phi+pi/2}) acts on the
-columns it displaces, as r o q (e^{-2it lam} o q^T (conj(r) o w)) with
-r_k = e^{ik(phi + pi/2)} and lam, q from the memoized spectrum of x_0
-(fock.quadrature_spectrum, like every quadrature spectrum here), so no
-displacement matrix forms (_displace_columns).  The mixer acts
+final result is truncated to the requested cutoff.  Every stage is
+covariant with the working quadrature (the pumps sit a quarter period from
+phi, the feedback displaces along phi), so with R_phi = diag(e^{ik phi})
+the operators are R_phi Omega_0(x) R_phi^dag, Omega_0 the scheme at phi = 0
+with the probe read at the offset phi_probe - phi.  The builder composes in
+that frame, where every stage matrix is real when phi_probe = phi, and each
+array keeps the dtype of its data; R_phi enters only at the ends.  A
+squeeze rescales the quadrature wavefunction, so its kept n x n corner is
+an integral of Hermite functions that the n-node Gauss-Hermite rule
+evaluates exactly, with the nodes from the eigenvalues of the truncated
+x_0 and no extended space or eigenvectors (_faithful_squeeze); no dense
+expm runs.  The feedback displacement D(t) = exp(-2it x_{pi/2}) for real t
+acts on the columns it displaces in parity-split real form: in the parity
+bases of the x_0 eigenvectors at an extended size (the half-size SVD bases
+of _parity_quadrature_basis), with the phases i^k folded in as row signs
+and U, V their kept even and odd rows, it is [[U C U^T, -U S V^T], [V S
+U^T, V C V^T]], C = cos(2t s_l), S = sin(2t s_l), four half-size real
+products for all outcomes and columns, so no displacement matrix forms
+(_displace_columns).  The mixer acts
 through its conserved total-occupancy sectors s, precontracted with the
 probe: V[m, p, n] = <m, p|U_mix|n, probe> is nonzero only for p = n + k - m
 with k a probe level, and the squeezed probe has K of those above 1e-17
@@ -83,6 +92,7 @@ one-mode matrices can hold.
 
 from __future__ import annotations
 
+import cmath
 import math
 import mmap
 from dataclasses import dataclass
@@ -97,9 +107,7 @@ from .fock import (
     _check_transmissivity,
     make_annihilation,
     make_quadrature,
-    quadrature_eigenvector_matrix,
     quadrature_nodes,
-    quadrature_spectrum,
     squeezed_vacuum,
 )
 from .gaussian import (
@@ -172,6 +180,10 @@ class SchemeParams:
                                  f"got {self.cutoff}")
         if self.phi_probe is None:
             object.__setattr__(self, "phi_probe", float(self.phi))
+        for name in ("phi", "phi_probe"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"quadrature phase {name} must be "
+                                     f"finite, got {getattr(self, name)}")
         if self.grid is None:
             object.__setattr__(self, "grid",
                                OutcomeGrid.from_spec(DEFAULT_GRID_SPEC))
@@ -231,6 +243,13 @@ def feedback_displacement(x: float, eta: float, phi: float = 0.0) -> complex:
     the raw readout."""
     return feedback_coefficient(eta) * x * complex(math.cos(phi),
                                                    math.sin(phi))
+
+
+def _check_margin(margin: float) -> None:
+    """Working-space margins are finite numbers >= 1."""
+    if not (margin >= 1.0 and math.isfinite(margin)):
+        raise ParameterError(f"working-space margin must be a finite "
+                             f"number >= 1, got {margin}")
 
 
 def measurement_width(eta: float, sigma: float) -> float:
@@ -326,6 +345,9 @@ class FeedbackSpec:
                 raise ParameterError(
                     "finite-lo feedback requires a nonzero local-oscillator "
                     "amplitude beta")
+        if self.beta is not None and not cmath.isfinite(self.beta):
+            raise ParameterError(f"local-oscillator amplitude beta must be "
+                                 f"finite, got {self.beta}")
 
     @classmethod
     def ideal(cls) -> "FeedbackSpec":
@@ -366,41 +388,63 @@ def _displace_columns(alpha, cols: np.ndarray) -> np.ndarray:
     """D(alpha[x]) @ cols[x] for amplitudes shaped (X,) and columns shaped
     (X, n, c), every entry exact to rounding, with no n x n matrix formed.
 
-    D(t e^{i phi}) = exp(-2it x_{phi+pi/2}) is taken at the extended size
-    (sqrt(n) + t)^2 + 12 (sqrt(n) + t) + 40, with t grown only when an
-    amplitude needs more room.  With x_0 = Q diag(lam) Q^T there, q the
-    kept n rows of Q and r_k = e^{ik(phi + pi/2)},
+    For real t, D(t) = exp(t(a^dag - a)) = exp(-2it x_{pi/2}) is a real
+    matrix, taken at the extended size (sqrt(n) + |t|)^2 + 12 (sqrt(n) +
+    |t|) + 40, with |t| grown only when an amplitude needs more room.  With
+    e_l, o_l the parity bases of the x_0 eigenvectors there
+    (_parity_quadrature_basis, x e_l = s_l o_l), the phases i^k of
+    x_{pi/2} = R x_0 R^dag, R = diag(i^k), folded in as the row signs
+    (-1)^floor(k/2), and U, V their kept even and odd rows, D(t) on the
+    even and odd level blocks is
 
-        D(t e^{i phi}) w = r o q (e^{-2it lam} o q^T (conj(r) o w)),
+        [[U C U^T, -U S V^T], [V S U^T, V C V^T]],
+        C = diag(cos(2t s_l)), S = diag(sin(2t s_l)):
 
-    two real products that act on the float view of all X c columns."""
-    alpha = np.asarray(alpha, dtype=complex)
+    four half-size real products that act on all X c columns at once, on
+    their float view when they are complex.  A complex amplitude t e^{i th}
+    adds its diagonal phase, D(t e^{i th}) = R_th D(t) R_th^dag with
+    R_th = diag(e^{ik th}), per outcome."""
+    alpha = np.asarray(alpha)
+    if not np.any(np.imag(alpha)):
+        alpha = np.real(alpha)
     n_out, n, c = cols.shape
-    t = np.abs(alpha)
-    room = max(np.max(t, initial=0), _DISPLACEMENT_ROOM_FLOOR)
+    t = np.abs(alpha) if np.iscomplexobj(alpha) else alpha.astype(float)
+    room = max(np.max(np.abs(t), initial=0), _DISPLACEMENT_ROOM_FLOOR)
+    ne = (n + 1) // 2
     if room > _displacement_spectra.get(n, (0.0,))[0]:
         r = math.sqrt(n) + room
-        lam, q = quadrature_spectrum(int(math.ceil(r * r + 12.0 * r + 40.0)))
+        s, f = _parity_quadrature_basis(int(math.ceil(r * r + 12.0 * r
+                                                      + 40.0)))
         # kept in a memory map of its own: left in the malloc heap, it would
         # pin the heap's top and keep the freed transients of later calls
         # resident (+20 MB of peak RSS over a run of verify calls)
-        kept = np.ndarray((n + 1, len(lam)),
-                          buffer=mmap.mmap(-1, 8 * (n + 1) * len(lam)))
-        kept[0], kept[1:] = lam, q[:n]
+        kept = np.ndarray((n + 1, len(s)),
+                          buffer=mmap.mmap(-1, 8 * (n + 1) * len(s)))
+        kept[0] = s
+        for rows, parity in ((kept[1:ne + 1], 0), (kept[ne + 1:], 1)):
+            rows[:] = f[parity:n:2]
+            rows[1::2] *= -1.0
         _displacement_spectra[n] = (room, kept)
-    lam, q = _displacement_spectra[n][1][0], _displacement_spectra[n][1][1:]
-    k = np.arange(n)
-    r = np.array([1, 1j, -1, -1j])[k % 4] \
-        * np.exp(1j * np.angle(alpha)[:, None] * k)
-    v = np.empty((n, n_out, c), dtype=complex)  # level-major: one product
-    np.multiply(cols.transpose(1, 0, 2), r.T.conj()[:, :, None], out=v)
-    spec = (q.T @ v.reshape(n, -1).view(float)).view(complex)
-    spec = spec.reshape(len(lam), n_out, c)
-    spec *= np.exp(-2j * lam[:, None] * t)[:, :, None]
-    w = (q @ spec.reshape(len(lam), -1).view(float)).view(complex)
-    out = np.empty((n_out, n, c), dtype=complex)
-    np.multiply(w.reshape(n, n_out, c).transpose(1, 0, 2), r[:, :, None],
-                out=out)
+    kept = _displacement_spectra[n][1]
+    s, u, v = kept[0], kept[1:ne + 1], kept[ne + 1:]
+    if np.iscomplexobj(alpha):
+        ph = np.exp(1j * np.angle(alpha)[:, None] * np.arange(n))
+        cols = cols * ph.conj()[:, :, None]
+    halves = []  # level-major even and odd rows: one product each
+    for rows, basis in ((cols[:, 0::2], u), (cols[:, 1::2], v)):
+        lm = np.ascontiguousarray(rows.transpose(1, 0, 2))
+        halves.append((basis.T @ lm.reshape(len(lm), -1).view(float))
+                      .reshape(len(s), n_out, -1))
+    arg = 2.0 * np.outer(s, t)
+    cos, sin = np.cos(arg)[:, :, None], np.sin(arg)[:, :, None]
+    a, b = halves
+    out = np.empty((n_out, n, c), dtype=cols.dtype)
+    for rows, basis, mixed in ((out[:, 0::2], u, cos * a - sin * b),
+                               (out[:, 1::2], v, sin * a + cos * b)):
+        lm = (basis @ mixed.reshape(len(s), -1)).view(cols.dtype)
+        rows[:] = lm.reshape(len(basis), n_out, c).transpose(1, 0, 2)
+    if np.iscomplexobj(alpha):
+        out *= ph[:, :, None]
     return out
 
 
@@ -435,20 +479,20 @@ def _faithful_squeeze(r: float, n: int, phase: float = 0.0) -> np.ndarray:
     The nodes are symmetric, so the half with lam >= 0 carries doubled
     weights and each parity block is one real product.  The largest node
     is about sqrt(n), so from n ~ 730 on chi_0 is subnormal there while
-    chi_{n-1} does not; quadrature_eigenvector_matrix keeps every chi
+    chi_{n-1} does not; fock._hermite_functions keeps every chi
     exact to rounding past that point.  S(-r) = S(r)^T exactly, the
-    transpose of the same product.  The pump phase enters as the exact
-    element phase e^{i(m-k) phase}."""
+    transpose of the same product.  At phase 0 the matrix is real; a pump
+    phase enters as the exact element phase e^{i(m-k) phase}."""
     if r == 0.0:
-        return np.eye(n, dtype=complex)
+        return np.eye(n)
     lam = quadrature_nodes(n)[n // 2:]  # odd n: 0 first
-    chi = quadrature_eigenvector_matrix(lam, n + 1).real
+    chi = fock._hermite_functions(lam, n + 1)
     lam = lam - chi[:, n] / (2.0 * math.sqrt(n) * chi[:, n - 1])
     s = math.exp(-abs(r))
     beta = math.sqrt(2.0 / (1.0 + s * s))
     h = len(lam)
-    chi = quadrature_eigenvector_matrix(
-        np.concatenate((lam, beta * lam, s * beta * lam)), n).real
+    chi = fock._hermite_functions(
+        np.concatenate((lam, beta * lam, s * beta * lam)), n)
     w = 2.0 * math.exp(-0.5 * abs(r)) * beta / np.sum(chi[:h] ** 2, axis=1)
     if n % 2:
         w[0] *= 0.5  # the zero node counts once
@@ -459,7 +503,6 @@ def _faithful_squeeze(r: float, n: int, phase: float = 0.0) -> np.ndarray:
             @ (w[:, None] * cols[:, parity::2])
     if r < 0:
         block = block.T
-    block = block.astype(complex)
     if phase != 0.0:
         ph = np.exp(1j * phase * np.arange(n))
         block = ph[:, None] * block * ph.conj()[None, :]
@@ -519,6 +562,13 @@ class SchemeFamilyBuilder:
     The mixer-probe band (see the module docstring) is computed once per
     parameter set by a sector recurrence with no eigendecomposition, the
     pre- and back-squeezes on first use; no array holds n_work^3 elements.
+    Every stage is covariant with the working quadrature, so with R_phi =
+    diag(e^{ik phi}) the operators are R_phi Omega_0(x) R_phi^dag, Omega_0
+    the scheme at phi = 0 with the probe read at the offset phi_probe -
+    phi.  The builder composes in that frame, where the squeezes and the
+    feedback are real, and so are the band and the probe functions when
+    phi_probe = phi; every array keeps the dtype of its data, and R_phi
+    enters only at the ends.
     Each public method but the completeness sum is a thin caller of
     ``_compose`` that picks the outcomes, the mask and the input columns
     (leading unit columns, or the padded state for densities).
@@ -529,14 +579,12 @@ class SchemeFamilyBuilder:
     """
 
     def __init__(self, params: SchemeParams, margin: float = 2.5):
-        if margin < 1.0:
-            raise ParameterError(f"working-space margin must be >= 1, "
-                                 f"got {margin}")
+        _check_margin(margin)
         self.params = params
         self.n_work = max(params.cutoff,
                           int(math.ceil(margin * params.cutoff)))
         probe = squeezed_vacuum(params.sigma, self.n_work,
-                                phase=params.phi_probe)
+                                phase=params.phi_probe - params.phi)
         self.warnings = probe.warnings
         self._levels, self._band = self._contract_probe(probe.amplitudes)
         self._s_pre = None
@@ -565,35 +613,45 @@ class SchemeFamilyBuilder:
     def _pre_matrix(self) -> np.ndarray:
         if self._s_pre is None:
             self._s_pre = _faithful_squeeze(
-                presqueeze_param(self.params.eta), self.n_work,
-                self.params.phi)
+                presqueeze_param(self.params.eta), self.n_work)
         return self._s_pre
 
     def _back_matrix(self, pre_on: bool) -> np.ndarray:
+        """The back-squeeze in the phi = 0 frame, real."""
         if pre_on not in self._s_back:
             self._s_back[pre_on] = _faithful_squeeze(
                 backsqueeze_param(self.params.eta, pre_squeezed=pre_on),
-                self.n_work, self.params.phi)
+                self.n_work)
         return self._s_back[pre_on]
 
+    def _frame(self) -> np.ndarray:
+        """The diagonal e^{ik phi} of R_phi on the working levels."""
+        return np.exp(1j * self.params.phi * np.arange(self.n_work))
+
     def _chi(self, xs: np.ndarray) -> np.ndarray:
-        return quadrature_eigenvector_matrix(
-            np.asarray(xs, dtype=float), self.n_work,
-            self.params.phi_probe).conj()
+        """The conjugated probe quadrature functions at the outcomes, shaped
+        (len(xs), n_work), read at the offset phi_probe - phi."""
+        chi = fock._hermite_functions(np.asarray(xs, dtype=float),
+                                      self.n_work)
+        offset = self.params.phi_probe - self.params.phi
+        if offset:
+            chi = chi * np.exp(-1j * offset * np.arange(self.n_work))
+        return chi
 
     def _readout_columns(self, cols: np.ndarray) -> np.ndarray:
         """vc[p, m, c] = sum_n V[m, p, n] cols[n, c], shape (n_work, n_work,
         cols.shape[1]): the band applied to the gathered cols of every
         sector in one matmul, so the readout is W(x) cols = sum_p chi_p(x)
-        vc[p]."""
+        vc[p].  Real cols and a real band give real vc."""
         n = self.n_work
         levels, band = self._levels, self._band
         n_sec = len(band)
-        pad = np.zeros((n + 2 * levels[-1], cols.shape[1]), dtype=complex)
+        pad = np.zeros((n + 2 * levels[-1], cols.shape[1]), dtype=cols.dtype)
         pad[levels[-1]:levels[-1] + n] = cols
         gathered = pad[np.arange(n_sec)[:, None] - levels[None, :]
                        + levels[-1]]
-        y = np.zeros((n_sec + 1, n, cols.shape[1]), dtype=complex)
+        y = np.zeros((n_sec + 1, n, cols.shape[1]),
+                     dtype=np.result_type(band, cols))
         if np.iscomplexobj(band):
             np.matmul(band, gathered, out=y[:n_sec])
         else:  # a real band acts on the float view, never cast
@@ -605,38 +663,45 @@ class SchemeFamilyBuilder:
     def _compose(self, xs, mask: StageMask, cols: np.ndarray) -> np.ndarray:
         """B . D(x) . W(x) . P . cols at working size for every outcome in
         ``xs``, shape (len(xs), n_work, cols.shape[1]), with the masked-off
-        stages left out."""
+        stages left out: the stages act at phi = 0 on R_phi^dag cols, and
+        R_phi takes the result's rows back to the frame of phi."""
         xs = np.asarray(xs, dtype=float)
         n = self.n_work
         levels, band = self._levels, self._band
+        if self.params.phi:
+            cols = self._frame().conj()[:, None] * cols
         if mask.pre_squeeze:
             cols = self._pre_matrix() @ cols
         chi = self._chi(xs)
         if len(xs) == 1:  # readout first, one (n_in, m) slab per level:
             # W[m, n_in] = sum_j chi[p] B[s, m, j], s = n_in + k_j, p = s - m
             m = np.arange(n)
-            chi_pad = np.zeros(2 * n + levels[-1], dtype=complex)
+            chi_pad = np.zeros(2 * n + levels[-1], dtype=chi.dtype)
             chi_pad[n:2 * n] = chi[0]
             offset = m[:, None] - m[None, :] + n
-            w_t = np.zeros((n, n), dtype=complex)
+            w_t = np.zeros((n, n), dtype=np.result_type(chi, band))
             for j, k in enumerate(levels):
                 w_t += chi_pad[offset + k] * band[k:k + n, :, j]
             w = (w_t.T @ cols)[None]
         else:  # columns first: the band acts on cols once, per sector
             w = (chi @ self._readout_columns(cols).reshape(n, -1)).reshape(
                 len(xs), n, -1)
-        return self._finish(xs, mask, w)
-
-    def _finish(self, xs: np.ndarray, mask: StageMask,
-                w: np.ndarray) -> np.ndarray:
-        """The feedback displacement and the back-squeeze, as ``mask`` asks,
-        applied to the readouts w, shape (len(xs), n_work, k)."""
-        if mask.feedback:
-            w = _displace_columns(feedback_displacement(
-                xs, self.params.eta, self.params.phi), w)
-        if mask.back_squeeze:
-            w = self._back_matrix(mask.pre_squeeze) @ w
+        w = self._finish(xs, mask, w)
+        if self.params.phi:
+            w = w * self._frame()[:, None]
         return w
+
+    def _finish(self, xs: np.ndarray, mask: StageMask, w: np.ndarray,
+                rows: Optional[int] = None) -> np.ndarray:
+        """The feedback displacement and the back-squeeze, as ``mask`` asks,
+        applied to the readouts w, shape (len(xs), n_work, k), at phi = 0;
+        the result keeps the leading ``rows`` rows (default all)."""
+        if mask.feedback:
+            w = _displace_columns(feedback_coefficient(self.params.eta) * xs,
+                                  w)
+        if mask.back_squeeze:
+            return self._back_matrix(mask.pre_squeeze)[:rows] @ w
+        return w[:, :rows]
 
     def operator(self, x: float, mask: StageMask = StageMask(), *,
                  workspace: bool = False) -> np.ndarray:
@@ -663,18 +728,19 @@ class SchemeFamilyBuilder:
         g = grid if grid is not None else self.params.grid
         c = self.params.cutoff
         n = self.n_work
-        cols = np.eye(n)[:, :c]
-        if mask.pre_squeeze:
-            cols = self._pre_matrix() @ cols
+        cols = self._pre_matrix()[:, :c] if mask.pre_squeeze \
+            else np.eye(n)[:, :c]
         # the readout columns do not depend on the outcome: one band product
         # serves every chunk
         vc = self._readout_columns(cols).reshape(n, -1)
         step = max(1, _STACK_ELEMENTS // n ** 2)
-        ops = np.empty((len(g), c, c), dtype=complex)
-        for i in range(0, len(g), step):
-            xs = g.points[i:i + step]
-            w = (self._chi(xs) @ vc).reshape(len(xs), n, c)
-            ops[i:i + step] = self._finish(xs, mask, w)[:, :c]
+        chunks = (g.points[i:i + step] for i in range(0, len(g), step))
+        stack = np.concatenate([
+            self._finish(xs, mask,
+                         (self._chi(xs) @ vc).reshape(len(xs), n, c), c)
+            for xs in chunks])
+        m = np.arange(c)
+        ops = stack * np.exp(1j * self.params.phi * (m[:, None] - m))
         origin = "raw-interaction" if mask == StageMask.raw() else "compensated"
         return ReductionOperatorFamily(g, ops, origin, self.warnings)
 
@@ -687,7 +753,8 @@ class SchemeFamilyBuilder:
         With vc the readout columns (W(x) cols = sum_p chi_p(x) vc[p]),
         sum_x w_x W(x)^dag W(x) = sum_{p,q} G[p, q] vc[p]^dag vc[q] for the
         n_work x n_work Gram matrix G = chi^dag diag(w) chi, so the band is
-        applied once and no (len(grid), n_work, block) stack forms."""
+        applied once and no (len(grid), n_work, block) stack forms.  The sum
+        is taken at phi = 0: R_phi moves no modulus of its deviation."""
         n = self.n_work
         cols = self._pre_matrix()[:, :block] if mask.pre_squeeze \
             else np.eye(n)[:, :block]
@@ -715,7 +782,10 @@ class SchemeFamilyBuilder:
             raise ParameterError(
                 f"the state has amplitude at levels >= the working size "
                 f"{self.n_work}; raise the margin")
-        padded = np.zeros((self.n_work, 1), dtype=complex)
+        if not np.any(np.imag(psi)):
+            psi = np.real(psi)
+        padded = np.zeros((self.n_work, 1),
+                          dtype=np.result_type(psi, np.float64))
         padded[:min(len(psi), self.n_work), 0] = psi[:self.n_work]
         amps = self._compose(grid.points,
                              StageMask(mask.pre_squeeze, False, False), padded)
@@ -995,7 +1065,7 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
     sgn = d.real + d.imag  # D is sgn on even levels and i sgn on odd ones
     # S(-r) = S(r)^T, as S(r) is real orthogonal; _faithful_squeeze takes
     # one as the transpose of the other's product, so this is exact
-    sq_sys = _faithful_squeeze(-0.5 * math.log(eta), n_w).real
+    sq_sys = _faithful_squeeze(-0.5 * math.log(eta), n_w)
     sq_probe = sq_sys.T
     # Q^T D^dag S_sys Q and Q^T S_probe D Q per parity: real, bar the -i
     # and +i of the odd blocks

@@ -98,6 +98,26 @@ class TestConfigResolution:
     def test_negative_trials_exits_2(self):
         assert main(["sample", "--trials", "-5"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0.5"])
+    def test_bad_margin_exits_2(self, value, capsys):
+        assert main(["verify", "--eta", "0.5", "--sigma", "1.0",
+                     "--margin", value]) == 2
+        assert "configuration error: working-space margin" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_phi_exits_2(self, value, capsys):
+        assert main(["pom", "--phi", value]) == 2
+        assert "configuration error: quadrature phase phi" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_beta_exits_2(self, value, capsys):
+        assert main(["sample", "--feedback", "finite-lo", "--beta", value,
+                     "--trials", "1"]) == 2
+        assert "configuration error: local-oscillator amplitude" \
+            in capsys.readouterr().err
+
     def test_grid_spec_roundtrip(self):
         grid = parse_grid_spec("-2:2:0.5")
         assert_allclose(grid.points, np.arange(-2.0, 2.001, 0.5))
@@ -153,6 +173,22 @@ class TestVerify:
                     "seed", "trials", "identity_tol", "timestamp",
                     "artifact_version"):
             assert key in doc["meta"]
+
+    def test_check_values_do_not_depend_on_the_working_phase(self,
+                                                              tmp_path):
+        # every stage is covariant with the working quadrature, so each
+        # check reads the same at any phi
+        values = {}
+        for phi in ("0", "0.4", "2.5"):
+            out = tmp_path / f"verify-{phi}.csv"
+            assert main(["verify", "--eta", "0.2", "--sigma", "0.5",
+                         "--phi", phi, "--out", str(out)]) == 0
+            _, header, rows, _ = read_csv(out)
+            assert all(s == "pass"
+                       for s in column(header, rows, "status", str))
+            values[phi] = np.array(column(header, rows, "value"))
+        for phi in ("0.4", "2.5"):
+            assert np.max(np.abs(values[phi] - values["0"])) < 1e-14
 
     @pytest.mark.slow
     def test_default_preset_grid_green(self, tmp_path):

@@ -197,6 +197,38 @@ def test_displaced_columns_match_laguerre_oracle(monkeypatch):
             == max(3.0, np.max(np.abs(amps)))
 
 
+@pytest.mark.parametrize("n,amps", [
+    (59, [0.0, 0.4, -2.9, 1.7]),   # extended size 283
+    (75, [2.5, -3.0]),             # 316
+    (60, [-5.5, 4.0]),             # 375
+    (160, [5.5, -1.0, 0.0])])      # 588
+def test_real_displacement_matches_laguerre_oracle(monkeypatch, n, amps):
+    # real signed amplitudes take the parity-split real form alone, on
+    # real columns, at odd and even extended sizes (odd ones hold a zero
+    # eigenvalue with no partner)
+    monkeypatch.setattr(scheme, "_displacement_spectra", {})
+    sizes = []
+    basis = scheme._parity_quadrature_basis
+
+    def recording(size):
+        sizes.append(size)
+        return basis(size)
+
+    monkeypatch.setattr(scheme, "_parity_quadrature_basis", recording)
+    amps = np.array(amps)
+    cols = np.random.default_rng(n).normal(size=(len(amps), n, 5))
+    cols /= np.linalg.norm(cols, axis=1, keepdims=True)
+    got = scheme._displace_columns(amps, cols)
+    assert got.dtype == np.float64
+    want = _laguerre_displacement(amps, n) @ cols
+    assert np.max(np.abs(got - want)) < 1e-13
+    r = math.sqrt(n) + max(3.0, np.max(np.abs(amps)))
+    assert sizes == [math.ceil(r * r + 12.0 * r + 40.0)]
+    # the memo holds the spectrum and the kept rows of the half-size bases
+    assert scheme._displacement_spectra[n][1].shape \
+        == (n + 1, (sizes[0] + 1) // 2)
+
+
 def test_displacement_column_zero_is_the_coherent_state():
     n = 210
     for alpha in (5.0, 9j, 6 * np.exp(0.7j)):
@@ -381,6 +413,72 @@ def test_batched_family_matches_per_outcome_operators(monkeypatch):
                 worst = max(worst, float(np.max(np.abs(
                     fam.operators[i] - b.operator(x, mask)))))
     assert worst < 1e-12
+
+
+def test_working_phase_enters_as_the_frame_rotation(monkeypatch):
+    # with phi_probe = phi every stage is covariant with the working
+    # quadrature: the builder at phi gives R_phi Omega_0 R_phi^dag, over
+    # the masks and outcome chunks of the batched-family test
+    monkeypatch.setattr(scheme, "_STACK_ELEMENTS", 4 * 75 ** 2)
+    masks = [StageMask(), StageMask.raw(), StageMask(True, False, False),
+             StageMask(False, True, True), StageMask(True, True, False)]
+    grid = OutcomeGrid.from_range(-2.0, 2.0, 0.5)
+    phi = 0.4
+    b0 = SchemeFamilyBuilder(SchemeParams(eta=0.4, sigma=1.5, cutoff=30))
+    b = SchemeFamilyBuilder(SchemeParams(eta=0.4, sigma=1.5, cutoff=30,
+                                         phi=phi, phi_probe=phi))
+    rot = np.exp(1j * phi * np.arange(30))
+    frame = rot[:, None] * rot.conj()
+    worst = 0.0
+    for mask in masks:
+        fam, fam0 = b.family(grid, mask), b0.family(grid, mask)
+        worst = max(worst, float(np.max(np.abs(
+            fam.operators - frame * fam0.operators))))
+        for x in (-1.5, 0.5):
+            worst = max(worst, float(np.max(np.abs(
+                b.operator(x, mask) - frame * b0.operator(x, mask)))))
+    assert worst < 1e-12
+
+
+def test_compensated_stages_compose_in_real_arithmetic(monkeypatch):
+    # at phi_probe = phi the squeezes, the band, the readout columns, the
+    # probe functions and the family's stack before its phase factor are
+    # all real: a return to complex products fails here
+    b = SchemeFamilyBuilder(SchemeParams(eta=0.4, sigma=0.5, cutoff=30,
+                                         phi=0.4))
+    assert b._pre_matrix().dtype == np.float64
+    assert b._back_matrix(True).dtype == np.float64
+    assert b._back_matrix(False).dtype == np.float64
+    assert b._band.dtype == np.float64
+    assert b._chi([0.3, -1.0]).dtype == np.float64
+    vc = b._readout_columns(b._pre_matrix()[:, :30])
+    assert vc.dtype == np.float64
+    stacks = []
+    finish = b._finish
+
+    def recording(*args, **kwargs):
+        stacks.append(finish(*args, **kwargs))
+        return stacks[-1]
+
+    monkeypatch.setattr(b, "_finish", recording)
+    for mask in (StageMask(), StageMask.raw()):
+        fam = b.family(mask=mask)
+        assert stacks and all(w.dtype == np.float64 for w in stacks)
+        stacks.clear()
+        assert fam.operators.dtype == np.complex128
+    # at phi = 0 a real input state reaches the Born density on real
+    # columns
+    b0 = SchemeFamilyBuilder(SchemeParams(eta=0.4, sigma=0.5, cutoff=30))
+    composed = []
+    compose = b0._compose
+
+    def recording_compose(*args):
+        composed.append(compose(*args))
+        return composed[-1]
+
+    monkeypatch.setattr(b0, "_compose", recording_compose)
+    b0.outcome_density_values(StateVector(vacuum(30)), b0.params.grid)
+    assert composed[0].dtype == np.float64
 
 
 def untruncated_sector_blocks(b):
