@@ -55,7 +55,6 @@ from .kernel import (
     quadrature_density,
     reduce_state,
     vn_target_family,
-    spectral_kernel_family,
     widen_grid_for_density,
     fitted_kernel_width,
 )

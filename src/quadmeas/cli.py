@@ -401,7 +401,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     for eta, sigma in pairs:
         res = build_scheme_family(cfg.scheme_params(eta, sigma),
                                   margin=margin)
-        warnings += res.family.warnings + res.target.warnings
+        warnings += res.family.warnings
         add("pipeline-identity", eta, sigma, res.max_deviation,
             tols["pipeline-identity"])
         add("pom-identity", eta, sigma, res.pom_deviation,
@@ -541,7 +541,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             try:
                 res = build_scheme_family(
                     cfg.scheme_params(eta, sigma), margin=margin)
-                warnings += res.family.warnings + res.target.warnings
+                warnings += res.family.warnings
                 rows.append((eta, sigma, None, "identity-deviation",
                              res.max_deviation, "ok"))
             except QuadmeasError as exc:

@@ -421,6 +421,26 @@ def quadrature_nodes(cutoff: int) -> np.ndarray:
     return np.concatenate((-s, np.zeros(cutoff % 2), s[::-1]))
 
 
+def _gauss_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss rule of weight e^{-2z^2} (Golub & Welsch 1969):
+    nodes lam_l, ascending, and Christoffel weights W_l = 1 / sum_{i<n}
+    chi_i(lam_l)^2 taken on the Hermite functions, so that
+
+        int f(z) dz = sum_l W_l f(lam_l)
+
+    exactly for every f that is a polynomial of degree < 2n times
+    e^{-2z^2}.  The nodes are quadrature_nodes(n), refined by one Newton
+    step on chi_n(lam) = 0, where chi_n' = 2 sqrt(n) chi_{n-1}; the
+    refinement keeps them symmetric to the last bit.  The largest node is
+    about sqrt(n), so from n ~ 730 on chi_0 is subnormal there while
+    chi_{n-1} is not; _hermite_functions keeps every chi exact to rounding
+    past that point."""
+    lam = quadrature_nodes(n)
+    chi = _hermite_functions(lam, n + 1)
+    lam = lam - chi[:, n] / (2.0 * math.sqrt(n) * chi[:, n - 1])
+    return lam, 1.0 / np.sum(_hermite_functions(lam, n) ** 2, axis=1)
+
+
 # ---------------------------------------------------------------------------
 # expectation values and distances
 

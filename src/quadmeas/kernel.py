@@ -7,6 +7,12 @@ operator density is pi(x) = Omega(x)^dag Omega(x); outcome statistics follow
 from p(x) = Tr[rho pi(x)], and the conditional post-measurement state is
 Omega(x) rho Omega(x)^dag / p(x).  Continuous x is discretized on a uniform
 grid with trapezoid weights.
+
+The von Neumann target, a quadrature projector smeared by a Gaussian of
+width Delta, is exact to rounding at each outcome for every Delta and
+cutoff: each of its elements is a polynomial times a Gaussian in the
+quadrature, which the cutoff-node Gauss rule of fock._gauss_rule
+integrates exactly, with no working space (vn_target_family).
 """
 
 from __future__ import annotations
@@ -27,9 +33,10 @@ from .fock import (
     DensityOperator,
     Operator,
     StateVector,
+    _gauss_rule,
+    _hermite_functions,
     guard_level,
     quadrature_eigenvector_matrix,
-    quadrature_spectrum,
 )
 
 
@@ -318,96 +325,48 @@ def reduce_state(state, omega, floor: float = 1e-14):
                               state.warnings if isinstance(state, DensityOperator) else ())
 
 
-def _working_size(cutoff: int, margin: float) -> int:
-    return max(int(math.ceil(margin * cutoff)), cutoff)
-
-
-def _vn_kernel(delta: float) -> Callable[[float, np.ndarray], np.ndarray]:
-    """The target's kernel (2 pi delta^2)^{-1/4} exp[-(x - lam)^2 / (4
-    delta^2)] as a function of outcome and eigenvalue (broadcasting)."""
-    norm = (2.0 * math.pi * delta * delta) ** -0.25
-    return lambda x, evals: norm * np.exp(-((x - evals) ** 2)
-                                          / (4.0 * delta * delta))
-
-
-def spectral_kernel_family(kernel_fn: Callable[[float, np.ndarray], np.ndarray],
-                           grid: OutcomeGrid, cutoff: int, phase: float = 0.0,
-                           margin: float = 2.5, origin: str = "analytic-target",
-                           warnings: Tuple[str, ...] = (),
-                           ) -> ReductionOperatorFamily:
-    """Family Omega(x) = k(x, x_phase) for a scalar kernel function, built by
-    spectral calculus on the quadrature operator at an enlarged working
-    cutoff (margin * cutoff) and truncated back.  ``kernel_fn(x, evals)``
-    returns the kernel values at outcome x over the eigenvalue array."""
-    evals, vecs = quadrature_spectrum(_working_size(cutoff, margin), phase)
-    t = vecs[:cutoff, :]
-    ops = np.empty((len(grid), cutoff, cutoff), dtype=complex)
-    for i, x in enumerate(grid.points):
-        ops[i] = (t * np.asarray(kernel_fn(x, evals))) @ t.conj().T
-    return ReductionOperatorFamily(grid, ops, origin, warnings)
-
-
 def vn_target_family(delta: float, grid: OutcomeGrid, cutoff: int,
-                     phase: float = 0.0, margin: float = 2.5,
-                     ) -> ReductionOperatorFamily:
+                     phase: float = 0.0) -> ReductionOperatorFamily:
     """Ideal Gaussian quadrature-projector family of r.m.s. width delta:
 
         Omega(x) = (2 pi delta^2)^{-1/4} exp[-(x - x_phase)^2 / (4 delta^2)]
 
-    built by spectral calculus on the quadrature operator.  The operator
-    function is evaluated at an enlarged working cutoff (margin * cutoff) and
-    truncated, because the truncated quadrature's eigenvalue spacing
-    ~pi/(2 sqrt(N)) must resolve delta; a warning is attached when it barely
-    does.
+    exact to rounding for every delta and cutoff.  With k = 1/(4 delta^2),
+    a = 2 + k and beta = sqrt(2/a), the element
 
-    Note on completeness sums: summing Omega^dag Omega over a grid probes
-    every eigenvalue of the working-cutoff quadrature, whose spectrum
-    reaches roughly +-sqrt(working_cutoff/2).  Eigenvectors near that
-    spectral edge leak weakly into low Fock levels, so a grid that stops
-    short of the edge shows an O(1e-3) completeness defect even though the
-    family is accurate for central outcomes.  Integrate over a grid covering
-    the working spectrum (plus a few delta) to see the true quadrature-level
-    defect.
+        <m|Omega_0(x)|n> = (2 pi delta^2)^{-1/4}
+                           int chi_m(y) chi_n(y) e^{-k(x - y)^2} dy
+
+    has, with y = kx/a + beta z, an integrand that is a polynomial of degree
+    m + n <= 2 cutoff - 2 in z times e^{-2z^2}, so the cutoff-node Gauss
+    rule (lam_l, W_l) of that weight (fock._gauss_rule) integrates it
+    exactly:
+
+        <m|Omega_0(x)|n> = (2 pi delta^2)^{-1/4} beta
+                           sum_l W_l e^{-k(x - y_l)^2} chi_m(y_l) chi_n(y_l)
+
+    at the nodes y_l = kx/a + beta lam_l, one batched product over the
+    grid.  The phase enters as the element phase e^{i(m-n) phase}.
     """
-    if delta <= 0:
-        raise ParameterError(f"kernel width delta must be > 0, got {delta}")
-    n_work = _working_size(cutoff, margin)
-    warnings: Tuple[str, ...] = ()
-    if grid.step > delta:
-        # Fine for pointwise evaluation; integrals over this grid undersample.
-        warnings += (
-            f"grid step {grid.step:.3g} exceeds the kernel width {delta:.3g}; "
-            "sums over this grid undersample the outcome continuum",)
-    spacing = math.pi / (2.0 * math.sqrt(n_work))
-    if delta < spacing:
-        warnings += (
-            f"kernel width {delta:.3g} below the eigenvalue spacing "
-            f"{spacing:.3g} of the working cutoff {n_work}; enlarge margin",)
-    return spectral_kernel_family(_vn_kernel(delta), grid, cutoff, phase,
-                                  margin, warnings=warnings)
-
-
-def _vn_target_completeness_defect(delta: float, grid: OutcomeGrid,
-                                   cutoff: int, block: int,
-                                   margin: float = 2.5) -> float:
-    """``vn_target_family(delta, grid, cutoff, phase, margin)
-    .completeness_defect(block)`` from the spectrum alone, for every phase.
-
-    With t the leading cutoff rows of the x_0 eigenvectors and F[x, l] =
-    k(x, lam_l) real, Omega(x) = t diag(F[x]) t^T is symmetric, so
-
-        sum_x w_x Omega(x)^dag Omega(x) = t [(t^T t) o (F^T diag(w) F)] t^T,
-
-    an n_work^2 Gram contraction in place of the (len(grid), cutoff,
-    cutoff) family.  The phase conjugates that sum by a diagonal unitary,
-    which leaves the moduli of its deviation from the identity as they
-    are."""
-    evals, vecs = quadrature_spectrum(_working_size(cutoff, margin))
-    t = vecs[:cutoff]
-    f = _vn_kernel(delta)(grid.points[:, None], evals[None, :])
-    gram = (f.T * grid.weights()) @ f
-    acc = t[:block] @ ((t.T @ t) * gram) @ t[:block].T
-    return float(np.max(np.abs(acc - np.eye(len(acc)))))
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ParameterError(f"kernel width delta must be a finite number "
+                             f"> 0, got {delta}")
+    k = 0.25 / (delta * delta)
+    a = 2.0 + k
+    beta = math.sqrt(2.0 / a)
+    lam, w = _gauss_rule(cutoff)
+    xs = grid.points[:, None]
+    y = (k / a) * xs + beta * lam
+    f = (2.0 * math.pi * delta * delta) ** -0.25 * beta * w \
+        * np.exp(-k * (xs - y) ** 2)
+    # (cutoff, X, L) level-major, then (X, cutoff, L)
+    chi = _hermite_functions(y.ravel(), cutoff).T.reshape(
+        (cutoff,) + y.shape).transpose(1, 0, 2)
+    ops = (chi * f[:, None, :]) @ chi.transpose(0, 2, 1)
+    if phase != 0.0:
+        ph = np.exp(1j * phase * np.arange(cutoff))
+        ops = ph[:, None] * ops * ph.conj()
+    return ReductionOperatorFamily(grid, ops, "analytic-target")
 
 
 def widen_grid_for_density(density_fn: Callable[[np.ndarray], np.ndarray],

@@ -220,8 +220,9 @@ def finite_lo_displacement(state, target_amplitude: complex, beta: float,
     port.  Converges to the ideal displacement as beta grows; the deviation
     is the residual loss (1-theta) acting on the state."""
     beta_mag = abs(complex(beta))
-    if beta_mag <= 0:
-        raise ParameterError(f"oscillator amplitude must be > 0, got {beta}")
+    if not (beta_mag > 0 and math.isfinite(beta_mag)):
+        raise ParameterError(f"oscillator amplitude must be a finite "
+                             f"number > 0, got {beta}")
     rho = np.asarray(_state_matrix(state), dtype=complex)
     warnings = getattr(state, "warnings", ())
     target = complex(target_amplitude)

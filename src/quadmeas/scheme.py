@@ -46,15 +46,16 @@ that frame, where every stage matrix is real when phi_probe = phi, and each
 array keeps the dtype of its data; R_phi enters only at the ends.  A
 squeeze rescales the quadrature wavefunction, so its kept n x n corner is
 an integral of Hermite functions that the n-node Gauss-Hermite rule
-evaluates exactly, with the nodes from the eigenvalues of the truncated
-x_0 and no extended space or eigenvectors (_faithful_squeeze); no dense
-expm runs.  The feedback displacement D(t) = exp(-2it x_{pi/2}) for real t
-acts on the columns it displaces in parity-split real form: in the parity
-bases of the x_0 eigenvectors at an extended size (the half-size SVD bases
-of _parity_quadrature_basis), with the phases i^k folded in as row signs
-and U, V their kept even and odd rows, it is [[U C U^T, -U S V^T], [V S
-U^T, V C V^T]], C = cos(2t s_l), S = sin(2t s_l), four half-size real
-products for all outcomes and columns, so no displacement matrix forms
+(fock._gauss_rule, which the target shares) evaluates exactly, with the
+nodes from the eigenvalues of the truncated x_0 and no extended space or
+eigenvectors (_faithful_squeeze); no dense expm runs.  The feedback
+displacement D(t) = exp(-2it x_{pi/2}) for real t acts on the columns it
+displaces in parity-split real form: in the parity bases of the x_0
+eigenvectors at an extended size (the half-size SVD bases of
+_parity_quadrature_basis), with the phases i^k folded in as row signs and
+U, V their kept even and odd rows, it is [[U C U^T, -U S V^T], [V S U^T,
+V C V^T]], C = cos(2t s_l), S = sin(2t s_l), four half-size real products
+for all outcomes and columns, so no displacement matrix forms
 (_displace_columns).  The mixer acts
 through its conserved total-occupancy sectors s, precontracted with the
 probe: V[m, p, n] = <m, p|U_mix|n, probe> is nonzero only for p = n + k - m
@@ -75,15 +76,15 @@ applies the band to the gathered cols of every sector in one matmul, then
 reads out all outcomes together, and a family's outcome chunks share that
 one application.  A real band acts on the float view of
 complex columns: promoting it to complex would cost twice its size.
-Completeness sums form no outcome stack: sum_x w_x W(x)^dag W(x) contracts
-the band's readout columns with the Gram matrix chi^dag diag(w) chi of the
-probe quadrature functions over the grid, and the target's sum follows from
-its spectrum alike.  verify_bch_factorization compares on the corner of
-the joint space that its comparison reads, and runs the factorization in
-joint-parity sectors: in the even and odd halves e_l, o_l of the x
-eigenbasis every factor is real up to a phase per parity, and the Gauss
-factors only couple the sectors ee with oo and eo with oe, so each parity
-class of m + p is carried as two real half-size stacks.  Its su(2) checks
+The completeness sum forms no outcome stack: sum_x w_x W(x)^dag W(x)
+contracts the band's readout columns with the Gram matrix chi^dag diag(w)
+chi of the probe quadrature functions over the grid.
+verify_bch_factorization compares on the corner of the joint space that
+its comparison reads, and runs the factorization in joint-parity sectors:
+in the even and odd halves e_l, o_l of the x eigenbasis every factor is
+real up to a phase per parity, and the Gauss factors only couple the
+sectors ee with oo and eo with oe, so each parity class of m + p is
+carried as two real half-size stacks.  Its su(2) checks
 hold each generator as a dense matrix on the joint levels of total at most
 2 above the compared block, which every product there stays in, and its
 generator-form check reads only the entries that its Kronecker terms of
@@ -107,7 +108,6 @@ from .fock import (
     _check_transmissivity,
     make_annihilation,
     make_quadrature,
-    quadrature_nodes,
     squeezed_vacuum,
 )
 from .gaussian import (
@@ -120,12 +120,7 @@ from .gaussian import (
     tensor_product,
     vacuum_gaussian,
 )
-from .kernel import (
-    OutcomeGrid,
-    ReductionOperatorFamily,
-    _vn_target_completeness_defect,
-    vn_target_family,
-)
+from .kernel import OutcomeGrid, ReductionOperatorFamily, vn_target_family
 
 DEFAULT_GRID_SPEC = "-3:3:0.25"
 
@@ -469,34 +464,29 @@ def _faithful_squeeze(r: float, n: int, phase: float = 0.0) -> np.ndarray:
         <m|S(|r|)|k> = e^{-|r|/2} int chi_m(y) chi_k(s y) dy
 
     into a polynomial of degree m + k <= 2n - 2 times e^{-2z^2}, which the
-    n-node Gauss rule of that weight integrates exactly: its nodes lam_l are
-    the eigenvalues of the truncated x_0 (fock.quadrature_nodes), refined
-    by a Newton step on chi_n(lam) = 0, where chi_n' = 2 sqrt(n) chi_{n-1},
-    its Christoffel weights W_l = 1 / sum_{i<n} chi_i(lam_l)^2, and
+    n-node Gauss rule (lam_l, W_l) of that weight (fock._gauss_rule)
+    integrates exactly:
 
       S[m, k] = e^{-|r|/2} beta sum_l W_l chi_m(beta lam_l) chi_k(s beta lam_l).
 
     The nodes are symmetric, so the half with lam >= 0 carries doubled
-    weights and each parity block is one real product.  The largest node
-    is about sqrt(n), so from n ~ 730 on chi_0 is subnormal there while
-    chi_{n-1} does not; fock._hermite_functions keeps every chi
-    exact to rounding past that point.  S(-r) = S(r)^T exactly, the
-    transpose of the same product.  At phase 0 the matrix is real; a pump
-    phase enters as the exact element phase e^{i(m-k) phase}."""
+    weights and each parity block is one real product.  S(-r) = S(r)^T
+    exactly, the transpose of the same product.  At phase 0 the matrix is
+    real; a pump phase enters as the exact element phase
+    e^{i(m-k) phase}."""
     if r == 0.0:
         return np.eye(n)
-    lam = quadrature_nodes(n)[n // 2:]  # odd n: 0 first
-    chi = fock._hermite_functions(lam, n + 1)
-    lam = lam - chi[:, n] / (2.0 * math.sqrt(n) * chi[:, n - 1])
+    lam, w = fock._gauss_rule(n)
+    lam, w = lam[n // 2:], w[n // 2:]  # odd n: 0 first
     s = math.exp(-abs(r))
     beta = math.sqrt(2.0 / (1.0 + s * s))
-    h = len(lam)
-    chi = fock._hermite_functions(
-        np.concatenate((lam, beta * lam, s * beta * lam)), n)
-    w = 2.0 * math.exp(-0.5 * abs(r)) * beta / np.sum(chi[:h] ** 2, axis=1)
+    w = 2.0 * math.exp(-0.5 * abs(r)) * beta * w
     if n % 2:
         w[0] *= 0.5  # the zero node counts once
-    rows, cols = chi[h:2 * h], chi[2 * h:]
+    h = len(lam)
+    chi = fock._hermite_functions(np.concatenate((beta * lam, s * beta * lam)),
+                                  n)
+    rows, cols = chi[:h], chi[h:]
     block = np.zeros((n, n))
     for parity in (0, 1):
         block[parity::2, parity::2] = rows[:, parity::2].T \
@@ -809,7 +799,6 @@ class PipelineResult:
     per_outcome_deviation: np.ndarray
     pom_deviation: float
     completeness_defect_family: float
-    completeness_defect_target: float
     completeness_grid: OutcomeGrid
 
     def check(self, identity_tol: float = 1e-6, pom_tol: float = 1e-10,
@@ -856,9 +845,10 @@ def build_scheme_family(params: SchemeParams,
     The deviation is reported up to one fitted global phase per outcome on
     the leading ``block`` Fock levels; the POM deviation compares the
     composed family's probability operators with the target's on the same
-    block; completeness defects are evaluated on ``completeness_grid``
-    (default [-8, 8] step 0.02).  All numbers are reported whether or not
-    they meet any tolerance; use PipelineResult.check for adjudication.
+    block; the family's completeness defect is evaluated on
+    ``completeness_grid`` (default [-8, 8] step 0.02).  All numbers are
+    reported whether or not they meet any tolerance; use
+    PipelineResult.check for adjudication.
     """
     feedback = feedback if feedback is not None else FeedbackSpec.ideal()
     if feedback.mode != "ideal":
@@ -869,7 +859,7 @@ def build_scheme_family(params: SchemeParams,
     builder = SchemeFamilyBuilder(params, margin)
     family = builder.family(params.grid, compensate)
     target = vn_target_family(params.delta, params.grid, params.cutoff,
-                              phase=params.phi, margin=margin)
+                              phase=params.phi)
     per_x = _blockwise_phase_fit_deviation(family.operators, target.operators,
                                            block)
     pom_dev = float(np.max(np.abs(
@@ -878,14 +868,11 @@ def build_scheme_family(params: SchemeParams,
     cgrid = completeness_grid if completeness_grid is not None \
         else OutcomeGrid.from_range(-8.0, 8.0, 0.02)
     cf = builder.completeness_defect(cgrid, block, compensate)
-    ct = _vn_target_completeness_defect(params.delta, cgrid, params.cutoff,
-                                        block, margin)
     return PipelineResult(
         params=params, mask=compensate, family=family, target=target,
         block=block, max_deviation=float(np.max(per_x)),
         per_outcome_deviation=per_x, pom_deviation=pom_dev,
-        completeness_defect_family=cf, completeness_defect_target=ct,
-        completeness_grid=cgrid)
+        completeness_defect_family=cf, completeness_grid=cgrid)
 
 
 # ---------------------------------------------------------------------------

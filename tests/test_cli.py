@@ -363,6 +363,17 @@ class TestSweep:
         errs = [v for _, v in feed]
         assert errs[0] > errs[1] > errs[2]
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_beta_cell_errors_and_exits_1(self, value, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--sweep-beta", f"{value},10",
+                     "--out", str(out)]) == 1
+        _, header, rows, _ = read_csv(out)
+        feed = [s for s, m in zip(column(header, rows, "status", str),
+                                  column(header, rows, "metric", str))
+                if m == "feedback-error"]
+        assert feed == ["error:ParameterError", "ok"]
+
     def test_empty_range_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("sweep_eta =\n")
@@ -405,13 +416,13 @@ class TestWarnings:
 
     def test_verify_prints_the_target_warning(self, tmp_path, monkeypatch,
                                               capsys):
+        # the target is exact on any grid, so a kernel width of 0.158
+        # below the grid step 0.25 warns of nothing
         code, err, same = self.run_twice(
             ["verify", "--eta", "0.2", "--sigma", "0.5"], tmp_path,
             monkeypatch, capsys)
         assert code == 0 and same
-        assert err == ["warning: grid step 0.25 exceeds the kernel width "
-                       "0.158; sums over this grid undersample the outcome "
-                       "continuum"]
+        assert err == []
 
     def test_pom_prints_the_probe_warning(self, tmp_path, monkeypatch,
                                           capsys):
@@ -430,14 +441,14 @@ class TestWarnings:
 
     def test_sweep_prints_each_distinct_warning_once(self, tmp_path,
                                                      monkeypatch, capsys):
-        # both cells share the probe and its warning; their targets differ
+        # four cells, two probes: each probe warning is attached twice
         code, err, same = self.run_twice(
-            ["sweep", "--sweep-eta", "0.2,0.5"] + self.NARROW, tmp_path,
-            monkeypatch, capsys)
+            ["sweep", "--sweep-eta", "0.2,0.5", "--sweep-sigma", "0.02,0.03"]
+            + self.NARROW, tmp_path, monkeypatch, capsys)
         assert code == 0 and same
-        assert err[0] == self.PROBE
-        assert len(err) == len(set(err)) == 5
-        assert all(line.startswith("warning: ") for line in err)
+        assert err == [self.PROBE,
+                       "warning: squeeze parameter r = -1.75 for sigma = "
+                       "0.03 populates the top of a cutoff-105 basis"]
 
     def test_clean_run_prints_nothing(self, tmp_path, monkeypatch, capsys):
         code, err, same = self.run_twice(

@@ -25,6 +25,7 @@ from quadmeas import (
     vacuum_state,
     variance,
 )
+from quadmeas.fock import _gauss_rule
 
 from dense_reference import (
     function_of_quadrature,
@@ -262,6 +263,15 @@ def test_quadrature_nodes_are_the_spectrum(n):
     assert_allclose(quadrature_nodes(n), quadrature_spectrum(n)[0],
                     rtol=0, atol=5e-14)
     assert np.array_equal(quadrature_nodes(1), [0.0])
+
+
+@pytest.mark.parametrize("n", [2, 7, 160, 161, 800])
+def test_gauss_rule_is_orthonormal_on_the_hermite_functions(n):
+    # sum_l W_l chi_i(lam_l) chi_j(lam_l) = delta_ij for i, j < n holds only
+    # at the zeros of chi_n; at n 800 chi_0 underflows at the outer nodes
+    lam, w = _gauss_rule(n)
+    chi = quadrature_eigenvector_matrix(lam, n).real
+    assert np.max(np.abs((chi.T * w) @ chi - np.eye(n))) < 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3, 48, 49, 160, 250, 612, 800])

@@ -18,6 +18,7 @@ from quadmeas.fock import (
     StateVector,
     coherent_state,
     fock_state,
+    quadrature_eigenvector_matrix,
     squeezed_vacuum,
     vacuum_state,
 )
@@ -262,19 +263,38 @@ def test_outcome_density_cdf_requires_mass():
 
 
 def test_vn_target_rejects_bad_width_and_warns_on_coarse_grid():
+    # The target is exact at each outcome, and no sum runs over its grid,
+    # so a grid step above the kernel width attaches no warning.
     grid = OutcomeGrid.from_range(-3.0, 3.0, 0.5)
-    # A coarse grid is usable for pointwise comparison, but integration over
-    # it undersamples -- flagged as a warning, not an error.
     fam = vn_target_family(0.3, grid, 20)
-    assert any("undersample" in w for w in fam.warnings)
-    with pytest.raises(ParameterError):
-        vn_target_family(-0.1, OutcomeGrid.from_range(-3, 3, 0.05), 20)
+    assert fam.warnings == ()
+    for delta in (-0.1, 0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            vn_target_family(delta, OutcomeGrid.from_range(-3, 3, 0.05), 20)
 
 
-def test_vn_target_warns_when_width_below_eigenvalue_spacing():
-    grid = OutcomeGrid.from_range(-3.0, 3.0, 0.02)
-    fam = vn_target_family(0.05, grid, 20, margin=1.0)
-    assert fam.warnings and any("spacing" in w for w in fam.warnings)
+@pytest.mark.parametrize("phase", [0.0, 0.4])
+@pytest.mark.parametrize("cutoff", [40, 60])
+@pytest.mark.parametrize("delta", [0.05, 0.1, 0.158, 0.6])
+def test_vn_target_matches_trapezoid_kernel_integral(delta, cutoff, phase):
+    """<m|Omega(x)|n> = int <m|y> g(x - y) <y|n> dy by the trapezoid rule
+    on a fine y grid, with the Hermite functions of
+    quadrature_eigenvector_matrix: no node or weight of the target's Gauss
+    rule enters.  The two agree to 5.5e-15 to 1.6e-14 here; delta 0.05 is
+    the sharp preset (eta 0.2, sigma 0.05)."""
+    grid = OutcomeGrid.from_range(-3.0, 3.0, 0.25)
+    step = min(0.01, delta / 8.0)
+    pad = 15.0 * delta  # g(15 delta) / g(0) = e^{-56}
+    ys = np.arange(grid.x_min - pad, grid.x_max + pad + 0.5 * step, step)
+    chi = quadrature_eigenvector_matrix(ys, cutoff, phase)
+    norm = (2.0 * math.pi * delta * delta) ** -0.25
+    fam = vn_target_family(delta, grid, cutoff, phase)
+    worst = 0.0
+    for x, op in zip(grid.points, fam.operators):
+        g = step * norm * np.exp(-((x - ys) ** 2) / (4.0 * delta * delta))
+        ref = (chi.T * g) @ chi.conj()
+        worst = max(worst, float(np.max(np.abs(op - ref))))
+    assert worst < 5e-13
 
 
 def test_vn_target_outcome_moments_match_convolution_oracle():

@@ -515,6 +515,13 @@ def test_finite_lo_infeasible_amplitude_raises():
         finite_lo_displacement(psi, 0.5, beta=0.0)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf,
+                                  complex(1.0, math.nan)])
+def test_finite_lo_rejects_non_finite_beta(beta):
+    with pytest.raises(ParameterError):
+        finite_lo_displacement(vacuum_state(20), 0.5, beta)
+
+
 def test_engine_validates_finite_lo_feasibility_on_widened_grid():
     params = SchemeParams(eta=0.2, sigma=1.0, cutoff=30)
     with pytest.raises(InfeasibleFeedbackError):
@@ -573,7 +580,7 @@ def test_repeatability_variance_shrinks_with_kernel_width():
     grid = OutcomeGrid.from_range(-3.5, 3.5, 0.25)
     variances = []
     for delta, eta, sigma, cutoff in cases:
-        family = vn_target_family(delta, grid, cutoff, margin=3.0)
+        family = vn_target_family(delta, grid, cutoff)
         params = SchemeParams(eta=eta, sigma=sigma, cutoff=cutoff, grid=grid)
         engine = TrialEngine(params, kernel_family=family, second_step=0.01)
         stats = repeatability_experiment(params, 400, RngSeed(17, f"{delta}"),

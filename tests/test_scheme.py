@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal, expm
 from scipy.special import comb, eval_genlaguerre, gammaln
 
-from quadmeas import fock, kernel, scheme
+from quadmeas import fock, scheme
 from quadmeas.errors import InfeasibleFeedbackError, ParameterError
 from quadmeas.fock import (
     StateVector,
@@ -26,7 +26,6 @@ from quadmeas.kernel import (
     fitted_kernel_width,
     quadrature_density,
     reduce_state,
-    spectral_kernel_family,
     vn_target_family,
 )
 from quadmeas.scheme import (
@@ -372,7 +371,8 @@ def test_pipeline_identity_stressed_presets():
     assert res.max_deviation < 1e-6
     sharp = build_scheme_family(SchemeParams(eta=0.2, sigma=0.5))
     assert sharp.max_deviation < 1e-10
-    assert any("undersample" in w for w in sharp.target.warnings)
+    # the exact target needs no grid step below its width
+    assert sharp.target.warnings == ()
 
 
 def test_pipeline_rejects_finite_lo_feedback():
@@ -734,10 +734,7 @@ def test_pre_only_family_closed_form():
                                          grid=grid))
     fam = b.family(mask=StageMask(True, False, False))
     big = 150
-    norm = (2.0 / (math.pi * eta * sig)) ** 0.25
-    kernels = spectral_kernel_family(
-        lambda x, lam: norm * np.exp(-((x - lam) ** 2) / (eta * sig)),
-        grid, big, margin=1.7)
+    kernels = vn_target_family(0.5 * math.sqrt(eta * sig), grid, big)
     s_mid = _faithful_squeeze(0.5 * math.log(eta * (1.0 - eta)), big)
     worst = 0.0
     for i, x in enumerate(grid.points):
@@ -1243,20 +1240,8 @@ def test_completeness_gram_sum_matches_outcome_stacks(mask, phi_probe):
     assert abs(b.completeness_defect(grid, block, mask) - explicit) < 1e-13
 
 
-@pytest.mark.parametrize("eta, sigma, phi", [(0.2, 2.0, 0.0),
-                                             (0.5, 1.0, 0.4),
-                                             (0.8, 0.5, 0.0)])
-def test_target_completeness_gram_sum_matches_family(eta, sigma, phi):
-    grid = OutcomeGrid.from_range(-8.0, 8.0, 0.02)
-    delta = measurement_width(eta, sigma)
-    family = vn_target_family(delta, grid, 40, phase=phi, margin=4.0)
-    gram = kernel._vn_target_completeness_defect(delta, grid, 40, 16, 4.0)
-    assert abs(gram - family.completeness_defect(16)) < 1e-13
-
-
 def test_scheme_family_at_the_cli_size_stays_in_its_memory_budget():
-    # neither an (801, n_work, block) outcome stack nor an 801-point target
-    # family forms for the completeness sums (111 MB with them)
+    # no (801, n_work, block) outcome stack forms for the completeness sum
     p = SchemeParams(eta=0.2, sigma=2.0, cutoff=40)
     tracemalloc.start()
     try:
