@@ -49,10 +49,10 @@ from .montecarlo import (
 from .scheme import (
     FeedbackSpec,
     GaussianSchemeOracle,
-    SchemeFamilyBuilder,
     SchemeParams,
     _check_margin,
     build_scheme_family,
+    composed_density,
     measurement_width,
     verify_bch_factorization,
 )
@@ -441,13 +441,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_pom(cfg: RunConfig) -> int:
     """Outcome density of the vacuum signal on an automatically widened
-    grid, with the Gaussian-oracle density and kernel width alongside."""
+    grid, exact at every cutoff (composed_density; --margin is not read),
+    with the Gaussian-oracle density and kernel width alongside."""
     params = cfg.scheme_params()
-    builder = SchemeFamilyBuilder(params, cfg.resolved_margin(2.5))
-    psi = vacuum_state(params.cutoff).amplitudes
+    psi = vacuum_state(params.cutoff)
     grid, vals = widen_grid_for_density(
-        lambda pts: builder.outcome_density_values(psi, OutcomeGrid(pts)),
-        params.grid)
+        lambda pts: composed_density(params, psi, pts), params.grid)
     density = OutcomeDensity(grid, vals)
     oracle_mean, oracle_var = GaussianSchemeOracle(params).outcome_moments()
     oracle_vals = np.exp(-0.5 * (grid.points - oracle_mean) ** 2
@@ -468,7 +467,6 @@ def cmd_pom(cfg: RunConfig) -> int:
         _emit_csv(cfg, header, rows,
                   stats={"normalization_defect":
                          density.normalization_defect()})
-    _print_warnings(builder.warnings)
     return 0
 
 

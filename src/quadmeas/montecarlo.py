@@ -24,7 +24,6 @@ from typing import ClassVar, Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import (
-    GridRangeError,
     InfeasibleFeedbackError,
     ParameterError,
     ZeroProbabilityError,
@@ -38,7 +37,12 @@ from .scheme import (
     SchemeFamilyBuilder,
     SchemeParams,
     StageMask,
+    _check_margin,
     _displace_columns,
+    _faithful_squeeze,
+    backsqueeze_param,
+    composed_density,
+    composed_reductions,
     feedback_displacement,
 )
 
@@ -333,49 +337,39 @@ class TrialEngine:
     its conditional entry: the post state, its working-quadrature moments
     and its second-outcome density.  No reduction operator is formed.
 
-    The entries are made in batches.  The drawn outcomes with no entry yet
-    are reduced together: one ``SchemeFamilyBuilder._compose`` call on the
-    padded input column (at working size for finite-lo feedback, whose
-    oscillator channel then acts on each post state), or one row gather of
-    the kernel family applied to the input.  The moments and second-outcome
-    densities of all of them come from one eigenvector matrix on the
-    second grid.
+    The density and the reductions come from composed_density and
+    composed_reductions, or at phi_probe != phi from a SchemeFamilyBuilder.
+    The drawn outcomes with no entry yet are reduced together in one call
+    on the input column: to the cutoff, or for finite-lo feedback to n_work
+    = max(cutoff, ceil(margin cutoff)) levels before the feedback, whose
+    oscillator channel then acts on each post state.  One eigenvector
+    matrix on the second grid gives all their moments and second-outcome
+    densities.  A reduced state's norm against the density at its outcome
+    is the fraction the kept levels capture; ``warnings`` reports the
+    worst below 1 - 1e-8.
 
     The first measurement is drawn from the Born density on a grid widened
     until its edges are negligible, then snapped to the nearest grid point;
     the recorded outcome is that grid value, so repeated runs sample exactly
     the discretized measurement.  The optional second measurement is an
     ideal quadrature measurement of the post state.
-
-    ``kernel_family`` swaps the joint-dilation construction for an already
-    materialized single-mode reduction family (normally the analytic
-    Gaussian-kernel target, which the built scheme is verified to equal
-    elsewhere).  That path reaches the large cutoffs a sharp kernel needs
-    for its conditional states, which the two-mode dilation cannot; it
-    supports ideal feedback only and must arrive on a grid that already
-    covers the outcome distribution.
     """
 
     def __init__(self, params: SchemeParams,
                  feedback: Optional[FeedbackSpec] = None,
                  input_state: Optional[StateVector] = None,
                  mask: StageMask = StageMask(), margin: float = 2.5,
-                 second_step: float = 0.02, kernel_family=None):
+                 second_step: float = 0.02):
         self.params = params
         self.feedback = feedback if feedback is not None \
             else FeedbackSpec.ideal()
         self.mask = mask
-        self._family = kernel_family
-        if kernel_family is not None:
-            if self.feedback.mode != "ideal":
-                raise ParameterError(
-                    "a materialized kernel family supports ideal feedback "
-                    "only; use the dilation path for finite-lo runs")
-            cutoff = kernel_family.cutoff
-            self._builder = None
-        else:
-            cutoff = params.cutoff
-            self._builder = SchemeFamilyBuilder(params, margin)
+        cutoff = params.cutoff
+        _check_margin(margin)
+        self._rows = max(cutoff, int(math.ceil(margin * cutoff))) \
+            if self.feedback.mode == "finite-lo" else cutoff
+        self._builder = SchemeFamilyBuilder(params, margin) \
+            if params.phi_probe != params.phi else None
         state = input_state if input_state is not None \
             else vacuum_state(cutoff)
         self._input_warnings = state.warnings
@@ -385,31 +379,22 @@ class TrialEngine:
                 f"input state cutoff {len(psi)} does not match the scheme "
                 f"cutoff {cutoff}")
         self._psi = psi / np.linalg.norm(psi)
-        if kernel_family is not None:
-            self.grid = kernel_family.grid
-            # the reduced input at every outcome, which sampling reads too
-            self._family_vecs = np.einsum("xmn,n->xm",
-                                          kernel_family.operators, self._psi)
-            vals = np.linalg.norm(self._family_vecs, axis=1) ** 2
-            peak = float(np.max(vals))
-            if peak > 0 and max(vals[0], vals[-1]) > 1e-8 * peak:
-                raise GridRangeError(
-                    "kernel family grid does not cover the outcome "
-                    "distribution; build it on a wider grid")
-        else:
-            self.grid, vals = widen_grid_for_density(
-                lambda pts: self._builder.outcome_density_values(
-                    self._psi, OutcomeGrid(pts), self.mask),
-                params.grid)
+        self.grid, vals = widen_grid_for_density(self._density, params.grid)
+        self._exact = vals  # the reduced states' norms are fractions of it
+        self._worst_capture = (1.0, -1)
         norm = 0.5 * self.grid.step * float(np.sum(vals[1:] + vals[:-1]))
         if norm <= 0:
             raise ZeroProbabilityError("outcome density carries no mass")
-        # truncation leaves a small mass defect; renormalize for sampling
-        # but keep the defect on record
+        # the grid's trapezoid sum leaves a small mass defect; renormalize
+        # for sampling but keep the defect on record
         self.normalization_defect = abs(1.0 - norm)
         self.density = OutcomeDensity(self.grid, vals / norm)
         if self.feedback.mode == "finite-lo" and mask.feedback:
             self.feedback.validate_for(params, self.grid)
+        self._back = None  # the finite-lo back-squeeze on the rows
+        if self.feedback.mode == "finite-lo" and mask.back_squeeze:
+            self._back = _faithful_squeeze(backsqueeze_param(
+                params.eta, mask.pre_squeeze), self._rows, params.phi)
         self.second_grid = OutcomeGrid.from_range(
             self.grid.x_min, self.grid.x_max, second_step)
         self._xq = make_quadrature(cutoff, params.phi)
@@ -418,21 +403,32 @@ class TrialEngine:
 
     # -- conditional-state machinery ------------------------------------
 
+    def _density(self, pts: np.ndarray) -> np.ndarray:
+        """The Born density of the input at the outcomes ``pts``."""
+        if self._builder is None:
+            return composed_density(self.params, self._psi, pts,
+                                    self.mask.pre_squeeze)
+        return np.linalg.norm(self._working_columns(
+            pts, StageMask(self.mask.pre_squeeze, False, False)), axis=1) ** 2
+
+    def _working_columns(self, xs, mask: StageMask) -> np.ndarray:
+        """The builder's Omega(x) psi on n_work levels, a row per outcome."""
+        padded = np.zeros((self._builder.n_work, 1), dtype=complex)
+        padded[:len(self._psi), 0] = self._psi
+        return self._builder._compose(xs, mask, padded)[:, :, 0]
+
     def _reduced(self, indices: np.ndarray) -> np.ndarray:
         """The input reduced at each grid index, unnormalized, one row per
-        index: its cutoff levels, or for finite-lo feedback its working-size
-        column before the feedback stage, which the oscillator channel
+        index: its cutoff levels, or for finite-lo feedback its n_work
+        levels before the feedback stage, which the oscillator channel
         replaces."""
-        if self._family is not None:
-            return self._family_vecs[indices]
-        n, c = self._builder.n_work, len(self._psi)
-        padded = np.zeros((n, 1), dtype=complex)
-        padded[:c, 0] = self._psi
         xs = self.grid.points[indices]
-        if self.feedback.mode == "finite-lo":
-            mask = StageMask(self.mask.pre_squeeze, False, False)
-            return self._builder._compose(xs, mask, padded)[:, :, 0]
-        return self._builder._compose(xs, self.mask, padded)[:, :c, 0]
+        mask = StageMask(self.mask.pre_squeeze, False, False) \
+            if self.feedback.mode == "finite-lo" else self.mask
+        if self._builder is None:
+            return composed_reductions(self.params, xs, self._psi[:, None],
+                                       self._rows, mask)[:, :, 0]
+        return self._working_columns(xs, mask)[:, :self._rows]
 
     def _has_mass(self, indices: np.ndarray, pending: Dict) -> np.ndarray:
         """Whether each drawn grid index has probability mass.  Indices with
@@ -447,6 +443,9 @@ class TrialEngine:
             for i, vec, p in zip(new, vecs, probs.tolist()):
                 pending[i] = vec / math.sqrt(p) \
                     if p >= _PROBABILITY_FLOOR else None
+                if p >= _PROBABILITY_FLOOR:
+                    self._worst_capture = min(self._worst_capture,
+                                              (p / self._exact[i], i))
         mass = np.ones(len(self.grid), dtype=bool)
         for known in (self._cache, pending):
             mass[[i for i, e in known.items() if e is None]] = False
@@ -468,8 +467,8 @@ class TrialEngine:
 
     def _oscillator_post(self, index: int, post: np.ndarray
                          ) -> DensityOperator:
-        """The finite-lo post state: the oscillator channel acts on the
-        working-size post vector, like every builder stage, and only the
+        """The finite-lo post state: the oscillator channel and the
+        back-squeeze act on the n_work-level post vector, and only the
         back-squeezed state is truncated to the cutoff."""
         rho = finite_lo_displacement(
             post, feedback_displacement(float(self.grid.points[index]),
@@ -477,13 +476,8 @@ class TrialEngine:
             if self.mask.feedback else 0.0,
             self.feedback.beta)
         mat = rho.matrix
-        if self.mask.back_squeeze:
-            # the builder's back-squeeze is that of phi = 0: R_phi carries
-            # it to the frame of phi
-            frame = self._builder._frame()
-            back = frame[:, None] * self._builder._back_matrix(
-                self.mask.pre_squeeze) * frame.conj()
-            mat = back @ mat @ back.conj().T
+        if self._back is not None:
+            mat = self._back @ mat @ self._back.conj().T
         c = self.params.cutoff
         mat = mat[:c, :c]
         return DensityOperator(mat / np.trace(mat).real, rho.warnings)
@@ -524,13 +518,18 @@ class TrialEngine:
 
     @property
     def warnings(self) -> Tuple[str, ...]:
-        """Warnings the constructors attached to what this engine used: the
-        input state, the builder's probe (or the kernel family) and the
-        conditional states formed so far."""
-        source = self._family if self._family is not None else self._builder
+        """Warnings the constructors attached to what this engine used (the
+        input state, the builder's probe if any, the conditional states
+        formed so far) and the worst captured fraction below 1 - 1e-8."""
+        probe = self._builder.warnings if self._builder is not None else ()
         posts = tuple(w for e in self._cache.values() if e is not None
                       for w in getattr(e.post, "warnings", ()))
-        return self._input_warnings + source.warnings + posts
+        kept, index = self._worst_capture
+        capture = () if kept >= 1.0 - 1e-8 else (
+            f"the reduced state at outcome {self.grid.points[index]:.6g} "
+            f"keeps a fraction {kept:.6g} of its probability in "
+            f"{self._rows} levels",)
+        return self._input_warnings + probe + posts + capture
 
     def post_state(self, index: int):
         """Normalized post-measurement state at a grid index (pure vector

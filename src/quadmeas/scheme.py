@@ -34,61 +34,30 @@ phi_probe):
 i.e. every pump is set a quarter period from the working quadrature, so the
 deamplified axis is the conjugate one (S(r, psi+pi/2) = S(-r, psi) exactly).
 
-Numerical architecture: composing truncated matrix exponentials corrupts
-low Fock blocks, so every stage is evaluated in an enlarged working space
-(margin * cutoff levels) with every entry exact to rounding, and only the
-final result is truncated to the requested cutoff.  Every stage is
-covariant with the working quadrature (the pumps sit a quarter period from
-phi, the feedback displaces along phi), so with R_phi = diag(e^{ik phi})
-the operators are R_phi Omega_0(x) R_phi^dag, Omega_0 the scheme at phi = 0
-with the probe read at the offset phi_probe - phi.  The builder composes in
-that frame, where every stage matrix is real when phi_probe = phi, and each
-array keeps the dtype of its data; R_phi enters only at the ends.  A
-squeeze rescales the quadrature wavefunction, so its kept n x n corner is
-an integral of Hermite functions that the n-node Gauss-Hermite rule
-(fock._gauss_rule, which the target shares) evaluates exactly, with the
-nodes from the eigenvalues of the truncated x_0 and no extended space or
-eigenvectors (_faithful_squeeze); no dense expm runs.  The feedback
-displacement D(t) = exp(-2it x_{pi/2}) for real t acts on the columns it
-displaces in parity-split real form: in the parity bases of the x_0
-eigenvectors at an extended size (the half-size SVD bases of
-_parity_quadrature_basis), with the phases i^k folded in as row signs and
-U, V their kept even and odd rows, it is [[U C U^T, -U S V^T], [V S U^T,
-V C V^T]], C = cos(2t s_l), S = sin(2t s_l), four half-size real products
-for all outcomes and columns, so no displacement matrix forms
-(_displace_columns).  The mixer acts
-through its conserved total-occupancy sectors s, precontracted with the
-probe: V[m, p, n] = <m, p|U_mix|n, probe> is nonzero only for p = n + k - m
-with k a probe level, and the squeezed probe has K of those above 1e-17
-(K = 35 at sigma = 0.5 or 2, one for the vacuum).  The builder stores only
-that band, B[s, m, j] = <m, s-m|U_mix|s-k_j, k_j> amp_{k_j}, O(n^2 K)
-instead of n^3.  Sector s of the mixer is the Wigner matrix d^{s/2}(2 theta),
-cos(theta) = sqrt(eta); the band's columns of sector s follow from those of
-sector s - 1 by a real two-sided recurrence that never grows the operator
-norm, so no eigendecomposition runs and the truncated sectors hold the exact
-elements of the untruncated mixer (_mixer_sectors, which the probe
-contraction and the factorization check's mixer side share).  One
-composition, SchemeFamilyBuilder._compose, evaluates B . D(x) . W(x) . P .
-cols with the readout W(x) = sum_p chi_p(x) V[:, p, :] for a batch of
-outcomes, and every builder product calls it.  One outcome gathers W(x) from
-the band (one n x n slab per probe level), then multiplies cols; a batch
-applies the band to the gathered cols of every sector in one matmul, then
-reads out all outcomes together, and a family's outcome chunks share that
-one application.  A real band acts on the float view of
-complex columns: promoting it to complex would cost twice its size.
-The completeness sum forms no outcome stack: sum_x w_x W(x)^dag W(x)
-contracts the band's readout columns with the Gram matrix chi^dag diag(w)
-chi of the probe quadrature functions over the grid.
-verify_bch_factorization compares on the corner of the joint space that
-its comparison reads, and runs the factorization in joint-parity sectors:
-in the even and odd halves e_l, o_l of the x eigenbasis every factor is
-real up to a phase per parity, and the Gauss factors only couple the
-sectors ee with oo and eo with oe, so each parity class of m + p is
-carried as two real half-size stacks.  Its su(2) checks
-hold each generator as a dense matrix on the joint levels of total at most
-2 above the compared block, which every product there stays in, and its
-generator-form check reads only the entries that its Kronecker terms of
-one-mode matrices can hold.
+Numerical architecture.  Each stage rescales, shifts or multiplies the
+quadrature wavefunction, so at phi_probe = phi every element and Born
+density of the scheme is a polynomial times a Gaussian, exact on a Gauss
+rule of fock._gauss_rule with no working space: composed_reductions and
+composed_density, which pom and sampling read.
+
+SchemeFamilyBuilder, which verify and sweep check against the target and
+which serves phi_probe != phi, composes the stages as matrices in a working
+space of margin * cutoff levels, every entry exact to rounding, and
+truncates only the result.  Every stage is covariant with the working
+quadrature, so the operators are R_phi Omega_0(x) R_phi^dag, R_phi =
+diag(e^{ik phi}), Omega_0 the scheme at phi = 0 with the probe read at the
+offset phi_probe - phi; the builder composes in that frame, where every
+stage matrix is real when phi_probe = phi.  The squeezes are Gauss-rule
+integrals (_faithful_squeeze), the feedback a parity-split real product on
+the columns it displaces (_displace_columns), and the mixer a band of its
+total-occupancy sectors precontracted with the probe, O(n^2 K) for K probe
+levels, from a two-sided sector recurrence with no eigendecomposition
+(_contract_probe, _mixer_sectors).  SchemeFamilyBuilder._compose applies
+the band once to the columns of a batch of outcomes and reads them all
+out; the completeness sum contracts the same readout columns with the
+Gram matrix of the probe functions over the grid, forming no outcome
+stack.  verify_bch_factorization runs in joint-parity sectors on the
+corner of the joint space that its comparison reads.
 """
 
 from __future__ import annotations
@@ -124,9 +93,9 @@ from .kernel import OutcomeGrid, ReductionOperatorFamily, vn_target_family
 
 DEFAULT_GRID_SPEC = "-3:3:0.25"
 
-# Element budget, counted as X n_work^2, of one batched composition: families
-# on large grids are composed in outcome chunks, so transient memory does not
-# grow with X.
+# Element budget, counted as X n^2, of one batched composition (n the working
+# size, or the Gauss rule's nodes): families and reductions on large grids are
+# composed in outcome chunks, so transient memory does not grow with X.
 _STACK_ELEMENTS = 1 << 19
 
 # Probe levels with |amplitude| at or below this floor are left out of the
@@ -543,6 +512,98 @@ def _mixer_sectors(eta: float, n_rows: int, n_cols: int, n_sectors: int):
 
 
 # ---------------------------------------------------------------------------
+# the five stages composed exactly on the Gauss rule
+
+
+def _stage_coefficients(params: SchemeParams, xs, mask: StageMask):
+    """(A, B, C, E, r_p + r_b) of Omega_0(x) psi(y) = e^{-(r_p+r_b)/2}
+    psi(Ay + B) phi(Cy + E), B and E per outcome: in the x_0 representation
+    a squeeze by s maps psi(y) to e^{-s/2} psi(e^{-s} y), the mixer and the
+    readout at x to psi(cy + rx) phi(-ry + cx), c = sqrt(eta), r =
+    sqrt(1-eta), phi(u) = (pi sigma/2)^{-1/4} e^{-u^2/sigma}, and the
+    feedback to psi(y - t), t = feedback_coefficient(eta) x.  A masked-off
+    stage has parameter 0."""
+    if params.phi_probe != params.phi:
+        raise ParameterError("the exact composition reads the probe at "
+                             "phi; use SchemeFamilyBuilder at phi_probe")
+    c, r = math.sqrt(params.eta), math.sqrt(1.0 - params.eta)
+    r_p = presqueeze_param(params.eta) if mask.pre_squeeze else 0.0
+    r_b = backsqueeze_param(params.eta, mask.pre_squeeze) \
+        if mask.back_squeeze else 0.0
+    xs = np.asarray(xs, dtype=float)
+    t = feedback_coefficient(params.eta) * xs * mask.feedback
+    return (c * math.exp(-r_p - r_b), math.exp(-r_p) * (r * xs - c * t),
+            -r * math.exp(-r_b), r * t + c * xs, r_p + r_b)
+
+
+def _stage_rule(params: SchemeParams, xs, mask: StageMask, n: int,
+                power: int):
+    """Nodes y, arguments u = Ay + B and weights f, shaped (len(xs), n),
+    with sum_l f_l g(y_l) = int g(y) (e^{-(r_p+r_b)/2} phi(Cy + E))^power dy
+    exact for g a polynomial of degree < 2n times e^{-(2 - power) y^2 -
+    power (Ay + B)^2}: with a = 2 - power + power (A^2 + C^2/sigma), y =
+    y_0 + beta z, y_0 = -power (AB + CE/sigma)/a and beta = sqrt(2/a), the
+    integrand is a polynomial times e^{-2z^2}, which the n-node rule of
+    fock._gauss_rule integrates (Golub & Welsch, Math. Comp. 23, 221
+    (1969))."""
+    a_, b_, c_, e_, r = _stage_coefficients(params, xs, mask)
+    sigma = params.sigma
+    a = 2.0 - power + power * (a_ * a_ + c_ * c_ / sigma)
+    beta = math.sqrt(2.0 / a)
+    lam, w = fock._gauss_rule(n)
+    y = (-power * (a_ * b_ + c_ * e_ / sigma) / a)[:, None] + beta * lam
+    f = beta * w * (math.exp(-0.5 * r) * (0.5 * math.pi * sigma) ** -0.25
+                    * np.exp(-(c_ * y + e_[:, None]) ** 2 / sigma)) ** power
+    return y, a_ * y + b_[:, None], f
+
+
+def composed_reductions(params: SchemeParams, xs, cols: np.ndarray,
+                        rows: int, mask: StageMask = StageMask()
+                        ) -> np.ndarray:
+    """<m|Omega(x)|col> for m < ``rows``, every outcome in ``xs`` and every
+    column of ``cols`` (shape (n, k)), shaped (len(xs), rows, k), exact to
+    rounding: e^{-(r_p+r_b)/2} int chi_m(y) chi_n(Ay + B) phi(Cy + E) dy on
+    the max(rows, n)-node rule of _stage_rule.  R_phi acts on the columns
+    and the rows; outcomes go in chunks of _STACK_ELEMENTS per array."""
+    xs = np.asarray(xs, dtype=float)
+    n_in = cols.shape[0]
+    n = max(rows, n_in)
+    step = max(1, _STACK_ELEMENTS // (n * n))
+    if len(xs) > step:
+        return np.concatenate([
+            composed_reductions(params, xs[i:i + step], cols, rows, mask)
+            for i in range(0, len(xs), step)])
+    y, u, f = _stage_rule(params, xs, mask, n, 1)
+    if params.phi:
+        cols = np.exp(-1j * params.phi * np.arange(n_in))[:, None] * cols
+    inner = (fock._hermite_functions(u.ravel(), n_in) @ cols).reshape(
+        len(xs), n, -1)
+    chi = fock._hermite_functions(y.ravel(), rows).reshape(len(xs), n, rows)
+    out = chi.transpose(0, 2, 1) @ (f[:, :, None] * inner)
+    if params.phi:
+        out = out * np.exp(1j * params.phi * np.arange(rows))[:, None]
+    return out
+
+
+def composed_density(params: SchemeParams, psi, xs,
+                     pre_squeeze: bool = True) -> np.ndarray:
+    """Born density ||Omega(x) psi||^2 of a pure input at every outcome in
+    ``xs``, exact to rounding, with the unitary feedback and back-squeeze
+    off: e^{-r_p} int |psi(Ay + B)|^2 phi(Cy + E)^2 dy on the rule of
+    _stage_rule with a node per level up to psi's last nonzero amplitude."""
+    psi = np.asarray(psi.amplitudes if isinstance(psi, StateVector) else psi)
+    if psi.ndim != 1:
+        raise ParameterError("composed_density wants a pure state vector")
+    n = int(np.flatnonzero(psi)[-1]) + 1 if np.any(psi) else 1
+    y, u, f = _stage_rule(params, xs, StageMask(pre_squeeze, False, False),
+                          n, 2)
+    if params.phi:
+        psi = psi[:n] * np.exp(-1j * params.phi * np.arange(n))
+    amp = fock._hermite_functions(u.ravel(), n) @ psi[:n]
+    return np.sum(f * np.abs(amp.reshape(y.shape)) ** 2, axis=1)
+
+
+# ---------------------------------------------------------------------------
 # the pipeline builder
 
 
@@ -559,13 +620,12 @@ class SchemeFamilyBuilder:
     feedback are real, and so are the band and the probe functions when
     phi_probe = phi; every array keeps the dtype of its data, and R_phi
     enters only at the ends.
-    Each public method but the completeness sum is a thin caller of
-    ``_compose`` that picks the outcomes, the mask and the input columns
-    (leading unit columns, or the padded state for densities).
-    ``warnings`` holds those the probe's constructor attached.
-    Densities and completeness sums mask feedback and back-squeeze off:
-    those unitary dressings cancel in the Born rule at working size, which
-    :meth:`masked_pom_matrix` measures by applying them.
+    It is the subject that verify and sweep check against the target, and
+    through ``_compose`` the one path for phi_probe != phi, which
+    composed_reductions does not reach.  ``warnings`` holds those the
+    probe's constructor attached.  Completeness sums mask feedback and
+    back-squeeze off: those unitary dressings cancel in the Born rule at
+    working size.
     """
 
     def __init__(self, params: SchemeParams, margin: float = 2.5):
@@ -614,10 +674,6 @@ class SchemeFamilyBuilder:
                 self.n_work)
         return self._s_back[pre_on]
 
-    def _frame(self) -> np.ndarray:
-        """The diagonal e^{ik phi} of R_phi on the working levels."""
-        return np.exp(1j * self.params.phi * np.arange(self.n_work))
-
     def _chi(self, xs: np.ndarray) -> np.ndarray:
         """The conjugated probe quadrature functions at the outcomes, shaped
         (len(xs), n_work), read at the offset phi_probe - phi."""
@@ -654,32 +710,19 @@ class SchemeFamilyBuilder:
         """B . D(x) . W(x) . P . cols at working size for every outcome in
         ``xs``, shape (len(xs), n_work, cols.shape[1]), with the masked-off
         stages left out: the stages act at phi = 0 on R_phi^dag cols, and
-        R_phi takes the result's rows back to the frame of phi."""
+        R_phi takes the result's rows back to the frame of phi.  The band
+        acts on cols once, per sector, for all outcomes."""
         xs = np.asarray(xs, dtype=float)
         n = self.n_work
-        levels, band = self._levels, self._band
+        frame = np.exp(1j * self.params.phi * np.arange(n))[:, None]
         if self.params.phi:
-            cols = self._frame().conj()[:, None] * cols
+            cols = frame.conj() * cols
         if mask.pre_squeeze:
             cols = self._pre_matrix() @ cols
-        chi = self._chi(xs)
-        if len(xs) == 1:  # readout first, one (n_in, m) slab per level:
-            # W[m, n_in] = sum_j chi[p] B[s, m, j], s = n_in + k_j, p = s - m
-            m = np.arange(n)
-            chi_pad = np.zeros(2 * n + levels[-1], dtype=chi.dtype)
-            chi_pad[n:2 * n] = chi[0]
-            offset = m[:, None] - m[None, :] + n
-            w_t = np.zeros((n, n), dtype=np.result_type(chi, band))
-            for j, k in enumerate(levels):
-                w_t += chi_pad[offset + k] * band[k:k + n, :, j]
-            w = (w_t.T @ cols)[None]
-        else:  # columns first: the band acts on cols once, per sector
-            w = (chi @ self._readout_columns(cols).reshape(n, -1)).reshape(
-                len(xs), n, -1)
+        w = (self._chi(xs) @ self._readout_columns(cols).reshape(n, -1)
+             ).reshape(len(xs), n, -1)
         w = self._finish(xs, mask, w)
-        if self.params.phi:
-            w = w * self._frame()[:, None]
-        return w
+        return w * frame if self.params.phi else w
 
     def _finish(self, xs: np.ndarray, mask: StageMask, w: np.ndarray,
                 rows: Optional[int] = None) -> np.ndarray:
@@ -692,26 +735,6 @@ class SchemeFamilyBuilder:
         if mask.back_squeeze:
             return self._back_matrix(mask.pre_squeeze)[:rows] @ w
         return w[:, :rows]
-
-    def operator(self, x: float, mask: StageMask = StageMask(), *,
-                 workspace: bool = False) -> np.ndarray:
-        """Reduction operator for one outcome, truncated to the requested
-        cutoff unless ``workspace`` asks for the full working-space matrix."""
-        k = self.n_work if workspace else self.params.cutoff
-        om = self._compose([x], mask, np.eye(self.n_work)[:, :k])[0]
-        return om if workspace else om[:k]
-
-    def masked_pom_matrix(self, x: float, block: int,
-                          mask: StageMask = StageMask()) -> np.ndarray:
-        """Probability-operator matrix at one outcome with the masked
-        dressing stages genuinely applied (at working size, before the
-        quadratic product), restricted to the leading ``block`` levels.
-
-        Unlike :meth:`completeness_defect`, nothing here assumes the
-        dressings cancel; comparing masks through this method measures the
-        invariance instead of postulating it."""
-        w = self._compose([x], mask, np.eye(self.n_work)[:, :block])[0]
-        return w.conj().T @ w
 
     def family(self, grid: Optional[OutcomeGrid] = None,
                mask: StageMask = StageMask()) -> ReductionOperatorFamily:
@@ -754,32 +777,6 @@ class SchemeFamilyBuilder:
         acc = vc.reshape(n * n, -1).conj().T @ (
             gram @ vc.reshape(n, -1)).reshape(n * n, -1)
         return float(np.max(np.abs(acc - np.eye(block))))
-
-    def outcome_density_values(self, state, grid: OutcomeGrid,
-                               mask: StageMask = StageMask()) -> np.ndarray:
-        """Born density of the measurement outcome for a pure input, without
-        materializing the family.  Amplitude beyond the working space
-        raises ParameterError: it would be dropped, not measured."""
-        if isinstance(state, StateVector):
-            psi = state.amplitudes
-        else:
-            psi = np.asarray(state)
-        if psi.ndim != 1:
-            raise ParameterError(
-                "outcome_density_values wants a pure state; use the family "
-                "POM for mixed inputs")
-        if np.any(psi[self.n_work:]):
-            raise ParameterError(
-                f"the state has amplitude at levels >= the working size "
-                f"{self.n_work}; raise the margin")
-        if not np.any(np.imag(psi)):
-            psi = np.real(psi)
-        padded = np.zeros((self.n_work, 1),
-                          dtype=np.result_type(psi, np.float64))
-        padded[:min(len(psi), self.n_work), 0] = psi[:self.n_work]
-        amps = self._compose(grid.points,
-                             StageMask(mask.pre_squeeze, False, False), padded)
-        return np.linalg.norm(amps[:, :, 0], axis=1) ** 2
 
 
 # ---------------------------------------------------------------------------

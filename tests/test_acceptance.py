@@ -45,6 +45,8 @@ from quadmeas.scheme import (
     SchemeParams,
     StageMask,
     build_scheme_family,
+    composed_density,
+    composed_reductions,
     measurement_width,
     verify_bch_factorization,
 )
@@ -58,10 +60,10 @@ def _params(eta, sigma, cutoff, grid=GRID_25):
     return SchemeParams(eta=eta, sigma=sigma, cutoff=cutoff, grid=grid)
 
 
-def _vacuum_density(builder, base_grid, edge_tolerance=1e-8):
-    psi = vacuum_state(builder.params.cutoff).amplitudes
+def _vacuum_density(params, base_grid, edge_tolerance=1e-8):
+    psi = vacuum_state(params.cutoff)
     grid, vals = widen_grid_for_density(
-        lambda pts: builder.outcome_density_values(psi, OutcomeGrid(pts)),
+        lambda pts: composed_density(params, psi, pts),
         base_grid, edge_tolerance=edge_tolerance)
     return OutcomeDensity(grid, vals)
 
@@ -92,13 +94,12 @@ def test_kernel_width_square_root_law():
     # sqrt(eta * sigma) / 2 after removing the input variance 1/4
     worst = 0.0
     for eta, sigma in PRESETS:
-        builder = SchemeFamilyBuilder(_params(eta, sigma, 40), 4.0)
-        density = _vacuum_density(builder, GRID_25)
+        density = _vacuum_density(_params(eta, sigma, 40), GRID_25)
         fit = fitted_kernel_width(density, 0.25)
         worst = max(worst, abs(fit - measurement_width(eta, sigma)))
     assert worst <= 1e-6
-    builder = SchemeFamilyBuilder(_params(0.25, 2.0, 40), 4.0)
-    pinned = fitted_kernel_width(_vacuum_density(builder, GRID_25), 0.25)
+    pinned = fitted_kernel_width(
+        _vacuum_density(_params(0.25, 2.0, 40), GRID_25), 0.25)
     assert abs(pinned - 0.353553) <= 1e-6
     print(f"PASS width law: max |fit - sqrt(eta sigma)/2| {worst:.3e} "
           f"<= 1e-6; eta=0.25 sigma=2 fit {pinned:.6f}")
@@ -114,12 +115,15 @@ def test_pom_invariant_under_compensation_dressing():
     worst = 0.0
     for eta, sigma in PRESETS:
         builder = SchemeFamilyBuilder(_params(eta, sigma, 60), 3.5)
-        for x in (-3.0, 0.0, 3.0):
-            base = builder.masked_pom_matrix(x, 16, undressed)
-            for mask in dressings:
-                dev = np.max(np.abs(
-                    builder.masked_pom_matrix(x, 16, mask) - base))
-                worst = max(worst, float(dev))
+        unit = np.eye(builder.n_work)[:, :16]
+
+        def pom(mask):  # the dressings applied at working size
+            w = builder._compose([-3.0, 0.0, 3.0], mask, unit)
+            return w.conj().transpose(0, 2, 1) @ w
+
+        base = pom(undressed)
+        for mask in dressings:
+            worst = max(worst, float(np.max(np.abs(pom(mask) - base))))
     assert worst <= 1e-10
     print(f"PASS POM dressing invariance: max deviation {worst:.3e} "
           f"<= 1e-10")
@@ -153,12 +157,11 @@ def test_gaussian_oracle_equivalence_and_convolution_law():
     ]
     worst_density, worst_moment = 0.0, 0.0
     for eta, sigma in PRESETS:
-        builder = SchemeFamilyBuilder(_params(eta, sigma, 60), 3.5)
+        params = _params(eta, sigma, 60)
         for make_state, gauss_input in inputs:
-            psi = make_state(60).amplitudes
+            psi = make_state(60)
             grid, vals = widen_grid_for_density(
-                lambda pts: builder.outcome_density_values(
-                    psi, OutcomeGrid(pts)),
+                lambda pts: composed_density(params, psi, pts),
                 GRID_25, edge_tolerance=1e-10)
             mean, var = GaussianSchemeOracle(
                 _params(eta, sigma, 60), gauss_input).outcome_moments()
@@ -173,7 +176,7 @@ def test_gaussian_oracle_equivalence_and_convolution_law():
 
     # outcome density = ideal quadrature density smeared by the Gaussian
     # kernel, including for a non-Gaussian input
-    builder = SchemeFamilyBuilder(_params(0.5, 1.0, 60), 3.5)
+    params = _params(0.5, 1.0, 60)
     delta = measurement_width(0.5, 1.0)
     fine = OutcomeGrid.from_range(-8.0, 8.0, 0.02)
     worst_conv = 0.0
@@ -183,7 +186,7 @@ def test_gaussian_oracle_equivalence_and_convolution_law():
             np.trapezoid(ideal * normal_pdf(x - fine.points, 0.0, delta**2),
                          fine.points)
             for x in GRID_25.points])
-        direct = builder.outcome_density_values(state.amplitudes, GRID_25)
+        direct = composed_density(params, state, GRID_25.points)
         worst_conv = max(worst_conv,
                          float(np.max(np.abs(smeared - direct))))
     assert worst_conv <= 1e-6
@@ -206,12 +209,12 @@ def test_pom_resolves_identity_on_wide_grid():
 def test_reduction_preserves_purity_of_pure_inputs():
     worst = 0.0
     for eta, sigma in PRESETS:
-        builder = SchemeFamilyBuilder(_params(eta, sigma, 40), 4.0)
+        oms = composed_reductions(_params(eta, sigma, 40), [-1.0, 0.0, 1.5],
+                                  np.eye(40), 40)
         for psi in (vacuum_state(40).amplitudes,
                     coherent_state(0.7, 40).amplitudes):
             rho = np.outer(psi, psi.conj())
-            for x in (-1.0, 0.0, 1.5):
-                om = builder.operator(x)
+            for om in oms:
                 post = om @ rho @ om.conj().T
                 post /= np.trace(post).real
                 purity = float(np.trace(post @ post).real)
@@ -250,8 +253,7 @@ def test_sampling_statistics_and_reproducibility(tmp_path, monkeypatch):
     worst_ks = 0.0
     base = OutcomeGrid.from_range(-3.0, 3.0, 0.05)
     for eta, sigma in PRESETS:
-        builder = SchemeFamilyBuilder(_params(eta, sigma, 40, base), 4.0)
-        density = _vacuum_density(builder, base)
+        density = _vacuum_density(_params(eta, sigma, 40, base), base)
         draws = np.sort(sample_outcomes(density, n,
                                         RngSeed(17, f"{eta}/{sigma}")))
         mean, var = GaussianSchemeOracle(

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quadmeas import cli
+from quadmeas import cli, scheme
 from quadmeas.cli import main, parse_grid_spec, resolve_config
+from quadmeas.scheme import GaussianSchemeOracle, SchemeParams
 
 
 def run_cli(args, monkeypatch=None, epoch=None):
@@ -240,6 +241,23 @@ class TestPom:
                  if not l.startswith("# timestamp")]
         assert body1 == body2
 
+    def test_density_meets_the_oracle_at_any_width(self, tmp_path):
+        # edge parameters at the CLI cutoff and the presets at cutoff 100:
+        # the density is exact, so no grid is widened past the oracle's
+        out = tmp_path / "pom.json"
+        edges = [(0.99, 1.0), (0.5, 1e-6), (0.05, 0.01), (0.95, 1.0)]
+        cases = [(eta, sigma, "40") for eta, sigma in edges] \
+            + [(eta, sigma, "100") for eta in (0.2, 0.5, 0.8)
+               for sigma in (0.5, 1.0, 2.0)]
+        for eta, sigma, cutoff in cases:
+            assert main(["pom", "--eta", repr(eta), "--sigma", repr(sigma),
+                         "--cutoff", cutoff, "--format", "json",
+                         "--out", str(out)]) == 0
+            res = json.loads(out.read_text())["results"]
+            assert max(res["deviation"]) <= 1e-14, (eta, sigma)
+            if (eta, sigma) in edges:
+                assert len(res["x"]) == 37
+
     def test_json_results_include_density(self, tmp_path):
         out = tmp_path / "pom.json"
         assert main(["pom", "--cutoff", "30", "--format", "json",
@@ -317,6 +335,21 @@ class TestSample:
                      "--margin", "3.5",
                      "--out", str(tmp_path / "s.csv")]) == 0
         assert margins == [3.5]
+
+    @pytest.mark.parametrize("eta", ["0.95", "0.99"])
+    def test_post_moments_meet_the_oracle_near_full_transmission(self, eta,
+                                                                 tmp_path):
+        out = tmp_path / "sample.json"
+        assert main(["sample", "--eta", eta, "--trials", "500", "--repeat",
+                     "--seed", "4", "--format", "json",
+                     "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        oracle = GaussianSchemeOracle(
+            SchemeParams(eta=float(eta), sigma=1.0, cutoff=40))
+        for x, mean, var in zip(res["outcome"], res["post_mean"],
+                                res["post_variance"]):
+            want = oracle.post_quadrature_moments(x)
+            assert max(abs(mean - want[0]), abs(var - want[1])) <= 1e-12
 
     def test_infeasible_feedback_exits_1(self, capsys):
         assert main(["sample", "--feedback", "finite-lo", "--beta", "2.0",
@@ -414,8 +447,8 @@ class TestWarnings:
         assert "warning" not in outs[0].read_text()
         return codes[0], errs[0], outs[0].read_bytes() == outs[1].read_bytes()
 
-    def test_verify_prints_the_target_warning(self, tmp_path, monkeypatch,
-                                              capsys):
+    def test_verify_below_the_grid_step_prints_nothing(self, tmp_path,
+                                                       monkeypatch, capsys):
         # the target is exact on any grid, so a kernel width of 0.158
         # below the grid step 0.25 warns of nothing
         code, err, same = self.run_twice(
@@ -424,20 +457,24 @@ class TestWarnings:
         assert code == 0 and same
         assert err == []
 
-    def test_pom_prints_the_probe_warning(self, tmp_path, monkeypatch,
-                                          capsys):
+    def test_pom_builds_no_probe_and_prints_nothing(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # the density is exact at any cutoff: no truncated probe is built
         code, err, same = self.run_twice(["pom"] + self.NARROW, tmp_path,
                                          monkeypatch, capsys)
         assert code == 0 and same
-        assert err == [self.PROBE]
+        assert err == []
 
-    def test_sample_prints_the_probe_warning(self, tmp_path, monkeypatch,
-                                             capsys):
+    def test_sample_prints_the_truncated_post_state(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # no probe is built, but at Delta 0.05 a cutoff-30 post state keeps
+        # only part of its exact probability, and that is reported
         code, err, same = self.run_twice(
             ["sample", "--trials", "20", "--seed", "3"] + self.NARROW,
             tmp_path, monkeypatch, capsys)
         assert code == 0 and same
-        assert err == [self.PROBE]
+        assert err == ["warning: the reduced state at outcome -1 keeps a "
+                       "fraction 0.720187 of its probability in 30 levels"]
 
     def test_sweep_prints_each_distinct_warning_once(self, tmp_path,
                                                      monkeypatch, capsys):
@@ -455,6 +492,21 @@ class TestWarnings:
             ["verify", "--eta", "0.5", "--sigma", "1.0"], tmp_path,
             monkeypatch, capsys)
         assert code == 0 and same and err == []
+
+
+def test_pom_and_sample_build_no_working_space(tmp_path, monkeypatch):
+    # at phi_probe = phi both read the exact composition alone, finite-lo
+    # feedback included
+    def refuse(*args, **kwargs):
+        raise AssertionError("a working-space builder was constructed")
+
+    monkeypatch.setattr(scheme.SchemeFamilyBuilder, "__init__", refuse)
+    out = str(tmp_path / "out.csv")
+    for argv in (["pom", "--cutoff", "100"],
+                 ["sample", "--trials", "200", "--repeat"],
+                 ["sample", "--trials", "200", "--phi", "0.6",
+                  "--feedback", "finite-lo", "--beta", "50"]):
+        assert main(argv + ["--out", out]) == 0, argv
 
 
 class TestJsonWriter:

@@ -59,12 +59,10 @@ def fock_moments(amplitudes, cutoff_sys, cutoff_probe=None):
         ops = [np.kron(x, eye_p), np.kron(y, eye_p),
                np.kron(eye_s, xp), np.kron(eye_s, yp)]
     mean = np.array([fock.expectation(o, amplitudes).real for o in ops])
-    n = len(ops)
-    cov = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            sym = 0.5 * (ops[i] @ ops[j] + ops[j] @ ops[i])
-            cov[i, j] = fock.expectation(sym, amplitudes).real - mean[i] * mean[j]
+    # the truncated quadratures are Hermitian, so <{O_i, O_j}>/2 =
+    # Re <O_i psi|O_j psi>: no operator product forms
+    vecs = np.array([o @ amplitudes for o in ops])
+    cov = (vecs.conj() @ vecs.T).real - np.outer(mean, mean)
     return mean, cov
 
 

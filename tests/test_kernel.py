@@ -262,7 +262,7 @@ def test_outcome_density_cdf_requires_mass():
 # analytic Gaussian-projector target
 
 
-def test_vn_target_rejects_bad_width_and_warns_on_coarse_grid():
+def test_vn_target_rejects_bad_width_and_is_silent_on_coarse_grid():
     # The target is exact at each outcome, and no sum runs over its grid,
     # so a grid step above the kernel width attaches no warning.
     grid = OutcomeGrid.from_range(-3.0, 3.0, 0.5)

@@ -26,8 +26,8 @@ from quadmeas.kernel import (
     OutcomeDensity,
     OutcomeGrid,
     quadrature_density,
-    vn_target_family,
 )
+from quadmeas import montecarlo
 from quadmeas.montecarlo import (
     RepeatabilityStats,
     RngSeed,
@@ -51,11 +51,11 @@ from quadmeas.scheme import (
     _faithful_displacement,
     _faithful_squeeze,
     backsqueeze_param,
+    composed_reductions,
     feedback_displacement,
 )
 
 CANONICAL = SchemeParams(eta=0.5, sigma=1.0, cutoff=30)
-DELTA_CANONICAL = math.sqrt(0.5) / 2.0
 
 
 @pytest.fixture(scope="module")
@@ -146,21 +146,23 @@ def test_batched_trials_follow_the_sequential_stream(want_second, poisoned,
 
 
 def _reference_entry(eng, index):
-    """The per-outcome path that the batched entries replace: the builder's
-    operator(x) @ psi (or the family's operator), normalized, then one state
-    at a time its oscillator channel, moments and second-outcome density.
-    None for an outcome below the probability floor."""
+    """The per-outcome path that the batched entries replace: the reduction
+    operator at x on the engine's rows, from composed_reductions on unit
+    columns (or the builder's _compose at phi_probe != phi), applied to psi
+    and normalized, then one state at a time its oscillator channel,
+    moments and second-outcome density.  None for an outcome below the
+    probability floor."""
     x = float(eng.grid.points[index])
     psi, c, params = eng._psi, len(eng._psi), eng.params
     finite_lo = eng.feedback.mode == "finite-lo"
-    if eng._family is not None:
-        vec = eng._family.operators[index] @ psi
-    elif finite_lo:
-        om = eng._builder.operator(
-            x, StageMask(eng.mask.pre_squeeze, False, False), workspace=True)
-        vec = om[:, :c] @ psi
+    mask = StageMask(eng.mask.pre_squeeze, False, False) if finite_lo \
+        else eng.mask
+    if eng._builder is None:
+        om = composed_reductions(params, [x], np.eye(c), eng._rows, mask)[0]
     else:
-        vec = eng._builder.operator(x, eng.mask) @ psi
+        om = eng._builder._compose([x], mask, np.eye(eng._builder.n_work)[
+            :, :c])[0, :eng._rows]
+    vec = om @ psi
     p = np.linalg.norm(vec) ** 2
     if p < 1e-14:
         return None
@@ -211,11 +213,10 @@ WIDE = OutcomeGrid.from_range(-4.25, 4.25, 0.25)
     lambda: TrialEngine(SchemeParams(eta=0.3, sigma=0.7, phi=0.4,
                                      phi_probe=0.9, cutoff=30)),
     lambda: TrialEngine(
-        SchemeParams(eta=0.5, sigma=1.0, cutoff=40, grid=WIDE),
-        input_state=coherent_state(0.5, 40),
-        kernel_family=vn_target_family(DELTA_CANONICAL, WIDE, 40)),
+        SchemeParams(eta=0.2, sigma=0.05, cutoff=120, grid=WIDE),
+        input_state=coherent_state(0.5, 120)),
 ], ids=["ideal", "finite-lo", "finite-lo-no-back", "raw", "phi-probe",
-        "kernel-family"])
+        "sharp-coherent"])
 def test_batched_conditionals_match_the_per_outcome_operators(make):
     eng = make()
     batch = eng.trials(RngSeed(4).generator(), 500, want_second=True)
@@ -260,28 +261,55 @@ def test_poisoned_entries_stay_honoured():
 
 def test_one_composition_per_batch_of_new_outcomes(monkeypatch):
     eng = TrialEngine(CANONICAL)
+    assert eng._builder is None
     calls = []
-    compose = eng._builder._compose
 
-    def counting(xs, mask, cols):
-        calls.append((len(xs), cols.shape))
-        return compose(xs, mask, cols)
+    def counting(params, xs, cols, rows, mask):
+        calls.append((len(xs), cols.shape, rows))
+        return composed_reductions(params, xs, cols, rows, mask)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("sampling formed a reduction operator")
-
-    monkeypatch.setattr(eng._builder, "_compose", counting)
-    monkeypatch.setattr(eng._builder, "operator", refuse)
+    monkeypatch.setattr(montecarlo, "composed_reductions", counting)
     batch = eng.trials(RngSeed(5).generator(), 3000, want_second=True)
     distinct = len(np.unique(batch.outcome))
-    assert calls == [(distinct, (eng._builder.n_work, 1))]
+    assert calls == [(distinct, (30, 1), 30)]
     # a second batch composes only the outcomes it draws first
     eng.trials(RngSeed(5).generator(), 3000, want_second=True)
     assert len(calls) == 1
     # a longer one reaches one outcome the first did not draw
     more = eng.trials(RngSeed(6).generator(), 20000)
     assert len(np.setdiff1d(more.outcome, batch.outcome)) == 1
-    assert calls[1:] == [(1, (eng._builder.n_work, 1))]
+    assert calls[1:] == [(1, (30, 1), 30)]
+
+
+def test_truncated_reductions_carry_one_warning():
+    # the exact density certifies the kept levels: at Delta 0.05 a
+    # cutoff-40 post state drops a sizeable part of its norm, at the
+    # canonical preset it drops 1e-10
+    sharp = TrialEngine(SchemeParams(eta=0.2, sigma=0.05, cutoff=40))
+    batch = sharp.trials(RngSeed(3).generator(), 200)
+    (text,) = sharp.warnings
+    kept, index = sharp._worst_capture
+    assert kept < 0.9 and sharp.grid.points[index] in batch.outcome
+    assert text == (f"the reduced state at outcome "
+                    f"{sharp.grid.points[index]:.6g} keeps a fraction "
+                    f"{kept:.6g} of its probability in 40 levels")
+    fine = TrialEngine(SchemeParams(eta=0.5, sigma=1.0, cutoff=40))
+    fine.trials(RngSeed(3).generator(), 200)
+    assert fine.warnings == () and fine._worst_capture[0] > 1.0 - 1e-8
+
+
+def test_captured_fraction_certifies_the_finite_lo_rows():
+    # the oscillator channel acts on n_work = ceil(margin cutoff) levels:
+    # at margin 1 the feedback-free post state at sigma 0.05 is cut at the
+    # cutoff (it keeps 1 - 3.7e-7) and warns, at margin 2.5 it is whole
+    params = SchemeParams(eta=0.8, sigma=0.05, cutoff=30)
+    flo = FeedbackSpec.finite_lo(1e3)
+    tight = TrialEngine(params, flo, margin=1.0)
+    roomy = TrialEngine(params, flo)
+    for eng in (tight, roomy):
+        eng.trials(RngSeed(4).generator(), 100)
+    assert tight._rows == 30 and len(tight.warnings) == 1
+    assert roomy._rows == 75 and roomy.warnings == ()
 
 
 # ---------------------------------------------------------------------------
@@ -572,45 +600,21 @@ def test_repeatability_variance_matches_oracle_at_quarter_width():
 
 def test_repeatability_variance_shrinks_with_kernel_width():
     # A conditional state of x-width delta needs on the order of
-    # (pi/(4 delta))^2 levels, so the sharp cases run on the analytic
-    # kernel family (verified equal to the built scheme elsewhere) at
-    # cutoffs the two-mode dilation cannot reach.
+    # (pi/(4 delta))^2 levels; the engine's exact composition reaches them
     cases = [  # (delta, eta, sigma, cutoff)
         (0.05, 0.2, 0.05, 300), (0.1, 0.5, 0.08, 150), (0.25, 0.5, 0.5, 100)]
     grid = OutcomeGrid.from_range(-3.5, 3.5, 0.25)
     variances = []
     for delta, eta, sigma, cutoff in cases:
-        family = vn_target_family(delta, grid, cutoff)
         params = SchemeParams(eta=eta, sigma=sigma, cutoff=cutoff, grid=grid)
-        engine = TrialEngine(params, kernel_family=family, second_step=0.01)
+        engine = TrialEngine(params, second_step=0.01)
+        assert np.array_equal(engine.grid.points, grid.points)
         stats = repeatability_experiment(params, 400, RngSeed(17, f"{delta}"),
                                          engine=engine)
         variances.append(stats.diff_variance)
     assert variances[0] < variances[1] < variances[2]
     for var, delta in zip(variances, (0.05, 0.1, 0.25)):
         assert 0.5 * delta ** 2 < var < 2.0 * delta ** 2
-
-
-def test_kernel_family_engine_mode_validation():
-    from quadmeas.errors import GridRangeError
-    narrow = OutcomeGrid.from_range(-1.0, 1.0, 0.25)
-    fam = vn_target_family(0.25, narrow, 40)
-    with pytest.raises(GridRangeError):
-        TrialEngine(SchemeParams(eta=0.5, sigma=0.5, cutoff=40, grid=narrow),
-                    kernel_family=fam)
-    wide = OutcomeGrid.from_range(-3.5, 3.5, 0.25)
-    fam2 = vn_target_family(0.25, wide, 40)
-    with pytest.raises(ParameterError):
-        TrialEngine(SchemeParams(eta=0.5, sigma=0.5, cutoff=40, grid=wide),
-                    feedback=FeedbackSpec.finite_lo(1e3), kernel_family=fam2)
-    # the kernel-family route reproduces the oracle posterior moments
-    wider = OutcomeGrid.from_range(-4.25, 4.25, 0.25)
-    eng = TrialEngine(SchemeParams(eta=0.5, sigma=1.0, cutoff=40, grid=wider),
-                      kernel_family=vn_target_family(DELTA_CANONICAL, wider,
-                                                     40))
-    rec = eng.trial(RngSeed(6).generator())
-    assert_allclose(rec.post_variance, 1.0 / 12.0, atol=1e-6)
-    assert_allclose(rec.post_mean, 2.0 / 3.0 * rec.outcome, atol=1e-6)
 
 
 def test_identity_control_has_zero_slope(canonical_engine):

@@ -1,6 +1,7 @@
 """Tests for the beam-splitter/squeezer/feedback measurement pipeline."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -40,6 +41,8 @@ from quadmeas.scheme import (
     _faithful_squeeze,
     backsqueeze_param,
     build_scheme_family,
+    composed_density,
+    composed_reductions,
     feedback_coefficient,
     feedback_displacement,
     measurement_width,
@@ -63,9 +66,7 @@ def canonical_result():
     return build_scheme_family(SchemeParams(eta=0.5, sigma=1.0))
 
 
-@pytest.fixture(scope="module")
-def canonical_builder():
-    return SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=1.0))
+CANONICAL = SchemeParams(eta=0.5, sigma=1.0)
 
 
 def vacuum(cutoff):
@@ -255,7 +256,7 @@ def test_one_displacement_spectrum_serves_every_outcome(monkeypatch):
     b = SchemeFamilyBuilder(SchemeParams(eta=0.2, sigma=1.0, cutoff=30))
     b.family()
     for x in b.params.grid.points:
-        b.operator(x)
+        b._compose([x], StageMask(), np.eye(b.n_work)[:, :30])
     assert len(sizes) == 1
     # a larger amplitude grows the room once; smaller ones reuse it
     _faithful_displacement(7.0, b.n_work)
@@ -393,11 +394,10 @@ def test_family_origin_labels():
 
 
 def test_batched_family_matches_per_outcome_operators(monkeypatch):
-    # family composes a batch of outcomes with the columns contracted
-    # first; operator composes one outcome with the readout contracted
-    # first.  The per-outcome path is the reference for the batched one.
-    # A small stack budget splits the 9-point grid into outcome chunks of
-    # 4, 4 and 1.
+    # family applies the band once to the pre-squeezed leading columns and
+    # finishes the outcome chunks on the cutoff rows; _compose takes one
+    # outcome at a time through every stage on unit columns.  A small stack
+    # budget splits the 9-point grid into outcome chunks of 4, 4 and 1.
     monkeypatch.setattr(scheme, "_STACK_ELEMENTS", 4 * 75 ** 2)
     masks = [StageMask(), StageMask.raw(), StageMask(True, False, False),
              StageMask(False, True, True), StageMask(True, True, False)]
@@ -407,11 +407,12 @@ def test_batched_family_matches_per_outcome_operators(monkeypatch):
         b = SchemeFamilyBuilder(SchemeParams(eta=0.4, sigma=1.5, cutoff=30,
                                              phi_probe=phi_probe))
         assert b.n_work == 75
+        eye = np.eye(75)[:, :30]
         for mask in masks:
             fam = b.family(grid, mask)
             for i, x in enumerate(grid.points):
                 worst = max(worst, float(np.max(np.abs(
-                    fam.operators[i] - b.operator(x, mask)))))
+                    fam.operators[i] - b._compose([x], mask, eye)[0, :30]))))
     assert worst < 1e-12
 
 
@@ -434,9 +435,9 @@ def test_working_phase_enters_as_the_frame_rotation(monkeypatch):
         fam, fam0 = b.family(grid, mask), b0.family(grid, mask)
         worst = max(worst, float(np.max(np.abs(
             fam.operators - frame * fam0.operators))))
-        for x in (-1.5, 0.5):
-            worst = max(worst, float(np.max(np.abs(
-                b.operator(x, mask) - frame * b0.operator(x, mask)))))
+        one, one0 = (m._compose([-1.5, 0.5], mask, np.eye(75)[:, :30])[:, :30]
+                      for m in (b, b0))
+        worst = max(worst, float(np.max(np.abs(one - frame * one0))))
     assert worst < 1e-12
 
 
@@ -466,19 +467,13 @@ def test_compensated_stages_compose_in_real_arithmetic(monkeypatch):
         assert stacks and all(w.dtype == np.float64 for w in stacks)
         stacks.clear()
         assert fam.operators.dtype == np.complex128
-    # at phi = 0 a real input state reaches the Born density on real
-    # columns
+    # at phi = 0 a real input column stays real through every stage
     b0 = SchemeFamilyBuilder(SchemeParams(eta=0.4, sigma=0.5, cutoff=30))
-    composed = []
-    compose = b0._compose
-
-    def recording_compose(*args):
-        composed.append(compose(*args))
-        return composed[-1]
-
-    monkeypatch.setattr(b0, "_compose", recording_compose)
-    b0.outcome_density_values(StateVector(vacuum(30)), b0.params.grid)
-    assert composed[0].dtype == np.float64
+    column = np.zeros((b0.n_work, 1))
+    column[0] = 1.0
+    for mask in (StageMask(), StageMask(True, False, False)):
+        assert b0._compose(b0.params.grid.points, mask,
+                           column).dtype == np.float64
 
 
 def untruncated_sector_blocks(b):
@@ -745,6 +740,14 @@ def test_pre_only_family_closed_form():
     assert worst < 1e-10
 
 
+def masked_pom(b, x, block, mask):
+    # the probability operator at one outcome with the masked dressing
+    # stages applied at working size before the quadratic product, on the
+    # leading block levels: comparing masks measures the invariance
+    w = b._compose([x], mask, np.eye(b.n_work)[:, :block])[0]
+    return w.conj().T @ w
+
+
 def test_pom_invariant_under_compensation_masks():
     # feedback and back-squeeze are unitary dressings; applying them
     # explicitly in the working space leaves the probability operators
@@ -755,10 +758,10 @@ def test_pom_invariant_under_compensation_masks():
                             margin=4.0)
     worst = 0.0
     for x in (-2.0, 0.0, 2.0):
-        ref = b.masked_pom_matrix(x, 16, masks[0])
+        ref = masked_pom(b, x, 16, masks[0])
         for m in masks[1:]:
             worst = max(worst, float(np.max(np.abs(
-                b.masked_pom_matrix(x, 16, m) - ref))))
+                masked_pom(b, x, 16, m) - ref))))
     assert worst < 1e-10
 
 
@@ -769,10 +772,9 @@ def test_pom_invariance_defect_shrinks_with_working_margin():
     devs = {}
     for margin in (2.5, 4.0):
         b = SchemeFamilyBuilder(p, margin=margin)
-        ref = b.masked_pom_matrix(3.0, 16, StageMask())
+        ref = masked_pom(b, 3.0, 16, StageMask())
         devs[margin] = float(np.max(np.abs(
-            b.masked_pom_matrix(3.0, 16, StageMask(True, False, False))
-            - ref)))
+            masked_pom(b, 3.0, 16, StageMask(True, False, False)) - ref)))
     assert devs[4.0] < 1e-9
     assert devs[4.0] < devs[2.5] / 50.0
 
@@ -793,7 +795,7 @@ def test_pre_squeeze_off_reproduces_attenuated_kernel_pom():
         closed = (t * f) @ t.conj().T
         for mask in (StageMask(False, True, True), StageMask.raw()):
             worst = max(worst, float(np.max(np.abs(
-                b.masked_pom_matrix(x, 16, mask) - closed))))
+                masked_pom(b, x, 16, mask) - closed))))
     assert worst < 1e-7
 
 
@@ -808,7 +810,7 @@ def test_degenerate_probe_limit_rates():
         b = SchemeFamilyBuilder(SchemeParams(eta=eta, sigma=sig, cutoff=30))
         elem = dens = 0.0
         for x in points:
-            pom = b.masked_pom_matrix(float(x), 10, StageMask.raw())
+            pom = masked_pom(b, float(x), 10, StageMask.raw())
             phi2 = math.sqrt(2.0 / (math.pi * sig)) \
                 * math.exp(-2.0 * x * x / sig)
             elem = max(elem, float(np.max(np.abs(pom - phi2 * np.eye(10)))))
@@ -830,9 +832,8 @@ def test_fitted_width_law_across_presets():
     for eta, sig in ((0.25, 2.0), (0.7, 0.5)):
         p = SchemeParams(eta=eta, sigma=sig,
                          grid=OutcomeGrid.from_range(-4, 4, 0.05))
-        b = SchemeFamilyBuilder(p)
         dens = OutcomeDensity(p.grid,
-                              b.outcome_density_values(vacuum(60), p.grid))
+                              composed_density(p, vacuum(60), p.grid.points))
         fitted = fitted_kernel_width(dens, VACUUM_VAR)
         assert abs(fitted - measurement_width(eta, sig)) < 1e-6
 
@@ -1122,38 +1123,35 @@ def test_bch_factors_approach_identity_at_full_transmission():
 # cross-checks against the closed-form Gaussian oracle
 
 
-def test_oracle_outcome_moments_match_fock_density(canonical_builder):
-    p = canonical_builder.params
+def test_oracle_outcome_moments_match_fock_density():
+    p = CANONICAL
     grid = OutcomeGrid.from_range(-4, 4, 0.05)
-    dens = OutcomeDensity(grid,
-                          canonical_builder.outcome_density_values(vacuum(60),
-                                                                   grid))
+    dens = OutcomeDensity(grid, composed_density(p, vacuum(60), grid.points))
     mean, var = GaussianSchemeOracle(p).outcome_moments()
     assert_allclose((mean, var), (0.0, 0.375), atol=1e-12)
     assert abs(dens.mean() - mean) < 1e-8
     assert abs(dens.variance() - var) < 1e-8
 
 
-def test_oracle_outcome_mean_for_displaced_input(canonical_builder):
-    p = canonical_builder.params
+def test_oracle_outcome_mean_for_displaced_input():
+    p = CANONICAL
     grid = OutcomeGrid.from_range(-5, 5, 0.05)
     alpha = 0.6
     oracle = GaussianSchemeOracle(
         p, input_state=displacement_transform(alpha).apply(vacuum_gaussian()))
     mean, var = oracle.outcome_moments()
     assert_allclose(mean, alpha, atol=1e-12)
-    dens = OutcomeDensity(grid,
-                          canonical_builder.outcome_density_values(
-                              coherent(alpha, 60), grid))
+    dens = OutcomeDensity(grid, composed_density(p, coherent(alpha, 60),
+                                                 grid.points))
     assert abs(dens.mean() - alpha) < 1e-8
     assert abs(dens.variance() - var) < 1e-8
 
 
-def test_post_measurement_state_matches_oracle(canonical_builder):
-    p = canonical_builder.params
+def test_post_measurement_state_matches_oracle():
+    p = CANONICAL
     x0 = 0.5
     _, post = reduce_state(StateVector(vacuum(60)),
-                           canonical_builder.operator(x0))
+                           composed_reductions(p, [x0], np.eye(60), 60)[0])
     dens = quadrature_density(post, OutcomeGrid.from_range(-4, 4, 0.02))
     mean, var = GaussianSchemeOracle(p).post_quadrature_moments(x0)
     # conjugate update: gain v/(v + Delta^2) = 2/3 pulls the mean to x0*2/3
@@ -1163,10 +1161,11 @@ def test_post_measurement_state_matches_oracle(canonical_builder):
 
 
 def test_builder_density_fast_path_matches_family_born_rule():
+    # the exact density against the Born rule on the builder's family
     p = SchemeParams(eta=0.5, sigma=1.0, cutoff=40,
                      grid=OutcomeGrid.from_range(-4, 4, 0.1))
     b = SchemeFamilyBuilder(p)
-    fast = b.outcome_density_values(vacuum(40), p.grid)
+    fast = composed_density(p, vacuum(40), p.grid.points)
     slow = born_density(StateVector(vacuum(40)), b.family().pom()).values
     assert np.max(np.abs(fast - slow)) < 1e-12
     assert abs(np.trapezoid(fast, p.grid.points) - 1.0) < 1e-8
@@ -1174,15 +1173,18 @@ def test_builder_density_fast_path_matches_family_born_rule():
 
 def test_density_never_copies_the_probe_contraction():
     # the real mixer-probe band is the builder's largest array; applying it
-    # to complex columns must not cast a complex copy of it
+    # to a complex column, as for a density, must not cast a complex copy
     b = SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=0.5, cutoff=40),
                             margin=2.5)
     assert len(b._levels) > 1
     assert not np.iscomplexobj(b._band)
     band_bytes = b._band.nbytes
+    column = np.zeros((b.n_work, 1), dtype=complex)
+    column[0] = 1.0
     tracemalloc.start()
     try:
-        b.outcome_density_values(vacuum(40), b.params.grid)
+        b._compose(b.params.grid.points, StageMask(True, False, False),
+                   column)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1195,30 +1197,15 @@ def test_pom_size_builder_stays_below_dense_contraction_memory():
     try:
         b = SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=0.5, cutoff=100),
                                 margin=2.5)
-        b.outcome_density_values(vacuum(100), b.params.grid)
+        column = np.zeros((b.n_work, 1))
+        column[0] = 1.0
+        b._compose(b.params.grid.points, StageMask(True, False, False),
+                   column)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert b.n_work == 250
     assert peak < 50 * 2 ** 20
-
-
-def test_density_rejects_amplitude_beyond_working_space():
-    b = SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=1.0, cutoff=10),
-                            margin=2.0)
-    assert b.n_work == 20
-    high = np.zeros(31)
-    high[30] = 1.0
-    mixed = np.zeros(31)
-    mixed[[0, 30]] = math.sqrt(0.5)
-    for psi in (high, mixed):
-        with pytest.raises(ParameterError):
-            b.outcome_density_values(psi, b.params.grid)
-    padded = np.zeros(40)
-    padded[0] = 1.0
-    assert_allclose(b.outcome_density_values(padded, b.params.grid),
-                    b.outcome_density_values(vacuum(10), b.params.grid),
-                    rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("mask", [StageMask(), StageMask.raw()],
@@ -1274,3 +1261,74 @@ def test_working_level_completeness_across_presets():
                                 margin=4.0).completeness_defect(grid, 16)
     assert roomy < 1e-9
     assert roomy < 1e-2 * tight
+
+
+# ---------------------------------------------------------------------------
+# the exact composition on the Gauss rule
+
+
+ALL_MASKS = [StageMask(*flags) for flags in itertools.product((False, True),
+                                                              repeat=3)]
+
+
+def test_composition_matches_the_builder_over_presets_and_masks():
+    # margin 16 leaves the builder converged at every preset and mask
+    # (margin 10 misses by up to 1.7e-10 at eta 0.8); the two share only
+    # the Hermite functions and the Gauss rule
+    worst = 0.0
+    for eta in (0.2, 0.5, 0.8):
+        for sigma in (0.5, 1.0, 2.0):
+            p = SchemeParams(eta=eta, sigma=sigma, phi=0.4, cutoff=12)
+            b = SchemeFamilyBuilder(p, margin=16.0)
+            for mask in ALL_MASKS:
+                built = b._compose(p.grid.points, mask,
+                                   np.eye(b.n_work)[:, :12])[:, :12]
+                exact = composed_reductions(p, p.grid.points, np.eye(12), 12,
+                                            mask)
+                worst = max(worst, float(np.max(np.abs(built - exact))))
+    assert worst < 1e-13
+
+
+@pytest.mark.parametrize("cutoff", [40, 400])
+def test_composition_meets_the_target_at_the_sharp_preset(cutoff):
+    # Delta = 0.05: the composition reads the stage parameters, the target
+    # Delta alone, so a fault in a stage parameter shows as a gap
+    p = SchemeParams(eta=0.2, sigma=0.05, cutoff=cutoff)
+    target = vn_target_family(p.delta, p.grid, cutoff).operators
+    exact = composed_reductions(p, p.grid.points, np.eye(cutoff), cutoff)
+    assert np.max(np.abs(exact - target)) < 1e-14
+
+
+def test_composed_density_is_the_norm_of_the_reductions():
+    # a displaced input at phi 0.7, with and without the pre-squeeze: the
+    # density takes one node per level up to the last nonzero amplitude,
+    # so trailing zeros change nothing, and the reductions on 120 rows keep
+    # the whole norm
+    p = SchemeParams(eta=0.4, sigma=1.5, phi=0.7, cutoff=30)
+    psi = np.exp(0.3j * np.arange(30)) * coherent(0.8, 30)
+    xs = np.linspace(-4.0, 4.0, 17)
+    for pre in (True, False):
+        dens = composed_density(p, psi, xs, pre)
+        padded = composed_density(p, np.concatenate([psi, np.zeros(50)]), xs,
+                                  pre)
+        assert np.array_equal(dens, padded)
+        mask = StageMask(pre, False, False)
+        vecs = composed_reductions(p, xs, psi[:, None], 120, mask)[:, :, 0]
+        assert np.max(np.abs(np.linalg.norm(vecs, axis=1) ** 2 - dens)) \
+            < 1e-14
+    # the vacuum: one node, the Gaussian-oracle density
+    mean, var = GaussianSchemeOracle(p).outcome_moments()
+    assert np.max(np.abs(composed_density(p, [1.0], xs)
+                         - np.exp(-0.5 * (xs - mean) ** 2 / var)
+                         / math.sqrt(2.0 * math.pi * var))) < 1e-15
+
+
+def test_composition_rejects_an_offset_probe_and_a_mixed_input():
+    p = SchemeParams(eta=0.5, sigma=1.0, phi=0.2, phi_probe=0.5, cutoff=10)
+    with pytest.raises(ParameterError):
+        composed_reductions(p, [0.0], np.eye(10), 10)
+    with pytest.raises(ParameterError):
+        composed_density(p, [1.0], [0.0])
+    with pytest.raises(ParameterError):  # a density matrix is no pure state
+        composed_density(SchemeParams(eta=0.5, sigma=1.0, cutoff=10),
+                         np.eye(10) / 10.0, [0.0])
