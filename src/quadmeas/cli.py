@@ -8,8 +8,12 @@ in the output metadata, so any emitted file can reproduce its own run.
 Output goes to ``--out`` (written atomically: temp file + rename) or stdout.
 CSV files carry leading ``# key=value`` metadata lines, a mandatory header
 row, '.'-decimal UTF-8 numbers printed with 17 significant digits; JSON
-reports have the stable top-level shape {meta, checks, results}.  The
-metadata timestamp honors SOURCE_DATE_EPOCH for byte-reproducible runs.
+reports have the stable top-level shape {meta, checks, results}, the text
+of ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)`` with each
+array read as its ``tolist()``.  Every command hands both writers its table
+as a dict of equal-length columns, lists or 1-D arrays; an array column of
+200 rows or more is encoded once per distinct value.  The metadata
+timestamp honors SOURCE_DATE_EPOCH for byte-reproducible runs.
 
 Exit codes: 0 success, 1 check or experiment failure, 2 configuration error.
 Each distinct warning that the library's constructors attached to the
@@ -26,13 +30,15 @@ Config file schema (same names accept ``--flag`` spellings where listed):
 
 import argparse
 import datetime
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -299,15 +305,17 @@ def _metadata(cfg: RunConfig) -> Dict[str, object]:
     return meta
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write_text(path: Optional[str], pieces: Iterable[str]) -> None:
+    """Write the text's pieces in order to stdout, all at once, or to
+    ``path``, atomically."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write("".join(pieces))
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".quadmeas-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -315,62 +323,115 @@ def _write_text(path: Optional[str], text: str) -> None:
         raise
 
 
-def _emit_csv(cfg: RunConfig, header: Sequence[str],
-              rows: Sequence[Sequence[object]],
+def _csv_texts(values: Iterable[object]) -> List[str]:
+    return [_fmt(v) for v in values]
+
+
+def _json_texts(values: list) -> List[str]:
+    """The JSON text of each value of a non-empty list of scalars, from one
+    call of json's C encoder (no scalar's text holds a raw newline)."""
+    return json.dumps(values, separators=("\n", ": "),
+                      allow_nan=False)[1:-1].split("\n")
+
+
+# Below this many rows np.unique's fixed cost (about 10 us) outweighs the
+# repeats it saves: pom's 37-row columns encode faster as plain lists.
+_DISTINCT_MIN_ROWS = 200
+
+
+def _array_texts(column: np.ndarray,
+                 encode: Callable[[list], List[str]]) -> list:
+    """``encode(column.tolist())`` for a 1-D array; from _DISTINCT_MIN_ROWS
+    rows on, each distinct value is encoded once, values told apart by bit
+    pattern, so -0.0 and 0.0 stay apart."""
+    if len(column) < _DISTINCT_MIN_ROWS:
+        return encode(column.tolist())
+    keys = column.view(f"i{column.itemsize}") \
+        if column.dtype.kind == "f" else column
+    keys, inverse = np.unique(keys, return_inverse=True)
+    texts = encode(keys.view(column.dtype).tolist())
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _emit_csv(cfg: RunConfig, columns: Dict[str, object],
               stats: Optional[Dict[str, object]] = None) -> None:
+    """The table of equal-length columns (lists, or 1-D arrays read as
+    their ``tolist()``) under its metadata lines and header row."""
     lines = [f"# {key}={_fmt(value)}" for key, value in
              sorted(_metadata(cfg).items())]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.append(",".join(columns))
+    texts = [_array_texts(c, _csv_texts) if isinstance(c, np.ndarray)
+             else _csv_texts(c) for c in columns.values()]
+    lines.extend(map(",".join, zip(*texts)))
     if stats:
         for key, value in stats.items():
             lines.append(f"# {key}={_fmt(value)}")
-    _write_text(cfg.values["out"], "\n".join(lines) + "\n")
+    _write_text(cfg.values["out"], ("\n".join(lines), "\n"))
 
 
-def _json_text(obj, indent: str = "") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, byte
-    for byte, for documents with string keys.  Indentation forces json's
-    pure-Python encoder, so the dicts and lists are walked here and each
-    list of scalars goes to the C encoder in one call, with the indented
-    item separator."""
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
+def _json_pieces(obj, indent: str = "") -> Iterator[str]:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False, default=lambda a: a.tolist())``, byte for byte, as
+    pieces in order, for documents with string keys.  Indentation forces
+    json's pure-Python encoder, so the dicts and lists are walked here and
+    each list of scalars goes to the C encoder in one call, with the
+    indented item separator; a 1-D array goes through _array_texts.  A
+    large list is one piece, so no text longer than it is formed."""
     inner = indent + "  "
-    if isinstance(obj, dict):
+    if isinstance(obj, np.ndarray):
+        if obj.ndim != 1 or not len(obj):
+            yield from _json_pieces(obj.tolist(), indent)
+            return
+        yield "[\n" + inner
+        yield (",\n" + inner).join(_array_texts(obj, _json_texts))
+        yield "\n" + indent + "]"
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
+            yield "{}"
+            return
         if not all(isinstance(key, str) for key in obj):
             raise TypeError("JSON object keys here must be str")
-        body = ",\n".join(f"{inner}{json.dumps(key)}: {_json_text(v, inner)}"
-                          for key, v in sorted(obj.items()))
-        return "{\n" + body + "\n" + indent + "}"
-    if isinstance(obj, (list, tuple)):
+        head = "{\n"
+        for key, value in sorted(obj.items()):
+            head = f"{head}{inner}{json.dumps(key)}: "
+            if isinstance(value, _CONTAINERS):
+                yield head
+                yield from _json_pieces(value, inner)
+            else:  # one piece per scalar entry: each piece is one write
+                yield head + json.dumps(value, allow_nan=False)
+            head = ",\n"
+        yield "\n" + indent + "}"
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        if any(issubclass(t, (dict, list, tuple))
-               for t in set(map(type, obj))):
-            body = ",\n".join(inner + _json_text(v, inner) for v in obj)
+            yield "[]"
+        elif any(issubclass(t, _CONTAINERS) for t in set(map(type, obj))):
+            head = "[\n"
+            for value in obj:
+                yield head + inner
+                yield from _json_pieces(value, inner)
+                head = ",\n"
+            yield "\n" + indent + "]"
         else:
-            body = inner + json.dumps(obj, separators=(",\n" + inner, ": "),
-                                      allow_nan=False)[1:-1]
-        return "[\n" + body + "\n" + indent + "]"
-    return json.dumps(obj, allow_nan=False)
+            yield "[\n" + inner
+            yield json.dumps(obj, separators=(",\n" + inner, ": "),
+                             allow_nan=False)[1:-1]
+            yield "\n" + indent + "]"
+    else:
+        yield json.dumps(obj, allow_nan=False)
 
 
 def _emit_json(cfg: RunConfig, checks: List[Dict[str, object]],
                results: Dict[str, object]) -> None:
     doc = {"meta": _metadata(cfg), "checks": checks, "results": results}
-    _write_text(cfg.values["out"], _json_text(doc) + "\n")
+    _write_text(cfg.values["out"], itertools.chain(_json_pieces(doc), "\n"))
 
 
 def _print_warnings(warnings: Iterable[str]) -> None:
     for text in dict.fromkeys(warnings):
         print(f"warning: {text}", file=sys.stderr)
-
-
-def _rows_to_results(header: Sequence[str],
-                     rows: Sequence[Sequence[object]]) -> Dict[str, list]:
-    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +489,12 @@ def cmd_verify(cfg: RunConfig) -> int:
         _emit_json(cfg, checks, {"n_checks": len(checks),
                                  "n_failed": len(failed)})
     else:
-        header = ("check", "eta", "sigma", "value", "tolerance", "status")
-        rows = [(c["name"], c["eta"], c["sigma"], c["value"], c["tolerance"],
-                 "pass" if c["passed"] else "FAIL") for c in checks]
-        _emit_csv(cfg, header, rows)
+        columns = {"check": [c["name"] for c in checks]}
+        for key in ("eta", "sigma", "value", "tolerance"):
+            columns[key] = [c[key] for c in checks]
+        columns["status"] = ["pass" if c["passed"] else "FAIL"
+                             for c in checks]
+        _emit_csv(cfg, columns)
     _print_warnings(warnings)
     for c in failed:
         print(f"FAIL {c['name']}: value {_fmt(c['value'])} exceeds "
@@ -452,19 +515,22 @@ def cmd_pom(cfg: RunConfig) -> int:
     oracle_vals = np.exp(-0.5 * (grid.points - oracle_mean) ** 2
                          / oracle_var) / math.sqrt(2 * math.pi * oracle_var)
     delta = measurement_width(params.eta, params.sigma)
-    fit_mean = density.mean()
-    fit_var = density.variance()
-    header = ("x", "density", "oracle_density", "deviation",
-              "fit_mean", "fit_var", "delta")
-    rows = [(float(x), float(p), float(o), float(abs(p - o)),
-             fit_mean, fit_var, delta)
-            for x, p, o in zip(grid.points, vals, oracle_vals)]
+    n = len(grid)
+    columns = {
+        "x": grid.points,
+        "density": vals,
+        "oracle_density": oracle_vals,
+        "deviation": np.abs(vals - oracle_vals),
+        "fit_mean": np.full(n, density.mean()),
+        "fit_var": np.full(n, density.variance()),
+        "delta": np.full(n, delta),
+    }
     if cfg.values["format"] == "json":
-        results = _rows_to_results(header, rows)
+        results: Dict[str, object] = dict(columns)
         results["normalization_defect"] = density.normalization_defect()
         _emit_json(cfg, [], results)
     else:
-        _emit_csv(cfg, header, rows,
+        _emit_csv(cfg, columns,
                   stats={"normalization_defect":
                          density.normalization_defect()})
     return 0
@@ -479,14 +545,14 @@ def cmd_sample(cfg: RunConfig) -> int:
     n = cfg.values["trials"]
     batch = engine.trials(cfg.rngseed().generator(), n, want_second=repeat)
     columns = {
-        "trial": list(range(n)),
-        "outcome": batch.outcome.tolist(),
-        "post_mean": batch.post_mean.tolist(),
-        "post_variance": batch.post_variance.tolist(),
+        "trial": np.arange(n),
+        "outcome": batch.outcome,
+        "post_mean": batch.post_mean,
+        "post_variance": batch.post_variance,
         "second_outcome": [None] * n if batch.second_outcome is None
-        else batch.second_outcome.tolist(),
+        else batch.second_outcome,
         "feedback_mode": [batch.feedback_mode] * n,
-        "resamples": batch.resamples.tolist(),
+        "resamples": batch.resamples,
     }
     stats: Dict[str, object] = {}
     if repeat and n >= 100:
@@ -508,8 +574,7 @@ def cmd_sample(cfg: RunConfig) -> int:
             results["stats"] = stats
         _emit_json(cfg, [], results)
     else:
-        _emit_csv(cfg, tuple(columns), list(zip(*columns.values())),
-                  stats=stats or None)
+        _emit_csv(cfg, columns, stats=stats or None)
     _print_warnings(engine.warnings)
     return 0
 
@@ -530,35 +595,40 @@ def cmd_sweep(cfg: RunConfig) -> int:
     sigmas = cfg.values["sweep_sigma"] or [cfg.values["sigma"]]
     betas = cfg.values["sweep_beta"] or []
     margin = cfg.resolved_margin(4.0)
-    header = ("eta", "sigma", "beta", "metric", "value", "status")
-    rows: List[Tuple] = []
+    columns: Dict[str, list] = {name: [] for name in (
+        "eta", "sigma", "beta", "metric", "value", "status")}
     warnings: List[str] = []
     any_error = False
+
+    def add(*row):
+        for column, value in zip(columns.values(), row):
+            column.append(value)
+
     for eta in etas:
         for sigma in sigmas:
             try:
                 res = build_scheme_family(
                     cfg.scheme_params(eta, sigma), margin=margin)
                 warnings += res.family.warnings
-                rows.append((eta, sigma, None, "identity-deviation",
-                             res.max_deviation, "ok"))
+                add(eta, sigma, None, "identity-deviation",
+                    res.max_deviation, "ok")
             except QuadmeasError as exc:
                 any_error = True
-                rows.append((eta, sigma, None, "identity-deviation", None,
-                             f"error:{type(exc).__name__}"))
+                add(eta, sigma, None, "identity-deviation", None,
+                    f"error:{type(exc).__name__}")
     for beta in betas:
         try:
             error, beta_warnings = _finite_lo_reference_error(beta)
             warnings += beta_warnings
-            rows.append((None, None, beta, "feedback-error", error, "ok"))
+            add(None, None, beta, "feedback-error", error, "ok")
         except QuadmeasError as exc:
             any_error = True
-            rows.append((None, None, beta, "feedback-error", None,
-                         f"error:{type(exc).__name__}"))
+            add(None, None, beta, "feedback-error", None,
+                f"error:{type(exc).__name__}")
     if cfg.values["format"] == "json":
-        _emit_json(cfg, [], _rows_to_results(header, rows))
+        _emit_json(cfg, [], columns)
     else:
-        _emit_csv(cfg, header, rows)
+        _emit_csv(cfg, columns)
     _print_warnings(warnings)
     return 1 if any_error else 0
 

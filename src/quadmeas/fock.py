@@ -359,12 +359,15 @@ def _hermite_functions(xs: Sequence[float], cutoff: int) -> np.ndarray:
     if cutoff > 1:
         np.multiply(two_x, chi[0], out=chi[1])
     tmp = np.empty(xs.shape[0])
+    rows = list(chi)
+    roots = np.sqrt(np.arange(cutoff, dtype=float)).tolist()
+    mul, sub, div = np.multiply, np.subtract, np.divide
     for n in range(1, cutoff - 1):
-        nxt = chi[n + 1]
-        np.multiply(two_x, chi[n], out=nxt)
-        np.multiply(chi[n - 1], math.sqrt(n), out=tmp)
-        np.subtract(nxt, tmp, out=nxt)
-        np.divide(nxt, math.sqrt(n + 1), out=nxt)
+        nxt = rows[n + 1]
+        mul(two_x, rows[n], out=nxt)
+        mul(rows[n - 1], roots[n], out=tmp)
+        sub(nxt, tmp, out=nxt)
+        div(nxt, roots[n + 1], out=nxt)
         if far.size:
             big = far[np.abs(nxt[far]) > 2.0 ** _SHIFT]
             if big.size:

@@ -19,6 +19,7 @@ import hashlib
 import math
 import statistics
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -113,28 +114,43 @@ def _as_generator(seed) -> np.random.Generator:
 # exact inverse-CDF sampling of tabulated densities
 
 
+class _InverseCdf:
+    """The exact inverse CDF of the piecewise-linear density tabulated on
+    the grid (quadratic inside each bin), with its clipped values and CDF
+    nodes computed once; calling it maps uniforms to outcomes."""
+
+    def __init__(self, density: OutcomeDensity):
+        defect = density.normalization_defect()
+        if defect > 1e-6:
+            raise ParameterError(
+                f"sampling needs a normalized density; normalization is off "
+                f"by {defect:.3e}")
+        self.points = density.grid.points
+        self.step = density.grid.step
+        self.values = np.clip(density.values, 0.0, None)
+        self.cdf = density.cdf_nodes()
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        pts, vals, cdf = self.points, self.values, self.cdf
+        j = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0,
+                    len(pts) - 2)
+        mass = cdf[j + 1] - cdf[j]
+        s = np.where(mass > 0, (u - cdf[j]) / np.where(mass > 0, mass, 1.0),
+                     0.0)
+        f0, f1 = vals[j], vals[j + 1]
+        # solve (2 f0 t + (f1 - f0) t^2) / (f0 + f1) = s for t in [0, 1], in
+        # the root form that does not cancel when f1 is close to f0
+        disc = np.sqrt((1.0 - s) * f0 * f0 + s * f1 * f1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = s * (f0 + f1) / (disc + f0)
+        t = np.clip(np.where(np.isfinite(t), t, s), 0.0, 1.0)
+        return pts[j] + t * self.step
+
+
 def _inverse_cdf(density: OutcomeDensity, u: np.ndarray) -> np.ndarray:
     """Map uniforms through the exact inverse CDF of the piecewise-linear
-    density tabulated on the grid (quadratic inside each bin)."""
-    defect = density.normalization_defect()
-    if defect > 1e-6:
-        raise ParameterError(
-            f"sampling needs a normalized density; normalization is off by "
-            f"{defect:.3e}")
-    pts = density.grid.points
-    vals = np.clip(density.values, 0.0, None)
-    cdf = density.cdf_nodes()
-    j = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, len(pts) - 2)
-    mass = cdf[j + 1] - cdf[j]
-    s = np.where(mass > 0, (u - cdf[j]) / np.where(mass > 0, mass, 1.0), 0.0)
-    f0, f1 = vals[j], vals[j + 1]
-    # solve (2 f0 t + (f1 - f0) t^2) / (f0 + f1) = s for t in [0, 1], in
-    # the root form that does not cancel when f1 is close to f0
-    disc = np.sqrt((1.0 - s) * f0 * f0 + s * f1 * f1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = s * (f0 + f1) / (disc + f0)
-    t = np.clip(np.where(np.isfinite(t), t, s), 0.0, 1.0)
-    return pts[j] + t * density.grid.step
+    density tabulated on the grid."""
+    return _InverseCdf(density)(u)
 
 
 def sample_outcomes(density: OutcomeDensity, n: int, seed) -> np.ndarray:
@@ -323,12 +339,17 @@ class RepeatabilityStats:
 
 @dataclass(eq=False)
 class _Conditional:
-    """Per-outcome cache entry: post state, moments, second-outcome density."""
+    """Per-outcome cache entry: post state, moments, second-outcome density
+    and its inverse CDF."""
 
     post: object
     mean: float
     variance: float
     density: OutcomeDensity
+
+    @cached_property
+    def draw(self) -> _InverseCdf:
+        return _InverseCdf(self.density)
 
 
 class TrialEngine:
@@ -389,6 +410,7 @@ class TrialEngine:
         # for sampling but keep the defect on record
         self.normalization_defect = abs(1.0 - norm)
         self.density = OutcomeDensity(self.grid, vals / norm)
+        self._draw = _InverseCdf(self.density)
         if self.feedback.mode == "finite-lo" and mask.feedback:
             self.feedback.validate_for(params, self.grid)
         self._back = None  # the finite-lo back-squeeze on the rows
@@ -559,7 +581,10 @@ class TrialEngine:
         pts = self.grid.points
         step = 2 if want_second else 1
         u = rng.random(n * step)
-        first = _nearest_index(pts, _inverse_cdf(self.density, u))
+        # each uniform's grid index as a first draw, mapped once a run
+        # starts on it (-1 before): a run's second uniform is mapped only
+        # when a resample shifts a later run onto it
+        first = np.full(len(u), -1)
         index = np.empty(n, dtype=first.dtype)
         start = np.empty(n, dtype=first.dtype)  # each run's accepted uniform
         resamples = np.zeros(n, dtype=int)
@@ -567,6 +592,8 @@ class TrialEngine:
         rejected, done, pos = [], 0, 0
         while done < n:
             starts = pos + step * np.arange(n - done)
+            new = starts[first[starts] < 0]
+            first[new] = _nearest_index(pts, self._draw(u[new]))
             drawn = first[starts]
             if identity_control:
                 stop = n - done
@@ -580,10 +607,9 @@ class TrialEngine:
                 break
             rejected.append(drawn[stop])
             resamples[done] += 1
-            extra = rng.random(1)  # keeps later runs on their uniforms
-            u = np.concatenate([u, extra])
-            first = np.concatenate([
-                first, _nearest_index(pts, _inverse_cdf(self.density, extra))])
+            # one more uniform keeps later runs on their uniforms
+            u = np.concatenate([u, rng.random(1)])
+            first = np.append(first, -1)
             if resamples[done] > _MAX_RESAMPLES:
                 raise ZeroProbabilityError(
                     f"no outcome with probability mass found in "
@@ -599,10 +625,14 @@ class TrialEngine:
             entries = [self._cache[i] for i in keys.tolist()]
         second = None
         if want_second:
+            # the runs of each entry, from one stable sort by entry
+            order = np.argsort(which, kind="stable")
+            ends = np.cumsum(np.bincount(which, minlength=len(entries)))
             second = np.empty(n)
-            for k, entry in enumerate(entries):
-                rows = np.flatnonzero(which == k)
-                second[rows] = _inverse_cdf(entry.density, u[start[rows] + 1])
+            for entry, lo, hi in zip(entries, [0] + ends[:-1].tolist(),
+                                     ends.tolist()):
+                rows = order[lo:hi]
+                second[rows] = entry.draw(u[start[rows] + 1])
         mode = "identity-control" if identity_control else self.feedback.mode
         return TrialBatch(
             outcome=pts[index],

@@ -247,3 +247,41 @@ def conditional_density(state, fam: ReductionOperatorFamily, x: float,
     nearest grid point)."""
     _, post = reduce_state(state, fam.at_outcome(x))
     return quadrature_density(post, second_grid or fam.grid, second_phase)
+
+
+# ---------------------------------------------------------------------------
+# Hermite functions
+
+
+def hermite_functions_reference(xs, cutoff: int) -> np.ndarray:
+    """A frozen copy of the straightforward form of the library's
+    ``fock._hermite_functions``: the same three-term recurrence, far-point
+    start and 2^512 rescale, with ``math.sqrt`` and fresh row lookups at
+    every level.  The library's form must agree bit for bit."""
+    far_sq, shift = 700.0, 512
+    xs = np.asarray(xs, dtype=float)
+    two_x = 2.0 * xs
+    chi = np.empty((cutoff, xs.shape[0]))
+    chi[0] = (2.0 / math.pi) ** 0.25 * np.exp(-xs * xs)
+    far = np.flatnonzero(xs * xs > far_sq)
+    if far.size:
+        mant, expo = np.frexp(np.exp(-0.0625 * xs[far] ** 2))
+        chi[0, far] = (2.0 / math.pi) ** 0.25 * mant ** 16
+        expo = 16 * expo
+    if cutoff > 1:
+        np.multiply(two_x, chi[0], out=chi[1])
+    tmp = np.empty(xs.shape[0])
+    for n in range(1, cutoff - 1):
+        nxt = chi[n + 1]
+        np.multiply(two_x, chi[n], out=nxt)
+        np.multiply(chi[n - 1], math.sqrt(n), out=tmp)
+        np.subtract(nxt, tmp, out=nxt)
+        np.divide(nxt, math.sqrt(n + 1), out=nxt)
+        if far.size:
+            big = far[np.abs(nxt[far]) > 2.0 ** shift]
+            if big.size:
+                chi[:n + 2, big] *= 2.0 ** -shift
+                expo[np.isin(far, big)] += shift
+    if far.size:
+        chi[:, far] = np.ldexp(chi[:, far], expo[None, :])
+    return chi.T

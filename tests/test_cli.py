@@ -509,32 +509,51 @@ def test_pom_and_sample_build_no_working_space(tmp_path, monkeypatch):
         assert main(argv + ["--out", out]) == 0, argv
 
 
+def _repeat_arrays(doc, rows):
+    """The document with each 1-D array's values repeated ``rows`` times."""
+    if isinstance(doc, np.ndarray):
+        return np.tile(doc, rows) if doc.ndim == 1 else doc
+    if isinstance(doc, dict):
+        return {key: _repeat_arrays(v, rows) for key, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(_repeat_arrays(v, rows) for v in doc)
+    return doc
+
+
 class TestJsonWriter:
     """The JSON writer against json.dumps(doc, sort_keys=True, indent=2,
-    allow_nan=False), byte for byte."""
+    allow_nan=False), byte for byte, with each array read as its
+    tolist()."""
 
     @staticmethod
     def reference(doc):
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False,
+                          default=lambda a: a.tolist())
+
+    @staticmethod
+    def written(doc):
+        return "".join(cli._json_pieces(doc))
 
     @pytest.mark.parametrize("args", [
         ["verify", "--eta", "0.5", "--sigma", "1.0"],
         ["pom", "--cutoff", "20"],
         ["sample", "--trials", "150", "--seed", "3"],
         ["sample", "--trials", "150", "--seed", "3", "--repeat"],
+        ["sample", "--trials", "600", "--seed", "3", "--repeat"],
         ["sweep", "--sweep-eta", "0.3,0.6", "--sweep-beta", "5,10",
          "--cutoff", "20"],
-    ], ids=["verify", "pom", "sample", "sample-repeat", "sweep"])
+    ], ids=["verify", "pom", "sample", "sample-repeat", "sample-repeat-600",
+            "sweep"])
     def test_command_documents(self, args, tmp_path, monkeypatch):
         docs = []
-        writer = cli._json_text
+        writer = cli._json_pieces
 
         def spy(obj, indent=""):
             if indent == "":
                 docs.append(obj)
             return writer(obj, indent)
 
-        monkeypatch.setattr(cli, "_json_text", spy)
+        monkeypatch.setattr(cli, "_json_pieces", spy)
         out = tmp_path / "doc.json"
         assert main(args + ["--format", "json", "--out", str(out)]) == 0
         assert len(docs) == 1
@@ -549,17 +568,68 @@ class TestJsonWriter:
         {"ints": list(range(-3, 3)), "floats": [0.1, -0.0, 5e-324]},
     ])
     def test_edge_documents(self, doc):
-        assert cli._json_text(doc) == self.reference(doc)
+        assert self.written(doc) == self.reference(doc)
+
+    @pytest.mark.parametrize("rows", [1, cli._DISTINCT_MIN_ROWS])
+    @pytest.mark.parametrize("doc", [
+        np.array([0.0, -0.0, 0.0, 1.5, -0.0, 1.5, 5e-324, 1e300, -5e-324]),
+        np.array([2.5] * 7), np.array([-0.0]), np.array([]),
+        np.array([3, -1, 3, 0, 2 ** 62], dtype=np.int64),
+        np.array([True, False, True, True]), np.array([], dtype=bool),
+        np.arange(12), np.arange(6.0).reshape(2, 3)[:, 1],
+        np.arange(6.0).reshape(2, 3), np.array(0.25),
+        {"a": np.array([1.0, -0.0]), "b": [np.array([7]), np.array([])],
+         "c": (np.array([False]), {"d": np.array([0.1, 0.1, 0.2])})},
+    ], ids=["signed-zeros", "repeated", "one", "empty", "int64", "bool",
+            "empty-bool", "arange", "strided", "2-d", "0-d", "nested"])
+    def test_array_documents(self, doc, rows):
+        # rows repeats each 1-D array's values, so that each array also
+        # takes the path that encodes its distinct values once
+        doc = _repeat_arrays(doc, rows)
+        assert self.written(doc) == self.reference(doc)
 
     @pytest.mark.parametrize("doc", [
         math.nan, [1.0, math.inf], {"a": {"b": [-math.inf]}},
-        [{"a": math.nan}], {"x": math.nan},
+        [{"a": math.nan}], {"x": math.nan}, np.array([0.0, math.nan, 0.0]),
+        {"a": np.array([1.0, math.inf])}, [np.array([-math.inf])],
+        _repeat_arrays(np.array([0.0, math.nan, 0.0]), 100),
+        {"a": _repeat_arrays(np.array([1.0, math.inf]), 100)},
+        [_repeat_arrays(np.array([-math.inf, 2.0]), 100)],
     ])
     def test_non_finite_floats_raise(self, doc):
         with pytest.raises(ValueError):
             self.reference(doc)
         with pytest.raises(ValueError):
-            cli._json_text(doc)
+            self.written(doc)
+
+
+@pytest.mark.parametrize("rows", [1, cli._DISTINCT_MIN_ROWS])
+def test_csv_columns_match_the_row_writer(tmp_path, rows):
+    """The column writer against ",".join(_fmt(v) for v in row) over the
+    zipped tolist() columns, short and long enough that each array column
+    encodes its distinct values once."""
+    columns = {
+        "x": np.array([0.0, -0.0, 1.5, 0.0, -0.0, math.nan, 1.5, 5e-324]),
+        "k": np.array([3, 3, -1, 0, 3, 2, 2, 7], dtype=np.int64),
+        "flag": np.array([True, False, False, True, True, False, True,
+                          False]),
+        "none": [None] * 8,
+        "mode": ["ideal"] * 8,
+        "y": [0.1, -0.0, 2, None, "s", True, 1e300, -5e-324],
+    }
+    columns = {key: np.tile(c, rows) if isinstance(c, np.ndarray)
+               else c * rows for key, c in columns.items()}
+    out = tmp_path / "table.csv"
+    cli._emit_csv(resolve_config(["sample", "--out", str(out)]), columns)
+    lines = [line for line in out.read_text(encoding="utf-8").splitlines()
+             if not line.startswith("# ")]
+    table = zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                  for c in columns.values()))
+    assert lines == [",".join(columns)] + [
+        ",".join(cli._fmt(v) for v in row) for row in table]
+    assert lines[1].startswith("0,3,true,,ideal,")
+    assert lines[2].startswith("-0,3,false,,ideal,")
+    assert lines[6].startswith("nan,")
 
 
 class TestAtomicWrite:

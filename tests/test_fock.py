@@ -25,10 +25,11 @@ from quadmeas import (
     vacuum_state,
     variance,
 )
-from quadmeas.fock import _gauss_rule
+from quadmeas.fock import _gauss_rule, _hermite_functions
 
 from dense_reference import (
     function_of_quadrature,
+    hermite_functions_reference,
     joint_operator,
     joint_state,
     make_beam_splitter,
@@ -263,6 +264,17 @@ def test_quadrature_nodes_are_the_spectrum(n):
     assert_allclose(quadrature_nodes(n), quadrature_spectrum(n)[0],
                     rtol=0, atol=5e-14)
     assert np.array_equal(quadrature_nodes(1), [0.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 161, 801])
+def test_hermite_functions_match_the_frozen_recurrence(n):
+    # points past x^2 = 700 start from chi_0's mantissa, and at 161 and 801
+    # levels the far points' mantissas pass 2^512 and are rescaled
+    xs = np.concatenate([np.linspace(-6.0, 6.0, 49),
+                         [0.0, -0.0, 26.4, -26.5, 27.0, 30.0, -35.0, 40.0,
+                          60.0]])
+    assert np.array_equal(_hermite_functions(xs, n),
+                          hermite_functions_reference(xs, n))
 
 
 @pytest.mark.parametrize("n", [2, 7, 160, 161, 800])

@@ -109,17 +109,33 @@ def test_trial_sequence_bit_identical():
     assert recs1 == recs2
 
 
-@pytest.mark.parametrize("want_second,poisoned,identity_control", [
-    (False, False, False),
-    (True, False, False),
-    (False, True, False),
-    (True, True, False),
-    (True, False, True),
+_BATCH_ENGINES = {
+    "canonical": lambda: TrialEngine(CANONICAL),
+    # second draws grouped over many entries, from sharp conditionals and
+    # from finite-lo post states
+    "sharp": lambda: TrialEngine(SchemeParams(eta=0.2, sigma=0.5,
+                                              cutoff=30)),
+    "finite-lo": lambda: TrialEngine(CANONICAL, FeedbackSpec.finite_lo(50.0)),
+}
+
+
+@pytest.mark.parametrize("want_second,poisoned,identity_control,engine", [
+    (False, False, False, "canonical"),
+    (True, False, False, "canonical"),
+    (False, True, False, "canonical"),
+    (True, True, False, "canonical"),
+    (True, False, True, "canonical"),
+    (True, False, False, "sharp"),
+    (True, True, False, "sharp"),
+    (True, False, False, "finite-lo"),
+    (True, True, False, "finite-lo"),
 ], ids=["first", "second", "first-resampled", "second-resampled",
-        "identity-control"])
+        "identity-control", "sharp-second", "sharp-second-resampled",
+        "finite-lo-second", "finite-lo-second-resampled"])
 def test_batched_trials_follow_the_sequential_stream(want_second, poisoned,
-                                                     identity_control):
-    eng = TrialEngine(CANONICAL)
+                                                     identity_control,
+                                                     engine):
+    eng = _BATCH_ENGINES[engine]()
     if poisoned:
         # reject the two most probable outcomes, so runs resample mid-batch
         for index in np.argsort(eng.density.values)[-2:]:
@@ -143,6 +159,8 @@ def test_batched_trials_follow_the_sequential_stream(want_second, poisoned,
     assert r1.random() == r2.random()
     if poisoned:
         assert batch.resamples.sum() >= 2
+    if engine != "canonical":
+        assert len(np.unique(batch.outcome)) >= 10
 
 
 def _reference_entry(eng, index):
