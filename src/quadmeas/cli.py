@@ -423,9 +423,19 @@ def _json_pieces(obj, indent: str = "") -> Iterator[str]:
         yield json.dumps(obj, allow_nan=False)
 
 
+def _finite_or_none(value):
+    """A number as JSON can hold it: NaN and infinities, which only the
+    sweep lists let through to a table, become None (null)."""
+    return None if isinstance(value, float) and not math.isfinite(value) \
+        else value
+
+
 def _emit_json(cfg: RunConfig, checks: List[Dict[str, object]],
                results: Dict[str, object]) -> None:
-    doc = {"meta": _metadata(cfg), "checks": checks, "results": results}
+    meta = {key: [_finite_or_none(v) for v in value]
+            if isinstance(value, list) else value
+            for key, value in _metadata(cfg).items()}
+    doc = {"meta": meta, "checks": checks, "results": results}
     _write_text(cfg.values["out"], itertools.chain(_json_pieces(doc), "\n"))
 
 
@@ -600,7 +610,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     warnings: List[str] = []
     any_error = False
 
-    def add(*row):
+    def add(eta, sigma, beta, *rest):
+        # a cell's coordinates come from the sweep lists unchecked; one
+        # that is not finite fails its cell and is written as null
+        row = [_finite_or_none(v) for v in (eta, sigma, beta)] + list(rest)
         for column, value in zip(columns.values(), row):
             column.append(value)
 

@@ -359,7 +359,9 @@ class TrialEngine:
     and its second-outcome density.  No reduction operator is formed.
 
     The density and the reductions come from composed_density and
-    composed_reductions, or at phi_probe != phi from a SchemeFamilyBuilder.
+    composed_reductions, or at phi_probe != phi from a SchemeFamilyBuilder,
+    whose readout stage runs once on the input column at construction and
+    whose outcome stage then serves every density and reduction.
     The drawn outcomes with no entry yet are reduced together in one call
     on the input column: to the cutoff, or for finite-lo feedback to n_work
     = max(cutoff, ceil(margin cutoff)) levels before the feedback, whose
@@ -400,6 +402,11 @@ class TrialEngine:
                 f"input state cutoff {len(psi)} does not match the scheme "
                 f"cutoff {cutoff}")
         self._psi = psi / np.linalg.norm(psi)
+        if self._builder is not None:  # one readout serves every outcome
+            padded = np.zeros((self._builder.n_work, 1), dtype=complex)
+            padded[:cutoff, 0] = self._psi
+            self._psi_readout = self._builder._readout(padded,
+                                                       mask.pre_squeeze)
         self.grid, vals = widen_grid_for_density(self._density, params.grid)
         self._exact = vals  # the reduced states' norms are fractions of it
         self._worst_capture = (1.0, -1)
@@ -434,10 +441,10 @@ class TrialEngine:
             pts, StageMask(self.mask.pre_squeeze, False, False)), axis=1) ** 2
 
     def _working_columns(self, xs, mask: StageMask) -> np.ndarray:
-        """The builder's Omega(x) psi on n_work levels, a row per outcome."""
-        padded = np.zeros((self._builder.n_work, 1), dtype=complex)
-        padded[:len(self._psi), 0] = self._psi
-        return self._builder._compose(xs, mask, padded)[:, :, 0]
+        """The builder's Omega(x) psi on n_work levels, a row per outcome,
+        from the readout of psi made once at construction; ``mask`` keeps
+        the engine's pre-squeeze flag."""
+        return self._builder._outcomes(xs, mask, self._psi_readout)[:, :, 0]
 
     def _reduced(self, indices: np.ndarray) -> np.ndarray:
         """The input reduced at each grid index, unnormalized, one row per

@@ -49,15 +49,18 @@ diag(e^{ik phi}), Omega_0 the scheme at phi = 0 with the probe read at the
 offset phi_probe - phi; the builder composes in that frame, where every
 stage matrix is real when phi_probe = phi.  The squeezes are Gauss-rule
 integrals (_faithful_squeeze), the feedback a parity-split real product on
-the columns it displaces (_displace_columns), and the mixer a band of its
-total-occupancy sectors precontracted with the probe, O(n^2 K) for K probe
-levels, from a two-sided sector recurrence with no eigendecomposition
-(_contract_probe, _mixer_sectors).  SchemeFamilyBuilder._compose applies
-the band once to the columns of a batch of outcomes and reads them all
-out; the completeness sum contracts the same readout columns with the
-Gram matrix of the probe functions over the grid, forming no outcome
-stack.  verify_bch_factorization runs in joint-parity sectors on the
-corner of the joint space that its comparison reads.
+the columns it displaces (_displace_columns), and the mixer its
+total-occupancy sectors from a two-sided recurrence with no
+eigendecomposition (_mixer_sectors).  A composition runs in two stages:
+the readout stage contracts each sector with the probe and the input
+columns as the recurrence makes it and drops it, so no band of the mixer
+is kept (_readout_columns), and the outcome stage reads the probe out at
+each outcome and applies the feedback and the back-squeeze.  One readout
+serves every outcome: the builder makes the one of its unit columns once
+per pre-squeeze flag, for the family and for the completeness sum, which
+contracts it with the Gram matrix of the probe functions over the grid,
+forming no outcome stack.  verify_bch_factorization runs in joint-parity
+sectors on the corner of the joint space that its comparison reads.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ DEFAULT_GRID_SPEC = "-3:3:0.25"
 _STACK_ELEMENTS = 1 << 19
 
 # Probe levels with |amplitude| at or below this floor are left out of the
-# mixer-probe band; each one dropped moves an operator entry by at most it.
+# mixer-probe readout; each one dropped moves an operator entry by at most it.
 _PROBE_FLOOR = 1e-17
 
 # Kept size -> (room: the largest amplitude its displacement spectrum serves,
@@ -484,6 +487,11 @@ def _mixer_sectors(eta: float, n_rows: int, n_cols: int, n_sectors: int):
     U b^dag U^dag = -r a^dag + c b^dag and a^dag a + b^dag b = s on
     sector s.  Row (m, p) reads only rows (m-1, p) and (m, p-1), so
     keeping rows m < n_rows is exact; so is keeping columns k < n_cols.
+
+    Both callers read X_s only where the partner levels s - m and s - k
+    stay below n_rows, i.e. on rows and columns from lo = s - n_rows + 1
+    on, and those read no entry below lo - 1 of X_{s-1}; so from sector
+    n_rows on the rows and columns below lo are left as they were.
     """
     c, r = math.sqrt(eta), math.sqrt(1.0 - eta)
     root = np.sqrt(np.arange(n_sectors + 1.0))
@@ -500,14 +508,17 @@ def _mixer_sectors(eta: float, n_rows: int, n_cols: int, n_sectors: int):
             # r b^dag) U|n, k>/sqrt(n+1) amplifies them by up to
             # sqrt(C(n+k, k)), about 1e35 at n_work 250.
             rows, cols = min(s + 1, n_rows), min(s + 1, n_cols)
-            up = np.zeros((rows, cols))  # sqrt(m) X[m-1, k]
-            up[1:] = x[:rows - 1, :cols] * root[1:rows, None]
-            stay = x[:rows, :cols] \
-                * root[s + 1 - rows:s + 1][::-1, None]  # sqrt(s-m) X[m, k]
-            new = (c * up + r * stay) * (root[s + 1 - cols:s + 1][::-1] / s)
-            new[:, 1:] += (c * stay[:, :-1] - r * up[:, :-1]) \
-                * (root[1:cols] / s)
-            x[:rows, :cols] = new
+            lo = max(0, s - n_rows + 1)
+            k0, m1 = max(lo - 1, 0), max(lo, 1)  # column lo reads k = lo - 1
+            up = np.zeros((rows - lo, cols - k0))  # sqrt(m) X[m-1, k]
+            up[m1 - lo:] = x[m1 - 1:rows - 1, k0:cols] * root[m1:rows, None]
+            stay = x[lo:rows, k0:cols] \
+                * root[s + 1 - rows:s + 1 - lo][::-1, None]  # sqrt(s-m) X
+            new = (c * up + r * stay)[:, lo - k0:] \
+                * (root[s + 1 - cols:s + 1 - lo][::-1] / s)
+            new[:, m1 - lo:] += (c * stay[:, :-1] - r * up[:, :-1]) \
+                * (root[m1:cols] / s)
+            x[lo:rows, lo:cols] = new
         yield s, x
 
 
@@ -610,22 +621,29 @@ def composed_density(params: SchemeParams, psi, xs,
 class SchemeFamilyBuilder:
     """Assembles the scheme's reduction operators in a working Fock space.
 
-    The mixer-probe band (see the module docstring) is computed once per
-    parameter set by a sector recurrence with no eigendecomposition, the
-    pre- and back-squeezes on first use; no array holds n_work^3 elements.
+    A composition runs in two stages.  The readout stage takes input
+    columns through the pre-squeeze and the mixer and contracts the probe,
+    sector by sector from a recurrence with no eigendecomposition
+    (``_readout_columns``); each sector is used as it is made and dropped,
+    so no array holds n_work^3 elements, nor any band of the mixer.  The
+    outcome stage reads the probe out at each outcome and applies the
+    feedback and the back-squeeze (``_finish``).  The readout of the
+    leading ``cutoff`` unit columns is made once per pre-squeeze flag and
+    serves both ``family`` and ``completeness_defect``; the squeezes are
+    made on first use.
     Every stage is covariant with the working quadrature, so with R_phi =
     diag(e^{ik phi}) the operators are R_phi Omega_0(x) R_phi^dag, Omega_0
     the scheme at phi = 0 with the probe read at the offset phi_probe -
     phi.  The builder composes in that frame, where the squeezes and the
-    feedback are real, and so are the band and the probe functions when
+    feedback are real, and so are the probe amplitudes and functions when
     phi_probe = phi; every array keeps the dtype of its data, and R_phi
     enters only at the ends.
     It is the subject that verify and sweep check against the target, and
-    through ``_compose`` the one path for phi_probe != phi, which
-    composed_reductions does not reach.  ``warnings`` holds those the
-    probe's constructor attached.  Completeness sums mask feedback and
-    back-squeeze off: those unitary dressings cancel in the Born rule at
-    working size.
+    through ``_readout`` and ``_outcomes`` the one path for phi_probe !=
+    phi, which composed_reductions does not reach.  ``warnings`` holds
+    those the probe's constructor attached.  Completeness sums mask
+    feedback and back-squeeze off: those unitary dressings cancel in the
+    Born rule at working size.
     """
 
     def __init__(self, params: SchemeParams, margin: float = 2.5):
@@ -636,29 +654,15 @@ class SchemeFamilyBuilder:
         probe = squeezed_vacuum(params.sigma, self.n_work,
                                 phase=params.phi_probe - params.phi)
         self.warnings = probe.warnings
-        self._levels, self._band = self._contract_probe(probe.amplitudes)
+        # the probe levels kept, |amplitude| above the floor, and the
+        # amplitudes up to the last of them, those below it set to 0
+        kept = np.abs(probe.amplitudes) > _PROBE_FLOOR
+        self._levels = np.flatnonzero(kept)
+        amps = np.where(kept, probe.amplitudes, 0.0)[:self._levels[-1] + 1]
+        self._amps = amps if np.any(amps.imag) else amps.real
         self._s_pre = None
         self._s_back = {}
-
-    def _contract_probe(self, probe_vec: np.ndarray
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """The probe levels k_j kept (|amplitude| above the floor) and the
-        band B[s, m, j] = <m, s-m|U_mix|s-k_j, k_j> amp_{k_j}, shape
-        (n_work + k_max, n_work, K): every entry of V[m, p, n] with
-        p = n + k_j - m and m, p, n < n_work, an exact element of the
-        untruncated mixer in every sector (_mixer_sectors)."""
-        n = self.n_work
-        levels = np.flatnonzero(np.abs(probe_vec) > _PROBE_FLOOR)
-        amps = probe_vec[levels]
-        if not np.any(amps.imag):
-            amps = amps.real
-        k_max = levels[-1]
-        band = np.zeros((n + k_max, n, len(levels)), dtype=amps.dtype)
-        for s, x in _mixer_sectors(self.params.eta, n, k_max + 1, len(band)):
-            lo = max(0, s - n + 1)  # rows with p = s - m < n
-            j = np.searchsorted(levels, lo)  # inputs with s - k_j < n
-            band[s, lo:, j:] = x[lo:, levels[j:]] * amps[j:]
-        return levels, band
+        self._units = {}  # pre-squeeze flag -> readout of unit columns
 
     def _pre_matrix(self) -> np.ndarray:
         if self._s_pre is None:
@@ -686,49 +690,89 @@ class SchemeFamilyBuilder:
 
     def _readout_columns(self, cols: np.ndarray) -> np.ndarray:
         """vc[p, m, c] = sum_n V[m, p, n] cols[n, c], shape (n_work, n_work,
-        cols.shape[1]): the band applied to the gathered cols of every
-        sector in one matmul, so the readout is W(x) cols = sum_p chi_p(x)
-        vc[p].  Real cols and a real band give real vc."""
+        cols.shape[1]), for V[m, p, n] = <m, p|U_mix|n, probe> with m, p,
+        n < n_work, so the readout is W(x) cols = sum_p chi_p(x) vc[p].
+
+        The mixer conserves the total m + p = n + k, so sector s of
+        _mixer_sectors alone gives
+
+            vc[s - m, m] = sum_k X_s[m, k] amp_k cols[s - k]
+
+        on the rows lo <= m <= min(s, n_work - 1), lo = max(0, s - n_work +
+        1), and the levels lo <= k <= min(s, k_max): one product per
+        sector, written as the sector is made.  It runs over every level k,
+        those below the floor with amplitude 0, on views: at sigma 0.05,
+        margin 4 the zero odd levels double its flops, and it still ran as
+        fast as gathering the kept levels (medians 13.4-19.2 against
+        13.2-20.8 ms per readout over four runs, 2 vCPUs, 1 BLAS thread)
+        and faster at sigma 1 (2.4 against 4.0 ms).  The real X_s acts on
+        the float view of complex columns, never cast; real columns and
+        amplitudes give a real vc."""
         n = self.n_work
-        levels, band = self._levels, self._band
-        n_sec = len(band)
-        pad = np.zeros((n + 2 * levels[-1], cols.shape[1]), dtype=cols.dtype)
-        pad[levels[-1]:levels[-1] + n] = cols
-        gathered = pad[np.arange(n_sec)[:, None] - levels[None, :]
-                       + levels[-1]]
-        y = np.zeros((n_sec + 1, n, cols.shape[1]),
-                     dtype=np.result_type(band, cols))
-        if np.iscomplexobj(band):
-            np.matmul(band, gathered, out=y[:n_sec])
-        else:  # a real band acts on the float view, never cast
-            np.matmul(band, gathered.view(float), out=y[:n_sec].view(float))
-        # vc[p, m] = Y[m + p, m]; sectors past the band are zero
-        m = np.arange(n)
-        return y[np.minimum(m[:, None] + m[None, :], n_sec), m[None, :]]
+        k_max = len(self._amps) - 1
+        pad = np.zeros((k_max + n, cols.shape[1]), dtype=cols.dtype)
+        pad[k_max:] = cols  # pad[k_max + i] = cols[i], 0 for i < 0
+        vc = np.zeros((n, n, cols.shape[1]),
+                      dtype=np.result_type(self._amps, cols))
+        flat = vc.reshape(n * n, -1)  # row p n + m is vc[p, m]
+        for s, x in _mixer_sectors(self.params.eta, n, k_max + 1, n + k_max):
+            lo, hi, kk = max(0, s - n + 1), min(s, n - 1), min(s, k_max) + 1
+            g = self._amps[lo:kk, None] \
+                * pad[k_max + s - kk + 1:k_max + s - lo + 1][::-1]
+            y = x[lo:hi + 1, lo:kk] @ g.view(float)
+            f0 = (s - hi) * n + hi  # vc[s - m, m] for m = hi down to lo
+            flat[f0:f0 + (hi - lo + 1) * (n - 1):n - 1] = \
+                y.view(vc.dtype)[::-1]
+        return vc
+
+    def _readout(self, cols: np.ndarray, pre_on: bool) -> np.ndarray:
+        """The readout stage: vc (``_readout_columns``) of the columns
+        ``cols`` of the phi frame, taken to phi = 0 by R_phi^dag and
+        pre-squeezed when ``pre_on``."""
+        if self.params.phi:
+            cols = np.exp(-1j * self.params.phi
+                          * np.arange(self.n_work))[:, None] * cols
+        if pre_on:
+            cols = self._pre_matrix() @ cols
+        return self._readout_columns(cols)
+
+    def _unit_readout(self, pre_on: bool, width: int) -> np.ndarray:
+        """The readout at phi = 0 of the leading max(width, cutoff) unit
+        columns, made once per pre-squeeze flag (or again, wider, when a
+        wider one is asked for)."""
+        vc = self._units.get(pre_on)
+        if vc is None or vc.shape[2] < width:
+            width = max(width, self.params.cutoff)
+            cols = self._pre_matrix()[:, :width] if pre_on \
+                else np.eye(self.n_work)[:, :width]
+            vc = self._units[pre_on] = self._readout_columns(cols)
+        return vc
+
+    def _outcomes(self, xs, mask: StageMask, vc: np.ndarray) -> np.ndarray:
+        """The outcome stage: B . D(x) . chi(x) of a readout vc at every
+        outcome in ``xs``, shape (len(xs), n_work, vc.shape[2]), with the
+        masked-off stages left out, its rows taken back to the frame of
+        phi by R_phi."""
+        xs = np.asarray(xs, dtype=float)
+        w = self._finish(xs, mask, vc)
+        if self.params.phi:
+            w = w * np.exp(1j * self.params.phi * np.arange(self.n_work))[
+                :, None]
+        return w
 
     def _compose(self, xs, mask: StageMask, cols: np.ndarray) -> np.ndarray:
         """B . D(x) . W(x) . P . cols at working size for every outcome in
-        ``xs``, shape (len(xs), n_work, cols.shape[1]), with the masked-off
-        stages left out: the stages act at phi = 0 on R_phi^dag cols, and
-        R_phi takes the result's rows back to the frame of phi.  The band
-        acts on cols once, per sector, for all outcomes."""
-        xs = np.asarray(xs, dtype=float)
-        n = self.n_work
-        frame = np.exp(1j * self.params.phi * np.arange(n))[:, None]
-        if self.params.phi:
-            cols = frame.conj() * cols
-        if mask.pre_squeeze:
-            cols = self._pre_matrix() @ cols
-        w = (self._chi(xs) @ self._readout_columns(cols).reshape(n, -1)
-             ).reshape(len(xs), n, -1)
-        w = self._finish(xs, mask, w)
-        return w * frame if self.params.phi else w
+        ``xs``, shape (len(xs), n_work, cols.shape[1]): the readout stage
+        once, for all outcomes, then the outcome stage."""
+        return self._outcomes(xs, mask, self._readout(cols, mask.pre_squeeze))
 
-    def _finish(self, xs: np.ndarray, mask: StageMask, w: np.ndarray,
+    def _finish(self, xs: np.ndarray, mask: StageMask, vc: np.ndarray,
                 rows: Optional[int] = None) -> np.ndarray:
-        """The feedback displacement and the back-squeeze, as ``mask`` asks,
-        applied to the readouts w, shape (len(xs), n_work, k), at phi = 0;
-        the result keeps the leading ``rows`` rows (default all)."""
+        """The probe readout at the outcomes, the feedback displacement and
+        the back-squeeze, as ``mask`` asks, of a readout vc, at phi = 0,
+        shape (len(xs), rows, vc.shape[2]); ``rows`` defaults to all."""
+        n = self.n_work
+        w = (self._chi(xs) @ vc.reshape(n, -1)).reshape(len(xs), n, -1)
         if mask.feedback:
             w = _displace_columns(feedback_coefficient(self.params.eta) * xs,
                                   w)
@@ -741,17 +785,13 @@ class SchemeFamilyBuilder:
         g = grid if grid is not None else self.params.grid
         c = self.params.cutoff
         n = self.n_work
-        cols = self._pre_matrix()[:, :c] if mask.pre_squeeze \
-            else np.eye(n)[:, :c]
-        # the readout columns do not depend on the outcome: one band product
-        # serves every chunk
-        vc = self._readout_columns(cols).reshape(n, -1)
-        step = max(1, _STACK_ELEMENTS // n ** 2)
-        chunks = (g.points[i:i + step] for i in range(0, len(g), step))
-        stack = np.concatenate([
-            self._finish(xs, mask,
-                         (self._chi(xs) @ vc).reshape(len(xs), n, c), c)
-            for xs in chunks])
+        # the readout does not depend on the outcome: one serves every
+        # chunk.  _displace_columns holds about ten stacks of a chunk's
+        # size at once, so the chunk takes a tenth of the budget
+        vc = self._unit_readout(mask.pre_squeeze, c)[:, :, :c]
+        step = max(1, _STACK_ELEMENTS // (10 * n * c))
+        stack = np.concatenate([self._finish(g.points[i:i + step], mask, vc, c)
+                                for i in range(0, len(g), step)])
         m = np.arange(c)
         ops = stack * np.exp(1j * self.params.phi * (m[:, None] - m))
         origin = "raw-interaction" if mask == StageMask.raw() else "compensated"
@@ -763,19 +803,22 @@ class SchemeFamilyBuilder:
         summed over ``grid``, on the leading ``block`` Fock levels; only the
         pre-squeeze flag of ``mask`` matters (see the class docstring).
 
-        With vc the readout columns (W(x) cols = sum_p chi_p(x) vc[p]),
-        sum_x w_x W(x)^dag W(x) = sum_{p,q} G[p, q] vc[p]^dag vc[q] for the
-        n_work x n_work Gram matrix G = chi^dag diag(w) chi, so the band is
-        applied once and no (len(grid), n_work, block) stack forms.  The sum
-        is taken at phi = 0: R_phi moves no modulus of its deviation."""
-        n = self.n_work
-        cols = self._pre_matrix()[:, :block] if mask.pre_squeeze \
-            else np.eye(n)[:, :block]
-        vc = self._readout_columns(cols)
+        With vc the readout of the unit columns (W(x) = sum_p chi_p(x)
+        vc[p]), sum_x w_x W(x)^dag W(x) = sum_m sum_{p,q} G[p, q]
+        vc[p, m]^dag vc[q, m] for the n_work x n_work Gram matrix G =
+        chi^dag diag(w) chi: a product per row m of the readout, taken over
+        blocks of rows of the shared readout, so no (len(grid), n_work,
+        block) stack forms and no copy of the readout.  The sum is taken at
+        phi = 0: R_phi moves no modulus of its deviation."""
+        vc = self._unit_readout(mask.pre_squeeze, block)[:, :, :block]
         chi = self._chi(grid.points)
         gram = (chi.conj().T * grid.weights()) @ chi
-        acc = vc.reshape(n * n, -1).conj().T @ (
-            gram @ vc.reshape(n, -1)).reshape(n * n, -1)
+        acc = np.zeros((block, block), dtype=np.result_type(gram, vc))
+        step = max(1, _STACK_ELEMENTS // (self.n_work * block))
+        for i in range(0, self.n_work, step):
+            rows = vc[:, i:i + step].transpose(1, 0, 2)  # (m, p, c) view
+            acc += np.sum(rows.conj().transpose(0, 2, 1) @ (gram @ rows),
+                          axis=0)
         return float(np.max(np.abs(acc - np.eye(block))))
 
 

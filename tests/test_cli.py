@@ -407,6 +407,26 @@ class TestSweep:
                 if m == "feedback-error"]
         assert feed == ["error:ParameterError", "ok"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_beta_row_is_written_in_both_formats(self, fmt,
+                                                            tmp_path):
+        # JSON holds no NaN: the failed cell's beta is null (an empty CSV
+        # field), the sweep list in meta too, and its status the error
+        out = tmp_path / f"sweep.{fmt}"
+        assert main(["sweep", "--sweep-beta", "nan,10", "--cutoff", "12",
+                     "--format", fmt, "--out", str(out)]) == 1
+        if fmt == "json":
+            doc = json.loads(out.read_text())
+            res = doc["results"]
+            assert doc["meta"]["sweep_beta"] == [None, 10.0]
+            beta, status = res["beta"], res["status"]
+        else:
+            _, header, rows, _ = read_csv(out)
+            beta = column(header, rows, "beta")
+            status = column(header, rows, "status", str)
+        assert status == ["ok", "error:ParameterError", "ok"]
+        assert beta == [None, None, 10.0]
+
     def test_empty_range_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("sweep_eta =\n")

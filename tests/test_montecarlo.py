@@ -27,7 +27,7 @@ from quadmeas.kernel import (
     OutcomeGrid,
     quadrature_density,
 )
-from quadmeas import montecarlo
+from quadmeas import montecarlo, scheme
 from quadmeas.montecarlo import (
     RepeatabilityStats,
     RngSeed,
@@ -275,6 +275,34 @@ def test_poisoned_entries_stay_honoured():
     for index, entry in eng._cache.items():
         if index not in poisoned:
             _assert_entry_matches(entry, _reference_entry(eng, index))
+
+
+def test_builder_engine_takes_one_readout(monkeypatch):
+    # at phi_probe != phi the readout stage runs once on the input column;
+    # the density and every batch of reductions reuse it
+    calls = []
+    sectors = scheme._mixer_sectors
+
+    def counting(*args):
+        calls.append(args)
+        return sectors(*args)
+
+    monkeypatch.setattr(scheme, "_mixer_sectors", counting)
+    readouts = []
+    readout = scheme.SchemeFamilyBuilder._readout_columns
+
+    def counting_readout(self, cols):
+        readouts.append(cols.shape)
+        return readout(self, cols)
+
+    monkeypatch.setattr(scheme.SchemeFamilyBuilder, "_readout_columns",
+                        counting_readout)
+    params = SchemeParams(eta=0.5, sigma=1.5, phi_probe=0.3, cutoff=20)
+    eng = TrialEngine(params, input_state=coherent_state(0.5, 20))
+    assert eng._builder is not None
+    batch = eng.trials(RngSeed(5).generator(), 500, want_second=True)
+    assert len(np.unique(batch.outcome)) >= 5
+    assert len(calls) == 1 and readouts == [(50, 1)]
 
 
 def test_one_composition_per_batch_of_new_outcomes(monkeypatch):

@@ -394,11 +394,12 @@ def test_family_origin_labels():
 
 
 def test_batched_family_matches_per_outcome_operators(monkeypatch):
-    # family applies the band once to the pre-squeezed leading columns and
-    # finishes the outcome chunks on the cutoff rows; _compose takes one
-    # outcome at a time through every stage on unit columns.  A small stack
-    # budget splits the 9-point grid into outcome chunks of 4, 4 and 1.
-    monkeypatch.setattr(scheme, "_STACK_ELEMENTS", 4 * 75 ** 2)
+    # family reads out the pre-squeezed leading columns once and finishes
+    # the outcome chunks on the cutoff rows; _compose takes one outcome at
+    # a time through every stage on unit columns.  A small stack budget
+    # (ten stacks of 4 outcomes, n_work 75, cutoff 30) splits the 9-point
+    # grid into outcome chunks of 4, 4 and 1.
+    monkeypatch.setattr(scheme, "_STACK_ELEMENTS", 4 * 10 * 75 * 30)
     masks = [StageMask(), StageMask.raw(), StageMask(True, False, False),
              StageMask(False, True, True), StageMask(True, True, False)]
     grid = OutcomeGrid.from_range(-2.0, 2.0, 0.5)
@@ -420,7 +421,7 @@ def test_working_phase_enters_as_the_frame_rotation(monkeypatch):
     # with phi_probe = phi every stage is covariant with the working
     # quadrature: the builder at phi gives R_phi Omega_0 R_phi^dag, over
     # the masks and outcome chunks of the batched-family test
-    monkeypatch.setattr(scheme, "_STACK_ELEMENTS", 4 * 75 ** 2)
+    monkeypatch.setattr(scheme, "_STACK_ELEMENTS", 4 * 10 * 75 * 30)
     masks = [StageMask(), StageMask.raw(), StageMask(True, False, False),
              StageMask(False, True, True), StageMask(True, True, False)]
     grid = OutcomeGrid.from_range(-2.0, 2.0, 0.5)
@@ -442,15 +443,15 @@ def test_working_phase_enters_as_the_frame_rotation(monkeypatch):
 
 
 def test_compensated_stages_compose_in_real_arithmetic(monkeypatch):
-    # at phi_probe = phi the squeezes, the band, the readout columns, the
-    # probe functions and the family's stack before its phase factor are
-    # all real: a return to complex products fails here
+    # at phi_probe = phi the squeezes, the probe amplitudes, the readout
+    # columns, the probe functions and the family's stack before its phase
+    # factor are all real: a return to complex products fails here
     b = SchemeFamilyBuilder(SchemeParams(eta=0.4, sigma=0.5, cutoff=30,
                                          phi=0.4))
     assert b._pre_matrix().dtype == np.float64
     assert b._back_matrix(True).dtype == np.float64
     assert b._back_matrix(False).dtype == np.float64
-    assert b._band.dtype == np.float64
+    assert b._unit_readout(True, 30).dtype == np.float64
     assert b._chi([0.3, -1.0]).dtype == np.float64
     vc = b._readout_columns(b._pre_matrix()[:, :30])
     assert vc.dtype == np.float64
@@ -478,8 +479,8 @@ def test_compensated_stages_compose_in_real_arithmetic(monkeypatch):
 
 def untruncated_sector_blocks(b):
     # (rows m, mask of the rows with m, p < n_work, sector s, block) of the
-    # mixer at n_work + k_max levels per mode, so that no sector the band
-    # holds is truncated: the dense expm reference
+    # mixer at n_work + k_max levels per mode, so that no sector the
+    # readout reads is truncated: the dense expm reference
     n, k_max = b.n_work, b._levels[-1]
     for m, s, block in _bs_sector_blocks(b.params.eta, n + k_max):
         if s >= n + k_max:
@@ -490,8 +491,8 @@ def untruncated_sector_blocks(b):
 
 def dense_probe_contraction(b):
     # V[m, p, n] = <m, p|U_mix|n, probe>, scattered from the untruncated
-    # sector exponentials: the independent reference for the banded
-    # contraction
+    # sector exponentials: the independent reference for the per-sector
+    # readout
     n = b.n_work
     probe = np.zeros(2 * n, dtype=complex)  # the builder's n_work levels
     probe[:n] = squeezed_vacuum(b.params.sigma, n,
@@ -507,10 +508,11 @@ def dense_probe_contraction(b):
 @pytest.mark.parametrize("sigma,phi_probe", [
     (0.5, None), (1.0, None), (2.0, None), (0.5, 0.7)])
 def test_banded_readout_matches_dense_probe_contraction(sigma, phi_probe):
-    # phi_probe = phi = 0 gives a real band, phi_probe 0.7 a complex one
+    # phi_probe = phi = 0 gives a real readout, phi_probe 0.7 a complex one
     b = SchemeFamilyBuilder(SchemeParams(eta=0.3, sigma=sigma,
                                          phi_probe=phi_probe, cutoff=16))
-    assert np.iscomplexobj(b._band) == (phi_probe is not None)
+    assert np.iscomplexobj(b._unit_readout(False, 16)) \
+        == (phi_probe is not None)
     v = dense_probe_contraction(b)
     eye = np.eye(b.n_work)
     for xs in ([0.6], [-1.7, -0.2, 0.0, 0.9, 2.4]):
@@ -631,30 +633,46 @@ def test_faithful_squeeze_runs_one_eigenvalue_solve(monkeypatch):
         assert calls[0][0] is False and calls[0][1] <= n
 
 
+def probe_sectors(b, n_sectors):
+    # (s, rows lo..min(s, n_work - 1), kept levels lo <= k_j <= s, X_s at
+    # those rows and levels times amp_j) from _mixer_sectors as the
+    # readout runs it: every entry the readout reads
+    n, levels = b.n_work, b._levels
+    for s, x in scheme._mixer_sectors(b.params.eta, n, levels[-1] + 1,
+                                      n_sectors):
+        lo = max(0, s - n + 1)
+        m = np.arange(lo, min(s, n - 1) + 1)
+        j = np.flatnonzero((levels >= lo) & (levels <= s))
+        yield s, m, j, x[np.ix_(m, levels[j])] * b._amps[levels[j]]
+
+
 @pytest.mark.parametrize("eta", [0.2, 0.7])
 def test_band_columns_match_sector_blocks(eta):
     # every sector, the truncated ones (s >= n_work) included, holds the
-    # exact elements of the untruncated mixer
+    # exact elements of the untruncated mixer on the rows and levels the
+    # readout reads
     b = SchemeFamilyBuilder(SchemeParams(eta=eta, sigma=0.5, cutoff=12))
-    levels, band, n = b._levels, b._band, b.n_work
+    levels, n = b._levels, b.n_work
     assert len(levels) > 1
-    assert len(band) == n + levels[-1]
-    amps = squeezed_vacuum(0.5, n).amplitudes.real[levels]
-    for m, keep, s, block in untruncated_sector_blocks(b):
-        for j, k in enumerate(levels):
-            if m[0] <= s - k <= m[-1] and s - k < n:
-                want = block[keep, s - k - m[0]] * amps[j]
-            else:
-                want = 0.0
-            assert np.max(np.abs(band[s, m[keep], j] - want)) < 1e-13
-    # a vacuum probe keeps one level: the band is U|s, 0>, a binomial
+    amps = squeezed_vacuum(0.5, n).amplitudes.real
+    assert np.array_equal(b._amps[levels], amps[levels])
+    blocks = {s: (m, keep, block)
+              for m, keep, s, block in untruncated_sector_blocks(b)}
+    sectors = 0
+    for s, rows, j, got in probe_sectors(b, n + levels[-1]):
+        m, keep, block = blocks[s]
+        assert np.array_equal(m[keep], rows)
+        want = block[keep][:, s - levels[j] - m[0]] * amps[levels[j]]
+        assert np.max(np.abs(got - want)) < 1e-13
+        sectors += 1
+    assert sectors == n + levels[-1]
+    # a vacuum probe keeps one level: the sectors give U|s, 0>, a binomial
     vac = SchemeFamilyBuilder(SchemeParams(eta=eta, sigma=1.0, cutoff=12))
     assert list(vac._levels) == [0]
-    for s in range(vac.n_work):
-        m = np.arange(s + 1)
+    for s, m, j, got in probe_sectors(vac, vac.n_work):
         binom = np.sqrt(comb(s, m)) * math.sqrt(eta) ** m \
             * math.sqrt(1.0 - eta) ** (s - m)
-        assert np.max(np.abs(vac._band[s, :s + 1, 0] - binom)) < 1e-13
+        assert np.max(np.abs(got[:, 0] - binom)) < 1e-13
 
 
 @pytest.mark.parametrize("sigma", [0.2, 5.0])
@@ -663,19 +681,20 @@ def test_band_stays_exact_deep_into_the_recurrence(eta, sigma):
     # sectors are built one from the last, up to n_work 400 here; a
     # one-sided recurrence would amplify rounding by up to sqrt(C(n+k, k))
     b = SchemeFamilyBuilder(SchemeParams(eta=eta, sigma=sigma, cutoff=160))
-    levels, band, n = b._levels, b._band, b.n_work
+    levels, n = b._levels, b.n_work
     assert n == 400 and len(levels) > 1
     amps = squeezed_vacuum(sigma, n).amplitudes.real[levels]
     theta = math.atan(math.sqrt((1.0 - eta) / eta))
     worst = 0.0
-    for s in range(0, n, 7):  # untruncated sectors: rows m <= s < n
-        j = np.flatnonzero(levels <= s)
-        m = np.arange(1, s + 1, dtype=float)
-        want = _tridiagonal_expm_columns(theta * np.sqrt(m * (s - m + 1.0)),
+    for s, m, j, got in probe_sectors(b, n):  # untruncated: m <= s < n
+        if s % 7:
+            continue
+        assert np.array_equal(m, np.arange(s + 1))
+        assert np.array_equal(j, np.flatnonzero(levels <= s))
+        k = np.arange(1, s + 1, dtype=float)
+        want = _tridiagonal_expm_columns(theta * np.sqrt(k * (s - k + 1.0)),
                                          s - levels[j]) * amps[j]
-        worst = max(worst, float(np.max(np.abs(band[s, :s + 1][:, j]
-                                               - want))))
-        assert not np.any(band[s, s + 1:])
+        worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst < 1e-13
 
 
@@ -1172,13 +1191,14 @@ def test_builder_density_fast_path_matches_family_born_rule():
 
 
 def test_density_never_copies_the_probe_contraction():
-    # the real mixer-probe band is the builder's largest array; applying it
-    # to a complex column, as for a density, must not cast a complex copy
+    # the real mixer sectors act on a complex column, as for a density,
+    # through its float view: no complex copy of them, nor the mixer-probe
+    # band of shape (n_work + k_max, n_work, K) the bound is taken from
     b = SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=0.5, cutoff=40),
                             margin=2.5)
     assert len(b._levels) > 1
-    assert not np.iscomplexobj(b._band)
-    band_bytes = b._band.nbytes
+    assert not np.iscomplexobj(b._amps)
+    band_bytes = 8 * (b.n_work + b._levels[-1]) * b.n_work * len(b._levels)
     column = np.zeros((b.n_work, 1), dtype=complex)
     column[0] = 1.0
     tracemalloc.start()
@@ -1211,13 +1231,17 @@ def test_pom_size_builder_stays_below_dense_contraction_memory():
 @pytest.mark.parametrize("mask", [StageMask(), StageMask.raw()],
                          ids=["full", "raw"])
 @pytest.mark.parametrize("phi_probe", [None, 0.7])
-def test_completeness_gram_sum_matches_outcome_stacks(mask, phi_probe):
+def test_completeness_gram_sum_matches_outcome_stacks(mask, phi_probe,
+                                                     monkeypatch):
     # 601 outcomes on [-3, 3] leave out enough of the continuum that the
-    # defect is far from rounding, so agreement checks the contraction
+    # defect is far from rounding, so agreement checks the contraction; a
+    # small budget splits the sum into blocks of 7 of the 90 readout rows
+    monkeypatch.setattr(scheme, "_STACK_ELEMENTS", 7 * 90 * 16)
     grid = OutcomeGrid.from_range(-3.0, 3.0, 0.01)
     assert len(grid) == 601
     b = SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=2.0, cutoff=30,
                                          phi_probe=phi_probe), margin=3.0)
+    assert b.n_work == 90
     block = 16
     w = b._compose(grid.points, StageMask(mask.pre_squeeze, False, False),
                    np.eye(b.n_work)[:, :block])
@@ -1237,6 +1261,48 @@ def test_scheme_family_at_the_cli_size_stays_in_its_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak < 80 * 2 ** 20
+
+
+@pytest.mark.parametrize("sigma,margin,budget_mb", [
+    (0.5, 4.0, 16), (0.05, 8.0, 64)])
+def test_scheme_family_forms_no_mixer_probe_band(sigma, margin, budget_mb):
+    # a mixer-probe band of shape (n_work + k_max, n_work, K) took the
+    # build to 31.7 MB at sigma 0.5, margin 4 and to 376 MB at sigma 0.05,
+    # margin 8; each sector now goes into the readout as it is made
+    p = SchemeParams(eta=0.2, sigma=sigma, cutoff=40)
+    tracemalloc.start()
+    try:
+        build_scheme_family(p, margin=margin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget_mb * 2 ** 20
+
+
+def test_scheme_family_runs_the_sector_recurrence_once(monkeypatch):
+    # family and completeness_defect share one readout of the unit columns
+    calls = []
+    sectors = scheme._mixer_sectors
+
+    def counting(*args):
+        calls.append(args)
+        return sectors(*args)
+
+    monkeypatch.setattr(scheme, "_mixer_sectors", counting)
+    readouts = []
+    readout = SchemeFamilyBuilder._readout_columns
+
+    def counting_readout(self, cols):
+        readouts.append(cols.shape)
+        return readout(self, cols)
+
+    monkeypatch.setattr(SchemeFamilyBuilder, "_readout_columns",
+                        counting_readout)
+    res = build_scheme_family(SchemeParams(eta=0.5, sigma=0.5, cutoff=40),
+                              margin=4.0)
+    assert len(calls) == 1
+    assert readouts == [(160, 40)]
+    assert res.check() == ()
 
 
 def test_working_level_completeness_across_presets():
