@@ -53,6 +53,7 @@ from .montecarlo import (
     summarize_repeatability,
 )
 from .scheme import (
+    DEFAULT_GRID_SPEC,
     FeedbackSpec,
     GaussianSchemeOracle,
     SchemeParams,
@@ -102,7 +103,7 @@ _SCHEMA = {
     "sigma": (float, 1.0),
     "phi": (float, 0.0),
     "cutoff": (int, 40),
-    "grid": (str, "-3:3:0.25"),
+    "grid": (str, DEFAULT_GRID_SPEC),
     "feedback": (str, "ideal"),
     "beta": (float, None),
     "seed": (int, 0),
@@ -114,7 +115,7 @@ _SCHEMA = {
     "margin": (float, None),
     "confidence": (float, 0.95),
     "identity_tol": (float, 1e-6),
-    "pom_tol": (float, 1e-8),
+    "pom_tol": (float, 1e-10),
     "completeness_tol": (float, 1e-4),
     "bch_tol": (float, 1e-8),
     "su2_tol": (float, 1e-10),
@@ -252,6 +253,10 @@ def resolve_config(argv: Sequence[str]) -> RunConfig:
                            f"{values['feedback']!r}")
     if values["trials"] < 0:
         raise _ConfigError(f"trials must be >= 0, got {values['trials']}")
+    for key in (k for k in _SCHEMA if k.endswith("_tol")):
+        if not (values[key] >= 0.0 and math.isfinite(values[key])):
+            raise _ConfigError(f"{key} must be a finite number >= 0, got "
+                               f"{values[key]}")
     try:
         cfg.scheme_params()
         cfg.feedback_spec()

@@ -39,8 +39,8 @@ from .scheme import (
     SchemeParams,
     StageMask,
     _check_margin,
-    _displace_columns,
     _faithful_squeeze,
+    _squeeze_displace,
     backsqueeze_param,
     composed_density,
     composed_reductions,
@@ -259,8 +259,10 @@ def finite_lo_displacement(state, target_amplitude: complex, beta: float,
         warnings = warnings + (
             f"finite-lo port truncation lost trace {deficit:.3e}",)
     # D rho D^dag = D (D lossy^dag)^dag, two column applications
-    half = _displace_columns([target], lossy.conj().T[None])
-    out = _displace_columns([target], half.conj().transpose(0, 2, 1))[0]
+    n = len(lossy)
+    half = _squeeze_displace(0.0, [target], lossy.conj().T[None], n)
+    out = _squeeze_displace(0.0, [target], half.conj().transpose(0, 2, 1),
+                            n)[0]
     return DensityOperator(out, warnings)
 
 

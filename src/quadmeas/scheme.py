@@ -47,29 +47,29 @@ truncates only the result.  Every stage is covariant with the working
 quadrature, so the operators are R_phi Omega_0(x) R_phi^dag, R_phi =
 diag(e^{ik phi}), Omega_0 the scheme at phi = 0 with the probe read at the
 offset phi_probe - phi; the builder composes in that frame, where every
-stage matrix is real when phi_probe = phi.  The squeezes are Gauss-rule
-integrals (_faithful_squeeze), the feedback a parity-split real product on
-the columns it displaces (_displace_columns), and the mixer its
-total-occupancy sectors from a two-sided recurrence with no
-eigendecomposition (_mixer_sectors).  A composition runs in two stages:
-the readout stage contracts each sector with the probe and the input
-columns as the recurrence makes it and drops it, so no band of the mixer
-is kept (_readout_columns), and the outcome stage reads the probe out at
-each outcome and applies the feedback and the back-squeeze.  One readout
-serves every outcome: the builder makes the one of its unit columns once
-per pre-squeeze flag, for the family and for the completeness sum, which
-contracts it with the Gram matrix of the probe functions over the grid,
-forming no outcome stack.  verify_bch_factorization runs in joint-parity
-sectors on the corner of the joint space that its comparison reads.
+stage matrix is real when phi_probe = phi.  The pre-squeeze is a Gauss-rule
+integral (_faithful_squeeze), the feedback displacement and the back-squeeze
+one Gauss-rule stage on the columns they act on (_squeeze_displace), and the
+mixer its total-occupancy sectors from a two-sided recurrence with no
+eigendecomposition (_mixer_sectors).  A composition runs in two stages: the
+readout stage contracts each sector with the probe and the input columns as
+the recurrence makes it and drops it, so no band of the mixer is kept
+(_readout_columns), and the outcome stage reads the probe out at each
+outcome and applies the feedback and the back-squeeze as one stage.  One
+readout serves every outcome: the builder makes the one of its unit columns
+once per pre-squeeze flag, for the family and for the completeness sum,
+which contracts it with the Gram matrix of the probe functions over the
+grid, forming no outcome stack.  verify_bch_factorization runs in
+joint-parity sectors on the corner of the joint space that its comparison
+reads.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import mmap
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -104,12 +104,6 @@ _STACK_ELEMENTS = 1 << 19
 # Probe levels with |amplitude| at or below this floor are left out of the
 # mixer-probe readout; each one dropped moves an operator entry by at most it.
 _PROBE_FLOOR = 1e-17
-
-# Kept size -> (room: the largest amplitude its displacement spectrum serves,
-# the x_0 eigenvalues stacked on the kept eigenvector rows).  The room starts
-# at the default grid's largest feedback at eta = 0.5, so sampling keeps it.
-_DISPLACEMENT_ROOM_FLOOR = 3.0
-_displacement_spectra: Dict[int, Tuple[float, np.ndarray]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -351,79 +345,55 @@ class FeedbackSpec:
 # faithful working-space operators
 
 
-def _displace_columns(alpha, cols: np.ndarray) -> np.ndarray:
-    """D(alpha[x]) @ cols[x] for amplitudes shaped (X,) and columns shaped
-    (X, n, c), every entry exact to rounding, with no n x n matrix formed.
+def _squeeze_displace(s: float, alpha, cols: np.ndarray,
+                      rows: int) -> np.ndarray:
+    """S(s) D(alpha[x]) @ cols[x] on the leading ``rows`` levels, for
+    amplitudes shaped (X,) and columns shaped (X, n, c), shape (X, rows, c),
+    every entry exact to rounding, with no n x n matrix formed.
 
-    For real t, D(t) = exp(t(a^dag - a)) = exp(-2it x_{pi/2}) is a real
-    matrix, taken at the extended size (sqrt(n) + |t|)^2 + 12 (sqrt(n) +
-    |t|) + 40, with |t| grown only when an amplitude needs more room.  With
-    e_l, o_l the parity bases of the x_0 eigenvectors there
-    (_parity_quadrature_basis, x e_l = s_l o_l), the phases i^k of
-    x_{pi/2} = R x_0 R^dag, R = diag(i^k), folded in as the row signs
-    (-1)^floor(k/2), and U, V their kept even and odd rows, D(t) on the
-    even and odd level blocks is
+    For real t the pair maps psi(y) to e^{-s/2} psi(A y - t), A = e^{-s},
+    so with a = 1 + A^2, beta = sqrt(2/a) and y = A t/a + beta z
 
-        [[U C U^T, -U S V^T], [V S U^T, V C V^T]],
-        C = diag(cos(2t s_l)), S = diag(sin(2t s_l)):
+        <m|S(s) D(t)|k> = e^{-s/2} int chi_m(y) chi_k(A y - t) dy
 
-    four half-size real products that act on all X c columns at once, on
-    their float view when they are complex.  A complex amplitude t e^{i th}
-    adds its diagonal phase, D(t e^{i th}) = R_th D(t) R_th^dag with
-    R_th = diag(e^{ik th}), per outcome."""
+    is a polynomial of degree m + k < rows + n - 1 times e^{-2z^2}, which
+    the N-node rule (lam_l, W_l) of fock._gauss_rule, N = ceil((rows +
+    n)/2), integrates exactly:
+
+        <m|S(s) D(t)|k> = e^{-s/2} beta sum_l W_l chi_m(y_l) chi_k(A y_l - t),
+
+    applied as chi_rows(y)^T (f . (chi_n(u) @ cols)) per outcome, u = A y -
+    t, on the float view of complex columns.  A complex amplitude t e^{i th}
+    enters as D(t e^{i th}) = R_th D(t) R_th^dag, R_th = diag(e^{ik th}),
+    which commutes past no squeeze, so it takes s = 0."""
     alpha = np.asarray(alpha)
     if not np.any(np.imag(alpha)):
-        alpha = np.real(alpha)
+        alpha = np.real(alpha).astype(float)
     n_out, n, c = cols.shape
-    t = np.abs(alpha) if np.iscomplexobj(alpha) else alpha.astype(float)
-    room = max(np.max(np.abs(t), initial=0), _DISPLACEMENT_ROOM_FLOOR)
-    ne = (n + 1) // 2
-    if room > _displacement_spectra.get(n, (0.0,))[0]:
-        r = math.sqrt(n) + room
-        s, f = _parity_quadrature_basis(int(math.ceil(r * r + 12.0 * r
-                                                      + 40.0)))
-        # kept in a memory map of its own: left in the malloc heap, it would
-        # pin the heap's top and keep the freed transients of later calls
-        # resident (+20 MB of peak RSS over a run of verify calls)
-        kept = np.ndarray((n + 1, len(s)),
-                          buffer=mmap.mmap(-1, 8 * (n + 1) * len(s)))
-        kept[0] = s
-        for rows, parity in ((kept[1:ne + 1], 0), (kept[ne + 1:], 1)):
-            rows[:] = f[parity:n:2]
-            rows[1::2] *= -1.0
-        _displacement_spectra[n] = (room, kept)
-    kept = _displacement_spectra[n][1]
-    s, u, v = kept[0], kept[1:ne + 1], kept[ne + 1:]
+    t = alpha
     if np.iscomplexobj(alpha):
-        ph = np.exp(1j * np.angle(alpha)[:, None] * np.arange(n))
-        cols = cols * ph.conj()[:, :, None]
-    halves = []  # level-major even and odd rows: one product each
-    for rows, basis in ((cols[:, 0::2], u), (cols[:, 1::2], v)):
-        lm = np.ascontiguousarray(rows.transpose(1, 0, 2))
-        halves.append((basis.T @ lm.reshape(len(lm), -1).view(float))
-                      .reshape(len(s), n_out, -1))
-    arg = 2.0 * np.outer(s, t)
-    cos, sin = np.cos(arg)[:, :, None], np.sin(arg)[:, :, None]
-    a, b = halves
-    out = np.empty((n_out, n, c), dtype=cols.dtype)
-    for rows, basis, mixed in ((out[:, 0::2], u, cos * a - sin * b),
-                               (out[:, 1::2], v, sin * a + cos * b)):
-        lm = (basis @ mixed.reshape(len(s), -1)).view(cols.dtype)
-        rows[:] = lm.reshape(len(basis), n_out, c).transpose(1, 0, 2)
+        if s:
+            raise ParameterError("a complex displacement takes no squeeze")
+        t = np.abs(alpha)
+        ph = np.exp(1j * np.angle(alpha)[:, None] * np.arange(max(n, rows)))
+        cols = cols * ph[:, :n, None].conj()
+    scale = math.exp(-s)  # A
+    a = 1.0 + scale * scale
+    beta = math.sqrt(2.0 / a)
+    nodes = (rows + n + 1) // 2
+    lam, w = fock._gauss_rule(nodes)
+    y = (scale / a * t)[:, None] + beta * lam
+    f = (math.exp(-0.5 * s) * beta) * w[:, None]
+    flat = np.ascontiguousarray(cols)
+    if np.iscomplexobj(flat):
+        flat = flat.view(float)
+    inner = fock._hermite_functions((scale * y - t[:, None]).ravel(), n
+                                    ).reshape(n_out, nodes, n) @ flat
+    chi = fock._hermite_functions(y.ravel(), rows).reshape(n_out, nodes, rows)
+    out = (chi.transpose(0, 2, 1) @ (f * inner)).view(cols.dtype)
     if np.iscomplexobj(alpha):
-        out *= ph[:, :, None]
+        out *= ph[:, :rows, None]
     return out
-
-
-def _faithful_displacement(alpha, n: int) -> np.ndarray:
-    """Displacement matrix whose n x n entries are exact to rounding: the
-    columns of the identity displaced by :func:`_displace_columns`; an
-    array of amplitudes gives the stack, shape alpha.shape + (n, n)."""
-    alpha = np.asarray(alpha, dtype=complex)
-    flat = alpha.reshape(-1)
-    out = _displace_columns(flat, np.broadcast_to(np.eye(n),
-                                                  (len(flat), n, n)))
-    return out.reshape(alpha.shape + (n, n))
 
 
 def _faithful_squeeze(r: float, n: int, phase: float = 0.0) -> np.ndarray:
@@ -627,10 +597,11 @@ class SchemeFamilyBuilder:
     (``_readout_columns``); each sector is used as it is made and dropped,
     so no array holds n_work^3 elements, nor any band of the mixer.  The
     outcome stage reads the probe out at each outcome and applies the
-    feedback and the back-squeeze (``_finish``).  The readout of the
-    leading ``cutoff`` unit columns is made once per pre-squeeze flag and
-    serves both ``family`` and ``completeness_defect``; the squeezes are
-    made on first use.
+    feedback and the back-squeeze as one exact stage on the working-size
+    columns (``_finish``, ``_squeeze_displace``), which reads only the
+    rows asked for.  The readout of the leading ``cutoff`` unit columns is
+    made once per pre-squeeze flag and serves both ``family`` and
+    ``completeness_defect``; the pre-squeeze is made on first use.
     Every stage is covariant with the working quadrature, so with R_phi =
     diag(e^{ik phi}) the operators are R_phi Omega_0(x) R_phi^dag, Omega_0
     the scheme at phi = 0 with the probe read at the offset phi_probe -
@@ -661,7 +632,6 @@ class SchemeFamilyBuilder:
         amps = np.where(kept, probe.amplitudes, 0.0)[:self._levels[-1] + 1]
         self._amps = amps if np.any(amps.imag) else amps.real
         self._s_pre = None
-        self._s_back = {}
         self._units = {}  # pre-squeeze flag -> readout of unit columns
 
     def _pre_matrix(self) -> np.ndarray:
@@ -669,14 +639,6 @@ class SchemeFamilyBuilder:
             self._s_pre = _faithful_squeeze(
                 presqueeze_param(self.params.eta), self.n_work)
         return self._s_pre
-
-    def _back_matrix(self, pre_on: bool) -> np.ndarray:
-        """The back-squeeze in the phi = 0 frame, real."""
-        if pre_on not in self._s_back:
-            self._s_back[pre_on] = _faithful_squeeze(
-                backsqueeze_param(self.params.eta, pre_squeezed=pre_on),
-                self.n_work)
-        return self._s_back[pre_on]
 
     def _chi(self, xs: np.ndarray) -> np.ndarray:
         """The conjugated probe quadrature functions at the outcomes, shaped
@@ -768,30 +730,39 @@ class SchemeFamilyBuilder:
 
     def _finish(self, xs: np.ndarray, mask: StageMask, vc: np.ndarray,
                 rows: Optional[int] = None) -> np.ndarray:
-        """The probe readout at the outcomes, the feedback displacement and
-        the back-squeeze, as ``mask`` asks, of a readout vc, at phi = 0,
-        shape (len(xs), rows, vc.shape[2]); ``rows`` defaults to all."""
-        n = self.n_work
-        w = (self._chi(xs) @ vc.reshape(n, -1)).reshape(len(xs), n, -1)
-        if mask.feedback:
-            w = _displace_columns(feedback_coefficient(self.params.eta) * xs,
-                                  w)
-        if mask.back_squeeze:
-            return self._back_matrix(mask.pre_squeeze)[:rows] @ w
-        return w[:, :rows]
+        """The probe readout at the outcomes, then the feedback displacement
+        and the back-squeeze as one stage (_squeeze_displace, with t = 0 or
+        s = 0 for a masked-off one), of a readout vc, at phi = 0, shape
+        (len(xs), rows, vc.shape[2]); ``rows`` defaults to all.
+
+        That stage holds (X, N, n_work) Hermite values and (X, N, c)
+        products for X outcomes, N = ceil((rows + n_work)/2), more than the
+        (X, n_work, c) readout at the outcomes: so the outcomes go in
+        chunks of _STACK_ELEMENTS // (N (n_work + c))."""
+        n, c = self.n_work, vc.shape[2]
+        rows = n if rows is None else rows
+        step = max(1, _STACK_ELEMENTS // ((rows + n + 1) // 2 * (n + c)))
+        if len(xs) > step:
+            return np.concatenate([self._finish(xs[i:i + step], mask, vc,
+                                                rows)
+                                   for i in range(0, len(xs), step)])
+        w = (self._chi(xs) @ vc.reshape(n, -1)).reshape(len(xs), n, c)
+        if not (mask.feedback or mask.back_squeeze):
+            return w[:, :rows]
+        eta = self.params.eta
+        s = backsqueeze_param(eta, mask.pre_squeeze) \
+            if mask.back_squeeze else 0.0
+        return _squeeze_displace(s, feedback_coefficient(eta) * xs
+                                 * mask.feedback, w, rows)
 
     def family(self, grid: Optional[OutcomeGrid] = None,
                mask: StageMask = StageMask()) -> ReductionOperatorFamily:
         g = grid if grid is not None else self.params.grid
         c = self.params.cutoff
-        n = self.n_work
         # the readout does not depend on the outcome: one serves every
-        # chunk.  _displace_columns holds about ten stacks of a chunk's
-        # size at once, so the chunk takes a tenth of the budget
+        # chunk of _finish
         vc = self._unit_readout(mask.pre_squeeze, c)[:, :, :c]
-        step = max(1, _STACK_ELEMENTS // (10 * n * c))
-        stack = np.concatenate([self._finish(g.points[i:i + step], mask, vc, c)
-                                for i in range(0, len(g), step)])
+        stack = self._finish(g.points, mask, vc, c)
         m = np.arange(c)
         ops = stack * np.exp(1j * self.params.phi * (m[:, None] - m))
         origin = "raw-interaction" if mask == StageMask.raw() else "compensated"

@@ -14,6 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import eval_genlaguerre, gammaln
 
 from quadmeas.errors import DimensionMismatchError, ParameterError
 from quadmeas.fock import (
@@ -69,6 +70,23 @@ def make_displacement(alpha: complex, cutoff: int) -> Operator:
         warn = (f"displacement |alpha|^2 = {abs(alpha)**2:.3g} exceeds the "
                 f"guard level {guard_level(cutoff)} of a cutoff-{cutoff} basis",)
     return Operator(expm(gen), warn, unitary_flag=True)
+
+
+def laguerre_displacement(alpha, n: int) -> np.ndarray:
+    """Closed-form displacement elements, the oracle for the library's
+    Gauss-rule stage: <m|D(alpha)|k> = sqrt(q!/p!) e^{-|alpha|^2/2}
+    L_q^{(p-q)}(|alpha|^2) times alpha^(m-k) below the diagonal and
+    (-conj alpha)^(k-m) above, with p = max(m, k), q = min(m, k); an array
+    of amplitudes gives the stack, shape alpha.shape + (n, n)."""
+    alpha = np.asarray(alpha, dtype=complex)[..., None, None]
+    m = np.arange(n)[:, None]
+    k = np.arange(n)[None, :]
+    p, q = np.maximum(m, k), np.minimum(m, k)
+    aa = np.abs(alpha) ** 2
+    pref = np.exp(0.5 * (gammaln(q + 1) - gammaln(p + 1)) - 0.5 * aa)
+    base = np.where(m >= k, np.power(alpha, p - q, dtype=complex),
+                    np.power(-np.conjugate(alpha), p - q, dtype=complex))
+    return pref * eval_genlaguerre(q, p - q, aa) * base
 
 
 def make_squeeze(r: float, cutoff: int, phase: float = 0.0) -> Operator:

@@ -51,6 +51,8 @@ from quadmeas.scheme import (
     verify_bch_factorization,
 )
 
+from dense_reference import laguerre_displacement
+
 PRESETS = [(eta, sigma) for eta in (0.2, 0.5, 0.8)
            for sigma in (0.5, 1.0, 2.0)]
 GRID_25 = OutcomeGrid.from_range(-3.0, 3.0, 0.25)
@@ -226,10 +228,9 @@ def test_reduction_preserves_purity_of_pure_inputs():
 
 def test_finite_lo_feedback_converges_to_ideal_displacement():
     from quadmeas.montecarlo import finite_lo_displacement
-    from quadmeas.scheme import _faithful_displacement
 
     ref = coherent_state(0.5, 30)
-    disp = _faithful_displacement(1.0, 30)
+    disp = laguerre_displacement(1.0, 30)
     base = np.outer(ref.amplitudes, ref.amplitudes.conj())
     ideal = disp @ base @ disp.conj().T
 

@@ -54,6 +54,8 @@ class TestConfigResolution:
         assert cfg.values["eta"] == 0.5
         assert cfg.values["cutoff"] == 40
         assert cfg.values["identity_tol"] == 1e-6
+        # the tolerance PipelineResult.check applies
+        assert cfg.values["pom_tol"] == 1e-10
         assert "eta" not in cfg.provided
 
     def test_config_file_then_flag_precedence(self, tmp_path):
@@ -104,6 +106,18 @@ class TestConfigResolution:
         assert main(["verify", "--eta", "0.5", "--sigma", "1.0",
                      "--margin", value]) == 2
         assert "configuration error: working-space margin" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("identity_tol", "nan"), ("pom_tol", "-1e-10"), ("bch_tol", "inf"),
+        ("completeness_tol", "-inf"), ("su2_tol", "nan"),
+        ("generator_tol", "inf")])
+    def test_bad_tolerance_exits_2(self, key, value, tmp_path, capsys):
+        cfgfile = tmp_path / "tol.cfg"
+        cfgfile.write_text(f"{key} = {value}\n")
+        assert main(["verify", "--eta", "0.5", "--sigma", "1.0",
+                     "--format", "json", "--config", str(cfgfile)]) == 2
+        assert f"configuration error: {key} must be a finite number" \
             in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

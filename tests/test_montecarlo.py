@@ -48,12 +48,13 @@ from quadmeas.scheme import (
     FeedbackSpec,
     SchemeParams,
     StageMask,
-    _faithful_displacement,
     _faithful_squeeze,
     backsqueeze_param,
     composed_reductions,
     feedback_displacement,
 )
+
+from dense_reference import laguerre_displacement
 
 CANONICAL = SchemeParams(eta=0.5, sigma=1.0, cutoff=30)
 
@@ -562,7 +563,7 @@ def test_finite_lo_zero_target_leaves_state_unchanged():
 def test_finite_lo_error_quarters_per_beta_doubling():
     psi = coherent_state(0.3, 30)
     target = 0.8 + 0.2j
-    disp = _faithful_displacement(target, 30)
+    disp = laguerre_displacement(target, 30)
     base = np.outer(psi.amplitudes, psi.amplitudes.conj())
     ideal = disp @ base @ disp.conj().T
     errs = [trace_distance(finite_lo_displacement(psi, target, beta), ideal)
@@ -574,7 +575,7 @@ def test_finite_lo_error_quarters_per_beta_doubling():
 
 def test_finite_lo_large_beta_matches_ideal_displacement():
     psi = coherent_state(0.3, 30)
-    disp = _faithful_displacement(1.0, 30)
+    disp = laguerre_displacement(1.0, 30)
     base = np.outer(psi.amplitudes, psi.amplitudes.conj())
     ideal = disp @ base @ disp.conj().T
     out = finite_lo_displacement(psi, 1.0, beta=1e3)
