@@ -39,12 +39,11 @@ from .scheme import (
     SchemeParams,
     StageMask,
     _check_margin,
-    _faithful_squeeze,
     _squeeze_displace,
     backsqueeze_param,
     composed_density,
     composed_reductions,
-    feedback_displacement,
+    feedback_coefficient,
 )
 
 __all__ = [
@@ -63,6 +62,7 @@ __all__ = [
 
 _PROBABILITY_FLOOR = 1e-14
 _MAX_RESAMPLES = 10
+_PORT_CUTOFF = 12  # lost quanta kept at the finite-lo oscillator's port
 
 
 @dataclass(frozen=True)
@@ -232,32 +232,43 @@ def _loss_channel(rho: np.ndarray, theta: float,
     return out, deficit
 
 
-def finite_lo_displacement(state, target_amplitude: complex, beta: float,
-                           port_cutoff: int = 12) -> DensityOperator:
-    """Displace by mixing with a strong coherent local oscillator of
-    amplitude ``beta`` at a beam splitter whose transmissivity theta solves
-    |beta| sqrt(1-theta) = |target amplitude|, then trace out the oscillator
-    port.  Converges to the ideal displacement as beta grows; the deviation
-    is the residual loss (1-theta) acting on the state."""
+def _oscillator_loss(state, target: complex, beta: float,
+                     port_cutoff: int) -> Tuple[np.ndarray, Tuple[str, ...]]:
+    """The oscillator channel before its displacement: the state's matrix
+    after the pure loss of transmissivity theta, |beta| sqrt(1-theta) =
+    |target|, and the state's warnings plus one for trace the truncated
+    port loses.  Pure loss commutes with every phase rotation."""
     beta_mag = abs(complex(beta))
     if not (beta_mag > 0 and math.isfinite(beta_mag)):
         raise ParameterError(f"oscillator amplitude must be a finite "
                              f"number > 0, got {beta}")
     rho = np.asarray(_state_matrix(state), dtype=complex)
     warnings = getattr(state, "warnings", ())
-    target = complex(target_amplitude)
     ratio = abs(target) / beta_mag
     if ratio >= 1.0:
         raise InfeasibleFeedbackError(
             f"requested amplitude {abs(target):.6g} exceeds what the "
             f"oscillator amplitude {beta_mag:.6g} can deliver")
     if target == 0:
-        return DensityOperator(rho, warnings)
-    theta = 1.0 - ratio * ratio
-    lossy, deficit = _loss_channel(rho, theta, port_cutoff)
+        return rho, warnings
+    lossy, deficit = _loss_channel(rho, 1.0 - ratio * ratio, port_cutoff)
     if deficit > 1e-10:
         warnings = warnings + (
             f"finite-lo port truncation lost trace {deficit:.3e}",)
+    return lossy, warnings
+
+
+def finite_lo_displacement(state, target_amplitude: complex, beta: float,
+                           port_cutoff: int = _PORT_CUTOFF) -> DensityOperator:
+    """Displace by mixing with a strong coherent local oscillator of
+    amplitude ``beta`` at a beam splitter whose transmissivity theta solves
+    |beta| sqrt(1-theta) = |target amplitude|, then trace out the oscillator
+    port.  Converges to the ideal displacement as beta grows; the deviation
+    is the residual loss (1-theta) acting on the state."""
+    target = complex(target_amplitude)
+    lossy, warnings = _oscillator_loss(state, target, beta, port_cutoff)
+    if target == 0:
+        return DensityOperator(lossy, warnings)
     # D rho D^dag = D (D lossy^dag)^dag, two column applications
     n = len(lossy)
     half = _squeeze_displace(0.0, [target], lossy.conj().T[None], n)
@@ -366,12 +377,15 @@ class TrialEngine:
     whose outcome stage then serves every density and reduction.
     The drawn outcomes with no entry yet are reduced together in one call
     on the input column: to the cutoff, or for finite-lo feedback to n_work
-    = max(cutoff, ceil(margin cutoff)) levels before the feedback, whose
-    oscillator channel then acts on each post state.  One eigenvector
-    matrix on the second grid gives all their moments and second-outcome
-    densities.  A reduced state's norm against the density at its outcome
-    is the fraction the kept levels capture; ``warnings`` reports the
-    worst below 1 - 1e-8.
+    = max(cutoff, ceil(margin cutoff)) levels before the feedback.  There
+    the oscillator's loss acts on each post state, and then the feedback
+    and the back-squeeze act as one exact stage straight to the cutoff.
+    One eigenvector matrix on the second grid gives all their moments and
+    second-outcome densities.  A reduced state's norm against the density
+    at its outcome is the fraction the kept levels capture, and a finite-lo
+    post state's trace on the cutoff against its lossy state's is the
+    fraction the cutoff keeps; ``warnings`` reports the worst of both below
+    1 - 1e-8, with the levels it applies to.
 
     The first measurement is drawn from the Born density on a grid widened
     until its edges are negligible, then snapped to the nearest grid point;
@@ -411,7 +425,7 @@ class TrialEngine:
                                                        mask.pre_squeeze)
         self.grid, vals = widen_grid_for_density(self._density, params.grid)
         self._exact = vals  # the reduced states' norms are fractions of it
-        self._worst_capture = (1.0, -1)
+        self._worst_capture = (1.0, -1, 0)  # (kept, grid index, levels)
         norm = 0.5 * self.grid.step * float(np.sum(vals[1:] + vals[:-1]))
         if norm <= 0:
             raise ZeroProbabilityError("outcome density carries no mass")
@@ -422,10 +436,6 @@ class TrialEngine:
         self._draw = _InverseCdf(self.density)
         if self.feedback.mode == "finite-lo" and mask.feedback:
             self.feedback.validate_for(params, self.grid)
-        self._back = None  # the finite-lo back-squeeze on the rows
-        if self.feedback.mode == "finite-lo" and mask.back_squeeze:
-            self._back = _faithful_squeeze(backsqueeze_param(
-                params.eta, mask.pre_squeeze), self._rows, params.phi)
         self.second_grid = OutcomeGrid.from_range(
             self.grid.x_min, self.grid.x_max, second_step)
         self._xq = make_quadrature(cutoff, params.phi)
@@ -475,8 +485,9 @@ class TrialEngine:
                 pending[i] = vec / math.sqrt(p) \
                     if p >= _PROBABILITY_FLOOR else None
                 if p >= _PROBABILITY_FLOOR:
-                    self._worst_capture = min(self._worst_capture,
-                                              (p / self._exact[i], i))
+                    self._worst_capture = min(
+                        self._worst_capture, (p / self._exact[i], i,
+                                              self._rows))
         mass = np.ones(len(self.grid), dtype=bool)
         for known in (self._cache, pending):
             mass[[i for i, e in known.items() if e is None]] = False
@@ -498,20 +509,29 @@ class TrialEngine:
 
     def _oscillator_post(self, index: int, post: np.ndarray
                          ) -> DensityOperator:
-        """The finite-lo post state: the oscillator channel and the
-        back-squeeze act on the n_work-level post vector, and only the
-        back-squeezed state is truncated to the cutoff."""
-        rho = finite_lo_displacement(
-            post, feedback_displacement(float(self.grid.points[index]),
-                                        self.params.eta, self.params.phi)
-            if self.mask.feedback else 0.0,
-            self.feedback.beta)
-        mat = rho.matrix
-        if self._back is not None:
-            mat = self._back @ mat @ self._back.conj().T
-        c = self.params.cutoff
-        mat = mat[:c, :c]
-        return DensityOperator(mat / np.trace(mat).real, rho.warnings)
+        """The finite-lo post state of the n_work-level post vector, made
+        in the frame of phi = 0, where the feedback t and the back-squeeze
+        s are real and pure loss commutes with R_phi: the oscillator's loss
+        acts on the post vector, then the feedback and the back-squeeze act
+        on both sides of the lossy state as one stage (_squeeze_displace)
+        straight to the cutoff rows, so nothing is truncated between them.
+        The trace those rows keep, against the lossy state's, is folded
+        into the worst captured fraction."""
+        params, c = self.params, self.params.cutoff
+        frame = np.exp(1j * params.phi * np.arange(len(post)))
+        t = feedback_coefficient(params.eta) \
+            * float(self.grid.points[index]) if self.mask.feedback else 0.0
+        s = backsqueeze_param(params.eta, self.mask.pre_squeeze) \
+            if self.mask.back_squeeze else 0.0
+        lossy, warnings = _oscillator_loss(post * frame.conj(), t,
+                                           self.feedback.beta, _PORT_CUTOFF)
+        half = _squeeze_displace(s, [t], lossy[None], c)
+        mat = _squeeze_displace(s, [t], half.conj().transpose(0, 2, 1), c)[0]
+        trace = np.trace(mat).real
+        self._worst_capture = min(self._worst_capture,
+                                  (trace / np.trace(lossy).real, index, c))
+        mat = frame[:c, None] * mat * frame[:c].conj()
+        return DensityOperator(mat / trace, warnings)
 
     def _entries(self, posts: list) -> List[_Conditional]:
         """Cache entries of normalized post states, all pure vectors or all
@@ -555,11 +575,11 @@ class TrialEngine:
         probe = self._builder.warnings if self._builder is not None else ()
         posts = tuple(w for e in self._cache.values() if e is not None
                       for w in getattr(e.post, "warnings", ()))
-        kept, index = self._worst_capture
+        kept, index, levels = self._worst_capture
         capture = () if kept >= 1.0 - 1e-8 else (
             f"the reduced state at outcome {self.grid.points[index]:.6g} "
             f"keeps a fraction {kept:.6g} of its probability in "
-            f"{self._rows} levels",)
+            f"{levels} levels",)
         return self._input_warnings + probe + posts + capture
 
     def post_state(self, index: int):

@@ -47,21 +47,21 @@ truncates only the result.  Every stage is covariant with the working
 quadrature, so the operators are R_phi Omega_0(x) R_phi^dag, R_phi =
 diag(e^{ik phi}), Omega_0 the scheme at phi = 0 with the probe read at the
 offset phi_probe - phi; the builder composes in that frame, where every
-stage matrix is real when phi_probe = phi.  The pre-squeeze is a Gauss-rule
-integral (_faithful_squeeze), the feedback displacement and the back-squeeze
-one Gauss-rule stage on the columns they act on (_squeeze_displace), and the
-mixer its total-occupancy sectors from a two-sided recurrence with no
-eigendecomposition (_mixer_sectors).  A composition runs in two stages: the
-readout stage contracts each sector with the probe and the input columns as
-the recurrence makes it and drops it, so no band of the mixer is kept
-(_readout_columns), and the outcome stage reads the probe out at each
-outcome and applies the feedback and the back-squeeze as one stage.  One
-readout serves every outcome: the builder makes the one of its unit columns
-once per pre-squeeze flag, for the family and for the completeness sum,
-which contracts it with the Gram matrix of the probe functions over the
-grid, forming no outcome stack.  verify_bch_factorization runs in
-joint-parity sectors on the corner of the joint space that its comparison
-reads.
+stage matrix is real when phi_probe = phi.  Every squeeze and displacement
+is one exact Gauss-rule stage on the columns it acts on, S(s) D(t)
+(_squeeze_displace): the pre-squeeze at t = 0, the feedback and the
+back-squeeze together; the mixer takes its total-occupancy sectors from a
+two-sided recurrence with no eigendecomposition (_mixer_sectors).  A
+composition runs in two stages: the readout stage contracts each sector with
+the probe and the input columns as the recurrence makes it and drops it, so
+no band of the mixer is kept (_readout_columns), and the outcome stage reads
+the probe out at each outcome and applies the feedback and the back-squeeze
+as one stage.  One readout serves every outcome: the builder makes the one
+of its unit columns once per pre-squeeze flag, for the family and for the
+completeness sum, which contracts it with the Gram matrix of the probe
+functions over the grid, forming no outcome stack.  verify_bch_factorization
+runs in joint-parity sectors on the corner of the joint space that its
+comparison reads.
 """
 
 from __future__ import annotations
@@ -342,7 +342,7 @@ class FeedbackSpec:
 
 
 # ---------------------------------------------------------------------------
-# faithful working-space operators
+# the exact squeeze and displacement stage
 
 
 def _squeeze_displace(s: float, alpha, cols: np.ndarray,
@@ -365,7 +365,10 @@ def _squeeze_displace(s: float, alpha, cols: np.ndarray,
     applied as chi_rows(y)^T (f . (chi_n(u) @ cols)) per outcome, u = A y -
     t, on the float view of complex columns.  A complex amplitude t e^{i th}
     enters as D(t e^{i th}) = R_th D(t) R_th^dag, R_th = diag(e^{ik th}),
-    which commutes past no squeeze, so it takes s = 0."""
+    which commutes past no squeeze, so it takes s = 0.
+
+    It is the package's one squeeze and displacement: a squeeze alone is
+    the stage at t = 0 (on unit columns, its matrix)."""
     alpha = np.asarray(alpha)
     if not np.any(np.imag(alpha)):
         alpha = np.real(alpha).astype(float)
@@ -394,51 +397,6 @@ def _squeeze_displace(s: float, alpha, cols: np.ndarray,
     if np.iscomplexobj(alpha):
         out *= ph[:, :rows, None]
     return out
-
-
-def _faithful_squeeze(r: float, n: int, phase: float = 0.0) -> np.ndarray:
-    """Squeeze matrix whose n x n entries are exact to rounding, at a cost
-    that does not depend on r.
-
-    S(r) maps psi(y) to e^{-r/2} psi(e^{-r} y), so with s = e^{-|r|} and
-    beta = sqrt(2/(1 + s^2)), y = beta z turns
-
-        <m|S(|r|)|k> = e^{-|r|/2} int chi_m(y) chi_k(s y) dy
-
-    into a polynomial of degree m + k <= 2n - 2 times e^{-2z^2}, which the
-    n-node Gauss rule (lam_l, W_l) of that weight (fock._gauss_rule)
-    integrates exactly:
-
-      S[m, k] = e^{-|r|/2} beta sum_l W_l chi_m(beta lam_l) chi_k(s beta lam_l).
-
-    The nodes are symmetric, so the half with lam >= 0 carries doubled
-    weights and each parity block is one real product.  S(-r) = S(r)^T
-    exactly, the transpose of the same product.  At phase 0 the matrix is
-    real; a pump phase enters as the exact element phase
-    e^{i(m-k) phase}."""
-    if r == 0.0:
-        return np.eye(n)
-    lam, w = fock._gauss_rule(n)
-    lam, w = lam[n // 2:], w[n // 2:]  # odd n: 0 first
-    s = math.exp(-abs(r))
-    beta = math.sqrt(2.0 / (1.0 + s * s))
-    w = 2.0 * math.exp(-0.5 * abs(r)) * beta * w
-    if n % 2:
-        w[0] *= 0.5  # the zero node counts once
-    h = len(lam)
-    chi = fock._hermite_functions(np.concatenate((beta * lam, s * beta * lam)),
-                                  n)
-    rows, cols = chi[:h], chi[h:]
-    block = np.zeros((n, n))
-    for parity in (0, 1):
-        block[parity::2, parity::2] = rows[:, parity::2].T \
-            @ (w[:, None] * cols[:, parity::2])
-    if r < 0:
-        block = block.T
-    if phase != 0.0:
-        ph = np.exp(1j * phase * np.arange(n))
-        block = ph[:, None] * block * ph.conj()[None, :]
-    return block
 
 
 def _mixer_sectors(eta: float, n_rows: int, n_cols: int, n_sectors: int):
@@ -601,7 +559,8 @@ class SchemeFamilyBuilder:
     columns (``_finish``, ``_squeeze_displace``), which reads only the
     rows asked for.  The readout of the leading ``cutoff`` unit columns is
     made once per pre-squeeze flag and serves both ``family`` and
-    ``completeness_defect``; the pre-squeeze is made on first use.
+    ``completeness_defect``; the pre-squeeze is the same stage at t = 0
+    on the columns it is given (``_presqueeze``).
     Every stage is covariant with the working quadrature, so with R_phi =
     diag(e^{ik phi}) the operators are R_phi Omega_0(x) R_phi^dag, Omega_0
     the scheme at phi = 0 with the probe read at the offset phi_probe -
@@ -631,14 +590,13 @@ class SchemeFamilyBuilder:
         self._levels = np.flatnonzero(kept)
         amps = np.where(kept, probe.amplitudes, 0.0)[:self._levels[-1] + 1]
         self._amps = amps if np.any(amps.imag) else amps.real
-        self._s_pre = None
         self._units = {}  # pre-squeeze flag -> readout of unit columns
 
-    def _pre_matrix(self) -> np.ndarray:
-        if self._s_pre is None:
-            self._s_pre = _faithful_squeeze(
-                presqueeze_param(self.params.eta), self.n_work)
-        return self._s_pre
+    def _presqueeze(self, cols: np.ndarray) -> np.ndarray:
+        """S(r_pre) cols on the n_work rows: the stage of _squeeze_displace
+        at t = 0."""
+        return _squeeze_displace(presqueeze_param(self.params.eta), [0.0],
+                                 cols[None], self.n_work)[0]
 
     def _chi(self, xs: np.ndarray) -> np.ndarray:
         """The conjugated probe quadrature functions at the outcomes, shaped
@@ -695,7 +653,7 @@ class SchemeFamilyBuilder:
             cols = np.exp(-1j * self.params.phi
                           * np.arange(self.n_work))[:, None] * cols
         if pre_on:
-            cols = self._pre_matrix() @ cols
+            cols = self._presqueeze(cols)
         return self._readout_columns(cols)
 
     def _unit_readout(self, pre_on: bool, width: int) -> np.ndarray:
@@ -705,8 +663,8 @@ class SchemeFamilyBuilder:
         vc = self._units.get(pre_on)
         if vc is None or vc.shape[2] < width:
             width = max(width, self.params.cutoff)
-            cols = self._pre_matrix()[:, :width] if pre_on \
-                else np.eye(self.n_work)[:, :width]
+            cols = self._presqueeze(np.eye(width)) if pre_on \
+                else np.eye(self.n_work, width)
             vc = self._units[pre_on] = self._readout_columns(cols)
         return vc
 
@@ -1061,9 +1019,10 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
     e = np.exp(-2j * c * np.outer(lam, lam))  # exp(-2ic x Y) per pair
     d = np.array([1.0, 1j, -1.0, -1j])[np.arange(n_w) % 4]
     sgn = d.real + d.imag  # D is sgn on even levels and i sgn on odd ones
-    # S(-r) = S(r)^T, as S(r) is real orthogonal; _faithful_squeeze takes
-    # one as the transpose of the other's product, so this is exact
-    sq_sys = _faithful_squeeze(-0.5 * math.log(eta), n_w)
+    # S(-r) = S(r)^T, as S(r) is real orthogonal: the probe's squeeze is
+    # the explicit transpose of the signal's
+    sq_sys = _squeeze_displace(-0.5 * math.log(eta), [0.0],
+                               np.eye(n_w)[None], n_w)[0]
     sq_probe = sq_sys.T
     # Q^T D^dag S_sys Q and Q^T S_probe D Q per parity: real, bar the -i
     # and +i of the odd blocks

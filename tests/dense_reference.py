@@ -2,8 +2,9 @@
 
 The library evaluates every stage exactly to rounding without a matrix
 exponential or a dense joint-space matrix.  The forms here are the
-straightforward ones: truncated ``expm`` unitaries, the mixer assembled
-from per-sector ``expm`` blocks, Kronecker-product joint operators, and the
+straightforward ones: truncated ``expm`` unitaries, the squeeze as its
+generator's exponential in an extended space, the mixer assembled from
+per-sector ``expm`` blocks, Kronecker-product joint operators, and the
 reduction family of an indirect measurement contracted from a dense joint
 unitary.  No module of the package imports this one.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 from scipy.special import eval_genlaguerre, gammaln
 
 from quadmeas.errors import DimensionMismatchError, ParameterError
@@ -105,6 +106,46 @@ def make_squeeze(r: float, cutoff: int, phase: float = 0.0) -> Operator:
         warn = (f"squeeze parameter |r| = {abs(r):.3g} > 2.5 exceeds the "
                 f"guard threshold for a truncated basis",)
     return Operator(expm(gen), warn, unitary_flag=True)
+
+
+def _tridiagonal_expm_columns(e, cols, n_rows=None):
+    """Columns ``cols`` of exp(G), leading ``n_rows`` rows (default all),
+    for the real antisymmetric tridiagonal G with G[k, k+1] = e[k] =
+    -G[k+1, k]: with G = D (iT) D^-1, D = diag(i^k), and T = q diag(lam)
+    q^T the symmetric tridiagonal of off-diagonal e,
+
+        exp(G)[a, b] = Re(i^(a-b) sum_l q[a, l] q[b, l] e^(i lam_l)),
+
+    two real products, exact to rounding for any norm of G."""
+    lam, q = eigh_tridiagonal(np.zeros(len(e) + 1), e)
+    cols = np.asarray(cols)
+    q_cols = q[cols].T
+    q_rows = q[:n_rows]
+    c = (q_rows * np.cos(lam)) @ q_cols
+    s = (q_rows * np.sin(lam)) @ q_cols
+    shift = (np.arange(len(q_rows))[:, None] - cols[None, :]) % 4
+    return np.choose(shift, (c, -s, -c, s))
+
+
+def eigen_route_squeeze(r: float, n: int, phase: float = 0.0) -> np.ndarray:
+    """S(r) on n levels by its generator (r/2)(a^dag^2 - a^2): each parity
+    block is the exponential of a real antisymmetric tridiagonal, taken in
+    an extended space of n e^{2|r|} + 40 levels, so that truncating the
+    generator there leaves the kept corner untouched.  A pump phase enters
+    as the element phases e^{i(m-k) phase}.  It shares no code with the
+    library's Gauss-rule squeeze."""
+    n_ext = int(math.ceil(n * math.exp(2.0 * abs(r)))) + 40
+    block = np.zeros((n, n))
+    for parity in (0, 1):
+        lower = np.arange(parity, n_ext - 2, 2, dtype=float)
+        kept = (n - parity + 1) // 2
+        block[parity::2, parity::2] = _tridiagonal_expm_columns(
+            -0.5 * r * np.sqrt((lower + 1.0) * (lower + 2.0)),
+            np.arange(kept), kept)
+    if phase != 0.0:
+        ph = np.exp(1j * phase * np.arange(n))
+        block = ph[:, None] * block * ph.conj()
+    return block
 
 
 def function_of_quadrature(f, cutoff: int, phase: float = 0.0) -> np.ndarray:

@@ -21,7 +21,13 @@ from quadmeas.fock import (
     trace_distance,
     vacuum_state,
 )
-from quadmeas.gaussian import gap_variance_ideal_second
+from quadmeas.gaussian import (
+    GaussianState,
+    displacement_transform,
+    gap_variance_ideal_second,
+    quadrature_statistics,
+    squeeze_symplectic,
+)
 from quadmeas.kernel import (
     OutcomeDensity,
     OutcomeGrid,
@@ -46,15 +52,15 @@ from quadmeas.montecarlo import (
 )
 from quadmeas.scheme import (
     FeedbackSpec,
+    GaussianSchemeOracle,
     SchemeParams,
     StageMask,
-    _faithful_squeeze,
     backsqueeze_param,
     composed_reductions,
     feedback_displacement,
 )
 
-from dense_reference import laguerre_displacement
+from dense_reference import eigen_route_squeeze, laguerre_displacement
 
 CANONICAL = SchemeParams(eta=0.5, sigma=1.0, cutoff=30)
 
@@ -170,7 +176,8 @@ def _reference_entry(eng, index):
     columns (or the builder's _compose at phi_probe != phi), applied to psi
     and normalized, then one state at a time its oscillator channel,
     moments and second-outcome density.  None for an outcome below the
-    probability floor."""
+    probability floor.  The finite-lo back-squeeze is the eigen route's,
+    on the engine's rows."""
     x = float(eng.grid.points[index])
     psi, c, params = eng._psi, len(eng._psi), eng.params
     finite_lo = eng.feedback.mode == "finite-lo"
@@ -192,7 +199,7 @@ def _reference_entry(eng, index):
             if eng.mask.feedback else 0.0
         rho = finite_lo_displacement(post, amp, eng.feedback.beta).matrix
         if eng.mask.back_squeeze:
-            back = _faithful_squeeze(backsqueeze_param(
+            back = eigen_route_squeeze(backsqueeze_param(
                 params.eta, eng.mask.pre_squeeze), len(rho), params.phi)
             rho = back @ rho @ back.conj().T
         rho = rho[:c, :c] / np.trace(rho[:c, :c]).real
@@ -335,8 +342,9 @@ def test_truncated_reductions_carry_one_warning():
     sharp = TrialEngine(SchemeParams(eta=0.2, sigma=0.05, cutoff=40))
     batch = sharp.trials(RngSeed(3).generator(), 200)
     (text,) = sharp.warnings
-    kept, index = sharp._worst_capture
+    kept, index, levels = sharp._worst_capture
     assert kept < 0.9 and sharp.grid.points[index] in batch.outcome
+    assert levels == 40
     assert text == (f"the reduced state at outcome "
                     f"{sharp.grid.points[index]:.6g} keeps a fraction "
                     f"{kept:.6g} of its probability in 40 levels")
@@ -348,15 +356,78 @@ def test_truncated_reductions_carry_one_warning():
 def test_captured_fraction_certifies_the_finite_lo_rows():
     # the oscillator channel acts on n_work = ceil(margin cutoff) levels:
     # at margin 1 the feedback-free post state at sigma 0.05 is cut at the
-    # cutoff (it keeps 1 - 3.7e-7) and warns, at margin 2.5 it is whole
+    # cutoff (it keeps 1 - 3.7e-7), at margin 2.5 it is whole.  Either way
+    # the back-squeezed post state, anti-squeezed about sixfold in the
+    # conjugate quadrature, keeps only 0.966 of its trace in the 30 levels
+    # of the cutoff, and that is the one warning, naming those levels
     params = SchemeParams(eta=0.8, sigma=0.05, cutoff=30)
     flo = FeedbackSpec.finite_lo(1e3)
     tight = TrialEngine(params, flo, margin=1.0)
     roomy = TrialEngine(params, flo)
     for eng in (tight, roomy):
         eng.trials(RngSeed(4).generator(), 100)
-    assert tight._rows == 30 and len(tight.warnings) == 1
-    assert roomy._rows == 75 and roomy.warnings == ()
+    assert tight._rows == 30 and roomy._rows == 75
+    rows_kept = {}
+    for eng in (tight, roomy):
+        drawn = np.array(sorted(i for i, e in eng._cache.items() if e))
+        rows_kept[eng._rows] = np.min(np.linalg.norm(
+            eng._reduced(drawn), axis=1) ** 2 / eng._exact[drawn])
+        (text,) = eng.warnings
+        kept, index, levels = eng._worst_capture
+        assert levels == 30 and kept < 0.97
+        assert text.endswith(f"{kept:.6g} of its probability in 30 levels")
+    assert rows_kept[30] < 1.0 - 1e-7 and rows_kept[75] > 1.0 - 1e-8
+
+
+def test_finite_lo_post_state_cut_at_the_cutoff_warns():
+    # at (0.2, 0.5) the back-squeezed post state at outcome -2 keeps
+    # 0.99975 of its trace in the 40 levels of the cutoff (0.99829 at
+    # outcome 4); at (0.8, 2) every drawn one is whole
+    flo = FeedbackSpec.finite_lo(40.0)
+    for (eta, sigma), warns in (((0.2, 0.5), True), ((0.8, 2.0), False)):
+        eng = TrialEngine(SchemeParams(eta=eta, sigma=sigma, phi=0.3,
+                                       cutoff=40), flo)
+        eng.trials(RngSeed(1).generator(), 2000, want_second=True)
+        kept, index, levels = eng._worst_capture
+        if warns:
+            assert eng.warnings == (
+                f"the reduced state at outcome {eng.grid.points[index]:.6g} "
+                f"keeps a fraction {kept:.6g} of its probability in 40 "
+                f"levels",)
+            assert levels == 40 and kept < 1.0 - 1e-4
+        else:
+            assert eng.warnings == () and kept > 1.0 - 1e-8
+
+
+@pytest.mark.parametrize("beta", [8.0, 40.0])
+@pytest.mark.parametrize("eta,sigma", [(0.5, 2.0), (0.8, 1.0), (0.8, 2.0)])
+def test_finite_lo_post_moments_match_the_covariance_oracle(eta, sigma,
+                                                             beta):
+    # the oracle conditions the pre-squeezed input on the readout, then
+    # applies pure loss of transmissivity theta (mean sqrt(theta) m,
+    # covariance theta V + (1 - theta)/4), the displacement and the
+    # back-squeeze: no Fock-space code on its side
+    params = SchemeParams(eta=eta, sigma=sigma, phi=0.3, cutoff=40)
+    flo = FeedbackSpec.finite_lo(beta)
+    eng = TrialEngine(params, flo)
+    readout = GaussianSchemeOracle(params,
+                                   mask=StageMask(True, False, False))
+    back = squeeze_symplectic(backsqueeze_param(eta), params.phi)
+    for x in (-2.0, -1.0, 0.0, 1.25, 2.5):
+        index = int(np.flatnonzero(eng.grid.points == x)[0])
+        eng.post_state(index)
+        amp = feedback_displacement(x, eta, params.phi)
+        theta = flo.theta(amp)
+        state = readout.post_state(x)
+        lossy = GaussianState(math.sqrt(theta) * state.mean,
+                              theta * state.cov
+                              + 0.25 * (1.0 - theta) * np.eye(2))
+        post = back.apply(displacement_transform(amp).apply(lossy))
+        mean, var = quadrature_statistics(post, 0, params.phi)
+        entry = eng._cache[index]
+        assert abs(entry.mean - mean) < 1e-13
+        assert abs(entry.variance - var) < 1e-13
+    assert eng.warnings == ()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import expm
 from scipy.special import comb, gammaln
 
 from quadmeas import fock, scheme
@@ -38,7 +38,6 @@ from quadmeas.scheme import (
     SchemeFamilyBuilder,
     SchemeParams,
     StageMask,
-    _faithful_squeeze,
     backsqueeze_param,
     build_scheme_family,
     composed_density,
@@ -53,6 +52,8 @@ from quadmeas.scheme import (
 
 from dense_reference import (
     _bs_sector_blocks,
+    _tridiagonal_expm_columns,
+    eigen_route_squeeze,
     laguerre_displacement,
     make_beam_splitter,
     make_phase_rotation,
@@ -82,6 +83,11 @@ def coherent(alpha, cutoff):
     for n in range(1, cutoff):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     return amps
+
+
+def stage_squeeze(r, n):
+    # the library's squeeze matrix: its one stage at t = 0 on unit columns
+    return scheme._squeeze_displace(r, [0.0], np.eye(n)[None], n)[0]
 
 
 def quad_variance(vec, cutoff, phase=0.0):
@@ -197,12 +203,14 @@ def test_real_displacement_matches_laguerre_oracle(n, amps):
 
 
 def test_squeezed_displacement_matches_squeeze_times_laguerre():
-    # S(s) D(t) against the product of the squeeze and the closed-form
-    # displacement at 700 levels, where truncation moves no compared entry
+    # S(s) D(t) against the product of the squeeze (the stage at t = 0)
+    # and the closed-form displacement at 700 levels, where truncation
+    # moves no compared entry; the eigen route would need about 7700
     n, rows = 60, 40
     disps = {t: laguerre_displacement(t, 700)[:, :n] for t in (2.5, -2.5)}
     for s in (0.8, -1.2):
-        squeeze = _faithful_squeeze(s, 700)[:rows]
+        squeeze = scheme._squeeze_displace(s, [0.0], np.eye(700)[None],
+                                           rows)[0]
         for t, disp in disps.items():
             got = scheme._squeeze_displace(s, [t], np.eye(n)[None], rows)[0]
             assert np.max(np.abs(got - squeeze @ disp)) < 1e-13
@@ -403,10 +411,11 @@ def test_compensated_stages_compose_in_real_arithmetic(monkeypatch):
     # factor are all real: a return to complex products fails here
     b = SchemeFamilyBuilder(SchemeParams(eta=0.4, sigma=0.5, cutoff=30,
                                          phi=0.4))
-    assert b._pre_matrix().dtype == np.float64
+    pre = b._presqueeze(np.eye(30))
+    assert pre.dtype == np.float64
     assert b._unit_readout(True, 30).dtype == np.float64
     assert b._chi([0.3, -1.0]).dtype == np.float64
-    vc = b._readout_columns(b._pre_matrix()[:, :30])
+    vc = b._readout_columns(pre)
     assert vc.dtype == np.float64
     stacks = []
     finish = b._finish
@@ -476,41 +485,6 @@ def test_banded_readout_matches_dense_probe_contraction(sigma, phi_probe):
         assert np.max(np.abs(got - dense)) < 1e-13
 
 
-def _tridiagonal_expm_columns(e, cols, n_rows=None):
-    """Columns ``cols`` of exp(G), leading ``n_rows`` rows (default all),
-    for the real antisymmetric tridiagonal G with G[k, k+1] = e[k] =
-    -G[k+1, k]: with G = D (iT) D^-1, D = diag(i^k), and T = q diag(lam)
-    q^T the symmetric tridiagonal of off-diagonal e,
-
-        exp(G)[a, b] = Re(i^(a-b) sum_l q[a, l] q[b, l] e^(i lam_l)),
-
-    two real products, exact to rounding for any norm of G."""
-    lam, q = eigh_tridiagonal(np.zeros(len(e) + 1), e)
-    cols = np.asarray(cols)
-    q_cols = q[cols].T
-    q_rows = q[:n_rows]
-    c = (q_rows * np.cos(lam)) @ q_cols
-    s = (q_rows * np.sin(lam)) @ q_cols
-    shift = (np.arange(len(q_rows))[:, None] - cols[None, :]) % 4
-    return np.choose(shift, (c, -s, -c, s))
-
-
-def eigen_route_squeeze(r, n):
-    """S(r) on n levels by its generator (r/2)(a^dag^2 - a^2): each parity
-    block is the exponential of a real antisymmetric tridiagonal, taken in
-    an extended space of n e^{2|r|} + 40 levels, so that truncating the
-    generator there leaves the kept corner untouched."""
-    n_ext = int(math.ceil(n * math.exp(2.0 * abs(r)))) + 40
-    block = np.zeros((n, n))
-    for parity in (0, 1):
-        lower = np.arange(parity, n_ext - 2, 2, dtype=float)
-        kept = (n - parity + 1) // 2
-        block[parity::2, parity::2] = _tridiagonal_expm_columns(
-            -0.5 * r * np.sqrt((lower + 1.0) * (lower + 2.0)),
-            np.arange(kept), kept)
-    return block
-
-
 def test_tridiagonal_exponential_columns_match_expm():
     rng = np.random.default_rng(5)
     worst = 0.0
@@ -534,9 +508,10 @@ def test_tridiagonal_exponential_columns_match_expm():
 def test_faithful_squeeze_vacuum_column_matches_closed_form(n, r):
     # the eta = 0.2 mixer squeeze of the BCH check, the eta = 0.2
     # back-squeeze, and r = -1.524, where the generator's exponential would
-    # need an extended space 21x the kept one
+    # need an extended space 21x the kept one; the pump phase enters as the
+    # element phases e^{i(m-k) phase}
     exact = squeezed_vacuum(math.exp(2.0 * r), 8 * n, phase=0.4).amplitudes
-    got = _faithful_squeeze(r, n, 0.4)[:, 0]
+    got = stage_squeeze(r, n)[:, 0] * np.exp(0.4j * np.arange(n))
     assert np.max(np.abs(got - exact[:n])) <= 1e-14
 
 
@@ -556,18 +531,8 @@ def test_faithful_squeeze_matches_eigen_route(n, r):
     # extended space, at every workload size; odd n has a zero node, and
     # at n 800 (pom --cutoff 320) chi_0 underflows at the outer nodes
     want = eigen_route_squeeze(r, n)
-    got = _faithful_squeeze(r, n)
+    got = stage_squeeze(r, n)
     assert np.max(np.abs(got - want)) <= 1e-13
-    ph = np.exp(0.7j * np.arange(n))
-    assert np.max(np.abs(_faithful_squeeze(r, n, 0.7)
-                         - ph[:, None] * want * ph.conj())) <= 1e-13
-
-
-@pytest.mark.parametrize("n", [48, 49, 140])
-def test_faithful_squeeze_inverse_is_its_transpose_exactly(n):
-    for r in (0.3466, 0.805, 1.5):
-        assert np.array_equal(_faithful_squeeze(-r, n),
-                              _faithful_squeeze(r, n).T)
 
 
 def test_faithful_squeeze_runs_one_eigenvalue_solve(monkeypatch):
@@ -581,7 +546,7 @@ def test_faithful_squeeze_runs_one_eigenvalue_solve(monkeypatch):
     monkeypatch.setattr(fock, "_x0_svd", counting)
     for n, r in ((140, 0.805), (100, -1.5), (49, 0.1)):
         calls.clear()
-        _faithful_squeeze(r, n, 0.4)
+        stage_squeeze(r, n)
         assert len(calls) == 1
         assert calls[0][0] is False and calls[0][1] <= n
 
@@ -679,8 +644,8 @@ def test_raw_family_closed_form():
     nw = b.n_work
     evals, vecs = np.linalg.eigh(make_quadrature(nw, 0.0))
     norm = (2.0 / (math.pi * eta * sig)) ** 0.25
-    s_right = _faithful_squeeze(0.5 * math.log(1.0 - eta), nw)
-    s_mid = _faithful_squeeze(0.5 * math.log(eta * (1.0 - eta)), nw)
+    s_right = eigen_route_squeeze(0.5 * math.log(1.0 - eta), nw)
+    s_mid = eigen_route_squeeze(0.5 * math.log(eta * (1.0 - eta)), nw)
     worst = 0.0
     for i, x in enumerate(grid.points):
         kernel = (vecs * (norm * np.exp(-((x - evals) ** 2) / (eta * sig)))) \
@@ -702,7 +667,7 @@ def test_pre_only_family_closed_form():
     fam = b.family(mask=StageMask(True, False, False))
     big = 150
     kernels = vn_target_family(0.5 * math.sqrt(eta * sig), grid, big)
-    s_mid = _faithful_squeeze(0.5 * math.log(eta * (1.0 - eta)), big)
+    s_mid = eigen_route_squeeze(0.5 * math.log(eta * (1.0 - eta)), big)
     worst = 0.0
     for i, x in enumerate(grid.points):
         disp = laguerre_displacement(feedback_coefficient(eta) * x, big)
@@ -920,13 +885,14 @@ def _dense_bch_tables(eta, cutoff, working_cutoff):
     """The factorization check as the library ran it before it kept to the
     compared corner: complex x and y eigenbases from quadrature_spectrum at
     phases 0 and pi/2, and every one-mode factor a dense complex product on
-    the full (n, n, k) joint stack, mode 1 through a transposed copy.  The
+    the full (n, n, k) joint stack, mode 1 through a transposed copy, with
+    each squeeze computed apart from the other by eigen_route_squeeze.  The
     mixer side exponentiates each sector's generator by
     _tridiagonal_expm_columns (scipy's expm misses these sectors by up to
     5.5e-14 at eta 0.5, against 40-digit mpmath, this route by 3.2e-15);
     the su(2) and generator checks run on sparse cutoff^2 x cutoff^2 joint
     quadratures.  None of this shares code with the library's mixer
-    recurrence or its Kronecker-term checks.  The basis columns go through
+    recurrence, its squeeze stage or its Kronecker-term checks.  The basis columns go through
     in chunks, which bounds memory and leaves every maximum as it is.
 
     It runs once per (eta, working_cutoff), at the largest block_total B of
@@ -946,8 +912,8 @@ def _dense_bch_tables(eta, cutoff, working_cutoff):
     c = math.sqrt((1.0 - eta) / eta)
     nu, rx = fock.quadrature_spectrum(n_w)
     mu, ry = fock.quadrature_spectrum(n_w, 0.5 * math.pi)
-    sq_sys = _faithful_squeeze(-0.5 * math.log(eta), n_w)
-    sq_probe = _faithful_squeeze(0.5 * math.log(eta), n_w)
+    sq_sys = eigen_route_squeeze(-0.5 * math.log(eta), n_w)
+    sq_probe = eigen_route_squeeze(0.5 * math.log(eta), n_w)
 
     def on_mode(mat, vecs, mode):
         if mode == 1:
@@ -1059,10 +1025,10 @@ def test_parity_bases_fold_the_bch_factors_per_parity(n_w):
     # the premises of the joint-parity sectors: e_l and o_l are orthonormal
     # bases of the even and the odd levels (o with a zero column at odd
     # n_w) and x e_l = lam_l o_l, to eigenvector rounding (|x| ~ 8 here);
-    # the probe squeeze is the transpose of the signal one; and in the
-    # bases [e | o] each folded middle factor has no even<->odd block, a
-    # real even block and an odd block -i (signal) or +i (probe) times a
-    # real one
+    # and, with the probe squeeze the transpose of the signal one as the
+    # library takes it, in the bases [e | o] each folded middle factor has
+    # no even<->odd block, a real even block and an odd block -i (signal)
+    # or +i (probe) times a real one
     lam, f = scheme._parity_quadrature_basis(n_w)
     h = (n_w + 1) // 2
     assert lam.shape == (h,) and f.shape == (n_w, h)
@@ -1077,9 +1043,8 @@ def test_parity_bases_fold_the_bch_factors_per_parity(n_w):
     d = np.diag(np.array([1, 1j, -1, -1j])[np.arange(n_w) % 4])
     basis = np.hstack((even, odd))
     for eta in (0.2, 0.8):
-        s_sys = _faithful_squeeze(-0.5 * math.log(eta), n_w)
-        s_probe = _faithful_squeeze(0.5 * math.log(eta), n_w)
-        assert np.max(np.abs(s_probe - s_sys.T)) < 1e-15
+        s_sys = stage_squeeze(-0.5 * math.log(eta), n_w)
+        s_probe = s_sys.T
         for mid, odd_phase in ((d.conj() @ s_sys, -1j), (s_probe @ d, 1j)):
             folded = basis.T @ mid @ basis
             assert np.max(np.abs(folded[:h, h:])) <= 1e-14
@@ -1091,10 +1056,10 @@ def test_parity_bases_fold_the_bch_factors_per_parity(n_w):
 def test_bch_factorization_senses_a_perturbed_squeeze(monkeypatch):
     # the squeezes at r (1 + 1e-6) no longer complete the factorization,
     # which reads 1e-14 to 6e-13 at these sizes when they are exact
-    exact = scheme._faithful_squeeze
-    monkeypatch.setattr(scheme, "_faithful_squeeze",
-                        lambda r, n, phase=0.0: exact(r * (1.0 + 1e-6), n,
-                                                      phase))
+    exact = scheme._squeeze_displace
+    monkeypatch.setattr(scheme, "_squeeze_displace",
+                        lambda s, alpha, cols, rows: exact(
+                            s * (1.0 + 1e-6), alpha, cols, rows))
     for eta in (0.2, 0.5, 0.8):
         rep = verify_bch_factorization(eta, 40, working_cutoff=140,
                                        check_su2=False)
