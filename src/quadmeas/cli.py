@@ -12,8 +12,9 @@ reports have the stable top-level shape {meta, checks, results}, the text
 of ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)`` with each
 array read as its ``tolist()``.  Every command hands both writers its table
 as a dict of equal-length columns, lists or 1-D arrays; an array column of
-200 rows or more is encoded once per distinct value.  The metadata
-timestamp honors SOURCE_DATE_EPOCH for byte-reproducible runs.
+200 rows or more that repeats a value is encoded once per distinct value,
+and the JSON writer encodes a list that repeats one str or None once.  The
+metadata timestamp honors SOURCE_DATE_EPOCH for byte-reproducible runs.
 
 Exit codes: 0 success, 1 check or experiment failure, 2 configuration error.
 Each distinct warning that the library's constructors attached to the
@@ -191,37 +192,35 @@ def _read_config_file(path: str) -> Dict[str, str]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", metavar="PATH")
-    shared.add_argument("--eta", type=float)
-    shared.add_argument("--sigma", type=float)
-    shared.add_argument("--phi", type=float)
-    shared.add_argument("--cutoff", type=int)
-    shared.add_argument("--grid", metavar="MIN:MAX:STEP")
-    shared.add_argument("--feedback", choices=("ideal", "finite-lo"))
-    shared.add_argument("--beta", type=float)
-    shared.add_argument("--seed", type=int)
-    shared.add_argument("--stream")
-    shared.add_argument("--trials", type=int)
-    shared.add_argument("--repeat", action="store_true", default=None)
-    shared.add_argument("--out", metavar="PATH")
-    shared.add_argument("--format", choices=("csv", "json"))
-    shared.add_argument("--margin", type=float)
-    shared.add_argument("--sweep-eta", dest="sweep_eta", metavar="LIST")
-    shared.add_argument("--sweep-sigma", dest="sweep_sigma", metavar="LIST")
-    shared.add_argument("--sweep-beta", dest="sweep_beta", metavar="LIST")
-    top = argparse.ArgumentParser(
+    parser = argparse.ArgumentParser(
         prog="quadmeas",
         description="verification and experiment runner for the "
                     "quadrature-measurement scheme")
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("verify", "run the invariant suite over the preset grid"),
-            ("pom", "emit the outcome density with oracle comparison"),
-            ("sample", "emit seeded trial records (and repeat statistics)"),
-            ("sweep", "emit metric rows over parameter ranges")):
-        sub.add_parser(name, parents=[shared], help=help_text)
-    return top
+    parser.add_argument(
+        "command", choices=("verify", "pom", "sample", "sweep"),
+        help="verify: run the invariant suite over the preset grid; "
+             "pom: emit the outcome density with oracle comparison; "
+             "sample: emit seeded trial records (and repeat statistics); "
+             "sweep: emit metric rows over parameter ranges")
+    parser.add_argument("--config", metavar="PATH")
+    parser.add_argument("--eta", type=float)
+    parser.add_argument("--sigma", type=float)
+    parser.add_argument("--phi", type=float)
+    parser.add_argument("--cutoff", type=int)
+    parser.add_argument("--grid", metavar="MIN:MAX:STEP")
+    parser.add_argument("--feedback", choices=("ideal", "finite-lo"))
+    parser.add_argument("--beta", type=float)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--stream")
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--repeat", action="store_true", default=None)
+    parser.add_argument("--out", metavar="PATH")
+    parser.add_argument("--format", choices=("csv", "json"))
+    parser.add_argument("--margin", type=float)
+    parser.add_argument("--sweep-eta", dest="sweep_eta", metavar="LIST")
+    parser.add_argument("--sweep-sigma", dest="sweep_sigma", metavar="LIST")
+    parser.add_argument("--sweep-beta", dest="sweep_beta", metavar="LIST")
+    return parser
 
 
 def resolve_config(argv: Sequence[str]) -> RunConfig:
@@ -344,18 +343,38 @@ def _json_texts(values: list) -> List[str]:
 _DISTINCT_MIN_ROWS = 200
 
 
-def _array_texts(column: np.ndarray,
-                 encode: Callable[[list], List[str]]) -> list:
-    """``encode(column.tolist())`` for a 1-D array; from _DISTINCT_MIN_ROWS
-    rows on, each distinct value is encoded once, values told apart by bit
-    pattern, so -0.0 and 0.0 stay apart."""
+def _repeats(column: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """(distinct values, inverse) of a 1-D array of _DISTINCT_MIN_ROWS rows
+    or more that repeats a value, values told apart by bit pattern, so -0.0
+    and 0.0 stay apart; None for a shorter or all-distinct array, which is
+    cheaper to encode whole.  np.unique is asked for the inverse even to
+    tell all-distinct apart: without it numpy takes a slower hash path."""
     if len(column) < _DISTINCT_MIN_ROWS:
-        return encode(column.tolist())
+        return None
     keys = column.view(f"i{column.itemsize}") \
         if column.dtype.kind == "f" else column
     keys, inverse = np.unique(keys, return_inverse=True)
-    texts = encode(keys.view(column.dtype).tolist())
-    return np.array(texts, dtype=object)[inverse].tolist()
+    if len(keys) == len(column):
+        return None
+    return keys.view(column.dtype), inverse
+
+
+def _array_texts(column: np.ndarray,
+                 encode: Callable[[list], List[str]]) -> list:
+    """``encode(column.tolist())`` for a 1-D array, each distinct value
+    encoded once if the column _repeats."""
+    repeats = _repeats(column)
+    if repeats is None:
+        return encode(column.tolist())
+    return _spread(repeats, encode)
+
+
+def _spread(repeats: Tuple[np.ndarray, np.ndarray],
+            encode: Callable[[list], List[str]]) -> list:
+    """The texts of a column from its _repeats: each distinct value's text,
+    gathered by the inverse."""
+    keys, inverse = repeats
+    return np.array(encode(keys.tolist()), dtype=object)[inverse].tolist()
 
 
 def _emit_csv(cfg: RunConfig, columns: Dict[str, object],
@@ -377,6 +396,23 @@ def _emit_csv(cfg: RunConfig, columns: Dict[str, object],
 _CONTAINERS = (dict, list, tuple, np.ndarray)
 
 
+def _one_text(values: Sequence[object]) -> bool:
+    """Whether a list repeats one str or None, so that every value has the
+    first one's text: only a str equals a str, and only None equals None."""
+    return len(values) > 0 and isinstance(values[0], (str, type(None))) \
+        and values.count(values[0]) == len(values)
+
+
+def _json_items(values: Sequence[object], inner: str) -> str:
+    """The JSON texts of a non-empty list of scalars, each on its own line
+    at indent ``inner``, from one call of json's C encoder, or one text
+    repeated for a list that repeats one str or None."""
+    sep = ",\n" + inner
+    if _one_text(values):
+        return sep.join([json.dumps(values[0])] * len(values))
+    return json.dumps(values, separators=(sep, ": "), allow_nan=False)[1:-1]
+
+
 def _json_pieces(obj, indent: str = "") -> Iterator[str]:
     """The text of ``json.dumps(obj, sort_keys=True, indent=2,
     allow_nan=False, default=lambda a: a.tolist())``, byte for byte, as
@@ -390,8 +426,10 @@ def _json_pieces(obj, indent: str = "") -> Iterator[str]:
         if obj.ndim != 1 or not len(obj):
             yield from _json_pieces(obj.tolist(), indent)
             return
+        repeats = _repeats(obj)
         yield "[\n" + inner
-        yield (",\n" + inner).join(_array_texts(obj, _json_texts))
+        yield _json_items(obj.tolist(), inner) if repeats is None \
+            else (",\n" + inner).join(_spread(repeats, _json_texts))
         yield "\n" + indent + "]"
     elif isinstance(obj, dict):
         if not obj:
@@ -421,8 +459,7 @@ def _json_pieces(obj, indent: str = "") -> Iterator[str]:
             yield "\n" + indent + "]"
         else:
             yield "[\n" + inner
-            yield json.dumps(obj, separators=(",\n" + inner, ": "),
-                             allow_nan=False)[1:-1]
+            yield _json_items(obj, inner)
             yield "\n" + indent + "]"
     else:
         yield json.dumps(obj, allow_nan=False)

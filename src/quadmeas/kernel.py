@@ -238,13 +238,21 @@ class OutcomeDensity:
     def cdf_nodes(self) -> np.ndarray:
         """Cumulative distribution at the grid points (trapezoid rule),
         normalized to end at exactly 1."""
-        v = np.clip(self.values, 0.0, None)
-        inc = 0.5 * self.grid.step * (v[1:] + v[:-1])
-        c = np.concatenate([[0.0], np.cumsum(inc)])
-        total = c[-1]
-        if total <= 0:
-            raise ZeroProbabilityError("density carries no probability mass")
-        return c / total
+        return _cdf_rows(self.values, self.grid.step)
+
+
+def _cdf_rows(values: np.ndarray, step: float) -> np.ndarray:
+    """``OutcomeDensity.cdf_nodes`` of each row of densities tabulated on a
+    grid of spacing ``step``: the trapezoid-rule CDF of the values clipped
+    at zero, normalized to end at exactly 1."""
+    v = np.clip(values, 0.0, None)
+    c = np.zeros_like(v)
+    np.cumsum(0.5 * step * (v[..., 1:] + v[..., :-1]), axis=-1,
+              out=c[..., 1:])
+    total = c[..., -1:]
+    if np.any(total <= 0):
+        raise ZeroProbabilityError("density carries no probability mass")
+    return c / total
 
 
 # ---------------------------------------------------------------------------

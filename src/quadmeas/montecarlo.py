@@ -19,7 +19,6 @@ import hashlib
 import math
 import statistics
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -32,7 +31,8 @@ from .errors import (
 from .fock import (DensityOperator, StateVector, _state_matrix,
                    make_quadrature, quadrature_eigenvector_matrix,
                    vacuum_state)
-from .kernel import OutcomeDensity, OutcomeGrid, widen_grid_for_density
+from .kernel import (OutcomeDensity, OutcomeGrid, _cdf_rows,
+                     widen_grid_for_density)
 from .scheme import (
     FeedbackSpec,
     SchemeFamilyBuilder,
@@ -115,36 +115,63 @@ def _as_generator(seed) -> np.random.Generator:
 
 
 class _InverseCdf:
-    """The exact inverse CDF of the piecewise-linear density tabulated on
-    the grid (quadratic inside each bin), with its clipped values and CDF
-    nodes computed once; calling it maps uniforms to outcomes."""
+    """The exact inverse CDFs (quadratic inside each bin) of piecewise-linear
+    densities tabulated on one shared grid, stacked as rows with their
+    clipped values and CDF nodes computed once.  Calling it maps uniforms
+    to outcomes, each through its entry of ``rows``, or all through the
+    first row when ``rows`` is None."""
 
-    def __init__(self, density: OutcomeDensity):
-        defect = density.normalization_defect()
+    def __init__(self, *densities: OutcomeDensity):
+        grid = densities[0].grid
+        raw = np.array([d.values for d in densities])
+        defect = float(np.max(np.abs(1.0 - raw @ grid.weights())))
         if defect > 1e-6:
             raise ParameterError(
                 f"sampling needs a normalized density; normalization is off "
                 f"by {defect:.3e}")
-        self.points = density.grid.points
-        self.step = density.grid.step
-        self.values = np.clip(density.values, 0.0, None)
-        self.cdf = density.cdf_nodes()
+        self.points = grid.points
+        self.step = grid.step
+        self.values = np.clip(raw, 0.0, None)
+        self.cdf = _cdf_rows(raw, grid.step)
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        pts, vals, cdf = self.points, self.values, self.cdf
-        j = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0,
-                    len(pts) - 2)
-        mass = cdf[j + 1] - cdf[j]
-        s = np.where(mass > 0, (u - cdf[j]) / np.where(mass > 0, mass, 1.0),
-                     0.0)
-        f0, f1 = vals[j], vals[j + 1]
+    def __call__(self, u: np.ndarray,
+                 rows: Optional[np.ndarray] = None) -> np.ndarray:
+        cdf, vals = self.cdf, self.values
+        width = cdf.shape[1]
+        if rows is None:
+            order = None
+            k = j = np.clip(np.searchsorted(cdf[0], u, side="right") - 1, 0,
+                            width - 2)
+        else:
+            # the uniforms of each row, in rising u (searchsorted runs
+            # fastest on sorted keys): rows + u/2 rounds into [row, row +
+            # 1/2], so one sort keeps every row's uniforms together
+            order = np.argsort(rows + 0.5 * u)
+            u = u[order]
+            counts = np.bincount(rows, minlength=len(cdf))
+            bins = np.empty(len(u), dtype=order.dtype)
+            lo = 0
+            for row, hi in zip(cdf, np.cumsum(counts).tolist()):
+                bins[lo:hi] = np.searchsorted(row, u[lo:hi], side="right")
+                lo = hi
+            j = np.clip(bins - 1, 0, width - 2)
+            k = np.repeat(np.arange(len(cdf)) * width, counts) + j
+        cdf, vals = cdf.ravel(), vals.ravel()
+        c0, c1, f0, f1 = cdf[k], cdf[k + 1], vals[k], vals[k + 1]
+        mass = c1 - c0
+        s = np.where(mass > 0, (u - c0) / np.where(mass > 0, mass, 1.0), 0.0)
         # solve (2 f0 t + (f1 - f0) t^2) / (f0 + f1) = s for t in [0, 1], in
         # the root form that does not cancel when f1 is close to f0
         disc = np.sqrt((1.0 - s) * f0 * f0 + s * f1 * f1)
         with np.errstate(divide="ignore", invalid="ignore"):
             t = s * (f0 + f1) / (disc + f0)
         t = np.clip(np.where(np.isfinite(t), t, s), 0.0, 1.0)
-        return pts[j] + t * self.step
+        x = self.points[j] + t * self.step
+        if order is None:
+            return x
+        out = np.empty(len(x))
+        out[order] = x
+        return out
 
 
 def _inverse_cdf(density: OutcomeDensity, u: np.ndarray) -> np.ndarray:
@@ -352,17 +379,13 @@ class RepeatabilityStats:
 
 @dataclass(eq=False)
 class _Conditional:
-    """Per-outcome cache entry: post state, moments, second-outcome density
-    and its inverse CDF."""
+    """Per-outcome cache entry: post state, moments and second-outcome
+    density."""
 
     post: object
     mean: float
     variance: float
     density: OutcomeDensity
-
-    @cached_property
-    def draw(self) -> _InverseCdf:
-        return _InverseCdf(self.density)
 
 
 class TrialEngine:
@@ -571,14 +594,16 @@ class TrialEngine:
     def warnings(self) -> Tuple[str, ...]:
         """Warnings the constructors attached to what this engine used (the
         input state, the builder's probe if any, the conditional states
-        formed so far) and the worst captured fraction below 1 - 1e-8."""
+        formed so far) and the worst captured fraction below 1 - 1e-8,
+        as the fraction lost: printed to 6 digits, a kept fraction that
+        close to 1 would read as 1."""
         probe = self._builder.warnings if self._builder is not None else ()
         posts = tuple(w for e in self._cache.values() if e is not None
                       for w in getattr(e.post, "warnings", ()))
         kept, index, levels = self._worst_capture
         capture = () if kept >= 1.0 - 1e-8 else (
             f"the reduced state at outcome {self.grid.points[index]:.6g} "
-            f"keeps a fraction {kept:.6g} of its probability in "
+            f"loses a fraction {1.0 - kept:.6g} of its probability beyond "
             f"{levels} levels",)
         return self._input_warnings + probe + posts + capture
 
@@ -654,14 +679,9 @@ class TrialEngine:
             entries = [self._cache[i] for i in keys.tolist()]
         second = None
         if want_second:
-            # the runs of each entry, from one stable sort by entry
-            order = np.argsort(which, kind="stable")
-            ends = np.cumsum(np.bincount(which, minlength=len(entries)))
-            second = np.empty(n)
-            for entry, lo, hi in zip(entries, [0] + ends[:-1].tolist(),
-                                     ends.tolist()):
-                rows = order[lo:hi]
-                second[rows] = entry.draw(u[start[rows] + 1])
+            # every entry's density lies on the second grid: one stack
+            second = _InverseCdf(*[e.density for e in entries])(
+                u[start + 1], which) if entries else np.empty(0)
         mode = "identity-control" if identity_control else self.feedback.mode
         return TrialBatch(
             outcome=pts[index],

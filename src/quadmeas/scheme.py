@@ -402,8 +402,8 @@ def _squeeze_displace(s: float, alpha, cols: np.ndarray,
 def _mixer_sectors(eta: float, n_rows: int, n_cols: int, n_sectors: int):
     """Yield (s, X_s) for s < n_sectors, X_s[m, k] = <m, s-m|U_mix|s-k, k>
     on the rows m < n_rows and columns k < n_cols, every entry an exact
-    element of the untruncated mixer.  X_s is one array overwritten in
-    place at each step.
+    element of the untruncated mixer.  X_s is a view of one array
+    overwritten in place at each step.
 
     X_s follows from X = X_{s-1}, starting at X_0 = [[1]]:
 
@@ -423,8 +423,10 @@ def _mixer_sectors(eta: float, n_rows: int, n_cols: int, n_sectors: int):
     """
     c, r = math.sqrt(eta), math.sqrt(1.0 - eta)
     root = np.sqrt(np.arange(n_sectors + 1.0))
-    x = np.zeros((n_rows, n_cols))
-    x[0, 0] = 1.0
+    # X_s is kept transposed, xt[k, m] = X_s[m, k], so that the steps run
+    # along the longer index m, and yielded as the view xt.T
+    xt = np.zeros((n_cols, n_rows))
+    xt[0, 0] = 1.0
     for s in range(n_sectors):
         if s:
             # The step is X -> (L_1 X R_1 + L_2 X R_2)/s, with L_i the
@@ -438,16 +440,16 @@ def _mixer_sectors(eta: float, n_rows: int, n_cols: int, n_sectors: int):
             rows, cols = min(s + 1, n_rows), min(s + 1, n_cols)
             lo = max(0, s - n_rows + 1)
             k0, m1 = max(lo - 1, 0), max(lo, 1)  # column lo reads k = lo - 1
-            up = np.zeros((rows - lo, cols - k0))  # sqrt(m) X[m-1, k]
-            up[m1 - lo:] = x[m1 - 1:rows - 1, k0:cols] * root[m1:rows, None]
-            stay = x[lo:rows, k0:cols] \
-                * root[s + 1 - rows:s + 1 - lo][::-1, None]  # sqrt(s-m) X
-            new = (c * up + r * stay)[:, lo - k0:] \
-                * (root[s + 1 - cols:s + 1 - lo][::-1] / s)
-            new[:, m1 - lo:] += (c * stay[:, :-1] - r * up[:, :-1]) \
-                * (root[m1:cols] / s)
-            x[lo:rows, lo:cols] = new
-        yield s, x
+            up = np.zeros((cols - k0, rows - lo))  # sqrt(m) X[m-1, k]
+            up[:, m1 - lo:] = xt[k0:cols, m1 - 1:rows - 1] * root[m1:rows]
+            stay = xt[k0:cols, lo:rows] \
+                * root[s + 1 - rows:s + 1 - lo][::-1]  # sqrt(s-m) X[m, k]
+            new = (c * up + r * stay)[lo - k0:] \
+                * (root[s + 1 - cols:s + 1 - lo][::-1, None] / s)
+            new[m1 - lo:] += (c * stay[:-1] - r * up[:-1]) \
+                * (root[m1:cols, None] / s)
+            xt[lo:cols, lo:rows] = new
+        yield s, xt.T
 
 
 # ---------------------------------------------------------------------------

@@ -344,3 +344,28 @@ def hermite_functions_reference(xs, cutoff: int) -> np.ndarray:
     if far.size:
         chi[:, far] = np.ldexp(chi[:, far], expo[None, :])
     return chi.T
+
+
+# ---------------------------------------------------------------------------
+# inverse-CDF sampling
+
+
+def inverse_cdf_reference(density, u) -> np.ndarray:
+    """A frozen copy of the straightforward form of the library's
+    inverse-CDF sampling of one tabulated density: its trapezoid CDF nodes
+    from one cumulative sum, the bin of each uniform from one searchsorted,
+    and the in-bin quadratic solved in its non-cancelling root form.  The
+    library's stacked form must agree bit for bit, row by row."""
+    pts, h = density.grid.points, density.grid.step
+    vals = np.clip(density.values, 0.0, None)
+    c = np.concatenate([[0.0], np.cumsum(0.5 * h * (vals[1:] + vals[:-1]))])
+    cdf = c / c[-1]
+    j = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, len(pts) - 2)
+    mass = cdf[j + 1] - cdf[j]
+    s = np.where(mass > 0, (u - cdf[j]) / np.where(mass > 0, mass, 1.0), 0.0)
+    f0, f1 = vals[j], vals[j + 1]
+    disc = np.sqrt((1.0 - s) * f0 * f0 + s * f1 * f1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = s * (f0 + f1) / (disc + f0)
+    t = np.clip(np.where(np.isfinite(t), t, s), 0.0, 1.0)
+    return pts[j] + t * h

@@ -68,6 +68,36 @@ class TestConfigResolution:
         assert cfg.values["cutoff"] == 24
         assert {"eta", "sigma", "cutoff"} <= cfg.provided
 
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["verify", "--nope"], ["--eta"],
+        ["sample", "--format", "xml"], ["pom", "sample"],
+    ], ids=["no-command", "bad-command", "unknown-flag", "flag-no-value",
+            "bad-choice", "two-commands"])
+    def test_parse_errors_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: quadmeas")
+
+    def test_flags_may_precede_the_command(self):
+        flags = ["--cutoff", "20", "--eta", "0.3", "--repeat"]
+        before = resolve_config(flags + ["sample"])
+        after = resolve_config(["sample"] + flags)
+        assert before.command == after.command == "sample"
+        assert before.values == after.values
+        assert before.provided == after.provided == {"cutoff", "eta",
+                                                     "repeat"}
+
+    def test_command_help_is_the_one_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        top = capsys.readouterr().out
+        with pytest.raises(SystemExit) as sample:
+            main(["sample", "--help"])
+        assert exc.value.code == sample.value.code == 0
+        assert capsys.readouterr().out == top
+        assert "sample: emit seeded trial records" in top and "--eta" in top
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("lambda_max = 3\n")
@@ -289,10 +319,12 @@ class TestPom:
 class TestSample:
     def test_zero_trials_header_only(self, tmp_path):
         out = tmp_path / "sample.csv"
-        assert main(["sample", "--trials", "0", "--out", str(out)]) == 0
-        _, header, rows, stats = read_csv(out)
-        assert header[0] == "trial"
-        assert rows == [] and stats == {}
+        for repeat in ([], ["--repeat"]):
+            assert main(["sample", "--trials", "0", "--out", str(out)]
+                        + repeat) == 0
+            _, header, rows, stats = read_csv(out)
+            assert header[0] == "trial"
+            assert rows == [] and stats == {}
 
     def test_seeded_run_reproducible_bytewise(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
@@ -507,8 +539,9 @@ class TestWarnings:
             ["sample", "--trials", "20", "--seed", "3"] + self.NARROW,
             tmp_path, monkeypatch, capsys)
         assert code == 0 and same
-        assert err == ["warning: the reduced state at outcome -1 keeps a "
-                       "fraction 0.720187 of its probability in 30 levels"]
+        assert err == ["warning: the reduced state at outcome -1 loses a "
+                       "fraction 0.279813 of its probability beyond 30 "
+                       "levels"]
 
     def test_sweep_prints_each_distinct_warning_once(self, tmp_path,
                                                      monkeypatch, capsys):
@@ -574,10 +607,11 @@ class TestJsonWriter:
         ["sample", "--trials", "150", "--seed", "3"],
         ["sample", "--trials", "150", "--seed", "3", "--repeat"],
         ["sample", "--trials", "600", "--seed", "3", "--repeat"],
+        ["sample", "--trials", "10000", "--seed", "3", "--repeat"],
         ["sweep", "--sweep-eta", "0.3,0.6", "--sweep-beta", "5,10",
          "--cutoff", "20"],
     ], ids=["verify", "pom", "sample", "sample-repeat", "sample-repeat-600",
-            "sweep"])
+            "sample-repeat-10000", "sweep"])
     def test_command_documents(self, args, tmp_path, monkeypatch):
         docs = []
         writer = cli._json_pieces
@@ -620,6 +654,34 @@ class TestJsonWriter:
         # rows repeats each 1-D array's values, so that each array also
         # takes the path that encodes its distinct values once
         doc = _repeat_arrays(doc, rows)
+        assert self.written(doc) == self.reference(doc)
+
+    @pytest.mark.parametrize("column,distinct", [
+        (np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e300],
+                         np.linspace(-3.0, 3.0, 501)[1::2]]), True),
+        (np.concatenate([np.arange(-100, 150, dtype=np.int64),
+                         [2 ** 62, -2 ** 63]]), True),
+        (np.tile(np.array([True, False, False]), 80), False),
+        (np.tile(np.array([0.0, -0.0, 0.5]), 80), False),
+    ], ids=["floats-signed-zeros", "int64", "bool", "floats-repeated"])
+    def test_long_array_columns(self, column, distinct):
+        # from _DISTINCT_MIN_ROWS rows on, an all-distinct column is
+        # encoded whole and one that repeats a value by its distinct values
+        assert len(column) >= cli._DISTINCT_MIN_ROWS
+        assert (cli._repeats(column) is None) == distinct
+        doc = {"col": column, "nested": [{"x": column}]}
+        assert self.written(doc) == self.reference(doc)
+
+    @pytest.mark.parametrize("column", [
+        ["ideal"] * 300, [None] * 300, ["\u00e9 \"q\"\n"] * 3, [None],
+        ["ideal"] * 299 + [None], [None] * 299 + ["ideal"],
+        ["a"] * 150 + ["b"] * 150, [1, 1.0, True, 1], [0.0, -0.0] * 150,
+        [None, np.array([1.0, 2.0])], ["a", np.arange(3.0)],
+    ], ids=["str", "none", "escaped-str", "one-none", "str-then-none",
+            "none-then-str", "two-strs", "equal-numbers", "signed-zeros",
+            "none-then-array", "str-then-array"])
+    def test_list_columns_repeating_one_value(self, column):
+        doc = {"col": column, "t": tuple(column)}
         assert self.written(doc) == self.reference(doc)
 
     @pytest.mark.parametrize("doc", [

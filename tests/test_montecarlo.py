@@ -60,7 +60,8 @@ from quadmeas.scheme import (
     feedback_displacement,
 )
 
-from dense_reference import eigen_route_squeeze, laguerre_displacement
+from dense_reference import (eigen_route_squeeze, inverse_cdf_reference,
+                             laguerre_displacement)
 
 CANONICAL = SchemeParams(eta=0.5, sigma=1.0, cutoff=30)
 
@@ -168,6 +169,83 @@ def test_batched_trials_follow_the_sequential_stream(want_second, poisoned,
         assert batch.resamples.sum() >= 2
     if engine != "canonical":
         assert len(np.unique(batch.outcome)) >= 10
+
+
+_PHI_ENGINES = {
+    "phi-0.3": lambda: TrialEngine(SchemeParams(eta=0.5, sigma=1.0, phi=0.3,
+                                                cutoff=30)),
+    "finite-lo-phi-0.3": lambda: TrialEngine(
+        SchemeParams(eta=0.5, sigma=1.0, phi=0.3, cutoff=30),
+        FeedbackSpec.finite_lo(50.0)),
+}
+
+
+@pytest.mark.parametrize("poisoned,identity_control,engine", [
+    (False, False, "canonical"), (True, False, "canonical"),
+    (False, True, "canonical"), (False, False, "sharp"),
+    (True, False, "sharp"), (False, False, "finite-lo"),
+    (True, False, "finite-lo"), (False, False, "phi-0.3"),
+    (True, False, "finite-lo-phi-0.3"), (False, True, "finite-lo-phi-0.3"),
+])
+def test_second_draws_match_the_per_entry_inverse_cdf(poisoned,
+                                                      identity_control,
+                                                      engine, monkeypatch):
+    # the one pass over stacked CDF rows, and the first draws through its
+    # one-row case, against the frozen single-density inverse CDF on the
+    # same uniforms, bit for bit
+    calls, firsts = [], []
+
+    class Compared(montecarlo._InverseCdf):
+        def __init__(self, *densities):
+            super().__init__(*densities)
+            self.densities = densities
+
+        def __call__(self, u, rows=None):
+            drawn = super().__call__(u, rows)
+            if rows is None:
+                firsts.append(np.array_equal(
+                    drawn, inverse_cdf_reference(self.densities[0], u)))
+                return drawn
+            per_entry = np.empty(len(u))
+            for w, density in enumerate(self.densities):
+                runs = rows == w
+                per_entry[runs] = inverse_cdf_reference(density, u[runs])
+            calls.append((len(self.densities),
+                          np.array_equal(drawn, per_entry)))
+            return drawn
+
+    monkeypatch.setattr(montecarlo, "_InverseCdf", Compared)
+    eng = {**_BATCH_ENGINES, **_PHI_ENGINES}[engine]()
+    if poisoned:
+        for index in np.argsort(eng.density.values)[-2:]:
+            eng._cache[int(index)] = None
+    batch = eng.trials(RngSeed(21).generator(), 2000, True, identity_control)
+    eng.trial(RngSeed(22).generator(), True, identity_control)
+    (entries, equal), (_, single_equal) = calls
+    assert equal and single_equal
+    assert firsts and all(firsts)
+    assert entries == (1 if identity_control
+                       else len(np.unique(batch.outcome)))
+    if not identity_control:
+        assert entries >= 10
+    if poisoned:
+        assert batch.resamples.sum() >= 2
+
+
+@pytest.mark.parametrize("off,raises", [(1e-7, False), (1e-5, True)])
+def test_second_draws_need_normalized_entry_densities(off, raises):
+    # each entry's density is checked as _InverseCdf checks it: a 1e-6
+    # normalization defect is the limit
+    eng = TrialEngine(CANONICAL)
+    eng.trials(RngSeed(8).generator(), 500, want_second=True)
+    for entry in eng._cache.values():
+        if entry is not None:
+            entry.density.values[...] *= 1.0 + off
+    if raises:
+        with pytest.raises(ParameterError, match="normalization is off"):
+            eng.trials(RngSeed(8).generator(), 500, want_second=True)
+    else:
+        eng.trials(RngSeed(8).generator(), 500, want_second=True)
 
 
 def _reference_entry(eng, index):
@@ -346,8 +424,8 @@ def test_truncated_reductions_carry_one_warning():
     assert kept < 0.9 and sharp.grid.points[index] in batch.outcome
     assert levels == 40
     assert text == (f"the reduced state at outcome "
-                    f"{sharp.grid.points[index]:.6g} keeps a fraction "
-                    f"{kept:.6g} of its probability in 40 levels")
+                    f"{sharp.grid.points[index]:.6g} loses a fraction "
+                    f"{1.0 - kept:.6g} of its probability beyond 40 levels")
     fine = TrialEngine(SchemeParams(eta=0.5, sigma=1.0, cutoff=40))
     fine.trials(RngSeed(3).generator(), 200)
     assert fine.warnings == () and fine._worst_capture[0] > 1.0 - 1e-8
@@ -375,7 +453,8 @@ def test_captured_fraction_certifies_the_finite_lo_rows():
         (text,) = eng.warnings
         kept, index, levels = eng._worst_capture
         assert levels == 30 and kept < 0.97
-        assert text.endswith(f"{kept:.6g} of its probability in 30 levels")
+        assert text.endswith(
+            f"{1.0 - kept:.6g} of its probability beyond 30 levels")
     assert rows_kept[30] < 1.0 - 1e-7 and rows_kept[75] > 1.0 - 1e-8
 
 
@@ -392,11 +471,27 @@ def test_finite_lo_post_state_cut_at_the_cutoff_warns():
         if warns:
             assert eng.warnings == (
                 f"the reduced state at outcome {eng.grid.points[index]:.6g} "
-                f"keeps a fraction {kept:.6g} of its probability in 40 "
-                f"levels",)
+                f"loses a fraction {1.0 - kept:.6g} of its probability "
+                f"beyond 40 levels",)
             assert levels == 40 and kept < 1.0 - 1e-4
         else:
             assert eng.warnings == () and kept > 1.0 - 1e-8
+
+
+def test_capture_warning_prints_a_nonzero_loss_near_one():
+    # a kept fraction in [1 - 5e-7, 1 - 1e-8) prints to 6 digits as 1; the
+    # lost fraction it prints instead reads 4.61085e-08 here
+    eng = TrialEngine(SchemeParams(eta=0.5, sigma=0.5, phi=0.3, cutoff=40),
+                      FeedbackSpec.finite_lo(40.0))
+    eng.trials(RngSeed(7).generator(), 2000, want_second=True)
+    kept, index, _ = eng._worst_capture
+    assert 1.0 - 5e-7 < kept < 1.0 - 1e-8 and f"{kept:.6g}" == "1"
+    (text,) = eng.warnings
+    lost = float(text.split("loses a fraction ")[1].split()[0])
+    assert text.startswith(f"the reduced state at outcome "
+                           f"{eng.grid.points[index]:.6g} loses")
+    assert text.endswith(" of its probability beyond 40 levels")
+    assert lost > 1e-8 and abs(lost - (1.0 - kept)) <= 1e-6 * lost
 
 
 @pytest.mark.parametrize("beta", [8.0, 40.0])
