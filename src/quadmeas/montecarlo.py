@@ -494,12 +494,13 @@ class TrialEngine:
                                        self._rows, mask)[:, :, 0]
         return self._working_columns(xs, mask)[:, :self._rows]
 
-    def _has_mass(self, indices: np.ndarray, pending: Dict) -> np.ndarray:
-        """Whether each drawn grid index has probability mass.  Indices with
-        no cache entry and none in ``pending`` (index -> normalized post
-        vector, or None below the probability floor) are reduced in one
-        batch and added to ``pending``."""
-        new = [i for i in np.unique(indices).tolist()
+    def _has_mass(self, keys: np.ndarray, pending: Dict) -> np.ndarray:
+        """Whether each of the distinct grid indices ``keys`` has
+        probability mass.  Indices with no cache entry and none in
+        ``pending`` (index -> normalized post vector, or None below the
+        probability floor) are reduced in one batch and added to
+        ``pending``."""
+        new = [i for i in keys.tolist()
                if i not in self._cache and i not in pending]
         if new:
             vecs = self._reduced(np.array(new))
@@ -514,12 +515,12 @@ class TrialEngine:
         mass = np.ones(len(self.grid), dtype=bool)
         for known in (self._cache, pending):
             mass[[i for i, e in known.items() if e is None]] = False
-        return mass[indices]
+        return mass[keys]
 
-    def _store(self, indices: np.ndarray, pending: Dict) -> None:
-        """Cache the entries of the drawn grid indices that have none, from
-        their ``pending`` post vectors (see ``_has_mass``)."""
-        new = [i for i in np.unique(indices).tolist() if i not in self._cache]
+    def _store(self, keys: np.ndarray, pending: Dict) -> None:
+        """Cache the entries of the distinct grid indices ``keys`` that have
+        none, from their ``pending`` post vectors (see ``_has_mass``)."""
+        new = [i for i in keys.tolist() if i not in self._cache]
         live = [i for i in new if pending[i] is not None]
         self._cache.update((i, None) for i in new if pending[i] is None)
         if not live:
@@ -644,6 +645,7 @@ class TrialEngine:
         resamples = np.zeros(n, dtype=int)
         pending: Dict = {}
         rejected, done, pos = [], 0, 0
+        keys = which = np.zeros(0, dtype=int)  # no pass runs at n = 0
         while done < n:
             starts = pos + step * np.arange(n - done)
             new = starts[first[starts] < 0]
@@ -652,7 +654,10 @@ class TrialEngine:
             if identity_control:
                 stop = n - done
             else:
-                mass = self._has_mass(drawn, pending)
+                # one unique per pass: a pass with no rejection takes every
+                # remaining run, so its keys serve the batch's entries
+                keys, which = np.unique(drawn, return_inverse=True)
+                mass = self._has_mass(keys, pending)[which]
                 stop = n - done if mass.all() else int(np.argmin(mass))
             index[done:done + stop] = drawn[:stop]
             start[done:done + stop] = starts[:stop]
@@ -673,9 +678,10 @@ class TrialEngine:
             entries = [self._identity_conditional()]
             which = np.zeros(n, dtype=int)
         else:
-            self._store(np.concatenate(
-                [index, np.array(rejected, dtype=index.dtype)]), pending)
-            keys, which = np.unique(index, return_inverse=True)
+            if rejected:
+                keys, which = np.unique(index, return_inverse=True)
+            self._store(np.union1d(keys, rejected) if rejected else keys,
+                        pending)
             entries = [self._cache[i] for i in keys.tolist()]
         second = None
         if want_second:

@@ -59,7 +59,10 @@ the probe out at each outcome and applies the feedback and the back-squeeze
 as one stage.  One readout serves every outcome: the builder makes the one
 of its unit columns once per pre-squeeze flag, for the family and for the
 completeness sum, which contracts it with the Gram matrix of the probe
-functions over the grid, forming no outcome stack.  verify_bch_factorization
+functions over the grid, forming no outcome stack.  At sigma > 1 a
+pre-squeezed composition runs in the frame of a balanced squeeze S(tau) (x)
+S(tau), which commutes with the mixer, so an anti-squeezed probe enters it
+with fewer levels, or as the vacuum.  verify_bch_factorization
 runs in joint-parity sectors on the corner of the joint space that its
 comparison reads.
 """
@@ -399,6 +402,24 @@ def _squeeze_displace(s: float, alpha, cols: np.ndarray,
     return out
 
 
+def _frame_squeeze(params: SchemeParams, pre_on: bool) -> float:
+    """The squeeze tau of the builder's balanced-squeeze frame for a
+    pre-squeeze flag (see SchemeFamilyBuilder): min(max(ln(sigma)/2, 0),
+    2 r_in) at phi_probe = phi, r_in = presqueeze_param(eta) with the
+    pre-squeeze on and 0 with it off; 0 at phi_probe != phi.
+
+    tau lies in [0, 2 r_in] and in [0, ln(sigma)], so |r_in - tau| <= r_in
+    and |ln(sigma)/2 - tau| <= |ln(sigma)/2|: the frame never squeezes the
+    input or the probe harder than tau = 0 does.  The clip is a correctness
+    rule: tau = ln(sigma)/2 at sigma < 1 would grow the input squeeze past
+    the working space (at eta 0.8, sigma 0.5, margin 4 the block would read
+    8.4e-4)."""
+    if not pre_on or params.phi_probe != params.phi:
+        return 0.0
+    return min(max(0.5 * math.log(params.sigma), 0.0),
+               2.0 * presqueeze_param(params.eta))
+
+
 def _mixer_sectors(eta: float, n_rows: int, n_cols: int, n_sectors: int):
     """Yield (s, X_s) for s < n_sectors, X_s[m, k] = <m, s-m|U_mix|s-k, k>
     on the rows m < n_rows and columns k < n_cols, every entry an exact
@@ -570,12 +591,32 @@ class SchemeFamilyBuilder:
     feedback are real, and so are the probe amplitudes and functions when
     phi_probe = phi; every array keeps the dtype of its data, and R_phi
     enters only at the ends.
+    Each pre-squeeze flag is composed in the frame of a balanced squeeze
+    S(tau) (x) S(tau), tau from _frame_squeeze.  It commutes with the
+    real mixer, which keeps a^2 + b^2 (Braunstein, Phys. Rev. A 71, 055801
+    (2005)), so with s_p = ln(sigma)/2
+
+        U (S(r_in) (x) S(s_p)) = (S(tau) (x) S(tau)) U (S(r_in - tau) (x)
+                                                         S(s_p - tau)):
+
+    the pre-squeeze is S(r_in - tau), skipped where that is 0; the probe
+    is squeezed_vacuum(sigma e^{-2 tau}), and its functions are
+    chi_p(e^{-tau} x) e^{-tau/2}; the signal's S(tau) joins the feedback
+    and the back-squeeze as one stage, S(s_b) D(t) S(tau) = S(s_b + tau)
+    D(e^{-tau} t).  At sigma 2 the probe falls from 69 levels to the
+    vacuum (eta 0.5, 0.8) or to 37 (eta 0.2), so the readout is cheaper
+    and the working space holds the composition exactly.  tau stops at
+    2 r_in so that the input squeeze |r_in - tau| never grows, and at
+    ln(sigma)/2 so that the probe's never does; where tau = 0 (sigma <= 1,
+    the pre-squeeze off, phi_probe != phi) the lab-frame arithmetic runs
+    unchanged.  ``_levels`` and ``_amps`` hold the lab-frame probe.
     It is the subject that verify and sweep check against the target, and
     through ``_readout`` and ``_outcomes`` the one path for phi_probe !=
     phi, which composed_reductions does not reach.  ``warnings`` holds
-    those the probe's constructor attached.  Completeness sums mask
-    feedback and back-squeeze off: those unitary dressings cancel in the
-    Born rule at working size.
+    those the lab-frame probe's constructor attached.  Completeness sums
+    mask feedback and back-squeeze off: those unitary dressings, and the
+    frame's S(tau) on the signal, cancel in the Born rule at working
+    size.
     """
 
     def __init__(self, params: SchemeParams, margin: float = 2.5):
@@ -583,37 +624,58 @@ class SchemeFamilyBuilder:
         self.params = params
         self.n_work = max(params.cutoff,
                           int(math.ceil(margin * params.cutoff)))
-        probe = squeezed_vacuum(params.sigma, self.n_work,
-                                phase=params.phi_probe - params.phi)
-        self.warnings = probe.warnings
-        # the probe levels kept, |amplitude| above the floor, and the
-        # amplitudes up to the last of them, those below it set to 0
-        kept = np.abs(probe.amplitudes) > _PROBE_FLOOR
-        self._levels = np.flatnonzero(kept)
-        amps = np.where(kept, probe.amplitudes, 0.0)[:self._levels[-1] + 1]
-        self._amps = amps if np.any(amps.imag) else amps.real
+        self._levels, self._amps, self.warnings = self._probe(0.0)
+        tau = _frame_squeeze(params, True)
+        # pre-squeeze flag -> (tau, probe amplitudes) of its frame
+        self._frames = {False: (0.0, self._amps),
+                        True: (tau, self._probe(tau)[1] if tau
+                               else self._amps)}
         self._units = {}  # pre-squeeze flag -> readout of unit columns
 
-    def _presqueeze(self, cols: np.ndarray) -> np.ndarray:
-        """S(r_pre) cols on the n_work rows: the stage of _squeeze_displace
-        at t = 0."""
-        return _squeeze_displace(presqueeze_param(self.params.eta), [0.0],
-                                 cols[None], self.n_work)[0]
+    def _probe(self, tau: float):
+        """(levels, amplitudes, warnings) of the probe S(ln(sigma)/2 - tau)
+        |0> on n_work levels, read at the offset phi_probe - phi: the
+        levels kept, |amplitude| above the floor, and the amplitudes up to
+        the last of them, those below it set to 0.  At tau = 0 the variance
+        is sigma itself, not exp(ln sigma), which may differ in its last
+        bit."""
+        p = self.params
+        sigma = math.exp(math.log(p.sigma) - 2.0 * tau) if tau else p.sigma
+        probe = squeezed_vacuum(sigma, self.n_work,
+                                phase=p.phi_probe - p.phi)
+        kept = np.abs(probe.amplitudes) > _PROBE_FLOOR
+        levels = np.flatnonzero(kept)
+        amps = np.where(kept, probe.amplitudes, 0.0)[:levels[-1] + 1]
+        return (levels, amps if np.any(amps.imag) else amps.real,
+                probe.warnings)
 
-    def _chi(self, xs: np.ndarray) -> np.ndarray:
-        """The conjugated probe quadrature functions at the outcomes, shaped
-        (len(xs), n_work), read at the offset phi_probe - phi."""
-        chi = fock._hermite_functions(np.asarray(xs, dtype=float),
-                                      self.n_work)
+    def _presqueeze(self, cols: np.ndarray) -> np.ndarray:
+        """S(r_pre - tau) cols on the n_work rows, tau the frame's squeeze:
+        the stage of _squeeze_displace at t = 0, or the columns padded with
+        zero rows where r_pre = tau."""
+        r = presqueeze_param(self.params.eta) - self._frames[True][0]
+        if not r:
+            return np.pad(cols, ((0, self.n_work - len(cols)), (0, 0)))
+        return _squeeze_displace(r, [0.0], cols[None], self.n_work)[0]
+
+    def _chi(self, xs: np.ndarray, tau: float) -> np.ndarray:
+        """The conjugated probe quadrature functions of the frame tau at the
+        outcomes, chi_p(e^{-tau} x) e^{-tau/2}, shaped (len(xs), n_work),
+        read at the offset phi_probe - phi."""
+        chi = fock._hermite_functions(
+            math.exp(-tau) * np.asarray(xs, dtype=float), self.n_work)
+        chi *= math.exp(-0.5 * tau)
         offset = self.params.phi_probe - self.params.phi
         if offset:
             chi = chi * np.exp(-1j * offset * np.arange(self.n_work))
         return chi
 
-    def _readout_columns(self, cols: np.ndarray) -> np.ndarray:
+    def _readout_columns(self, cols: np.ndarray,
+                         amps: np.ndarray) -> np.ndarray:
         """vc[p, m, c] = sum_n V[m, p, n] cols[n, c], shape (n_work, n_work,
         cols.shape[1]), for V[m, p, n] = <m, p|U_mix|n, probe> with m, p,
-        n < n_work, so the readout is W(x) cols = sum_p chi_p(x) vc[p].
+        n < n_work and the probe amplitudes ``amps``, so the readout is
+        W(x) cols = sum_p chi_p(x) vc[p].
 
         The mixer conserves the total m + p = n + k, so sector s of
         _mixer_sectors alone gives
@@ -631,15 +693,15 @@ class SchemeFamilyBuilder:
         the float view of complex columns, never cast; real columns and
         amplitudes give a real vc."""
         n = self.n_work
-        k_max = len(self._amps) - 1
+        k_max = len(amps) - 1
         pad = np.zeros((k_max + n, cols.shape[1]), dtype=cols.dtype)
         pad[k_max:] = cols  # pad[k_max + i] = cols[i], 0 for i < 0
         vc = np.zeros((n, n, cols.shape[1]),
-                      dtype=np.result_type(self._amps, cols))
+                      dtype=np.result_type(amps, cols))
         flat = vc.reshape(n * n, -1)  # row p n + m is vc[p, m]
         for s, x in _mixer_sectors(self.params.eta, n, k_max + 1, n + k_max):
             lo, hi, kk = max(0, s - n + 1), min(s, n - 1), min(s, k_max) + 1
-            g = self._amps[lo:kk, None] \
+            g = amps[lo:kk, None] \
                 * pad[k_max + s - kk + 1:k_max + s - lo + 1][::-1]
             y = x[lo:hi + 1, lo:kk] @ g.view(float)
             f0 = (s - hi) * n + hi  # vc[s - m, m] for m = hi down to lo
@@ -650,13 +712,13 @@ class SchemeFamilyBuilder:
     def _readout(self, cols: np.ndarray, pre_on: bool) -> np.ndarray:
         """The readout stage: vc (``_readout_columns``) of the columns
         ``cols`` of the phi frame, taken to phi = 0 by R_phi^dag and
-        pre-squeezed when ``pre_on``."""
+        pre-squeezed when ``pre_on``, in the frame of the flag."""
         if self.params.phi:
             cols = np.exp(-1j * self.params.phi
                           * np.arange(self.n_work))[:, None] * cols
         if pre_on:
             cols = self._presqueeze(cols)
-        return self._readout_columns(cols)
+        return self._readout_columns(cols, self._frames[pre_on][1])
 
     def _unit_readout(self, pre_on: bool, width: int) -> np.ndarray:
         """The readout at phi = 0 of the leading max(width, cutoff) unit
@@ -667,7 +729,8 @@ class SchemeFamilyBuilder:
             width = max(width, self.params.cutoff)
             cols = self._presqueeze(np.eye(width)) if pre_on \
                 else np.eye(self.n_work, width)
-            vc = self._units[pre_on] = self._readout_columns(cols)
+            vc = self._units[pre_on] = self._readout_columns(
+                cols, self._frames[pre_on][1])
         return vc
 
     def _outcomes(self, xs, mask: StageMask, vc: np.ndarray) -> np.ndarray:
@@ -706,14 +769,16 @@ class SchemeFamilyBuilder:
             return np.concatenate([self._finish(xs[i:i + step], mask, vc,
                                                 rows)
                                    for i in range(0, len(xs), step)])
-        w = (self._chi(xs) @ vc.reshape(n, -1)).reshape(len(xs), n, c)
-        if not (mask.feedback or mask.back_squeeze):
+        tau = self._frames[mask.pre_squeeze][0]
+        w = (self._chi(xs, tau) @ vc.reshape(n, -1)).reshape(len(xs), n, c)
+        if not (mask.feedback or mask.back_squeeze or tau):
             return w[:, :rows]
         eta = self.params.eta
         s = backsqueeze_param(eta, mask.pre_squeeze) \
             if mask.back_squeeze else 0.0
-        return _squeeze_displace(s, feedback_coefficient(eta) * xs
-                                 * mask.feedback, w, rows)
+        t = feedback_coefficient(eta) * xs * mask.feedback
+        # S(s) D(t) S(tau) = S(s + tau) D(e^{-tau} t)
+        return _squeeze_displace(s + tau, math.exp(-tau) * t, w, rows)
 
     def family(self, grid: Optional[OutcomeGrid] = None,
                mask: StageMask = StageMask()) -> ReductionOperatorFamily:
@@ -737,12 +802,13 @@ class SchemeFamilyBuilder:
         With vc the readout of the unit columns (W(x) = sum_p chi_p(x)
         vc[p]), sum_x w_x W(x)^dag W(x) = sum_m sum_{p,q} G[p, q]
         vc[p, m]^dag vc[q, m] for the n_work x n_work Gram matrix G =
-        chi^dag diag(w) chi: a product per row m of the readout, taken over
-        blocks of rows of the shared readout, so no (len(grid), n_work,
-        block) stack forms and no copy of the readout.  The sum is taken at
-        phi = 0: R_phi moves no modulus of its deviation."""
+        chi^dag diag(w) chi of the probe functions of the flag's frame: a
+        product per row m of the readout, taken over blocks of rows of the
+        shared readout, so no (len(grid), n_work, block) stack forms and no
+        copy of the readout.  The sum is taken at phi = 0: R_phi moves no
+        modulus of its deviation."""
         vc = self._unit_readout(mask.pre_squeeze, block)[:, :, :block]
-        chi = self._chi(grid.points)
+        chi = self._chi(grid.points, self._frames[mask.pre_squeeze][0])
         gram = (chi.conj().T * grid.weights()) @ chi
         acc = np.zeros((block, block), dtype=np.result_type(gram, vc))
         step = max(1, _STACK_ELEMENTS // (self.n_work * block))

@@ -192,8 +192,10 @@ class TestVerify:
     def test_tampered_tolerance_exits_1_naming_check(self, tmp_path,
                                                      capsys):
         cfgfile = tmp_path / "tight.cfg"
+        # (0.8, 0.5) reads 2.4e-12 on the block at the CLI size: the
+        # builder composes it with no balanced-squeeze frame (sigma < 1)
         cfgfile.write_text("identity_tol = 1e-12\neta = 0.8\n"
-                           "sigma = 2.0\n")
+                           "sigma = 0.5\n")
         out = tmp_path / "verify.csv"
         assert main(["verify", "--config", str(cfgfile),
                      "--out", str(out)]) == 1
@@ -203,6 +205,28 @@ class TestVerify:
                            column(header, rows, "status", str)))
         assert by_name["pipeline-identity"] == "FAIL"
         assert by_name["completeness"] == "pass"
+
+    def test_wide_probe_at_eta_0_2_passes(self, tmp_path):
+        # sigma 20: the builder composes in the balanced-squeeze frame; in
+        # the lab frame pipeline-identity read 3.26e-5, pom-identity 9.67e-9
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--eta", "0.2", "--sigma", "20",
+                     "--out", str(out)]) == 0
+
+    def test_wide_probe_at_eta_0_5_meets_the_identities(self, tmp_path):
+        # the identities pass (lab frame: 1.48e-6 and 6.58e-7); completeness
+        # still fails, because the fixed [-8, 8] grid is too narrow for
+        # Delta 1.58, not because of the builder
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--eta", "0.5", "--sigma", "20",
+                     "--out", str(out)]) == 1
+        _, header, rows, _ = read_csv(out)
+        names = column(header, rows, "check", str)
+        status = dict(zip(names, column(header, rows, "status", str)))
+        value = dict(zip(names, column(header, rows, "value")))
+        assert status["pipeline-identity"] == status["pom-identity"] == "pass"
+        assert status["completeness"] == "FAIL"
+        assert 1.502e-3 < value["completeness"] < 1.503e-3
 
     def test_json_report_shape(self, tmp_path):
         out = tmp_path / "verify.json"

@@ -377,9 +377,9 @@ def test_builder_engine_takes_one_readout(monkeypatch):
     readouts = []
     readout = scheme.SchemeFamilyBuilder._readout_columns
 
-    def counting_readout(self, cols):
+    def counting_readout(self, cols, amps):
         readouts.append(cols.shape)
-        return readout(self, cols)
+        return readout(self, cols, amps)
 
     monkeypatch.setattr(scheme.SchemeFamilyBuilder, "_readout_columns",
                         counting_readout)
@@ -389,6 +389,23 @@ def test_builder_engine_takes_one_readout(monkeypatch):
     batch = eng.trials(RngSeed(5).generator(), 500, want_second=True)
     assert len(np.unique(batch.outcome)) >= 5
     assert len(calls) == 1 and readouts == [(50, 1)]
+
+
+def test_batch_takes_its_distinct_outcomes_once(monkeypatch):
+    # one np.unique, with its inverse, serves the mass check, the cache and
+    # the entries of a batch without rejections
+    eng = TrialEngine(CANONICAL)
+    calls = []
+    unique = np.unique
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("return_inverse", False))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    batch = eng.trials(RngSeed(5).generator(), 10000, want_second=True)
+    assert batch.resamples.sum() == 0
+    assert calls == [True]
 
 
 def test_one_composition_per_batch_of_new_outcomes(monkeypatch):

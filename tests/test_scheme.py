@@ -414,8 +414,8 @@ def test_compensated_stages_compose_in_real_arithmetic(monkeypatch):
     pre = b._presqueeze(np.eye(30))
     assert pre.dtype == np.float64
     assert b._unit_readout(True, 30).dtype == np.float64
-    assert b._chi([0.3, -1.0]).dtype == np.float64
-    vc = b._readout_columns(pre)
+    assert b._chi([0.3, -1.0], 0.0).dtype == np.float64
+    vc = b._readout_columns(pre, b._amps)
     assert vc.dtype == np.float64
     stacks = []
     finish = b._finish
@@ -1206,10 +1206,10 @@ def test_completeness_gram_sum_matches_outcome_stacks(mask, phi_probe,
 
 
 def test_cli_size_passes_the_strict_checks_at_the_hardest_preset():
-    # the preset whose pom-identity is largest at the CLI size: the one
-    # feedback and back-squeeze stage keeps it at 3.5e-14, within the
-    # 1e-10 of check()
-    res = build_scheme_family(SchemeParams(eta=0.8, sigma=2.0, cutoff=40),
+    # the preset whose pom-identity is largest at the CLI size, 8.2e-13,
+    # within the 1e-10 of check(); (0.8, 2) read 3.5e-14 in the lab frame
+    # and 1.3e-15 in the balanced-squeeze frame
+    res = build_scheme_family(SchemeParams(eta=0.8, sigma=0.5, cutoff=40),
                               margin=4.0)
     assert res.check() == ()
     assert res.pom_deviation <= 1e-12
@@ -1256,9 +1256,9 @@ def test_scheme_family_runs_the_sector_recurrence_once(monkeypatch):
     readouts = []
     readout = SchemeFamilyBuilder._readout_columns
 
-    def counting_readout(self, cols):
+    def counting_readout(self, cols, amps):
         readouts.append(cols.shape)
-        return readout(self, cols)
+        return readout(self, cols, amps)
 
     monkeypatch.setattr(SchemeFamilyBuilder, "_readout_columns",
                         counting_readout)
@@ -1281,16 +1281,79 @@ def test_working_level_completeness_across_presets():
                                                  cutoff=40))
             worst = max(worst, b.completeness_defect(grid, 16))
     assert worst < 1e-3
-    # the strongest pre-squeeze (eta=0.8) dominates; more headroom must
+    # the strongest pre-squeeze (eta=0.8) dominates where the probe is
+    # squeezed (sigma 0.5; at sigma 2 the balanced-squeeze frame takes the
+    # probe to the vacuum and the defect to 6.9e-11); more headroom must
     # collapse its defect while a wider grid must not change it
-    b = SchemeFamilyBuilder(SchemeParams(eta=0.8, sigma=2.0, cutoff=40))
+    b = SchemeFamilyBuilder(SchemeParams(eta=0.8, sigma=0.5, cutoff=40))
     tight = b.completeness_defect(grid, 16)
     wide = b.completeness_defect(OutcomeGrid.from_range(-12, 12, 0.05), 16)
     assert abs(wide - tight) < 0.05 * tight
-    roomy = SchemeFamilyBuilder(SchemeParams(eta=0.8, sigma=2.0, cutoff=40),
+    roomy = SchemeFamilyBuilder(SchemeParams(eta=0.8, sigma=0.5, cutoff=40),
                                 margin=4.0).completeness_defect(grid, 16)
     assert roomy < 1e-9
     assert roomy < 1e-2 * tight
+
+
+# ---------------------------------------------------------------------------
+# the balanced-squeeze frame
+
+
+def test_frame_squeeze_rule():
+    def tau(eta, sigma, pre_on=True, phi_probe=None):
+        return scheme._frame_squeeze(
+            SchemeParams(eta=eta, sigma=sigma, phi=0.2, phi_probe=phi_probe),
+            pre_on)
+
+    for eta in (0.2, 0.5, 0.8):
+        assert tau(eta, 0.5) == tau(eta, 1.0) == 0.0
+        assert tau(eta, 2.0, pre_on=False) == 0.0
+        assert tau(eta, 2.0, phi_probe=0.5) == 0.0
+    assert tau(0.5, 2.0) == tau(0.8, 2.0) == 0.5 * math.log(2.0)
+    assert tau(0.2, 2.0) == 2.0 * presqueeze_param(0.2)  # the clip
+    # the probe falls from 69 levels to the vacuum, or to 37 at the clip;
+    # the input squeeze keeps its size or vanishes
+    for eta, levels in ((0.2, 37), (0.5, 1), (0.8, 1)):
+        b = SchemeFamilyBuilder(SchemeParams(eta=eta, sigma=2.0, cutoff=40),
+                                margin=4.0)
+        assert len(b._amps) == 69 and len(b._frames[True][1]) == levels
+        assert b._frames[False][0] == 0.0 and b._frames[False][1] is b._amps
+        r = presqueeze_param(eta) - b._frames[True][0]
+        assert abs(r) <= presqueeze_param(eta)
+
+
+@pytest.mark.parametrize("eta", [0.2, 0.5, 0.8])
+def test_balanced_frame_family_is_exact_on_the_full_matrix(eta):
+    # at margin 4 the lab-frame probe of 69 levels left (0.8, 2) 6.6e-4
+    # off on the full cutoff matrix
+    p = SchemeParams(eta=eta, sigma=2.0, cutoff=40)
+    fam = SchemeFamilyBuilder(p, margin=4.0).family()
+    exact = composed_reductions(p, p.grid.points, np.eye(40), 40)
+    assert np.max(np.abs(fam.operators - exact)) <= 1e-13
+
+
+def test_balanced_frame_matches_the_lab_frame(monkeypatch):
+    # the frame changes how the stages are composed, not the operators:
+    # with the rule patched to 0 the builder composes in the lab frame
+    p = SchemeParams(eta=0.5, sigma=2.0, cutoff=40)
+    masks = [StageMask(True, f, b) for f in (False, True)
+             for b in (False, True)]
+    framed = SchemeFamilyBuilder(p, margin=6.0)
+    monkeypatch.setattr(scheme, "_frame_squeeze", lambda params, pre_on: 0.0)
+    lab = SchemeFamilyBuilder(p, margin=6.0)
+    assert framed._frames[True][0] > 0.0 and lab._frames[True][0] == 0.0
+    for mask in masks:
+        gap = framed.family(mask=mask).operators[:, :16, :16] \
+            - lab.family(mask=mask).operators[:, :16, :16]
+        assert np.max(np.abs(gap)) <= 1e-13
+
+
+def test_balanced_frame_completeness_at_the_default_margin():
+    # the lab-frame composition reads 5.88e-4 here, limited by the headroom
+    # left for the probe's levels
+    b = SchemeFamilyBuilder(SchemeParams(eta=0.8, sigma=2.0, cutoff=40))
+    grid = OutcomeGrid.from_range(-8, 8, 0.05)
+    assert b.completeness_defect(grid, 16) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
