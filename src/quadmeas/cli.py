@@ -665,8 +665,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 res = build_scheme_family(
                     cfg.scheme_params(eta, sigma), margin=margin)
                 warnings += res.family.warnings
+                # a cell that misses verify's identity tolerance reads as
+                # its check would; the exit code does not change
                 add(eta, sigma, None, "identity-deviation",
-                    res.max_deviation, "ok")
+                    res.max_deviation,
+                    "ok" if res.max_deviation <= cfg.values["identity_tol"]
+                    else "FAIL")
             except QuadmeasError as exc:
                 any_error = True
                 add(eta, sigma, None, "identity-deviation", None,

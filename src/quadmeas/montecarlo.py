@@ -296,12 +296,14 @@ def finite_lo_displacement(state, target_amplitude: complex, beta: float,
     lossy, warnings = _oscillator_loss(state, target, beta, port_cutoff)
     if target == 0:
         return DensityOperator(lossy, warnings)
-    # D rho D^dag = D (D lossy^dag)^dag, two column applications
-    n = len(lossy)
-    half = _squeeze_displace(0.0, [target], lossy.conj().T[None], n)
-    out = _squeeze_displace(0.0, [target], half.conj().transpose(0, 2, 1),
-                            n)[0]
-    return DensityOperator(out, warnings)
+    # D(|t| e^{i th}) = R_th D(|t|) R_th^dag, R_th = diag(e^{ik th}); a
+    # real amplitude keeps its sign and th = 0
+    theta = math.atan2(target.imag, target.real) if target.imag else 0.0
+    rot = np.exp(1j * theta * np.arange(len(lossy)))
+    out = _squeeze_displace(0.0, [abs(target) if theta else target.real],
+                            rot.conj()[:, None] * lossy * rot, len(lossy),
+                            two_sided=True)
+    return DensityOperator(rot[:, None] * out * rot.conj(), warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +551,7 @@ class TrialEngine:
             if self.mask.back_squeeze else 0.0
         lossy, warnings = _oscillator_loss(post * frame.conj(), t,
                                            self.feedback.beta, _PORT_CUTOFF)
-        half = _squeeze_displace(s, [t], lossy[None], c)
-        mat = _squeeze_displace(s, [t], half.conj().transpose(0, 2, 1), c)[0]
+        mat = _squeeze_displace(s, [t], lossy, c, two_sided=True)
         trace = np.trace(mat).real
         self._worst_capture = min(self._worst_capture,
                                   (trace / np.trace(lossy).real, index, c))

@@ -35,34 +35,19 @@ i.e. every pump is set a quarter period from the working quadrature, so the
 deamplified axis is the conjugate one (S(r, psi+pi/2) = S(-r, psi) exactly).
 
 Numerical architecture.  Each stage rescales, shifts or multiplies the
-quadrature wavefunction, so at phi_probe = phi every element and Born
-density of the scheme is a polynomial times a Gaussian, exact on a Gauss
-rule of fock._gauss_rule with no working space: composed_reductions and
-composed_density, which pom and sampling read.
+quadrature wavefunction, so an element or a Born density of any run of
+them is a polynomial times a Gaussian.  One Gauss rule (_rule, on
+fock._gauss_rule) integrates it exactly, and one contraction applies it,
+chi_rows(y)^T (f . chi_n(u) @ cols) (_stage), with the outcomes in chunks
+of one formula (_chunked).  Through them run the exact composition at
+phi_probe = phi, which pom and sampling read (composed_reductions, and
+composed_density on the rule alone), and every squeeze and displacement
+S(s) D(t) in the package (_squeeze_displace).
 
 SchemeFamilyBuilder, which verify and sweep check against the target and
 which serves phi_probe != phi, composes the stages as matrices in a working
 space of margin * cutoff levels, every entry exact to rounding, and
-truncates only the result.  Every stage is covariant with the working
-quadrature, so the operators are R_phi Omega_0(x) R_phi^dag, R_phi =
-diag(e^{ik phi}), Omega_0 the scheme at phi = 0 with the probe read at the
-offset phi_probe - phi; the builder composes in that frame, where every
-stage matrix is real when phi_probe = phi.  Every squeeze and displacement
-is one exact Gauss-rule stage on the columns it acts on, S(s) D(t)
-(_squeeze_displace): the pre-squeeze at t = 0, the feedback and the
-back-squeeze together; the mixer takes its total-occupancy sectors from a
-two-sided recurrence with no eigendecomposition (_mixer_sectors).  A
-composition runs in two stages: the readout stage contracts each sector with
-the probe and the input columns as the recurrence makes it and drops it, so
-no band of the mixer is kept (_readout_columns), and the outcome stage reads
-the probe out at each outcome and applies the feedback and the back-squeeze
-as one stage.  One readout serves every outcome: the builder makes the one
-of its unit columns once per pre-squeeze flag, for the family and for the
-completeness sum, which contracts it with the Gram matrix of the probe
-functions over the grid, forming no outcome stack.  At sigma > 1 a
-pre-squeezed composition runs in the frame of a balanced squeeze S(tau) (x)
-S(tau), which commutes with the mixer, so an anti-squeezed probe enters it
-with fewer levels, or as the vacuum.  verify_bch_factorization
+truncates only the result (see its docstring).  verify_bch_factorization
 runs in joint-parity sectors on the corner of the joint space that its
 comparison reads.
 """
@@ -345,61 +330,104 @@ class FeedbackSpec:
 
 
 # ---------------------------------------------------------------------------
-# the exact squeeze and displacement stage
+# the one Gauss-rule stage
 
 
-def _squeeze_displace(s: float, alpha, cols: np.ndarray,
-                      rows: int) -> np.ndarray:
-    """S(s) D(alpha[x]) @ cols[x] on the leading ``rows`` levels, for
-    amplitudes shaped (X,) and columns shaped (X, n, c), shape (X, rows, c),
-    every entry exact to rounding, with no n x n matrix formed.
+def _chunked(fn, n_out: int, nodes: int, width: int) -> np.ndarray:
+    """fn(sl) for consecutive slices sl of ``n_out`` outcomes, concatenated
+    along the outcomes.  A Gauss-rule stage holds nodes x width elements per
+    outcome, width the Hermite levels plus the columns it carries, so each
+    slice takes _STACK_ELEMENTS // (nodes width) outcomes, at least one."""
+    step = max(1, _STACK_ELEMENTS // (nodes * width))
+    if n_out <= step:
+        return fn(slice(None))
+    return np.concatenate([fn(slice(i, i + step))
+                           for i in range(0, n_out, step)])
 
-    For real t the pair maps psi(y) to e^{-s/2} psi(A y - t), A = e^{-s},
-    so with a = 1 + A^2, beta = sqrt(2/a) and y = A t/a + beta z
 
-        <m|S(s) D(t)|k> = e^{-s/2} int chi_m(y) chi_k(A y - t) dy
+def _rule(scale: float, shift: np.ndarray, nodes: int, gain: float = 1.0,
+          probe=None, power: int = 1):
+    """Nodes y, arguments u = A y + B and weights f of the rule of one stage,
+    shaped (len(B), nodes), for A = ``scale`` and B = ``shift`` per outcome:
 
-    is a polynomial of degree m + k < rows + n - 1 times e^{-2z^2}, which
-    the N-node rule (lam_l, W_l) of fock._gauss_rule, N = ceil((rows +
-    n)/2), integrates exactly:
+        sum_l f_l g(y_l) = int g(y) (gain phi(Cy + E))^power dy,
 
-        <m|S(s) D(t)|k> = e^{-s/2} beta sum_l W_l chi_m(y_l) chi_k(A y_l - t),
-
-    applied as chi_rows(y)^T (f . (chi_n(u) @ cols)) per outcome, u = A y -
-    t, on the float view of complex columns.  A complex amplitude t e^{i th}
-    enters as D(t e^{i th}) = R_th D(t) R_th^dag, R_th = diag(e^{ik th}),
-    which commutes past no squeeze, so it takes s = 0.
-
-    It is the package's one squeeze and displacement: a squeeze alone is
-    the stage at t = 0 (on unit columns, its matrix)."""
-    alpha = np.asarray(alpha)
-    if not np.any(np.imag(alpha)):
-        alpha = np.real(alpha).astype(float)
-    n_out, n, c = cols.shape
-    t = alpha
-    if np.iscomplexobj(alpha):
-        if s:
-            raise ParameterError("a complex displacement takes no squeeze")
-        t = np.abs(alpha)
-        ph = np.exp(1j * np.angle(alpha)[:, None] * np.arange(max(n, rows)))
-        cols = cols * ph[:, :n, None].conj()
-    scale = math.exp(-s)  # A
-    a = 1.0 + scale * scale
+    phi(v) = (pi sigma/2)^{-1/4} e^{-v^2/sigma} the probe factor of ``probe``
+    = (C, E, sigma), E per outcome, and phi = 1 without one.  It is exact
+    for g a polynomial of degree < 2 nodes times e^{-(2 - power) y^2 -
+    power (Ay + B)^2}: with a = 2 - power + power (A^2 + C^2/sigma), y =
+    y_0 + beta z, y_0 = -power (AB + CE/sigma)/a and beta = sqrt(2/a), the
+    integrand is a polynomial times e^{-2z^2}, which the rule of
+    fock._gauss_rule integrates (Golub & Welsch, Math. Comp. 23, 221
+    (1969)).  Power 1 serves matrix elements chi_m(y) chi_k(Ay + B), power
+    2 Born densities |psi(Ay + B)|^2."""
+    c_, e_, sigma = probe if probe is not None else (0.0, 0.0, 1.0)
+    a = 2.0 - power + power * (scale * scale + c_ * c_ / sigma)
     beta = math.sqrt(2.0 / a)
-    nodes = (rows + n + 1) // 2
     lam, w = fock._gauss_rule(nodes)
-    y = (scale / a * t)[:, None] + beta * lam
-    f = (math.exp(-0.5 * s) * beta) * w[:, None]
-    flat = np.ascontiguousarray(cols)
-    if np.iscomplexobj(flat):
-        flat = flat.view(float)
-    inner = fock._hermite_functions((scale * y - t[:, None]).ravel(), n
-                                    ).reshape(n_out, nodes, n) @ flat
-    chi = fock._hermite_functions(y.ravel(), rows).reshape(n_out, nodes, rows)
-    out = (chi.transpose(0, 2, 1) @ (f * inner)).view(cols.dtype)
-    if np.iscomplexobj(alpha):
-        out *= ph[:, :rows, None]
-    return out
+    y = (-power * (scale * shift + c_ * e_ / sigma) / a)[:, None] + beta * lam
+    factor = np.full(y.shape, gain) if probe is None \
+        else gain * (0.5 * math.pi * sigma) ** -0.25 \
+        * np.exp(-(c_ * y + e_[:, None]) ** 2 / sigma)
+    return y, scale * y + shift[:, None], beta * w * factor ** power
+
+
+def _stage(scale: float, shift, cols: np.ndarray, rows: int,
+           gain: float = 1.0, probe=None, lead=None) -> np.ndarray:
+    """The stage psi(y) -> gain psi(Ay + B) phi(Cy + E) (see _rule) on the
+    leading ``rows`` levels, for A = ``scale`` and B = ``shift`` per
+    outcome, shape (len(B), rows, c), every entry exact to rounding, with
+    no n x n matrix formed:
+
+        <m|stage|k> = int chi_m(y) gain chi_k(Ay + B) phi(Cy + E) dy
+
+    is a polynomial of degree m + k < rows + n - 1 times a Gaussian, which
+    the (rows + n + 1) // 2 nodes of _rule integrate exactly, and each
+    outcome's columns take the one contraction chi_rows(y)^T (f . chi_n(u)
+    @ cols).  The columns are shared, ``cols`` shaped (n, c), or one set
+    per outcome as a readout: with ``lead`` shaped (len(B), p) and ``cols``
+    (p, n, c), outcome x takes sum_p lead[x, p] cols[p], formed for one
+    outcome chunk (_chunked) at a time and contracted on its float view."""
+    shift = np.asarray(shift, dtype=float)
+    n, c = cols.shape[-2:]
+    nodes = (rows + n + 1) // 2
+    y, u, f = _rule(scale, shift, nodes, gain, probe)
+    dtype = np.result_type(cols, lead if lead is not None else cols)
+    if lead is not None:
+        cols = cols.reshape(len(cols), -1)
+
+    def chunk(sl):
+        # chi_n(u) is bound to no name, so its memory is free for the
+        # stacks after it; held on, it made a 6 ms verify family about
+        # 2.5 ms slower (n_work 160, 2 vCPUs, 1 BLAS thread)
+        k = len(y[sl])
+        if lead is None:
+            inner = (fock._hermite_functions(u[sl].ravel(), n) @ cols
+                     ).reshape(k, nodes, c)
+        else:
+            own = (lead[sl] @ cols).view(float).reshape(k, n, -1)
+            inner = fock._hermite_functions(u[sl].ravel(), n).reshape(
+                k, nodes, n) @ own
+        chi = fock._hermite_functions(y[sl].ravel(), rows).reshape(
+            k, nodes, rows)
+        return (chi.transpose(0, 2, 1) @ (f[sl, :, None] * inner)).view(dtype)
+
+    return _chunked(chunk, len(shift), nodes, max(n, rows) + c)
+
+
+def _squeeze_displace(s: float, t, cols: np.ndarray, rows: int,
+                      lead=None, two_sided: bool = False) -> np.ndarray:
+    """S(s) D(t) on the leading ``rows`` levels for real amplitudes t per
+    outcome, shape (len(t), rows, c): the pair maps psi(y) to e^{-s/2}
+    psi(e^{-s} y - t), the stage (_stage) at A = e^{-s}, B = -t and gain
+    e^{-s/2}, on columns as _stage takes them.  A squeeze alone is the
+    stage at t = 0.  With ``two_sided``, K rho K^dag of a matrix rho for
+    the one amplitude in t, shape (rows, rows), as K (K rho^dag)^dag."""
+    a, b, gain = math.exp(-s), -np.asarray(t, dtype=float), math.exp(-0.5 * s)
+    if two_sided:
+        half = _stage(a, b, cols.conj().T, rows, gain)[0]
+        return _stage(a, b, half.conj().T, rows, gain)[0]
+    return _stage(a, b, cols, rows, gain, lead=lead)
 
 
 def _frame_squeeze(params: SchemeParams, pre_on: bool) -> float:
@@ -478,13 +506,13 @@ def _mixer_sectors(eta: float, n_rows: int, n_cols: int, n_sectors: int):
 
 
 def _stage_coefficients(params: SchemeParams, xs, mask: StageMask):
-    """(A, B, C, E, r_p + r_b) of Omega_0(x) psi(y) = e^{-(r_p+r_b)/2}
-    psi(Ay + B) phi(Cy + E), B and E per outcome: in the x_0 representation
-    a squeeze by s maps psi(y) to e^{-s/2} psi(e^{-s} y), the mixer and the
-    readout at x to psi(cy + rx) phi(-ry + cx), c = sqrt(eta), r =
-    sqrt(1-eta), phi(u) = (pi sigma/2)^{-1/4} e^{-u^2/sigma}, and the
-    feedback to psi(y - t), t = feedback_coefficient(eta) x.  A masked-off
-    stage has parameter 0."""
+    """(A, B, gain, (C, E, sigma)) of the composition as one stage (_stage),
+    Omega_0(x) psi(y) = e^{-(r_p+r_b)/2} psi(Ay + B) phi(Cy + E), B and E
+    per outcome: in the x_0 representation a squeeze by s maps psi(y) to
+    e^{-s/2} psi(e^{-s} y), the mixer and the readout at x to psi(cy + rx)
+    phi(-ry + cx), c = sqrt(eta), r = sqrt(1-eta), phi(u) = (pi
+    sigma/2)^{-1/4} e^{-u^2/sigma}, and the feedback to psi(y - t), t =
+    feedback_coefficient(eta) x.  A masked-off stage has parameter 0."""
     if params.phi_probe != params.phi:
         raise ParameterError("the exact composition reads the probe at "
                              "phi; use SchemeFamilyBuilder at phi_probe")
@@ -495,28 +523,8 @@ def _stage_coefficients(params: SchemeParams, xs, mask: StageMask):
     xs = np.asarray(xs, dtype=float)
     t = feedback_coefficient(params.eta) * xs * mask.feedback
     return (c * math.exp(-r_p - r_b), math.exp(-r_p) * (r * xs - c * t),
-            -r * math.exp(-r_b), r * t + c * xs, r_p + r_b)
-
-
-def _stage_rule(params: SchemeParams, xs, mask: StageMask, n: int,
-                power: int):
-    """Nodes y, arguments u = Ay + B and weights f, shaped (len(xs), n),
-    with sum_l f_l g(y_l) = int g(y) (e^{-(r_p+r_b)/2} phi(Cy + E))^power dy
-    exact for g a polynomial of degree < 2n times e^{-(2 - power) y^2 -
-    power (Ay + B)^2}: with a = 2 - power + power (A^2 + C^2/sigma), y =
-    y_0 + beta z, y_0 = -power (AB + CE/sigma)/a and beta = sqrt(2/a), the
-    integrand is a polynomial times e^{-2z^2}, which the n-node rule of
-    fock._gauss_rule integrates (Golub & Welsch, Math. Comp. 23, 221
-    (1969))."""
-    a_, b_, c_, e_, r = _stage_coefficients(params, xs, mask)
-    sigma = params.sigma
-    a = 2.0 - power + power * (a_ * a_ + c_ * c_ / sigma)
-    beta = math.sqrt(2.0 / a)
-    lam, w = fock._gauss_rule(n)
-    y = (-power * (a_ * b_ + c_ * e_ / sigma) / a)[:, None] + beta * lam
-    f = beta * w * (math.exp(-0.5 * r) * (0.5 * math.pi * sigma) ** -0.25
-                    * np.exp(-(c_ * y + e_[:, None]) ** 2 / sigma)) ** power
-    return y, a_ * y + b_[:, None], f
+            math.exp(-0.5 * (r_p + r_b)),
+            (-r * math.exp(-r_b), r * t + c * xs, params.sigma))
 
 
 def composed_reductions(params: SchemeParams, xs, cols: np.ndarray,
@@ -524,24 +532,13 @@ def composed_reductions(params: SchemeParams, xs, cols: np.ndarray,
                         ) -> np.ndarray:
     """<m|Omega(x)|col> for m < ``rows``, every outcome in ``xs`` and every
     column of ``cols`` (shape (n, k)), shaped (len(xs), rows, k), exact to
-    rounding: e^{-(r_p+r_b)/2} int chi_m(y) chi_n(Ay + B) phi(Cy + E) dy on
-    the max(rows, n)-node rule of _stage_rule.  R_phi acts on the columns
-    and the rows; outcomes go in chunks of _STACK_ELEMENTS per array."""
-    xs = np.asarray(xs, dtype=float)
-    n_in = cols.shape[0]
-    n = max(rows, n_in)
-    step = max(1, _STACK_ELEMENTS // (n * n))
-    if len(xs) > step:
-        return np.concatenate([
-            composed_reductions(params, xs[i:i + step], cols, rows, mask)
-            for i in range(0, len(xs), step)])
-    y, u, f = _stage_rule(params, xs, mask, n, 1)
+    rounding: e^{-(r_p+r_b)/2} int chi_m(y) chi_n(Ay + B) phi(Cy + E) dy,
+    the stage (_stage) of _stage_coefficients.  R_phi acts on the columns
+    and the rows."""
+    a, b, gain, probe = _stage_coefficients(params, xs, mask)
     if params.phi:
-        cols = np.exp(-1j * params.phi * np.arange(n_in))[:, None] * cols
-    inner = (fock._hermite_functions(u.ravel(), n_in) @ cols).reshape(
-        len(xs), n, -1)
-    chi = fock._hermite_functions(y.ravel(), rows).reshape(len(xs), n, rows)
-    out = chi.transpose(0, 2, 1) @ (f[:, :, None] * inner)
+        cols = np.exp(-1j * params.phi * np.arange(len(cols)))[:, None] * cols
+    out = _stage(a, b, cols, rows, gain, probe)
     if params.phi:
         out = out * np.exp(1j * params.phi * np.arange(rows))[:, None]
     return out
@@ -551,18 +548,24 @@ def composed_density(params: SchemeParams, psi, xs,
                      pre_squeeze: bool = True) -> np.ndarray:
     """Born density ||Omega(x) psi||^2 of a pure input at every outcome in
     ``xs``, exact to rounding, with the unitary feedback and back-squeeze
-    off: e^{-r_p} int |psi(Ay + B)|^2 phi(Cy + E)^2 dy on the rule of
-    _stage_rule with a node per level up to psi's last nonzero amplitude."""
+    off: e^{-r_p} int |psi(Ay + B)|^2 phi(Cy + E)^2 dy on the power-2 rule
+    of _rule with a node per level up to psi's last nonzero amplitude,
+    the outcomes in chunks (_chunked)."""
     psi = np.asarray(psi.amplitudes if isinstance(psi, StateVector) else psi)
     if psi.ndim != 1:
         raise ParameterError("composed_density wants a pure state vector")
     n = int(np.flatnonzero(psi)[-1]) + 1 if np.any(psi) else 1
-    y, u, f = _stage_rule(params, xs, StageMask(pre_squeeze, False, False),
-                          n, 2)
+    a, b, gain, probe = _stage_coefficients(
+        params, xs, StageMask(pre_squeeze, False, False))
+    y, u, f = _rule(a, b, n, gain, probe, 2)
     if params.phi:
         psi = psi[:n] * np.exp(-1j * params.phi * np.arange(n))
-    amp = fock._hermite_functions(u.ravel(), n) @ psi[:n]
-    return np.sum(f * np.abs(amp.reshape(y.shape)) ** 2, axis=1)
+
+    def chunk(sl):
+        amp = fock._hermite_functions(u[sl].ravel(), n) @ psi[:n]
+        return np.sum(f[sl] * np.abs(amp.reshape(y[sl].shape)) ** 2, axis=1)
+
+    return _chunked(chunk, len(y), n, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +580,9 @@ class SchemeFamilyBuilder:
     sector by sector from a recurrence with no eigendecomposition
     (``_readout_columns``); each sector is used as it is made and dropped,
     so no array holds n_work^3 elements, nor any band of the mixer.  The
-    outcome stage reads the probe out at each outcome and applies the
-    feedback and the back-squeeze as one exact stage on the working-size
-    columns (``_finish``, ``_squeeze_displace``), which reads only the
+    outcome stage (``_finish``) applies the feedback and the back-squeeze
+    as the one Gauss-rule stage (_stage), whose columns at each outcome
+    are the readout there, sum_p chi_p(x) vc[p], and which reads only the
     rows asked for.  The readout of the leading ``cutoff`` unit columns is
     made once per pre-squeeze flag and serves both ``family`` and
     ``completeness_defect``; the pre-squeeze is the same stage at t = 0
@@ -656,7 +659,7 @@ class SchemeFamilyBuilder:
         r = presqueeze_param(self.params.eta) - self._frames[True][0]
         if not r:
             return np.pad(cols, ((0, self.n_work - len(cols)), (0, 0)))
-        return _squeeze_displace(r, [0.0], cols[None], self.n_work)[0]
+        return _squeeze_displace(r, [0.0], cols, self.n_work)[0]
 
     def _chi(self, xs: np.ndarray, tau: float) -> np.ndarray:
         """The conjugated probe quadrature functions of the frame tau at the
@@ -756,36 +759,30 @@ class SchemeFamilyBuilder:
         """The probe readout at the outcomes, then the feedback displacement
         and the back-squeeze as one stage (_squeeze_displace, with t = 0 or
         s = 0 for a masked-off one), of a readout vc, at phi = 0, shape
-        (len(xs), rows, vc.shape[2]); ``rows`` defaults to all.
-
-        That stage holds (X, N, n_work) Hermite values and (X, N, c)
-        products for X outcomes, N = ceil((rows + n_work)/2), more than the
-        (X, n_work, c) readout at the outcomes: so the outcomes go in
-        chunks of _STACK_ELEMENTS // (N (n_work + c))."""
+        (len(xs), rows, vc.shape[2]); ``rows`` defaults to all.  The stage
+        takes the readout at each outcome as its columns, sum_p chi_p(x)
+        vc[p], formed for one outcome chunk at a time."""
         n, c = self.n_work, vc.shape[2]
         rows = n if rows is None else rows
-        step = max(1, _STACK_ELEMENTS // ((rows + n + 1) // 2 * (n + c)))
-        if len(xs) > step:
-            return np.concatenate([self._finish(xs[i:i + step], mask, vc,
-                                                rows)
-                                   for i in range(0, len(xs), step)])
         tau = self._frames[mask.pre_squeeze][0]
-        w = (self._chi(xs, tau) @ vc.reshape(n, -1)).reshape(len(xs), n, c)
+        chi = self._chi(xs, tau)
         if not (mask.feedback or mask.back_squeeze or tau):
-            return w[:, :rows]
+            return (chi @ vc[:, :rows].reshape(n, -1)).reshape(len(xs), rows,
+                                                              c)
         eta = self.params.eta
         s = backsqueeze_param(eta, mask.pre_squeeze) \
             if mask.back_squeeze else 0.0
         t = feedback_coefficient(eta) * xs * mask.feedback
         # S(s) D(t) S(tau) = S(s + tau) D(e^{-tau} t)
-        return _squeeze_displace(s + tau, math.exp(-tau) * t, w, rows)
+        return _squeeze_displace(s + tau, math.exp(-tau) * t, vc, rows,
+                                 lead=chi)
 
     def family(self, grid: Optional[OutcomeGrid] = None,
                mask: StageMask = StageMask()) -> ReductionOperatorFamily:
         g = grid if grid is not None else self.params.grid
         c = self.params.cutoff
         # the readout does not depend on the outcome: one serves every
-        # chunk of _finish
+        # outcome chunk of the stage
         vc = self._unit_readout(mask.pre_squeeze, c)[:, :, :c]
         stack = self._finish(g.points, mask, vc, c)
         m = np.arange(c)
@@ -858,18 +855,6 @@ class PipelineResult:
         return tuple(failures)
 
 
-def _blockwise_phase_fit_deviation(fam_ops: np.ndarray, tgt_ops: np.ndarray,
-                                   block: int) -> np.ndarray:
-    """Per-outcome max elementwise deviation after fitting one global phase
-    per outcome (the Frobenius-overlap phase on the compared block)."""
-    f = fam_ops[:, :block, :block]
-    t = tgt_ops[:, :block, :block]
-    inner = np.einsum("xmn,xmn->x", t.conj(), f)
-    mag = np.abs(inner)
-    phases = np.where(mag > 0.0, inner / np.where(mag > 0.0, mag, 1.0), 1.0)
-    return np.max(np.abs(f * phases.conj()[:, None, None] - t), axis=(1, 2))
-
-
 def build_scheme_family(params: SchemeParams,
                         feedback: Optional[FeedbackSpec] = None,
                         compensate: StageMask = StageMask(),
@@ -879,10 +864,10 @@ def build_scheme_family(params: SchemeParams,
     """Compose the pipeline and compare it against the analytic Gaussian
     quadrature-kernel target of width Delta = sqrt(eta sigma)/2.
 
-    The deviation is reported up to one fitted global phase per outcome on
-    the leading ``block`` Fock levels; the POM deviation compares the
-    composed family's probability operators with the target's on the same
-    block; the family's completeness defect is evaluated on
+    The deviation is the largest entrywise difference per outcome on the
+    leading ``block`` Fock levels, with no phase fitted; the POM deviation
+    compares the composed family's probability operators with the target's
+    on the same block; the family's completeness defect is evaluated on
     ``completeness_grid`` (default [-8, 8] step 0.02).  All numbers are
     reported whether or not they meet any tolerance; use
     PipelineResult.check for adjudication.
@@ -897,8 +882,8 @@ def build_scheme_family(params: SchemeParams,
     family = builder.family(params.grid, compensate)
     target = vn_target_family(params.delta, params.grid, params.cutoff,
                               phase=params.phi)
-    per_x = _blockwise_phase_fit_deviation(family.operators, target.operators,
-                                           block)
+    per_x = np.max(np.abs(family.operators[:, :block, :block]
+                          - target.operators[:, :block, :block]), axis=(1, 2))
     pom_dev = float(np.max(np.abs(
         family.pom().matrices[:, :block, :block]
         - target.pom().matrices[:, :block, :block])))
@@ -1089,8 +1074,8 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
     sgn = d.real + d.imag  # D is sgn on even levels and i sgn on odd ones
     # S(-r) = S(r)^T, as S(r) is real orthogonal: the probe's squeeze is
     # the explicit transpose of the signal's
-    sq_sys = _squeeze_displace(-0.5 * math.log(eta), [0.0],
-                               np.eye(n_w)[None], n_w)[0]
+    sq_sys = _squeeze_displace(-0.5 * math.log(eta), [0.0], np.eye(n_w),
+                               n_w)[0]
     sq_probe = sq_sys.T
     # Q^T D^dag S_sys Q and Q^T S_probe D Q per parity: real, bar the -i
     # and +i of the odd blocks

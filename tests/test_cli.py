@@ -452,6 +452,17 @@ class TestSweep:
         assert all(v <= 1e-6 for v in column(header, rows, "value"))
         assert all(s == "ok" for s in column(header, rows, "status", str))
 
+    def test_cell_missing_the_identity_tolerance_reads_fail(self, tmp_path):
+        # (0.95, 1) reads 0.175 at margin 4, far above the 1e-6 of verify;
+        # (0.5, 1) passes.  A failing cell changes no exit code
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--sweep-eta", "0.95,0.5", "--sigma", "1",
+                     "--cutoff", "40", "--out", str(out)]) == 0
+        _, header, rows, _ = read_csv(out)
+        values = column(header, rows, "value")
+        assert values[0] > 0.1 and values[1] <= 1e-6
+        assert column(header, rows, "status", str) == ["FAIL", "ok"]
+
     def test_beta_sweep_feedback_error_decreasing(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--sweep-beta", "10,20,40",

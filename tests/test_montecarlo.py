@@ -743,6 +743,17 @@ def test_finite_lo_zero_target_leaves_state_unchanged():
     assert_allclose(out.matrix, ref, atol=1e-14)
 
 
+def test_finite_lo_displaces_the_vacuum_by_a_complex_amplitude():
+    # pure loss leaves the vacuum as it is, so the oscillator's output is
+    # D(a)|0><0|D(a)^dag exactly, for complex and signed real amplitudes
+    # (R_th D(|a|) R_th^dag) against the closed-form displacement column
+    n = 100
+    for target in (1.5 + 0.7j, 4j, 6 * np.exp(0.7j), -2.2, 0.3):
+        col = laguerre_displacement(target, n)[:, 0]
+        out = finite_lo_displacement(vacuum_state(n), target, beta=1e6)
+        assert np.max(np.abs(out.matrix - np.outer(col, col.conj()))) < 1e-13
+
+
 def test_finite_lo_error_quarters_per_beta_doubling():
     psi = coherent_state(0.3, 30)
     target = 0.8 + 0.2j

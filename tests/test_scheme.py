@@ -1,5 +1,6 @@
 """Tests for the beam-splitter/squeezer/feedback measurement pipeline."""
 
+import cmath
 import dataclasses
 import functools
 import itertools
@@ -24,6 +25,7 @@ from quadmeas.gaussian import displacement_transform, vacuum_gaussian
 from quadmeas.kernel import (
     OutcomeDensity,
     OutcomeGrid,
+    ReductionOperatorFamily,
     born_density,
     fitted_kernel_width,
     quadrature_density,
@@ -87,7 +89,7 @@ def coherent(alpha, cutoff):
 
 def stage_squeeze(r, n):
     # the library's squeeze matrix: its one stage at t = 0 on unit columns
-    return scheme._squeeze_displace(r, [0.0], np.eye(n)[None], n)[0]
+    return scheme._squeeze_displace(r, [0.0], np.eye(n), n)[0]
 
 
 def quad_variance(vec, cutoff, phase=0.0):
@@ -157,31 +159,33 @@ def test_feedback_amplitude():
 
 
 def test_displacement_matches_laguerre_oracle():
-    # D(alpha) alone (s = 0) on the unit columns, every level kept
-    amps = np.array([0.0, 0.3, -2.2, 1.5 + 0.7j, 4j, 6 * np.exp(0.7j)])
+    # D(t) alone (s = 0) on the shared unit columns, every level kept
+    amps = np.array([0.0, 0.3, -2.2, 1.5, -4.0, 6.0])
     for n in (2, 30, 60, 100):
-        got = scheme._squeeze_displace(0.0, amps,
-                                       np.broadcast_to(np.eye(n),
-                                                       (len(amps), n, n)), n)
+        got = scheme._squeeze_displace(0.0, amps, np.eye(n), n)
+        assert got.dtype == np.float64
         assert np.max(np.abs(got - laguerre_displacement(amps, n))) < 1e-13
 
 
 def test_displaced_columns_match_laguerre_oracle():
-    # complex amplitudes on complex (X, n, c) stacks, at odd and even n,
-    # keeping fewer, as many and more rows than the columns have levels
+    # complex columns, shared and per outcome as a readout (sum_p lead[x,
+    # p] cols[p]), at odd and even n, keeping fewer, as many and more rows
+    # than the columns have levels
     rng = np.random.default_rng(4)
-    amps = np.array([0.0, 0.3, -2.2, 1.5 + 0.7j, 4j, 6 * np.exp(0.7j), -5.5])
+    amps = np.array([0.0, 0.3, -2.2, 1.5, 4.0, -6.0, -5.5])
+    lead = rng.normal(size=(len(amps), 3)) + 1j * rng.normal(size=(7, 3))
     for n in (59, 60):
-        cols = rng.normal(size=(len(amps), n, 7)) \
-            + 1j * rng.normal(size=(len(amps), n, 7))
-        cols /= np.linalg.norm(cols, axis=1, keepdims=True)
+        stack = rng.normal(size=(3, n, 7)) + 1j * rng.normal(size=(3, n, 7))
+        stack /= np.linalg.norm(stack, axis=1, keepdims=True)
+        own = np.einsum("xp,pnc->xnc", lead, stack)
         for rows in (n // 3, n, n + 5):
-            got = scheme._squeeze_displace(0.0, amps, cols, rows)
+            disp = laguerre_displacement(amps, rows + n)[:, :rows, :n]
+            got = scheme._squeeze_displace(0.0, amps, stack[0], rows)
             assert got.shape == (len(amps), rows, 7)
-            want = laguerre_displacement(amps, rows + n)[:, :rows, :n] @ cols
-            assert np.max(np.abs(got - want)) < 1e-13
-    with pytest.raises(ParameterError):  # R_th commutes past no squeeze
-        scheme._squeeze_displace(0.5, [1j], cols[:1], 10)
+            assert np.max(np.abs(got - disp @ stack[0])) < 1e-13
+            got = scheme._squeeze_displace(0.0, amps, stack, rows, lead=lead)
+            assert got.shape == (len(amps), rows, 7)
+            assert np.max(np.abs(got - disp @ own)) < 1e-12
 
 
 @pytest.mark.parametrize("n,amps", [
@@ -190,13 +194,15 @@ def test_displaced_columns_match_laguerre_oracle():
     (60, [-5.5, 4.0]),
     (160, [5.5, -1.0, 0.0])])
 def test_real_displacement_matches_laguerre_oracle(n, amps):
-    # real signed amplitudes on real columns stay real, on all the rows and
-    # on fewer
+    # real signed amplitudes on real columns per outcome (the readout of a
+    # unit lead, which picks cols[x] for outcome x) stay real, on all the
+    # rows and on fewer
     amps = np.array(amps)
     cols = np.random.default_rng(n).normal(size=(len(amps), n, 5))
     cols /= np.linalg.norm(cols, axis=1, keepdims=True)
     for rows in (n, n // 3):
-        got = scheme._squeeze_displace(0.0, amps, cols, rows)
+        got = scheme._squeeze_displace(0.0, amps, cols, rows,
+                                       lead=np.eye(len(amps)))
         assert got.dtype == np.float64
         want = laguerre_displacement(amps, n)[:, :rows] @ cols
         assert np.max(np.abs(got - want)) < 1e-13
@@ -209,22 +215,49 @@ def test_squeezed_displacement_matches_squeeze_times_laguerre():
     n, rows = 60, 40
     disps = {t: laguerre_displacement(t, 700)[:, :n] for t in (2.5, -2.5)}
     for s in (0.8, -1.2):
-        squeeze = scheme._squeeze_displace(s, [0.0], np.eye(700)[None],
-                                           rows)[0]
+        squeeze = scheme._squeeze_displace(s, [0.0], np.eye(700), rows)[0]
         for t, disp in disps.items():
-            got = scheme._squeeze_displace(s, [t], np.eye(n)[None], rows)[0]
+            got = scheme._squeeze_displace(s, [t], np.eye(n), rows)[0]
             assert np.max(np.abs(got - squeeze @ disp)) < 1e-13
 
 
 def test_displacement_column_zero_is_the_coherent_state():
     n = 210
-    for alpha in (5.0, 9j, 6 * np.exp(0.7j)):
-        k = np.arange(n)
-        closed = np.exp(-0.5 * abs(alpha) ** 2 + k * np.log(abs(alpha))
-                        - 0.5 * gammaln(k + 1) + 1j * k * np.angle(alpha))
-        col = scheme._squeeze_displace(0.0, [alpha], np.eye(n)[None, :, :1],
+    k = np.arange(n)
+    for alpha in (5.0, -9.0):
+        closed = np.exp(-0.5 * alpha ** 2 + k * np.log(abs(alpha))
+                        - 0.5 * gammaln(k + 1)) * np.sign(alpha) ** k
+        col = scheme._squeeze_displace(0.0, [alpha], np.eye(n)[:, :1],
                                        n)[0, :, 0]
         assert np.max(np.abs(col - closed)) < 2e-14
+
+
+def test_stage_chunks_the_outcomes_without_moving_an_entry(monkeypatch):
+    # a budget of 3 outcomes of 50 nodes times (max(n, rows) + c) = 100
+    # splits 8 outcomes into chunks of 3, 3 and 2; each outcome's entries
+    # are the same as in one chunk
+    amps = np.linspace(-3.0, 3.0, 8)
+    rng = np.random.default_rng(2)
+    stack = rng.normal(size=(4, 80, 20))
+    lead = rng.normal(size=(8, 4))
+    whole = scheme._squeeze_displace(0.3, amps, stack, 20, lead=lead)
+    calls = []
+    chunked = scheme._chunked
+
+    def counting(fn, n_out, nodes, width):
+        calls.append((n_out, nodes, width))
+        return chunked(fn, n_out, nodes, width)
+
+    monkeypatch.setattr(scheme, "_chunked", counting)
+    monkeypatch.setattr(scheme, "_STACK_ELEMENTS", 3 * 50 * 100)
+    parts = []
+    hermite = scheme.fock._hermite_functions
+    monkeypatch.setattr(scheme.fock, "_hermite_functions",
+                        lambda xs, n: parts.append(len(xs)) or hermite(xs, n))
+    got = scheme._squeeze_displace(0.3, amps, stack, 20, lead=lead)
+    assert calls == [(8, 50, 100)]
+    assert sorted(set(parts) - {50}) == [2 * 50, 3 * 50]
+    assert np.max(np.abs(got - whole)) == 0.0
 
 
 def test_feedback_matches_dressing_amplitude():
@@ -350,6 +383,26 @@ def test_pipeline_check_reports_tampered_tolerance(canonical_result):
     assert failures and "pipeline-identity" in failures[0]
 
 
+def test_pipeline_identity_fits_no_phase(monkeypatch):
+    # the deviation is entrywise on the block: a family off the target by
+    # one phase e^{0.3i} per outcome reads |1 - e^{0.3i}| times the largest
+    # entry of the block, which a fitted phase would hide
+    exact = SchemeFamilyBuilder.family
+
+    def turned(self, grid=None, mask=StageMask()):
+        fam = exact(self, grid, mask)
+        return ReductionOperatorFamily(fam.grid,
+                                       fam.operators * cmath.exp(0.3j),
+                                       fam.origin, fam.warnings)
+
+    monkeypatch.setattr(SchemeFamilyBuilder, "family", turned)
+    res = build_scheme_family(SchemeParams(eta=0.5, sigma=1.0, cutoff=30))
+    largest = np.max(np.abs(res.target.operators[:, :16, :16]))
+    want = abs(1.0 - cmath.exp(0.3j)) * largest
+    assert want > 0.1
+    assert abs(res.max_deviation - want) < 1e-12
+
+
 def test_family_origin_labels():
     b = SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=1.0, cutoff=30))
     assert b.family(mask=StageMask.raw()).origin == "raw-interaction"
@@ -360,8 +413,9 @@ def test_batched_family_matches_per_outcome_operators(monkeypatch):
     # family reads out the pre-squeezed leading columns once and finishes
     # the outcome chunks on the cutoff rows; _compose takes one outcome at
     # a time through every stage on unit columns.  A small stack budget
-    # (4 outcomes of 53 nodes times n_work 75 plus cutoff 30) splits the
-    # 9-point grid into outcome chunks of 4, 4 and 1.
+    # (4 outcomes of 53 nodes times max(n_work 75, rows 30) plus cutoff 30
+    # columns, the stage's _chunked) splits the 9-point grid into outcome
+    # chunks of 4, 4 and 1.
     monkeypatch.setattr(scheme, "_STACK_ELEMENTS", 4 * 53 * (75 + 30))
     masks = [StageMask(), StageMask.raw(), StageMask(True, False, False),
              StageMask(False, True, True), StageMask(True, True, False)]
@@ -1054,12 +1108,15 @@ def test_parity_bases_fold_the_bch_factors_per_parity(n_w):
 
 
 def test_bch_factorization_senses_a_perturbed_squeeze(monkeypatch):
-    # the squeezes at r (1 + 1e-6) no longer complete the factorization,
-    # which reads 1e-14 to 6e-13 at these sizes when they are exact
-    exact = scheme._squeeze_displace
-    monkeypatch.setattr(scheme, "_squeeze_displace",
-                        lambda s, alpha, cols, rows: exact(
-                            s * (1.0 + 1e-6), alpha, cols, rows))
+    # the squeezes at r (1 + 1e-6), the stage's scale e^{-r} and gain
+    # e^{-r/2} each to the power 1 + 1e-6, no longer complete the
+    # factorization, which reads 1e-14 to 6e-13 at these sizes when they
+    # are exact
+    exact = scheme._stage
+    monkeypatch.setattr(scheme, "_stage",
+                        lambda scale, shift, cols, rows, gain, **kw: exact(
+                            scale ** (1.0 + 1e-6), shift, cols, rows,
+                            gain ** (1.0 + 1e-6), **kw))
     for eta in (0.2, 0.5, 0.8):
         rep = verify_bch_factorization(eta, 40, working_cutoff=140,
                                        check_su2=False)
@@ -1189,7 +1246,10 @@ def test_completeness_gram_sum_matches_outcome_stacks(mask, phi_probe,
                                                      monkeypatch):
     # 601 outcomes on [-3, 3] leave out enough of the continuum that the
     # defect is far from rounding, so agreement checks the contraction; a
-    # small budget splits the sum into blocks of 7 of the 90 readout rows
+    # small budget splits the sum into blocks of 7 of the 90 readout rows,
+    # and where the frame squeeze runs as the stage (pre-squeeze on, phi_probe
+    # = phi) the outcome stacks into chunks of one outcome (90 nodes times
+    # 90 levels plus 16 columns each)
     monkeypatch.setattr(scheme, "_STACK_ELEMENTS", 7 * 90 * 16)
     grid = OutcomeGrid.from_range(-3.0, 3.0, 0.01)
     assert len(grid) == 601
@@ -1414,6 +1474,41 @@ def test_composed_density_is_the_norm_of_the_reductions():
     assert np.max(np.abs(composed_density(p, [1.0], xs)
                          - np.exp(-0.5 * (xs - mean) ** 2 / var)
                          / math.sqrt(2.0 * math.pi * var))) < 1e-15
+
+
+def test_composed_density_chunks_its_outcomes(monkeypatch):
+    # a coherent input with alpha 2 on 40 levels takes 40 nodes and 40
+    # levels plus its column per node: a budget of 100 outcomes of 40 x 41
+    # elements splits 240 outcomes into chunks of 100, 100 and 40, and each
+    # outcome's density stays what one chunk gives
+    p = SchemeParams(eta=0.5, sigma=1.0, cutoff=40)
+    psi = coherent(2.0, 40)
+    xs = np.linspace(-6.0, 6.0, 240)
+    whole = composed_density(p, psi, xs)
+    sizes = []
+    hermite = fock._hermite_functions
+    monkeypatch.setattr(fock, "_hermite_functions",
+                        lambda pts, n: sizes.append(len(pts)) or hermite(pts,
+                                                                          n))
+    monkeypatch.setattr(scheme, "_STACK_ELEMENTS", 100 * 40 * 41)
+    chunked = composed_density(p, psi, xs)
+    assert [s for s in sizes if s > 40] == [100 * 40, 100 * 40, 40 * 40]
+    assert np.max(np.abs(chunked - whole)) <= 1e-15
+
+
+@pytest.mark.parametrize("eta,sigma", [(0.2, 0.5), (0.5, 1.0), (0.8, 2.0)])
+def test_composed_reductions_take_enough_nodes_for_more_rows(eta, sigma):
+    # the finite-lo shape, 100 rows of 40-level columns: (100 + 40 + 1) // 2
+    # = 70 nodes integrate every element exactly, as 300 nodes do
+    p = SchemeParams(eta=eta, sigma=sigma, cutoff=40)
+    xs = p.grid.points
+    got = composed_reductions(p, xs, np.eye(40), 100)
+    a, b, gain, probe = scheme._stage_coefficients(p, xs, StageMask())
+    y, u, f = scheme._rule(a, b, 300, gain, probe)
+    chi_u = fock._hermite_functions(u.ravel(), 40).reshape(len(xs), 300, 40)
+    chi = fock._hermite_functions(y.ravel(), 100).reshape(len(xs), 300, 100)
+    want = chi.transpose(0, 2, 1) @ (f[:, :, None] * chi_u)
+    assert np.max(np.abs(got - want)) < 2e-15
 
 
 def test_composition_rejects_an_offset_probe_and_a_mixed_input():
