@@ -12,8 +12,14 @@ fock        truncated-basis states, ladder/Gaussian operators, guard bands
 kernel      outcome grids, reduction families, probability operators, densities
 scheme      the beam-splitter/feedback pipeline and its operator-identity checks
 gaussian    exact covariance-matrix oracle for all Gaussian expectations
-montecarlo  seeded sampling of outcomes, conditioning, repeatability runs
+montecarlo  seeded sampling of outcomes, conditioning, repeatability statistics
 cli         `quadmeas` command-line interface (verify / pom / sample / sweep)
+
+The package holds the code the four commands run, and four names that no
+command reads yet: the input states fock_state, coherent_gaussian and
+squeezed_vacuum_gaussian, and the back-action conjugate_variance_after.
+Reference oracles that only tests read (Born densities of arbitrary states,
+ideal quadrature densities, KS statistics) live with the tests.
 """
 
 from .errors import (
@@ -29,7 +35,6 @@ from .fock import (
     GUARD_FRACTION,
     guard_level,
     StateVector,
-    Operator,
     DensityOperator,
     vacuum_state,
     fock_state,
@@ -37,33 +42,24 @@ from .fock import (
     squeezed_vacuum,
     make_annihilation,
     make_quadrature,
-    quadrature_eigenvector,
     quadrature_eigenvector_matrix,
     quadrature_nodes,
-    quadrature_spectrum,
     expectation,
     variance,
     trace_distance,
-    fidelity_to_pure,
 )
 from .kernel import (
     OutcomeGrid,
     ReductionOperatorFamily,
     PomDensity,
     OutcomeDensity,
-    born_density,
-    quadrature_density,
-    reduce_state,
     vn_target_family,
     widen_grid_for_density,
-    fitted_kernel_width,
 )
 from .scheme import (
     SchemeParams,
     StageMask,
     FeedbackSpec,
-    PsaStage,
-    PsaSpec,
     SchemeFamilyBuilder,
     PipelineResult,
     BchReport,
@@ -75,7 +71,6 @@ from .scheme import (
     backsqueeze_param,
     feedback_coefficient,
     feedback_displacement,
-    psa_from_params,
 )
 from .gaussian import (
     GaussianState,
@@ -88,22 +83,13 @@ from .gaussian import (
     condition_on_quadrature,
     quadrature_statistics,
     normal_pdf,
-    outcome_moments,
-    posterior_moments,
-    predictive_variance_second_scheme,
-    gap_variance_ideal_second,
     conjugate_variance_after,
 )
 from .montecarlo import (
     RngSeed,
-    TrialRecord,
     TrialEngine,
     RepeatabilityStats,
-    sample_outcomes,
-    ks_against_density,
-    ks_critical_value,
     finite_lo_displacement,
-    repeatability_experiment,
     summarize_repeatability,
 )
 

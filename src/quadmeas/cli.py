@@ -523,11 +523,12 @@ def cmd_verify(cfg: RunConfig) -> int:
             tols["completeness"])
     for eta in sorted({e for e, _ in pairs}):
         # small transmissivities need extra working room: the factored
-        # exponentials carry larger coefficients there
+        # squeeze S(-ln(eta)/2) spreads a level over e^{2|r|} = 1/eta times
+        # as many, so the room grows as 0.7/eta below eta 0.2
         bch_cutoff = max(cfg.values["cutoff"], 40)
         rep = verify_bch_factorization(
             eta, cutoff=bch_cutoff,
-            working_cutoff=int(math.ceil(3.5 * bch_cutoff)))
+            working_cutoff=int(math.ceil(bch_cutoff * max(3.5, 0.7 / eta))))
         add("bch-factorization", eta, None, rep.factorization_deviation,
             cfg.values["bch_tol"])
         add("bch-su2", eta, None, max(rep.su2_plus_minus_deviation,

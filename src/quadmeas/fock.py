@@ -100,61 +100,6 @@ class StateVector:
 
 
 @dataclass(frozen=True)
-class Operator:
-    """Matrix acting on a single mode (or a flattened two-mode space).
-
-    The flags are construction-time assertions checked on the trusted
-    (below-guard) block; compositions via ``@`` or ``dag`` drop them
-    rather than re-verifying.
-    """
-
-    matrix: np.ndarray
-    warnings: Tuple[str, ...] = ()
-    hermitian_flag: bool = False
-    unitary_flag: bool = False
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatchError(
-                f"operator must be square, got shape {mat.shape}")
-        object.__setattr__(self, "matrix", mat)
-        if self.hermitian_flag or self.unitary_flag:
-            block = guard_level(self.cutoff)
-            if self.hermitian_flag:
-                sub = mat[:block, :block]
-                dev = float(np.max(np.abs(sub - sub.conj().T)))
-                if dev > 1e-10:
-                    raise ParameterError(
-                        f"operator flagged hermitian deviates by {dev:.3e} "
-                        f"on the trusted block")
-            if self.unitary_flag:
-                cols = mat[:, :block]
-                dev = float(np.max(np.abs(cols.conj().T @ cols
-                                          - np.eye(block))))
-                if dev > 1e-10:
-                    raise ParameterError(
-                        f"operator flagged unitary deviates by {dev:.3e} "
-                        f"on the trusted block")
-
-    @property
-    def cutoff(self) -> int:
-        return self.matrix.shape[0]
-
-    def dag(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.warnings)
-
-    def __matmul__(self, other):
-        if isinstance(other, Operator):
-            if other.cutoff != self.cutoff:
-                raise DimensionMismatchError(
-                    f"operator dims differ: {self.cutoff} vs {other.cutoff}")
-            return Operator(self.matrix @ other.matrix,
-                            self.warnings + other.warnings)
-        return NotImplemented
-
-
-@dataclass(frozen=True)
 class DensityOperator:
     """Mixed state of a single mode: positive, unit-trace matrix."""
 
@@ -300,26 +245,6 @@ def make_quadrature(cutoff: int, phase: float = 0.0) -> np.ndarray:
 # quadrature eigenvectors and spectral calculus
 
 
-def quadrature_eigenvector(x: float, cutoff: int, phase: float = 0.0) -> StateVector:
-    """Delta-normalized improper eigenvector |x>_phase of x_phase, i.e. the
-    vector of values <n|x>_phase = e^{i n phase} chi_n(x) with chi the
-    Hermite functions of this package's scaling:
-
-        chi_0(x) = (2/pi)^{1/4} exp(-x^2),   chi_1 = 2 x chi_0,
-        chi_{n+1} = (2 x chi_n - sqrt(n) chi_{n-1}) / sqrt(n+1).
-
-    The recursion is carried out in the function (not polynomial) form, so
-    it is stable for every x in the guarded range |x| <= sqrt(g + 1/2).
-    """
-    cutoff = _check_cutoff(cutoff)
-    warn: Tuple[str, ...] = ()
-    xmax = math.sqrt(guard_level(cutoff) + 0.5)
-    if abs(x) > xmax:
-        warn = (f"quadrature value |x| = {abs(x):.3g} exceeds the guarded "
-                f"range sqrt(guard_level + 1/2) = {xmax:.3g}",)
-    return StateVector(quadrature_eigenvector_matrix([x], cutoff, phase)[0], warn)
-
-
 # chi_0(x) is subnormal past x^2 ~ 708; a mantissa past 2^_SHIFT moves
 # 2^_SHIFT into its point's exponent, so none overflows.
 _FAR_SQ = 700.0
@@ -328,9 +253,16 @@ _SHIFT = 512
 
 def quadrature_eigenvector_matrix(xs: Sequence[float], cutoff: int,
                                   phase: float = 0.0) -> np.ndarray:
-    """Stack quadrature_eigenvector over a grid: returns (len(xs), cutoff),
-    the real Hermite functions of _hermite_functions with level k times
-    e^{i k phase}, copied out in C order."""
+    """Delta-normalized improper eigenvectors |x>_phase of x_phase, one row
+    per point of ``xs``: the values <n|x>_phase = e^{i n phase} chi_n(x),
+    shape (len(xs), cutoff), copied out in C order, with chi the Hermite
+    functions of this package's scaling (_hermite_functions):
+
+        chi_0(x) = (2/pi)^{1/4} exp(-x^2),   chi_1 = 2 x chi_0,
+        chi_{n+1} = (2 x chi_n - sqrt(n) chi_{n-1}) / sqrt(n+1).
+
+    Past the guarded range |x| <= sqrt(guard_level + 1/2) a row is still
+    exact, but the truncated basis no longer resolves |x>."""
     chi = _hermite_functions(xs, cutoff)
     if phase == 0.0:
         return np.ascontiguousarray(chi, dtype=complex)
@@ -392,28 +324,6 @@ def _x0_svd(cutoff: int, vectors: bool = True):
     j = j[:(cutoff - 1) // 2]
     b[j + 1, j] = 0.5 * np.sqrt(2.0 * j + 2.0)
     return np.linalg.svd(b, compute_uv=vectors)
-
-
-def quadrature_spectrum(cutoff: int, phase: float = 0.0
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues, ascending, and eigenvector columns of the truncated
-    x_phase = R x_0 R^dag, R = diag(e^{i k phase}): one half-size SVD of
-    the real x_0 (_x0_svd), with eigenvector row k times e^{i k phase}."""
-    cutoff = _check_cutoff(cutoff)
-    u, s, vt = _x0_svd(cutoff)
-    k = len(s)
-    evals = np.concatenate((-s, np.zeros(cutoff - 2 * k), s[::-1]))
-    vecs = np.zeros((cutoff, cutoff))
-    half = math.sqrt(0.5)
-    vecs[0::2, :k] = half * u[:, :k]
-    vecs[1::2, :k] = -half * vt.T
-    if cutoff % 2:
-        vecs[0::2, k] = u[:, k]
-    vecs[0::2, cutoff - k:] = half * u[:, k - 1::-1]
-    vecs[1::2, cutoff - k:] = half * vt[::-1].T
-    if phase != 0.0:
-        vecs = vecs * np.exp(1j * phase * np.arange(cutoff))[:, None]
-    return evals, vecs
 
 
 def quadrature_nodes(cutoff: int) -> np.ndarray:
@@ -485,12 +395,3 @@ def trace_distance(rho, tau) -> float:
     d = _state_matrix(rho) - _state_matrix(tau)
     d = 0.5 * (d + d.conj().T)
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(d))))
-
-
-def fidelity_to_pure(psi, rho) -> float:
-    """<psi| rho |psi> for a pure reference vector psi."""
-    psi = _as_array(psi).ravel()
-    rho = _as_array(rho)
-    if rho.ndim == 1:
-        return float(abs(np.vdot(psi, rho)) ** 2)
-    return float(np.real(psi.conj() @ (rho @ psi)))

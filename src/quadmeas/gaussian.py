@@ -152,11 +152,6 @@ def rotation_matrix(phi: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def rotation_symplectic(phi: float) -> SymplecticTransform:
-    """Phase rotation e^{i phi n}: rotates (x, y) by +phi."""
-    return SymplecticTransform(rotation_matrix(phi), np.zeros(2))
-
-
 def squeeze_symplectic(r: float, phase: float = 0.0) -> SymplecticTransform:
     """Image of S(r, phase): stretches x_phase by e^r, shrinks the
     conjugate by e^-r."""
@@ -183,35 +178,6 @@ def beam_splitter_symplectic(eta: float) -> SymplecticTransform:
     s[2:, :2] = rfl * np.eye(2)
     s[2:, 2:] = t * np.eye(2)
     return SymplecticTransform(s, np.zeros(4))
-
-
-def embed_single_mode(t: SymplecticTransform, mode: int,
-                      n_modes: int) -> SymplecticTransform:
-    """Lift a one-mode transform to act on ``mode`` of an n-mode system."""
-    if t.n_modes != 1:
-        raise DimensionMismatchError("embed expects a single-mode transform")
-    mat = np.eye(2 * n_modes)
-    shift = np.zeros(2 * n_modes)
-    sl = slice(2 * mode, 2 * mode + 2)
-    mat[sl, sl] = t.matrix
-    shift[sl] = t.shift
-    return SymplecticTransform(mat, shift)
-
-
-def symplectic_of(stage: str, **kw) -> SymplecticTransform:
-    """Dispatcher by stage name: squeeze(r, phase) | beam_splitter(eta) |
-    displacement(alpha) | rotation(phi)."""
-    builders = {
-        "squeeze": lambda: squeeze_symplectic(kw["r"], kw.get("phase", 0.0)),
-        "beam_splitter": lambda: beam_splitter_symplectic(kw["eta"]),
-        "displacement": lambda: displacement_transform(kw["alpha"]),
-        "rotation": lambda: rotation_symplectic(kw["phi"]),
-    }
-    try:
-        make = builders[stage]
-    except KeyError:
-        raise ParameterError(f"unknown stage kind {stage!r}") from None
-    return make()
 
 
 # ---------------------------------------------------------------------------
@@ -262,48 +228,7 @@ def condition_on_quadrature(state: GaussianState, mode: int, phase: float,
 
 
 # ---------------------------------------------------------------------------
-# closed-form measurement arithmetic used as frozen oracle values
-#
-# Throughout: a width-Delta Gaussian measurement kernel applied to a state
-# whose measured-quadrature marginal is N(m, v).
-
-
-def outcome_moments(prior_mean: float, prior_var: float,
-                    delta: float) -> Tuple[float, float]:
-    """Moments of the outcome density: N(m, v) convolved with N(0, Delta^2)."""
-    return prior_mean, prior_var + delta * delta
-
-
-def posterior_moments(prior_mean: float, prior_var: float, delta: float,
-                      outcome: float) -> Tuple[float, float]:
-    """Moments of the measured quadrature after observing ``outcome``.
-
-    Product of Gaussians: posterior variance (v^-1 + Delta^-2)^-1 and mean
-    pulled toward the outcome with gain v/(v + Delta^2).
-    """
-    gain = prior_var / (prior_var + delta * delta)
-    mean = prior_mean + gain * (outcome - prior_mean)
-    var = prior_var * delta * delta / (prior_var + delta * delta)
-    return mean, var
-
-
-def predictive_variance_second_scheme(prior_var: float, delta: float) -> float:
-    """Variance of a *second* width-Delta measurement given the first
-    outcome: posterior variance plus the kernel's Delta^2."""
-    post = 1.0 / (1.0 / prior_var + 1.0 / (delta * delta))
-    return post + delta * delta
-
-
-def gap_variance_ideal_second(delta: float) -> float:
-    """Exact variance of (y - x) when y is an *ideal* quadrature measurement
-    performed after a width-Delta measurement with outcome x.
-
-    With posterior gain g = v/(v + Delta^2) and posterior variance
-    v Delta^2/(v + Delta^2):
-        var(y - x) = v Delta^2/(v+Delta^2) + (1-g)^2 (v + Delta^2) = Delta^2,
-    independent of the prior variance v.
-    """
-    return delta * delta
+# closed-form back-action of a width-Delta Gaussian measurement kernel
 
 
 def conjugate_variance_after(prior_conjugate_var: float, delta: float) -> float:

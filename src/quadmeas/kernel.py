@@ -1,5 +1,5 @@
 """Indirect-measurement framework: outcome grids, reduction-operator
-families, probability-operator densities, Born densities, state reduction.
+families, probability-operator densities and tabulated outcome densities.
 
 A measurement with continuous outcome x is described here by a family of
 reduction operators Omega(x) acting on the system mode.  The probability
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -29,15 +29,7 @@ from .errors import (
     ParameterError,
     ZeroProbabilityError,
 )
-from .fock import (
-    DensityOperator,
-    Operator,
-    StateVector,
-    _gauss_rule,
-    _hermite_functions,
-    guard_level,
-    quadrature_eigenvector_matrix,
-)
+from .fock import _gauss_rule, _hermite_functions, guard_level
 
 
 @dataclass(frozen=True)
@@ -112,12 +104,6 @@ class OutcomeGrid:
 
     def spec_string(self) -> str:
         return f"{self.x_min:g}:{self.x_max:g}:{self.step:g}"
-
-
-def _as_matrix(op) -> np.ndarray:
-    if isinstance(op, Operator):
-        return op.matrix
-    return np.asarray(op)
 
 
 @dataclass(frozen=True)
@@ -259,80 +245,6 @@ def _cdf_rows(values: np.ndarray, step: float) -> np.ndarray:
 # constructions
 
 
-def born_density(state, pom: Union[PomDensity, ReductionOperatorFamily],
-                 edge_tolerance: Optional[float] = 1e-8) -> OutcomeDensity:
-    """Outcome density p(x) = Tr[rho pi(x)] on the grid.
-
-    Negative values above -1e-10 (truncation noise) are clamped to zero with
-    the total clamped mass recorded as ``clip_defect``.  If the density at
-    either grid edge exceeds ``edge_tolerance`` relative to the peak, the
-    grid does not cover the distribution and a GridRangeError is raised;
-    pass ``edge_tolerance=None`` for intentionally non-integrable inputs.
-    """
-    if isinstance(pom, ReductionOperatorFamily):
-        pom = pom.pom()
-    if isinstance(state, StateVector):
-        psi = state.amplitudes
-        vals = np.einsum("n,xnk,k->x", psi.conj(), pom.matrices, psi).real
-    else:
-        rho = state.matrix if isinstance(state, DensityOperator) else np.asarray(state)
-        vals = np.einsum("xnk,kn->x", pom.matrices, rho).real
-    neg = vals < 0
-    clip = float(-np.sum(vals[neg]))
-    if np.any(vals < -1e-10):
-        raise ParameterError(
-            f"POM density produced negativity {np.min(vals):.3e} beyond "
-            "the truncation-noise threshold")
-    vals = np.where(neg, 0.0, vals)
-    if edge_tolerance is not None:
-        peak = float(np.max(vals))
-        if peak > 0 and max(vals[0], vals[-1]) > edge_tolerance * peak:
-            raise GridRangeError(
-                f"grid [{pom.grid.x_min}, {pom.grid.x_max}] too narrow: edge "
-                f"density {max(vals[0], vals[-1]):.3e} vs peak {peak:.3e}")
-    return OutcomeDensity(pom.grid, vals, clip, pom.warnings)
-
-
-def quadrature_density(state, grid: OutcomeGrid,
-                       phase: float = 0.0) -> OutcomeDensity:
-    """Density of an ideal (projective) quadrature measurement:
-    p(y) = <y|rho|y> with delta-normalized |y>."""
-    if isinstance(state, StateVector):
-        chi = quadrature_eigenvector_matrix(grid.points, state.cutoff, phase)
-        vals = np.abs(chi.conj() @ state.amplitudes) ** 2
-    else:
-        rho = state.matrix if isinstance(state, DensityOperator) else np.asarray(state)
-        chi = quadrature_eigenvector_matrix(grid.points, rho.shape[0], phase)
-        vals = np.einsum("xn,nm,xm->x", chi.conj(), rho, chi).real
-        vals = np.clip(vals, 0.0, None)
-    return OutcomeDensity(grid, vals)
-
-
-def reduce_state(state, omega, floor: float = 1e-14):
-    """Conditional state update for one outcome.
-
-    Returns (probability density value, normalized post-measurement state of
-    the same kind as the input).  Outcomes with density below ``floor`` are
-    undefined and raise ZeroProbabilityError rather than being renormalized.
-    """
-    om = _as_matrix(omega)
-    if isinstance(state, StateVector):
-        post = om @ state.amplitudes
-        p = float(np.linalg.norm(post) ** 2)
-        if p <= floor:
-            raise ZeroProbabilityError(
-                f"outcome density {p:.3e} below floor {floor:.1e}")
-        return p, StateVector(post / math.sqrt(p), state.warnings)
-    rho = state.matrix if isinstance(state, DensityOperator) else np.asarray(state)
-    post = om @ rho @ om.conj().T
-    p = float(np.trace(post).real)
-    if p <= floor:
-        raise ZeroProbabilityError(
-            f"outcome density {p:.3e} below floor {floor:.1e}")
-    return p, DensityOperator(post / p,
-                              state.warnings if isinstance(state, DensityOperator) else ())
-
-
 def vn_target_family(delta: float, grid: OutcomeGrid, cutoff: int,
                      phase: float = 0.0) -> ReductionOperatorFamily:
     """Ideal Gaussian quadrature-projector family of r.m.s. width delta:
@@ -395,16 +307,3 @@ def widen_grid_for_density(density_fn: Callable[[np.ndarray], np.ndarray],
     raise GridRangeError(
         f"density edges still above {edge_tolerance} of peak after "
         f"{max_widenings} widenings")
-
-
-def fitted_kernel_width(density: OutcomeDensity,
-                        input_variance: float) -> float:
-    """r.m.s. width of the measurement kernel inferred from moments: the
-    outcome density of a Gaussian kernel is the ideal density convolved with
-    N(0, delta^2), so delta^2 = var(p) - var(input)."""
-    excess = density.variance() - input_variance
-    if excess < 0:
-        raise ParameterError(
-            f"outcome variance {density.variance():.6g} below the input "
-            f"variance {input_variance:.6g}: no Gaussian kernel fits")
-    return math.sqrt(excess)

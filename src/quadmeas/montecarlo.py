@@ -11,8 +11,8 @@ is exactly the discretized one whose density, POM and reduction family the
 rest of the package manipulates.  Each run takes one uniform for its first
 draw, one more per resample, then one for its second outcome.
 ``TrialEngine.trials(rng, n)`` returns a ``TrialBatch``, the records of n runs
-as columns: column by column it equals the ``TrialRecord``s of n
-``TrialEngine.trial(rng)`` calls, and it leaves ``rng`` where they leave it.
+as columns: column by column it equals n successive ``trials(rng, 1)`` calls,
+and it leaves ``rng`` where they leave it.
 """
 
 import hashlib
@@ -48,16 +48,11 @@ from .scheme import (
 
 __all__ = [
     "RngSeed",
-    "TrialRecord",
     "TrialBatch",
     "RepeatabilityStats",
     "TrialEngine",
-    "sample_outcomes",
-    "repeatability_experiment",
     "summarize_repeatability",
     "finite_lo_displacement",
-    "ks_against_density",
-    "ks_critical_value",
 ]
 
 _PROBABILITY_FLOOR = 1e-14
@@ -174,64 +169,12 @@ class _InverseCdf:
         return out
 
 
-def _inverse_cdf(density: OutcomeDensity, u: np.ndarray) -> np.ndarray:
-    """Map uniforms through the exact inverse CDF of the piecewise-linear
-    density tabulated on the grid."""
-    return _InverseCdf(density)(u)
-
-
-def sample_outcomes(density: OutcomeDensity, n: int, seed) -> np.ndarray:
-    """Draw ``n`` outcomes distributed exactly as the piecewise-linear
-    density tabulated on the grid."""
-    if n < 0:
-        raise ParameterError(f"sample count must be >= 0, got {n}")
-    return _inverse_cdf(density, _as_generator(seed).random(n))
-
-
 def _nearest_index(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Index of the sorted grid point nearest each x, a tie going to the
     lower index: ``np.argmin(np.abs(points - x))`` for every x at once."""
     hi = np.clip(np.searchsorted(points, xs), 1, len(points) - 1)
     low_is_closer = np.abs(points[hi - 1] - xs) <= np.abs(points[hi] - xs)
     return hi - low_is_closer
-
-
-def _cdf_at(density: OutcomeDensity, xs: np.ndarray) -> np.ndarray:
-    """Exact CDF of the piecewise-linear density at arbitrary points."""
-    pts = density.grid.points
-    h = density.grid.step
-    vals = np.clip(density.values, 0.0, None)
-    nodes = density.cdf_nodes()
-    total = 0.5 * h * float(np.sum(vals[1:] + vals[:-1]))
-    xs = np.asarray(xs, dtype=float)
-    j = np.clip(np.searchsorted(pts, xs, side="right") - 1, 0, len(pts) - 2)
-    t = np.clip((xs - pts[j]) / h, 0.0, 1.0)
-    inner = 0.5 * h * t * (2.0 * vals[j] + (vals[j + 1] - vals[j]) * t) / total
-    out = nodes[j] + inner
-    out[xs <= pts[0]] = 0.0
-    out[xs >= pts[-1]] = 1.0
-    return out
-
-
-def ks_against_density(samples: np.ndarray, density: OutcomeDensity) -> float:
-    """One-sample Kolmogorov-Smirnov statistic of the samples against the
-    tabulated density's own CDF."""
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = len(x)
-    if n == 0:
-        raise ParameterError("KS statistic needs at least one sample")
-    f = _cdf_at(density, x)
-    steps = np.arange(1, n + 1) / n
-    return float(max(np.max(steps - f), np.max(f - (steps - 1.0 / n))))
-
-
-def ks_critical_value(n: int, alpha: float = 0.01) -> float:
-    """Asymptotic one-sample KS critical value at significance alpha."""
-    if n <= 0:
-        raise ParameterError(f"sample count must be positive, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"significance must be in (0,1), got {alpha}")
-    return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -311,32 +254,12 @@ def finite_lo_displacement(state, target_amplitude: complex, beta: float,
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """One measurement run: the drawn outcome, the post-measurement state's
-    working-quadrature moments, the optional second outcome of a
-    repeatability run, and how feedback was applied."""
-
-    outcome: float
-    post_mean: float
-    post_variance: float
-    second_outcome: Optional[float]
-    feedback_mode: str
-    resamples: int = 0
-
-    def __post_init__(self):
-        for name in ("outcome", "post_mean", "post_variance"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"non-finite trial field {name}")
-        if self.second_outcome is not None \
-                and not math.isfinite(self.second_outcome):
-            raise ParameterError("non-finite second outcome")
-
-
-@dataclass(frozen=True)
 class TrialBatch:
-    """The records of successive runs as columns: one array entry per run
-    of each ``TrialRecord`` field, ``second_outcome`` None unless the runs
-    measured again, and the ``feedback_mode`` they share."""
+    """The records of successive measurement runs as columns, one array
+    entry per run: the drawn outcome, the post-measurement state's
+    working-quadrature moments, the second outcome (None unless the runs
+    measured again) and the resamples, with the ``feedback_mode`` the runs
+    share."""
 
     outcome: np.ndarray
     post_mean: np.ndarray
@@ -353,15 +276,6 @@ class TrialBatch:
         if not np.all(finite):
             raise ParameterError(
                 f"non-finite trial field {names[int(np.argmin(finite))]}")
-
-    def record(self, i: int) -> TrialRecord:
-        """Run ``i`` as a TrialRecord."""
-        second = self.second_outcome
-        return TrialRecord(
-            float(self.outcome[i]), float(self.post_mean[i]),
-            float(self.post_variance[i]),
-            None if second is None else float(second[i]),
-            self.feedback_mode, int(self.resamples[i]))
 
 
 @dataclass(frozen=True)
@@ -625,8 +539,12 @@ class TrialEngine:
 
     def trials(self, rng, n: int, want_second: bool = False,
                identity_control: bool = False) -> TrialBatch:
-        """The records of ``n`` successive ``trial`` calls on ``rng``, drawn
-        as one batch that leaves ``rng`` where those calls leave it.
+        """``n`` runs, each of which draws an outcome (redrawing outcomes
+        without probability mass), reduces the input state
+        (``identity_control`` leaves it as is), and with ``want_second``
+        measures the same quadrature again.  Column by column the batch
+        equals n successive batches of one on ``rng``, and it leaves ``rng``
+        where they leave it.
 
         The uniforms of all runs are drawn at once, each run's first
         followed by its second with ``want_second``.  An outcome without
@@ -696,13 +614,6 @@ class TrialEngine:
             post_variance=np.array([e.variance for e in entries])[which],
             second_outcome=second, feedback_mode=mode, resamples=resamples)
 
-    def trial(self, rng, want_second: bool = False,
-              identity_control: bool = False) -> TrialRecord:
-        """One run: draw an outcome (redrawing outcomes without probability
-        mass), reduce the input state (``identity_control`` leaves it as
-        is), and with ``want_second`` measure the same quadrature again."""
-        return self.trials(rng, 1, want_second, identity_control).record(0)
-
 
 # ---------------------------------------------------------------------------
 # repeatability experiment
@@ -744,21 +655,3 @@ def summarize_repeatability(first, second,
         diff_mean_halfwidth=z * math.sqrt(dvar / n),
         diff_variance_halfwidth=z * dvar * math.sqrt(2.0 / (n - 1)),
         slope_halfwidth=z * slope_se)
-
-
-def repeatability_experiment(params: SchemeParams, n_trials: int, seed,
-                             feedback: Optional[FeedbackSpec] = None,
-                             engine: Optional[TrialEngine] = None,
-                             identity_control: bool = False,
-                             confidence: float = 0.95) -> RepeatabilityStats:
-    """Measure, reduce, then measure the same quadrature again, n_trials
-    times; report the spread of (second - first) and the regression slope
-    of second on first, with normal-approximation confidence half-widths."""
-    if n_trials < 100:
-        raise ParameterError(
-            f"repeatability statistics want n_trials >= 100, got {n_trials}")
-    eng = engine if engine is not None else TrialEngine(params, feedback)
-    batch = eng.trials(seed, n_trials, want_second=True,
-                       identity_control=identity_control)
-    return summarize_repeatability(batch.outcome, batch.second_outcome,
-                                   confidence)

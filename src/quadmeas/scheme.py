@@ -210,62 +210,6 @@ def measurement_width(eta: float, sigma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# phase-sensitive amplifier view of the squeeze stages
-
-
-@dataclass(frozen=True)
-class PsaStage:
-    """One phase-sensitive amplifier: intensity gain and pump phase."""
-
-    gain: float
-    pump_phase: float
-
-    def __post_init__(self):
-        if not (self.gain > 0.0 and math.isfinite(self.gain)):
-            raise ParameterError(f"PSA gain must be > 0, got {self.gain}")
-
-    @property
-    def squeeze_parameter(self) -> float:
-        """The stage deamplifies the pump-phase quadrature by G^{1/2}:
-        squeeze parameter -ln(G)/2 along the pump phase."""
-        return -0.5 * math.log(self.gain)
-
-
-@dataclass(frozen=True)
-class PsaSpec:
-    """The three amplifier stages realizing the scheme's squeezers."""
-
-    pre: PsaStage
-    probe: PsaStage
-    back: PsaStage
-
-    @property
-    def g1(self) -> float:
-        return self.pre.gain
-
-    @property
-    def g2(self) -> float:
-        return self.back.gain
-
-    @property
-    def g3(self) -> float:
-        return self.probe.gain
-
-
-def psa_from_params(params: SchemeParams) -> PsaSpec:
-    """Amplifier gains and pump phases realizing the scheme's three squeeze
-    stages: g1 = 1/(1-eta) (signal pre), g2 = eta(1-eta) (back), g3 = sigma
-    (probe preparation).  Every pump sits a quarter period from the working
-    quadrature; see the module docstring's sign table."""
-    half_pi = 0.5 * math.pi
-    return PsaSpec(
-        pre=PsaStage(1.0 / (1.0 - params.eta), params.phi + half_pi),
-        probe=PsaStage(params.sigma, params.phi_probe + half_pi),
-        back=PsaStage(params.eta * (1.0 - params.eta), params.phi + half_pi),
-    )
-
-
-# ---------------------------------------------------------------------------
 # feedback specification
 
 
@@ -748,12 +692,6 @@ class SchemeFamilyBuilder:
                 :, None]
         return w
 
-    def _compose(self, xs, mask: StageMask, cols: np.ndarray) -> np.ndarray:
-        """B . D(x) . W(x) . P . cols at working size for every outcome in
-        ``xs``, shape (len(xs), n_work, cols.shape[1]): the readout stage
-        once, for all outcomes, then the outcome stage."""
-        return self._outcomes(xs, mask, self._readout(cols, mask.pre_squeeze))
-
     def _finish(self, xs: np.ndarray, mask: StageMask, vc: np.ndarray,
                 rows: Optional[int] = None) -> np.ndarray:
         """The probe readout at the outcomes, then the feedback displacement
@@ -835,25 +773,6 @@ class PipelineResult:
     completeness_defect_family: float
     completeness_grid: OutcomeGrid
 
-    def check(self, identity_tol: float = 1e-6, pom_tol: float = 1e-10,
-              completeness_tol: float = 1e-4) -> Tuple[str, ...]:
-        """Names of the acceptance-style checks this result fails, with
-        values; empty when all pass."""
-        failures = []
-        if not (self.max_deviation <= identity_tol):
-            failures.append(
-                f"pipeline-identity: max deviation {self.max_deviation:.3e} "
-                f"> {identity_tol:.1e}")
-        if not (self.pom_deviation <= pom_tol):
-            failures.append(
-                f"pom-identity: max deviation {self.pom_deviation:.3e} "
-                f"> {pom_tol:.1e}")
-        if not (self.completeness_defect_family <= completeness_tol):
-            failures.append(
-                f"completeness: defect {self.completeness_defect_family:.3e} "
-                f"> {completeness_tol:.1e}")
-        return tuple(failures)
-
 
 def build_scheme_family(params: SchemeParams,
                         feedback: Optional[FeedbackSpec] = None,
@@ -868,9 +787,10 @@ def build_scheme_family(params: SchemeParams,
     leading ``block`` Fock levels, with no phase fitted; the POM deviation
     compares the composed family's probability operators with the target's
     on the same block; the family's completeness defect is evaluated on
-    ``completeness_grid`` (default [-8, 8] step 0.02).  All numbers are
-    reported whether or not they meet any tolerance; use
-    PipelineResult.check for adjudication.
+    ``completeness_grid``, by default step 0.02 over [-w, w] with w =
+    max(8, 8 Delta): a fixed [-8, 8] would cut the kernel's tails once
+    Delta passes 1.  All numbers are reported whether or not they
+    meet any tolerance; the caller adjudicates.
     """
     feedback = feedback if feedback is not None else FeedbackSpec.ideal()
     if feedback.mode != "ideal":
@@ -887,8 +807,9 @@ def build_scheme_family(params: SchemeParams,
     pom_dev = float(np.max(np.abs(
         family.pom().matrices[:, :block, :block]
         - target.pom().matrices[:, :block, :block])))
+    half = max(8.0, 8.0 * params.delta)
     cgrid = completeness_grid if completeness_grid is not None \
-        else OutcomeGrid.from_range(-8.0, 8.0, 0.02)
+        else OutcomeGrid.from_range(-half, half, 0.02)
     cf = builder.completeness_defect(cgrid, block, compensate)
     return PipelineResult(
         params=params, mask=compensate, family=family, target=target,

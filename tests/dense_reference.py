@@ -1,44 +1,107 @@
-"""Dense reference forms of the Fock-space operators, kept as test oracles.
+"""Reference forms kept as test oracles.
 
 The library evaluates every stage exactly to rounding without a matrix
-exponential or a dense joint-space matrix.  The forms here are the
-straightforward ones: truncated ``expm`` unitaries, the squeeze as its
+exponential or a dense joint-space matrix.  The Fock-space forms here are
+the straightforward ones: truncated ``expm`` unitaries, the squeeze as its
 generator's exponential in an extended space, the mixer assembled from
-per-sector ``expm`` blocks, Kronecker-product joint operators, and the
-reduction family of an indirect measurement contracted from a dense joint
-unitary.  No module of the package imports this one.
+per-sector ``expm`` blocks, Kronecker-product joint operators, the spectrum
+of the truncated quadrature, and the reduction family of an indirect
+measurement contracted from a dense joint unitary, with the Born density,
+state reduction and ideal quadrature density of any state under it.  The
+rest are frozen copies of library arithmetic, inverse-CDF sampling and the
+one-sample KS statistic, and the closed-form moments of a Gaussian
+measurement.  No module of the package imports this one.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
 from scipy.special import eval_genlaguerre, gammaln
 
-from quadmeas.errors import DimensionMismatchError, ParameterError
+from quadmeas.errors import (
+    DimensionMismatchError,
+    GridRangeError,
+    ParameterError,
+    ZeroProbabilityError,
+)
 from quadmeas.fock import (
-    Operator,
+    DensityOperator,
     StateVector,
+    _as_array,
     _check_cutoff,
     _check_transmissivity,
+    _x0_svd,
     guard_level,
     make_annihilation,
     quadrature_eigenvector_matrix,
-    quadrature_spectrum,
 )
 from quadmeas.kernel import (
     OutcomeDensity,
     OutcomeGrid,
     PomDensity,
     ReductionOperatorFamily,
-    quadrature_density,
-    reduce_state,
 )
 
 # ---------------------------------------------------------------------------
 # one-mode operators
+
+
+@dataclass(frozen=True)
+class Operator:
+    """Matrix acting on a single mode (or a flattened two-mode space).
+
+    The flags are construction-time assertions checked on the trusted
+    (below-guard) block; compositions via ``@`` or ``dag`` drop them
+    rather than re-verifying.
+    """
+
+    matrix: np.ndarray
+    warnings: Tuple[str, ...] = ()
+    hermitian_flag: bool = False
+    unitary_flag: bool = False
+
+    def __post_init__(self):
+        mat = np.asarray(self.matrix)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise DimensionMismatchError(
+                f"operator must be square, got shape {mat.shape}")
+        object.__setattr__(self, "matrix", mat)
+        if self.hermitian_flag or self.unitary_flag:
+            block = guard_level(self.cutoff)
+            if self.hermitian_flag:
+                sub = mat[:block, :block]
+                dev = float(np.max(np.abs(sub - sub.conj().T)))
+                if dev > 1e-10:
+                    raise ParameterError(
+                        f"operator flagged hermitian deviates by {dev:.3e} "
+                        f"on the trusted block")
+            if self.unitary_flag:
+                cols = mat[:, :block]
+                dev = float(np.max(np.abs(cols.conj().T @ cols
+                                          - np.eye(block))))
+                if dev > 1e-10:
+                    raise ParameterError(
+                        f"operator flagged unitary deviates by {dev:.3e} "
+                        f"on the trusted block")
+
+    @property
+    def cutoff(self) -> int:
+        return self.matrix.shape[0]
+
+    def dag(self) -> "Operator":
+        return Operator(self.matrix.conj().T, self.warnings)
+
+    def __matmul__(self, other):
+        if isinstance(other, Operator):
+            if other.cutoff != self.cutoff:
+                raise DimensionMismatchError(
+                    f"operator dims differ: {self.cutoff} vs {other.cutoff}")
+            return Operator(self.matrix @ other.matrix,
+                            self.warnings + other.warnings)
+        return NotImplemented
 
 
 def make_creation(cutoff: int) -> np.ndarray:
@@ -146,6 +209,28 @@ def eigen_route_squeeze(r: float, n: int, phase: float = 0.0) -> np.ndarray:
         ph = np.exp(1j * phase * np.arange(n))
         block = ph[:, None] * block * ph.conj()
     return block
+
+
+def quadrature_spectrum(cutoff: int, phase: float = 0.0
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and eigenvector columns of the truncated
+    x_phase = R x_0 R^dag, R = diag(e^{i k phase}): one half-size SVD of
+    the real x_0 (_x0_svd), with eigenvector row k times e^{i k phase}."""
+    cutoff = _check_cutoff(cutoff)
+    u, s, vt = _x0_svd(cutoff)
+    k = len(s)
+    evals = np.concatenate((-s, np.zeros(cutoff - 2 * k), s[::-1]))
+    vecs = np.zeros((cutoff, cutoff))
+    half = math.sqrt(0.5)
+    vecs[0::2, :k] = half * u[:, :k]
+    vecs[1::2, :k] = -half * vt.T
+    if cutoff % 2:
+        vecs[0::2, k] = u[:, k]
+    vecs[0::2, cutoff - k:] = half * u[:, k - 1::-1]
+    vecs[1::2, cutoff - k:] = half * vt[::-1].T
+    if phase != 0.0:
+        vecs = vecs * np.exp(1j * phase * np.arange(cutoff))[:, None]
+    return evals, vecs
 
 
 def function_of_quadrature(f, cutoff: int, phase: float = 0.0) -> np.ndarray:
@@ -261,6 +346,15 @@ def partial_trace(joint: np.ndarray, sys_cutoff: int, probe_cutoff: int,
     raise ParameterError(f"keep must be 'system' or 'probe', got {keep!r}")
 
 
+def fidelity_to_pure(psi, rho) -> float:
+    """<psi| rho |psi> for a pure reference vector psi."""
+    psi = _as_array(psi).ravel()
+    rho = _as_array(rho)
+    if rho.ndim == 1:
+        return float(abs(np.vdot(psi, rho)) ** 2)
+    return float(np.real(psi.conj() @ (rho @ psi)))
+
+
 # ---------------------------------------------------------------------------
 # indirect measurement from a dense joint unitary
 
@@ -295,6 +389,86 @@ def pom_from_reduction(fam: ReductionOperatorFamily) -> PomDensity:
     """pi(x) = Omega(x)^dag Omega(x): invariant under any x-dependent
     unitary dressing of the family."""
     return fam.pom()
+
+
+def born_density(state, pom: Union[PomDensity, ReductionOperatorFamily],
+                 edge_tolerance: Optional[float] = 1e-8) -> OutcomeDensity:
+    """Outcome density p(x) = Tr[rho pi(x)] on the grid.
+
+    Negative values above -1e-10 (truncation noise) are clamped to zero with
+    the total clamped mass recorded as ``clip_defect``.  If the density at
+    either grid edge exceeds ``edge_tolerance`` relative to the peak, the
+    grid does not cover the distribution and a GridRangeError is raised;
+    pass ``edge_tolerance=None`` for intentionally non-integrable inputs.
+    """
+    if isinstance(pom, ReductionOperatorFamily):
+        pom = pom.pom()
+    if isinstance(state, StateVector):
+        psi = state.amplitudes
+        vals = np.einsum("n,xnk,k->x", psi.conj(), pom.matrices, psi).real
+    else:
+        rho = state.matrix if isinstance(state, DensityOperator) else np.asarray(state)
+        vals = np.einsum("xnk,kn->x", pom.matrices, rho).real
+    neg = vals < 0
+    clip = float(-np.sum(vals[neg]))
+    if np.any(vals < -1e-10):
+        raise ParameterError(
+            f"POM density produced negativity {np.min(vals):.3e} beyond "
+            "the truncation-noise threshold")
+    vals = np.where(neg, 0.0, vals)
+    if edge_tolerance is not None:
+        peak = float(np.max(vals))
+        if peak > 0 and max(vals[0], vals[-1]) > edge_tolerance * peak:
+            raise GridRangeError(
+                f"grid [{pom.grid.x_min}, {pom.grid.x_max}] too narrow: edge "
+                f"density {max(vals[0], vals[-1]):.3e} vs peak {peak:.3e}")
+    return OutcomeDensity(pom.grid, vals, clip, pom.warnings)
+
+
+def quadrature_density(state, grid: OutcomeGrid,
+                       phase: float = 0.0) -> OutcomeDensity:
+    """Density of an ideal (projective) quadrature measurement:
+    p(y) = <y|rho|y> with delta-normalized |y>."""
+    if isinstance(state, StateVector):
+        chi = quadrature_eigenvector_matrix(grid.points, state.cutoff, phase)
+        vals = np.abs(chi.conj() @ state.amplitudes) ** 2
+    else:
+        rho = state.matrix if isinstance(state, DensityOperator) else np.asarray(state)
+        chi = quadrature_eigenvector_matrix(grid.points, rho.shape[0], phase)
+        vals = np.einsum("xn,nm,xm->x", chi.conj(), rho, chi).real
+        vals = np.clip(vals, 0.0, None)
+    return OutcomeDensity(grid, vals)
+
+
+def _as_matrix(op) -> np.ndarray:
+    if isinstance(op, Operator):
+        return op.matrix
+    return np.asarray(op)
+
+
+def reduce_state(state, omega, floor: float = 1e-14):
+    """Conditional state update for one outcome.
+
+    Returns (probability density value, normalized post-measurement state of
+    the same kind as the input).  Outcomes with density below ``floor`` are
+    undefined and raise ZeroProbabilityError rather than being renormalized.
+    """
+    om = _as_matrix(omega)
+    if isinstance(state, StateVector):
+        post = om @ state.amplitudes
+        p = float(np.linalg.norm(post) ** 2)
+        if p <= floor:
+            raise ZeroProbabilityError(
+                f"outcome density {p:.3e} below floor {floor:.1e}")
+        return p, StateVector(post / math.sqrt(p), state.warnings)
+    rho = state.matrix if isinstance(state, DensityOperator) else np.asarray(state)
+    post = om @ rho @ om.conj().T
+    p = float(np.trace(post).real)
+    if p <= floor:
+        raise ZeroProbabilityError(
+            f"outcome density {p:.3e} below floor {floor:.1e}")
+    return p, DensityOperator(post / p,
+                              state.warnings if isinstance(state, DensityOperator) else ())
 
 
 def conditional_density(state, fam: ReductionOperatorFamily, x: float,
@@ -369,3 +543,67 @@ def inverse_cdf_reference(density, u) -> np.ndarray:
         t = s * (f0 + f1) / (disc + f0)
     t = np.clip(np.where(np.isfinite(t), t, s), 0.0, 1.0)
     return pts[j] + t * h
+
+
+def _cdf_at(density: OutcomeDensity, xs: np.ndarray) -> np.ndarray:
+    """Exact CDF of the piecewise-linear density at arbitrary points."""
+    pts = density.grid.points
+    h = density.grid.step
+    vals = np.clip(density.values, 0.0, None)
+    nodes = density.cdf_nodes()
+    total = 0.5 * h * float(np.sum(vals[1:] + vals[:-1]))
+    xs = np.asarray(xs, dtype=float)
+    j = np.clip(np.searchsorted(pts, xs, side="right") - 1, 0, len(pts) - 2)
+    t = np.clip((xs - pts[j]) / h, 0.0, 1.0)
+    inner = 0.5 * h * t * (2.0 * vals[j] + (vals[j + 1] - vals[j]) * t) / total
+    out = nodes[j] + inner
+    out[xs <= pts[0]] = 0.0
+    out[xs >= pts[-1]] = 1.0
+    return out
+
+
+def ks_against_density(samples: np.ndarray, density: OutcomeDensity) -> float:
+    """One-sample Kolmogorov-Smirnov statistic of the samples against the
+    tabulated density's own CDF."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = len(x)
+    if n == 0:
+        raise ParameterError("KS statistic needs at least one sample")
+    f = _cdf_at(density, x)
+    steps = np.arange(1, n + 1) / n
+    return float(max(np.max(steps - f), np.max(f - (steps - 1.0 / n))))
+
+
+def ks_critical_value(n: int, alpha: float = 0.01) -> float:
+    """Asymptotic one-sample KS critical value at significance alpha."""
+    if n <= 0:
+        raise ParameterError(f"sample count must be positive, got {n}")
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"significance must be in (0,1), got {alpha}")
+    return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
+
+
+# ---------------------------------------------------------------------------
+# closed-form measurement arithmetic used as frozen oracle values
+#
+# Throughout: a width-Delta Gaussian measurement kernel applied to a state
+# whose measured-quadrature marginal is N(m, v).
+
+
+def outcome_moments(prior_mean: float, prior_var: float,
+                    delta: float) -> Tuple[float, float]:
+    """Moments of the outcome density: N(m, v) convolved with N(0, Delta^2)."""
+    return prior_mean, prior_var + delta * delta
+
+
+def posterior_moments(prior_mean: float, prior_var: float, delta: float,
+                      outcome: float) -> Tuple[float, float]:
+    """Moments of the measured quadrature after observing ``outcome``.
+
+    Product of Gaussians: posterior variance (v^-1 + Delta^-2)^-1 and mean
+    pulled toward the outcome with gain v/(v + Delta^2).
+    """
+    gain = prior_var / (prior_var + delta * delta)
+    mean = prior_mean + gain * (outcome - prior_mean)
+    var = prior_var * delta * delta / (prior_var + delta * delta)
+    return mean, var

@@ -20,24 +20,17 @@ from quadmeas.fock import (
     trace_distance,
     vacuum_state,
 )
-from quadmeas.gaussian import (
-    GaussianState,
-    coherent_gaussian,
-    gap_variance_ideal_second,
-    normal_pdf,
-)
+from quadmeas.gaussian import GaussianState, coherent_gaussian, normal_pdf
 from quadmeas.kernel import (
     OutcomeDensity,
     OutcomeGrid,
-    fitted_kernel_width,
-    quadrature_density,
     widen_grid_for_density,
 )
 from quadmeas.montecarlo import (
     RngSeed,
-    ks_critical_value,
-    repeatability_experiment,
-    sample_outcomes,
+    TrialEngine,
+    _InverseCdf,
+    summarize_repeatability,
 )
 from quadmeas.scheme import (
     GaussianSchemeOracle,
@@ -51,7 +44,11 @@ from quadmeas.scheme import (
     verify_bch_factorization,
 )
 
-from dense_reference import laguerre_displacement
+from dense_reference import (
+    ks_critical_value,
+    laguerre_displacement,
+    quadrature_density,
+)
 
 PRESETS = [(eta, sigma) for eta in (0.2, 0.5, 0.8)
            for sigma in (0.5, 1.0, 2.0)]
@@ -68,6 +65,12 @@ def _vacuum_density(params, base_grid, edge_tolerance=1e-8):
         lambda pts: composed_density(params, psi, pts),
         base_grid, edge_tolerance=edge_tolerance)
     return OutcomeDensity(grid, vals)
+
+
+def _fitted_width(density):
+    """The kernel width a vacuum outcome density implies: it is N(0, 1/4)
+    convolved with N(0, Delta^2), so Delta^2 = var - 1/4."""
+    return math.sqrt(density.variance() - 0.25)
 
 
 @pytest.fixture(scope="module")
@@ -97,11 +100,10 @@ def test_kernel_width_square_root_law():
     worst = 0.0
     for eta, sigma in PRESETS:
         density = _vacuum_density(_params(eta, sigma, 40), GRID_25)
-        fit = fitted_kernel_width(density, 0.25)
+        fit = _fitted_width(density)
         worst = max(worst, abs(fit - measurement_width(eta, sigma)))
     assert worst <= 1e-6
-    pinned = fitted_kernel_width(
-        _vacuum_density(_params(0.25, 2.0, 40), GRID_25), 0.25)
+    pinned = _fitted_width(_vacuum_density(_params(0.25, 2.0, 40), GRID_25))
     assert abs(pinned - 0.353553) <= 1e-6
     print(f"PASS width law: max |fit - sqrt(eta sigma)/2| {worst:.3e} "
           f"<= 1e-6; eta=0.25 sigma=2 fit {pinned:.6f}")
@@ -120,7 +122,8 @@ def test_pom_invariant_under_compensation_dressing():
         unit = np.eye(builder.n_work)[:, :16]
 
         def pom(mask):  # the dressings applied at working size
-            w = builder._compose([-3.0, 0.0, 3.0], mask, unit)
+            w = builder._outcomes([-3.0, 0.0, 3.0], mask, builder._readout(
+                unit, mask.pre_squeeze))
             return w.conj().transpose(0, 2, 1) @ w
 
         base = pom(undressed)
@@ -255,8 +258,8 @@ def test_sampling_statistics_and_reproducibility(tmp_path, monkeypatch):
     base = OutcomeGrid.from_range(-3.0, 3.0, 0.05)
     for eta, sigma in PRESETS:
         density = _vacuum_density(_params(eta, sigma, 40, base), base)
-        draws = np.sort(sample_outcomes(density, n,
-                                        RngSeed(17, f"{eta}/{sigma}")))
+        draws = np.sort(_InverseCdf(density)(
+            RngSeed(17, f"{eta}/{sigma}").generator().random(n)))
         mean, var = GaussianSchemeOracle(
             _params(eta, sigma, 40, base)).outcome_moments()
         z = (draws - mean) / math.sqrt(2.0 * var)
@@ -271,10 +274,11 @@ def test_sampling_statistics_and_reproducibility(tmp_path, monkeypatch):
     # kernel width, prior-independent
     n_rep = 10_000
     grid = OutcomeGrid.from_range(-3.0, 3.0, 0.1)
-    stats = repeatability_experiment(
-        SchemeParams(eta=0.5, sigma=0.5, cutoff=40, grid=grid),
-        n_rep, RngSeed(21))
-    oracle = gap_variance_ideal_second(0.25)
+    batch = TrialEngine(
+        SchemeParams(eta=0.5, sigma=0.5, cutoff=40, grid=grid)).trials(
+            RngSeed(21), n_rep, want_second=True)
+    stats = summarize_repeatability(batch.outcome, batch.second_outcome)
+    oracle = 0.25 ** 2
     three_se = 3.0 * oracle * math.sqrt(2.0 / (n_rep - 1))
     assert abs(stats.diff_variance - oracle) < three_se
 

