@@ -522,13 +522,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         add("completeness", eta, sigma, res.completeness_defect_family,
             tols["completeness"])
     for eta in sorted({e for e, _ in pairs}):
-        # small transmissivities need extra working room: the factored
-        # squeeze S(-ln(eta)/2) spreads a level over e^{2|r|} = 1/eta times
-        # as many, so the room grows as 0.7/eta below eta 0.2
-        bch_cutoff = max(cfg.values["cutoff"], 40)
         rep = verify_bch_factorization(
-            eta, cutoff=bch_cutoff,
-            working_cutoff=int(math.ceil(bch_cutoff * max(3.5, 0.7 / eta))))
+            eta, cutoff=max(cfg.values["cutoff"], 40))
         add("bch-factorization", eta, None, rep.factorization_deviation,
             cfg.values["bch_tol"])
         add("bch-su2", eta, None, max(rep.su2_plus_minus_deviation,
@@ -651,6 +646,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     columns: Dict[str, list] = {name: [] for name in (
         "eta", "sigma", "beta", "metric", "value", "status")}
     warnings: List[str] = []
+    failed: List[str] = []
     any_error = False
 
     def add(eta, sigma, beta, *rest):
@@ -666,12 +662,17 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 res = build_scheme_family(
                     cfg.scheme_params(eta, sigma), margin=margin)
                 warnings += res.family.warnings
-                # a cell that misses verify's identity tolerance reads as
-                # its check would; the exit code does not change
+                # a cell that misses verify's identity tolerance reads and
+                # exits as its check would
+                tol = cfg.values["identity_tol"]
+                passed = res.max_deviation <= tol
                 add(eta, sigma, None, "identity-deviation",
-                    res.max_deviation,
-                    "ok" if res.max_deviation <= cfg.values["identity_tol"]
-                    else "FAIL")
+                    res.max_deviation, "ok" if passed else "FAIL")
+                if not passed:
+                    failed.append(
+                        f"FAIL identity-deviation at eta {eta:g}, sigma "
+                        f"{sigma:g}: value {_fmt(res.max_deviation)} "
+                        f"exceeds tolerance {_fmt(tol)}")
             except QuadmeasError as exc:
                 any_error = True
                 add(eta, sigma, None, "identity-deviation", None,
@@ -690,7 +691,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     else:
         _emit_csv(cfg, columns)
     _print_warnings(warnings)
-    return 1 if any_error else 0
+    for line in failed:
+        print(line, file=sys.stderr)
+    return 1 if any_error or failed else 0
 
 
 _DISPATCH = {

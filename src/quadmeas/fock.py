@@ -16,6 +16,7 @@ by construction); states are 1-d, operators 2-d.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -88,11 +89,6 @@ class StateVector:
             raise ParameterError("cannot normalize the zero vector")
         return StateVector(self.amplitudes / n, self.warnings)
 
-    def guard_band_population(self) -> float:
-        """Probability weight sitting in the untrusted top Fock levels."""
-        g = guard_level(self.cutoff)
-        return float(np.sum(np.abs(self.amplitudes[g:]) ** 2))
-
     def density(self) -> "DensityOperator":
         return DensityOperator(np.outer(self.amplitudes,
                                         self.amplitudes.conj()),
@@ -125,32 +121,6 @@ class DensityOperator:
         if tr <= 0.0:
             raise ParameterError(f"density trace must be positive, got {tr}")
         return DensityOperator(self.matrix / tr, self.warnings)
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-    def validate(self, trace_tol: float = 1e-10, hermitian_tol: float = 1e-12,
-                 eigenvalue_floor: float = -1e-10) -> "DensityOperator":
-        """Assert unit trace, hermiticity and positivity; returns self.
-
-        Opt-in rather than enforced at construction: intermediate matrices
-        (lossy-channel outputs, unnormalized conditionals) legitimately
-        carry small trace deficits that are reported as warnings upstream.
-        """
-        tr = self.trace()
-        if abs(tr - 1.0) > trace_tol:
-            raise ParameterError(f"density trace {tr} deviates from 1 "
-                                 f"beyond {trace_tol}")
-        herm_dev = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-        if herm_dev > hermitian_tol:
-            raise ParameterError(f"density matrix non-hermitian by "
-                                 f"{herm_dev:.3e}")
-        lowest = float(np.linalg.eigvalsh(
-            0.5 * (self.matrix + self.matrix.conj().T)).min())
-        if lowest < eigenvalue_floor:
-            raise ParameterError(f"density matrix has eigenvalue {lowest:.3e}"
-                                 f" below {eigenvalue_floor}")
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +304,7 @@ def quadrature_nodes(cutoff: int) -> np.ndarray:
     return np.concatenate((-s, np.zeros(cutoff % 2), s[::-1]))
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """The n-node Gauss rule of weight e^{-2z^2} (Golub & Welsch 1969):
     nodes lam_l, ascending, and Christoffel weights W_l = 1 / sum_{i<n}
@@ -347,11 +318,14 @@ def _gauss_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
     refinement keeps them symmetric to the last bit.  The largest node is
     about sqrt(n), so from n ~ 730 on chi_0 is subnormal there while
     chi_{n-1} is not; _hermite_functions keeps every chi exact to rounding
-    past that point."""
+    past that point.  The rule of each n is built once and kept, its arrays
+    read-only, as every stage call asks for one."""
     lam = quadrature_nodes(n)
     chi = _hermite_functions(lam, n + 1)
     lam = lam - chi[:, n] / (2.0 * math.sqrt(n) * chi[:, n - 1])
-    return lam, 1.0 / np.sum(_hermite_functions(lam, n) ** 2, axis=1)
+    w = 1.0 / np.sum(_hermite_functions(lam, n) ** 2, axis=1)
+    lam.flags.writeable = w.flags.writeable = False
+    return lam, w
 
 
 # ---------------------------------------------------------------------------

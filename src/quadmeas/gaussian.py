@@ -63,12 +63,6 @@ class GaussianState:
     def n_modes(self) -> int:
         return self.mean.shape[0] // 2
 
-    def uncertainty_defect(self) -> float:
-        """Most negative eigenvalue of cov + (i/4)J; >= -1e-10 for a
-        physical state."""
-        m = self.cov.astype(complex) + 0.25j * symplectic_form(self.n_modes)
-        return float(np.min(np.linalg.eigvalsh(m)))
-
     def mode(self, k: int) -> "GaussianState":
         sl = slice(2 * k, 2 * k + 2)
         return GaussianState(self.mean[sl], self.cov[sl, sl])
@@ -104,11 +98,6 @@ class SymplecticTransform:
                 f"{state.n_modes}-mode state")
         return GaussianState(self.matrix @ state.mean + self.shift,
                              self.matrix @ state.cov @ self.matrix.T)
-
-    def then(self, later: "SymplecticTransform") -> "SymplecticTransform":
-        """Composite applying self first, then ``later``."""
-        return SymplecticTransform(later.matrix @ self.matrix,
-                                   later.matrix @ self.shift + later.shift)
 
 
 # ---------------------------------------------------------------------------

@@ -92,18 +92,12 @@ class OutcomeGrid:
         w[-1] *= 0.5
         return w
 
-    def covers(self, center: float, spread: float) -> bool:
-        return self.x_min <= center - spread and self.x_max >= center + spread
-
     def widened(self, pad: float) -> "OutcomeGrid":
         """New grid with the same step, extended by ``pad`` on both sides
         (rounded up to whole steps)."""
         extra = int(math.ceil(pad / self.step))
         lo = self.x_min - extra * self.step
         return OutcomeGrid(lo + self.step * np.arange(len(self) + 2 * extra))
-
-    def spec_string(self) -> str:
-        return f"{self.x_min:g}:{self.x_max:g}:{self.step:g}"
 
 
 @dataclass(frozen=True)
@@ -134,13 +128,6 @@ class ReductionOperatorFamily:
         return self.operators.shape[1]
 
     def __getitem__(self, i: int) -> np.ndarray:
-        return self.operators[i]
-
-    def at_outcome(self, x: float) -> np.ndarray:
-        """Family member at the grid point nearest to x."""
-        i = int(np.argmin(np.abs(self.grid.points - x)))
-        if abs(self.grid.points[i] - x) > 0.5 * self.grid.step + 1e-12:
-            raise GridRangeError(f"outcome {x} lies outside the grid")
         return self.operators[i]
 
     def pom(self) -> "PomDensity":
@@ -178,10 +165,6 @@ class PomDensity:
     @property
     def cutoff(self) -> int:
         return self.matrices.shape[1]
-
-    def min_eigenvalue(self) -> float:
-        return float(min(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
-                         for m in self.matrices))
 
     def completeness_defect(self, block: Optional[int] = None) -> float:
         b = guard_level(self.cutoff) if block is None else block
@@ -221,16 +204,11 @@ class OutcomeDensity:
         m = (w * self.values) @ self.grid.points / mass
         return float((w * self.values) @ (self.grid.points - m) ** 2 / mass)
 
-    def cdf_nodes(self) -> np.ndarray:
-        """Cumulative distribution at the grid points (trapezoid rule),
-        normalized to end at exactly 1."""
-        return _cdf_rows(self.values, self.grid.step)
-
 
 def _cdf_rows(values: np.ndarray, step: float) -> np.ndarray:
-    """``OutcomeDensity.cdf_nodes`` of each row of densities tabulated on a
-    grid of spacing ``step``: the trapezoid-rule CDF of the values clipped
-    at zero, normalized to end at exactly 1."""
+    """The cumulative distribution at the grid points of each row of
+    densities tabulated on a grid of spacing ``step``: the trapezoid-rule
+    CDF of the values clipped at zero, normalized to end at exactly 1."""
     v = np.clip(values, 0.0, None)
     c = np.zeros_like(v)
     np.cumsum(0.5 * step * (v[..., 1:] + v[..., :-1]), axis=-1,

@@ -35,7 +35,6 @@ from .kernel import (OutcomeDensity, OutcomeGrid, _cdf_rows,
                      widen_grid_for_density)
 from .scheme import (
     FeedbackSpec,
-    SchemeFamilyBuilder,
     SchemeParams,
     StageMask,
     _check_margin,
@@ -88,10 +87,6 @@ class RngSeed:
             hashlib.blake2s(self.stream.encode("utf-8"),
                             digest_size=8).digest(), "little")
         return np.random.Generator(np.random.Philox(key=[int(self.seed), tag]))
-
-    def child(self, stream: str) -> "RngSeed":
-        """Derived seed for an independent sub-stream."""
-        return RngSeed(int(self.seed), f"{self.stream}/{stream}")
 
 
 def _as_generator(seed) -> np.random.Generator:
@@ -311,14 +306,14 @@ class TrialEngine:
     and its second-outcome density.  No reduction operator is formed.
 
     The density and the reductions come from composed_density and
-    composed_reductions, or at phi_probe != phi from a SchemeFamilyBuilder,
-    whose readout stage runs once on the input column at construction and
-    whose outcome stage then serves every density and reduction.
+    composed_reductions.  At phi_probe != phi these truncate at the length
+    of the input column (composed_reductions), so the engine pads it to
+    n_work = max(cutoff, ceil(margin cutoff)) levels there.
     The drawn outcomes with no entry yet are reduced together in one call
     on the input column: to the cutoff, or for finite-lo feedback to n_work
-    = max(cutoff, ceil(margin cutoff)) levels before the feedback.  There
-    the oscillator's loss acts on each post state, and then the feedback
-    and the back-squeeze act as one exact stage straight to the cutoff.
+    levels before the feedback.  There the oscillator's loss acts on each
+    post state, and then the feedback and the back-squeeze act as one
+    exact stage straight to the cutoff.
     One eigenvector matrix on the second grid gives all their moments and
     second-outcome densities.  A reduced state's norm against the density
     at its outcome is the fraction the kept levels capture, and a finite-lo
@@ -344,10 +339,8 @@ class TrialEngine:
         self.mask = mask
         cutoff = params.cutoff
         _check_margin(margin)
-        self._rows = max(cutoff, int(math.ceil(margin * cutoff))) \
-            if self.feedback.mode == "finite-lo" else cutoff
-        self._builder = SchemeFamilyBuilder(params, margin) \
-            if params.phi_probe != params.phi else None
+        n_work = max(cutoff, int(math.ceil(margin * cutoff)))
+        self._rows = n_work if self.feedback.mode == "finite-lo" else cutoff
         state = input_state if input_state is not None \
             else vacuum_state(cutoff)
         self._input_warnings = state.warnings
@@ -357,11 +350,8 @@ class TrialEngine:
                 f"input state cutoff {len(psi)} does not match the scheme "
                 f"cutoff {cutoff}")
         self._psi = psi / np.linalg.norm(psi)
-        if self._builder is not None:  # one readout serves every outcome
-            padded = np.zeros((self._builder.n_work, 1), dtype=complex)
-            padded[:cutoff, 0] = self._psi
-            self._psi_readout = self._builder._readout(padded,
-                                                       mask.pre_squeeze)
+        self._column = self._psi if params.phi_probe == params.phi \
+            else np.pad(self._psi, (0, n_work - cutoff))
         self.grid, vals = widen_grid_for_density(self._density, params.grid)
         self._exact = vals  # the reduced states' norms are fractions of it
         self._worst_capture = (1.0, -1, 0)  # (kept, grid index, levels)
@@ -385,17 +375,8 @@ class TrialEngine:
 
     def _density(self, pts: np.ndarray) -> np.ndarray:
         """The Born density of the input at the outcomes ``pts``."""
-        if self._builder is None:
-            return composed_density(self.params, self._psi, pts,
-                                    self.mask.pre_squeeze)
-        return np.linalg.norm(self._working_columns(
-            pts, StageMask(self.mask.pre_squeeze, False, False)), axis=1) ** 2
-
-    def _working_columns(self, xs, mask: StageMask) -> np.ndarray:
-        """The builder's Omega(x) psi on n_work levels, a row per outcome,
-        from the readout of psi made once at construction; ``mask`` keeps
-        the engine's pre-squeeze flag."""
-        return self._builder._outcomes(xs, mask, self._psi_readout)[:, :, 0]
+        return composed_density(self.params, self._column, pts,
+                                self.mask.pre_squeeze)
 
     def _reduced(self, indices: np.ndarray) -> np.ndarray:
         """The input reduced at each grid index, unnormalized, one row per
@@ -405,10 +386,8 @@ class TrialEngine:
         xs = self.grid.points[indices]
         mask = StageMask(self.mask.pre_squeeze, False, False) \
             if self.feedback.mode == "finite-lo" else self.mask
-        if self._builder is None:
-            return composed_reductions(self.params, xs, self._psi[:, None],
-                                       self._rows, mask)[:, :, 0]
-        return self._working_columns(xs, mask)[:, :self._rows]
+        return composed_reductions(self.params, xs, self._column[:, None],
+                                   self._rows, mask)[:, :, 0]
 
     def _has_mass(self, keys: np.ndarray, pending: Dict) -> np.ndarray:
         """Whether each of the distinct grid indices ``keys`` has
@@ -509,11 +488,9 @@ class TrialEngine:
     @property
     def warnings(self) -> Tuple[str, ...]:
         """Warnings the constructors attached to what this engine used (the
-        input state, the builder's probe if any, the conditional states
-        formed so far) and the worst captured fraction below 1 - 1e-8,
-        as the fraction lost: printed to 6 digits, a kept fraction that
-        close to 1 would read as 1."""
-        probe = self._builder.warnings if self._builder is not None else ()
+        input state and the conditional states formed so far) and the worst
+        captured fraction below 1 - 1e-8, as the fraction lost: printed to
+        6 digits, a kept fraction that close to 1 would read as 1."""
         posts = tuple(w for e in self._cache.values() if e is not None
                       for w in getattr(e.post, "warnings", ()))
         kept, index, levels = self._worst_capture
@@ -521,7 +498,7 @@ class TrialEngine:
             f"the reduced state at outcome {self.grid.points[index]:.6g} "
             f"loses a fraction {1.0 - kept:.6g} of its probability beyond "
             f"{levels} levels",)
-        return self._input_warnings + probe + posts + capture
+        return self._input_warnings + posts + capture
 
     def post_state(self, index: int):
         """Normalized post-measurement state at a grid index (pure vector

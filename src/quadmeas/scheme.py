@@ -39,22 +39,25 @@ quadrature wavefunction, so an element or a Born density of any run of
 them is a polynomial times a Gaussian.  One Gauss rule (_rule, on
 fock._gauss_rule) integrates it exactly, and one contraction applies it,
 chi_rows(y)^T (f . chi_n(u) @ cols) (_stage), with the outcomes in chunks
-of one formula (_chunked).  Through them run the exact composition at
-phi_probe = phi, which pom and sampling read (composed_reductions, and
-composed_density on the rule alone), and every squeeze and displacement
-S(s) D(t) in the package (_squeeze_displace).
+of one formula (_chunked).  Through them run the exact composition,
+which pom and sampling read (composed_reductions, and composed_density on
+the rule alone), and every squeeze and displacement S(s) D(t) in the
+package (_squeeze_displace).  At phi_probe = phi the composition is one
+stage; at phi_probe != phi it is a chain of three around the raw readout,
+which truncates at the length of the columns it is given (see
+composed_reductions).
 
-SchemeFamilyBuilder, which verify and sweep check against the target and
-which serves phi_probe != phi, composes the stages as matrices in a working
-space of margin * cutoff levels, every entry exact to rounding, and
-truncates only the result (see its docstring).  verify_bch_factorization
-runs in joint-parity sectors on the corner of the joint space that its
-comparison reads.
+SchemeFamilyBuilder, which verify and sweep check against the target,
+composes the stages as matrices in a working space of margin * cutoff
+levels, every entry exact to rounding, and truncates only the result (see
+its docstring).  verify_bch_factorization runs in joint-parity sectors on
+the corner of the joint space that its comparison reads.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -329,14 +332,17 @@ def _stage(scale: float, shift, cols: np.ndarray, rows: int,
     the (rows + n + 1) // 2 nodes of _rule integrate exactly, and each
     outcome's columns take the one contraction chi_rows(y)^T (f . chi_n(u)
     @ cols).  The columns are shared, ``cols`` shaped (n, c), or one set
-    per outcome as a readout: with ``lead`` shaped (len(B), p) and ``cols``
-    (p, n, c), outcome x takes sum_p lead[x, p] cols[p], formed for one
-    outcome chunk (_chunked) at a time and contracted on its float view."""
+    per outcome, ``cols`` shaped (len(B), n, c), or one set per outcome
+    as a readout: with ``lead`` shaped (len(B), p) and ``cols`` (p, n, c),
+    outcome x takes sum_p lead[x, p] cols[p], formed for one outcome chunk
+    (_chunked) at a time.  A set per outcome is contracted on its float
+    view."""
     shift = np.asarray(shift, dtype=float)
     n, c = cols.shape[-2:]
     nodes = (rows + n + 1) // 2
     y, u, f = _rule(scale, shift, nodes, gain, probe)
     dtype = np.result_type(cols, lead if lead is not None else cols)
+    shared = lead is None and cols.ndim == 2
     if lead is not None:
         cols = cols.reshape(len(cols), -1)
 
@@ -345,11 +351,12 @@ def _stage(scale: float, shift, cols: np.ndarray, rows: int,
         # stacks after it; held on, it made a 6 ms verify family about
         # 2.5 ms slower (n_work 160, 2 vCPUs, 1 BLAS thread)
         k = len(y[sl])
-        if lead is None:
+        if shared:
             inner = (fock._hermite_functions(u[sl].ravel(), n) @ cols
                      ).reshape(k, nodes, c)
         else:
-            own = (lead[sl] @ cols).view(float).reshape(k, n, -1)
+            own = (cols[sl] if lead is None else lead[sl] @ cols
+                   ).view(float).reshape(k, n, -1)
             inner = fock._hermite_functions(u[sl].ravel(), n).reshape(
                 k, nodes, n) @ own
         chi = fock._hermite_functions(y[sl].ravel(), rows).reshape(
@@ -449,6 +456,15 @@ def _mixer_sectors(eta: float, n_rows: int, n_cols: int, n_sectors: int):
 # the five stages composed exactly on the Gauss rule
 
 
+def _compensation(params: SchemeParams, xs: np.ndarray, mask: StageMask):
+    """(s_b, t) of the back-squeeze and the feedback per outcome, 0 for a
+    masked-off stage: s_b = backsqueeze_param(eta) for the mask's
+    pre-squeeze flag and t = feedback_coefficient(eta) x."""
+    s = backsqueeze_param(params.eta, mask.pre_squeeze) \
+        if mask.back_squeeze else 0.0
+    return s, feedback_coefficient(params.eta) * xs * mask.feedback
+
+
 def _stage_coefficients(params: SchemeParams, xs, mask: StageMask):
     """(A, B, gain, (C, E, sigma)) of the composition as one stage (_stage),
     Omega_0(x) psi(y) = e^{-(r_p+r_b)/2} psi(Ay + B) phi(Cy + E), B and E
@@ -456,19 +472,29 @@ def _stage_coefficients(params: SchemeParams, xs, mask: StageMask):
     e^{-s/2} psi(e^{-s} y), the mixer and the readout at x to psi(cy + rx)
     phi(-ry + cx), c = sqrt(eta), r = sqrt(1-eta), phi(u) = (pi
     sigma/2)^{-1/4} e^{-u^2/sigma}, and the feedback to psi(y - t), t =
-    feedback_coefficient(eta) x.  A masked-off stage has parameter 0."""
-    if params.phi_probe != params.phi:
-        raise ParameterError("the exact composition reads the probe at "
-                             "phi; use SchemeFamilyBuilder at phi_probe")
+    feedback_coefficient(eta) x.  A masked-off stage has parameter 0.  The
+    probe is read at phi, whatever phi_probe is: composed_reductions takes
+    the offset into the phases around the raw readout."""
     c, r = math.sqrt(params.eta), math.sqrt(1.0 - params.eta)
     r_p = presqueeze_param(params.eta) if mask.pre_squeeze else 0.0
-    r_b = backsqueeze_param(params.eta, mask.pre_squeeze) \
-        if mask.back_squeeze else 0.0
     xs = np.asarray(xs, dtype=float)
-    t = feedback_coefficient(params.eta) * xs * mask.feedback
+    r_b, t = _compensation(params, xs, mask)
     return (c * math.exp(-r_p - r_b), math.exp(-r_p) * (r * xs - c * t),
             math.exp(-0.5 * (r_p + r_b)),
             (-r * math.exp(-r_b), r * t + c * xs, params.sigma))
+
+
+def _offset_columns(params: SchemeParams, cols: np.ndarray,
+                    pre_squeeze: bool) -> np.ndarray:
+    """R(-delta) S(r_p) cols on len(cols) rows, delta = phi_probe - phi,
+    with S(r_p) the pre-squeeze stage when ``pre_squeeze``: the columns
+    that the raw readout takes at an offset probe (composed_reductions)."""
+    n = len(cols)
+    if pre_squeeze:
+        cols = _squeeze_displace(presqueeze_param(params.eta), [0.0], cols,
+                                 n)[0]
+    return np.exp(-1j * (params.phi_probe - params.phi)
+                  * np.arange(n))[:, None] * cols
 
 
 def composed_reductions(params: SchemeParams, xs, cols: np.ndarray,
@@ -478,11 +504,36 @@ def composed_reductions(params: SchemeParams, xs, cols: np.ndarray,
     column of ``cols`` (shape (n, k)), shaped (len(xs), rows, k), exact to
     rounding: e^{-(r_p+r_b)/2} int chi_m(y) chi_n(Ay + B) phi(Cy + E) dy,
     the stage (_stage) of _stage_coefficients.  R_phi acts on the columns
-    and the rows."""
-    a, b, gain, probe = _stage_coefficients(params, xs, mask)
+    and the rows.
+
+    At phi_probe != phi the probe is read at the offset delta = phi_probe
+    - phi.  R(delta) (x) R(delta), R(delta) = diag(e^{ik delta}), commutes
+    with the real mixer, so the readout there is R(delta) W_0(x)
+    R(-delta), W_0 the raw readout at delta = 0; this holds element by
+    element even after truncation, as the mixer conserves the total:
+    V_delta[m, p, n] = e^{i(m+p-n) delta} V_0[m, p, n].  The composition
+    is then the chain S(s_b) D(t) R(delta) W_0(x) R(-delta) S(r_p) of three
+    stages: the pre-squeeze to n rows, the raw readout with the real probe
+    to max(n, rows) rows, and the feedback and the back-squeeze on each
+    outcome's columns to ``rows``.  The working size is n, the length of
+    the columns given: the first two stages truncate there."""
     if params.phi:
         cols = np.exp(-1j * params.phi * np.arange(len(cols)))[:, None] * cols
-    out = _stage(a, b, cols, rows, gain, probe)
+    delta = params.phi_probe - params.phi
+    if delta:
+        xs = np.asarray(xs, dtype=float)
+        n = max(len(cols), rows)
+        a, b, gain, probe = _stage_coefficients(params, xs, StageMask.raw())
+        out = _stage(a, b, _offset_columns(params, cols, mask.pre_squeeze), n,
+                     gain, probe) * np.exp(1j * delta * np.arange(n))[:, None]
+        if mask.feedback or mask.back_squeeze:
+            out = _squeeze_displace(*_compensation(params, xs, mask), out,
+                                    rows)
+        else:
+            out = out[:, :rows]
+    else:
+        a, b, gain, probe = _stage_coefficients(params, xs, mask)
+        out = _stage(a, b, cols, rows, gain, probe)
     if params.phi:
         out = out * np.exp(1j * params.phi * np.arange(rows))[:, None]
     return out
@@ -494,10 +545,17 @@ def composed_density(params: SchemeParams, psi, xs,
     ``xs``, exact to rounding, with the unitary feedback and back-squeeze
     off: e^{-r_p} int |psi(Ay + B)|^2 phi(Cy + E)^2 dy on the power-2 rule
     of _rule with a node per level up to psi's last nonzero amplitude,
-    the outcomes in chunks (_chunked)."""
+    the outcomes in chunks (_chunked).  At phi_probe != phi it is the
+    density of the raw readout at phi = 0 of R(-delta) S(r_p) R_phi^dag
+    psi on len(psi) rows (composed_reductions): R(delta) keeps the norm."""
     psi = np.asarray(psi.amplitudes if isinstance(psi, StateVector) else psi)
     if psi.ndim != 1:
         raise ParameterError("composed_density wants a pure state vector")
+    if params.phi_probe != params.phi:
+        psi = np.exp(-1j * params.phi * np.arange(len(psi))) * psi
+        psi = _offset_columns(params, psi[:, None], pre_squeeze)[:, 0]
+        params = dataclasses.replace(params, phi=0.0, phi_probe=0.0)
+        pre_squeeze = False
     n = int(np.flatnonzero(psi)[-1]) + 1 if np.any(psi) else 1
     a, b, gain, probe = _stage_coefficients(
         params, xs, StageMask(pre_squeeze, False, False))
@@ -557,9 +615,10 @@ class SchemeFamilyBuilder:
     ln(sigma)/2 so that the probe's never does; where tau = 0 (sigma <= 1,
     the pre-squeeze off, phi_probe != phi) the lab-frame arithmetic runs
     unchanged.  ``_levels`` and ``_amps`` hold the lab-frame probe.
-    It is the subject that verify and sweep check against the target, and
-    through ``_readout`` and ``_outcomes`` the one path for phi_probe !=
-    phi, which composed_reductions does not reach.  ``warnings`` holds
+    It is the subject that verify and sweep check against the target.  At
+    phi_probe != phi it composes with the complex probe read at the
+    offset, with no rotated frame, so it is an independent reference for
+    the chain that composed_reductions runs there.  ``warnings`` holds
     those the lab-frame probe's constructor attached.  Completeness sums
     mask feedback and back-squeeze off: those unitary dressings, and the
     frame's S(tau) on the signal, cancel in the Born rule at working
@@ -656,17 +715,6 @@ class SchemeFamilyBuilder:
                 y.view(vc.dtype)[::-1]
         return vc
 
-    def _readout(self, cols: np.ndarray, pre_on: bool) -> np.ndarray:
-        """The readout stage: vc (``_readout_columns``) of the columns
-        ``cols`` of the phi frame, taken to phi = 0 by R_phi^dag and
-        pre-squeezed when ``pre_on``, in the frame of the flag."""
-        if self.params.phi:
-            cols = np.exp(-1j * self.params.phi
-                          * np.arange(self.n_work))[:, None] * cols
-        if pre_on:
-            cols = self._presqueeze(cols)
-        return self._readout_columns(cols, self._frames[pre_on][1])
-
     def _unit_readout(self, pre_on: bool, width: int) -> np.ndarray:
         """The readout at phi = 0 of the leading max(width, cutoff) unit
         columns, made once per pre-squeeze flag (or again, wider, when a
@@ -679,18 +727,6 @@ class SchemeFamilyBuilder:
             vc = self._units[pre_on] = self._readout_columns(
                 cols, self._frames[pre_on][1])
         return vc
-
-    def _outcomes(self, xs, mask: StageMask, vc: np.ndarray) -> np.ndarray:
-        """The outcome stage: B . D(x) . chi(x) of a readout vc at every
-        outcome in ``xs``, shape (len(xs), n_work, vc.shape[2]), with the
-        masked-off stages left out, its rows taken back to the frame of
-        phi by R_phi."""
-        xs = np.asarray(xs, dtype=float)
-        w = self._finish(xs, mask, vc)
-        if self.params.phi:
-            w = w * np.exp(1j * self.params.phi * np.arange(self.n_work))[
-                :, None]
-        return w
 
     def _finish(self, xs: np.ndarray, mask: StageMask, vc: np.ndarray,
                 rows: Optional[int] = None) -> np.ndarray:
@@ -707,10 +743,7 @@ class SchemeFamilyBuilder:
         if not (mask.feedback or mask.back_squeeze or tau):
             return (chi @ vc[:, :rows].reshape(n, -1)).reshape(len(xs), rows,
                                                               c)
-        eta = self.params.eta
-        s = backsqueeze_param(eta, mask.pre_squeeze) \
-            if mask.back_squeeze else 0.0
-        t = feedback_coefficient(eta) * xs * mask.feedback
+        s, t = _compensation(self.params, xs, mask)
         # S(s) D(t) S(tau) = S(s + tau) D(e^{-tau} t)
         return _squeeze_displace(s + tau, math.exp(-tau) * t, vc, rows,
                                  lead=chi)
@@ -928,9 +961,10 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
     The two sides are applied to every joint basis vector with total
     occupancy <= block_total and compared on the rows of the same total,
     inside a working space of ``working_cutoff`` levels per mode (default
-    2.5x the requested cutoff): the factorization is an operator identity,
-    but products of individually truncated exponentials corrupt low blocks,
-    so the faithful route evaluates each factor in its own eigenbasis.
+    ceil(cutoff max(3.5, 0.7/eta))): the factorization is an operator
+    identity, but products of individually truncated exponentials corrupt
+    low blocks, so the faithful route evaluates each factor in its own
+    eigenbasis.
     block_total is at most cutoff - 2: from total cutoff - 1 on, the su(2)
     products reach the truncation edge of the cutoff^2 joint space.
 
@@ -973,8 +1007,11 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
         raise ParameterError(
             f"factorization check wants 0 <= block_total <= cutoff - 2 "
             f"= {cutoff - 2}, got {block_total}")
+    # small transmissivities need extra working room: the factored squeeze
+    # S(-ln(eta)/2) spreads a level over e^{2|r|} = 1/eta times as many, so
+    # the room grows as 0.7/eta below eta 0.2
     n_w = working_cutoff if working_cutoff is not None \
-        else int(math.ceil(2.5 * cutoff))
+        else int(math.ceil(cutoff * max(3.5, 0.7 / eta)))
     if n_w <= block_total:
         raise ParameterError(
             f"factorization check wants working_cutoff > block_total "

@@ -43,6 +43,7 @@ from quadmeas.kernel import (
     OutcomeGrid,
     PomDensity,
     ReductionOperatorFamily,
+    _cdf_rows,
 )
 
 # ---------------------------------------------------------------------------
@@ -478,8 +479,36 @@ def conditional_density(state, fam: ReductionOperatorFamily, x: float,
     """Density p(y|x) of an ideal quadrature measurement at ``second_phase``
     performed on the post-measurement state of outcome x (snapped to the
     nearest grid point)."""
-    _, post = reduce_state(state, fam.at_outcome(x))
+    _, post = reduce_state(state, at_outcome(fam, x))
     return quadrature_density(post, second_grid or fam.grid, second_phase)
+
+
+def at_outcome(fam: ReductionOperatorFamily, x: float) -> np.ndarray:
+    """The family member at the grid point nearest to x."""
+    i = int(np.argmin(np.abs(fam.grid.points - x)))
+    if abs(fam.grid.points[i] - x) > 0.5 * fam.grid.step + 1e-12:
+        raise GridRangeError(f"outcome {x} lies outside the grid")
+    return fam.operators[i]
+
+
+def validate_density(rho: DensityOperator, trace_tol: float = 1e-10,
+                     hermitian_tol: float = 1e-12,
+                     eigenvalue_floor: float = -1e-10) -> DensityOperator:
+    """Assert unit trace, hermiticity and positivity; returns rho."""
+    mat = rho.matrix
+    tr = rho.trace()
+    if abs(tr - 1.0) > trace_tol:
+        raise ParameterError(f"density trace {tr} deviates from 1 "
+                             f"beyond {trace_tol}")
+    herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
+    if herm_dev > hermitian_tol:
+        raise ParameterError(f"density matrix non-hermitian by "
+                             f"{herm_dev:.3e}")
+    lowest = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min())
+    if lowest < eigenvalue_floor:
+        raise ParameterError(f"density matrix has eigenvalue {lowest:.3e}"
+                             f" below {eigenvalue_floor}")
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +579,7 @@ def _cdf_at(density: OutcomeDensity, xs: np.ndarray) -> np.ndarray:
     pts = density.grid.points
     h = density.grid.step
     vals = np.clip(density.values, 0.0, None)
-    nodes = density.cdf_nodes()
+    nodes = _cdf_rows(density.values, h)
     total = 0.5 * h * float(np.sum(vals[1:] + vals[:-1]))
     xs = np.asarray(xs, dtype=float)
     j = np.clip(np.searchsorted(pts, xs, side="right") - 1, 0, len(pts) - 2)

@@ -119,11 +119,11 @@ def test_pom_invariant_under_compensation_dressing():
     worst = 0.0
     for eta, sigma in PRESETS:
         builder = SchemeFamilyBuilder(_params(eta, sigma, 60), 3.5)
-        unit = np.eye(builder.n_work)[:, :16]
 
         def pom(mask):  # the dressings applied at working size
-            w = builder._outcomes([-3.0, 0.0, 3.0], mask, builder._readout(
-                unit, mask.pre_squeeze))
+            w = builder._finish(np.array([-3.0, 0.0, 3.0]), mask,
+                                builder._unit_readout(mask.pre_squeeze,
+                                                      16)[:, :, :16])
             return w.conj().transpose(0, 2, 1) @ w
 
         base = pom(undressed)

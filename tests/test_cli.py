@@ -468,16 +468,23 @@ class TestSweep:
         assert all(v <= 1e-6 for v in column(header, rows, "value"))
         assert all(s == "ok" for s in column(header, rows, "status", str))
 
-    def test_cell_missing_the_identity_tolerance_reads_fail(self, tmp_path):
+    def test_cell_missing_the_identity_tolerance_reads_fail(self, tmp_path,
+                                                           capsys):
         # (0.95, 1) reads 0.175 at margin 4, far above the 1e-6 of verify;
-        # (0.5, 1) passes.  A failing cell changes no exit code
+        # (0.5, 1) passes.  A failing cell exits 1 and names itself on
+        # stderr, as a failing verify check does
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--sweep-eta", "0.95,0.5", "--sigma", "1",
-                     "--cutoff", "40", "--out", str(out)]) == 0
+                     "--cutoff", "40", "--out", str(out)]) == 1
         _, header, rows, _ = read_csv(out)
         values = column(header, rows, "value")
         assert values[0] > 0.1 and values[1] <= 1e-6
         assert column(header, rows, "status", str) == ["FAIL", "ok"]
+        fails = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("FAIL")]
+        assert len(fails) == 1
+        assert fails[0].startswith("FAIL identity-deviation at eta 0.95, "
+                                   "sigma 1: value 0.175")
 
     def test_beta_sweep_feedback_error_decreasing(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -596,14 +603,19 @@ class TestWarnings:
 
     def test_sweep_prints_each_distinct_warning_once(self, tmp_path,
                                                      monkeypatch, capsys):
-        # four cells, two probes: each probe warning is attached twice
+        # four cells, two probes: each probe warning is attached twice.
+        # Every cell misses the identity tolerance at this size, so the
+        # run exits 1 with one FAIL line per cell after the warnings
         code, err, same = self.run_twice(
             ["sweep", "--sweep-eta", "0.2,0.5", "--sweep-sigma", "0.02,0.03"]
             + self.NARROW, tmp_path, monkeypatch, capsys)
-        assert code == 0 and same
-        assert err == [self.PROBE,
-                       "warning: squeeze parameter r = -1.75 for sigma = "
-                       "0.03 populates the top of a cutoff-105 basis"]
+        assert code == 1 and same
+        assert err[:2] == [self.PROBE,
+                           "warning: squeeze parameter r = -1.75 for sigma "
+                           "= 0.03 populates the top of a cutoff-105 basis"]
+        assert [line.split(":")[0] for line in err[2:]] == [
+            f"FAIL identity-deviation at eta {eta}, sigma {sigma}"
+            for eta in (0.2, 0.5) for sigma in (0.02, 0.03)]
 
     def test_clean_run_prints_nothing(self, tmp_path, monkeypatch, capsys):
         code, err, same = self.run_twice(

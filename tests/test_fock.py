@@ -39,6 +39,7 @@ from dense_reference import (
     make_squeeze,
     partial_trace,
     quadrature_spectrum,
+    validate_density,
 )
 
 CUT = 40
@@ -273,6 +274,17 @@ def test_hermite_functions_match_the_frozen_recurrence(n):
                           hermite_functions_reference(xs, n))
 
 
+def test_gauss_rule_is_built_once_per_node_count():
+    # every stage call asks for a rule: a second call returns the same
+    # arrays, which no caller may write into
+    lam, w = _gauss_rule(37)
+    again = _gauss_rule(37)
+    assert again[0] is lam and again[1] is w
+    assert not lam.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
 @pytest.mark.parametrize("n", [2, 7, 160, 161, 800])
 def test_gauss_rule_is_orthonormal_on_the_hermite_functions(n):
     # sum_l W_l chi_i(lam_l) chi_j(lam_l) = delta_ij for i, j < n holds only
@@ -428,13 +440,19 @@ def test_creation_is_adjoint_of_annihilation():
     assert_allclose(make_creation(9), make_annihilation(9).conj().T)
 
 
+def guard_population(state):
+    """Probability weight sitting in the untrusted top Fock levels."""
+    return float(np.sum(np.abs(state.amplitudes[guard_level(state.cutoff):])
+                        ** 2))
+
+
 def test_state_guard_population_reporting():
     st = coherent_state(3.0, 12)
     assert st.warnings != ()
-    assert st.guard_band_population() > 1e-4
+    assert guard_population(st) > 1e-4
     clean = coherent_state(0.5, 30)
     assert clean.warnings == ()
-    assert clean.guard_band_population() < 1e-20
+    assert guard_population(clean) < 1e-20
 
 
 def test_operator_flags_verified_on_trusted_block():
@@ -456,7 +474,7 @@ def test_operator_flags_verified_on_trusted_block():
 
 def test_density_validate_accepts_healthy_state():
     rho = coherent_state(0.6, 25).density()
-    assert rho.validate() is rho
+    assert validate_density(rho) is rho
 
 
 def test_density_validate_rejects_bad_trace_hermiticity_positivity():
@@ -464,12 +482,12 @@ def test_density_validate_rejects_bad_trace_hermiticity_positivity():
     from quadmeas.fock import DensityOperator
 
     with pytest.raises(ParameterError):
-        DensityOperator(1.01 * good).validate()
+        validate_density(DensityOperator(1.01 * good))
     lopsided = good.copy()
     lopsided[2, 3] += 1e-9
     with pytest.raises(ParameterError):
-        DensityOperator(lopsided).validate()
+        validate_density(DensityOperator(lopsided))
     indefinite = good - 5e-9 * np.eye(25)
     indefinite /= np.trace(indefinite).real
     with pytest.raises(ParameterError):
-        DensityOperator(indefinite).validate()
+        validate_density(DensityOperator(indefinite))

@@ -118,9 +118,13 @@ def test_distinct_streams_differ(canonical_engine):
 
 
 def test_seed_child_streams_and_metadata():
-    s = RngSeed(123, "runs")
-    assert s.child("trial-0").stream == "runs/trial-0"
-    assert s.child("trial-0").seed == 123
+    # a sub-stream is a stream label of its own: reproducible, and
+    # independent of its parent's
+    parent, child = RngSeed(123, "runs"), RngSeed(123, "runs/trial-0")
+    assert np.array_equal(child.generator().random(4),
+                          RngSeed(123, "runs/trial-0").generator().random(4))
+    assert not np.array_equal(child.generator().random(4),
+                              parent.generator().random(4))
     # the backing generator is part of the reproducibility contract
     assert RngSeed.algorithm == "philox4x64"
 
@@ -279,8 +283,9 @@ def test_second_draws_need_normalized_entry_densities(off, raises):
 def _reference_entry(eng, index):
     """The per-outcome path that the batched entries replace: the reduction
     operator at x on the engine's rows, from composed_reductions on unit
-    columns (or the builder's stages at phi_probe != phi), applied to psi
-    and normalized, then one state at a time its oscillator channel,
+    columns (or at phi_probe != phi from a SchemeFamilyBuilder at the
+    engine's working size, through the stages its family runs), applied to
+    psi and normalized, then one state at a time its oscillator channel,
     moments and second-outcome density.  None for an outcome below the
     probability floor.  The finite-lo back-squeeze is the eigen route's,
     on the engine's rows."""
@@ -289,12 +294,14 @@ def _reference_entry(eng, index):
     finite_lo = eng.feedback.mode == "finite-lo"
     mask = StageMask(eng.mask.pre_squeeze, False, False) if finite_lo \
         else eng.mask
-    if eng._builder is None:
+    if params.phi_probe == params.phi:
         om = composed_reductions(params, [x], np.eye(c), eng._rows, mask)[0]
     else:
-        b = eng._builder
-        om = b._outcomes([x], mask, b._readout(np.eye(b.n_work)[:, :c],
-                                               mask.pre_squeeze))[0, :eng._rows]
+        b = scheme.SchemeFamilyBuilder(params, len(eng._column) / c)
+        rot = np.exp(1j * params.phi * np.arange(b.n_work))
+        om = b._finish(np.array([x]), mask, b._unit_readout(
+            mask.pre_squeeze, c)[:, :, :c])[0, :eng._rows]
+        om = rot[:eng._rows, None] * om * rot[:c].conj()
     vec = om @ psi
     p = np.linalg.norm(vec) ** 2
     if p < 1e-14:
@@ -392,9 +399,9 @@ def test_poisoned_entries_stay_honoured():
             _assert_entry_matches(entry, _reference_entry(eng, index))
 
 
-def test_builder_engine_takes_one_readout(monkeypatch):
-    # at phi_probe != phi the readout stage runs once on the input column;
-    # the density and every batch of reductions reuse it
+def test_offset_probe_engine_runs_no_mixer_sectors(monkeypatch):
+    # at phi_probe != phi the density and every batch of reductions are
+    # the exact composition's chain on the input column padded to n_work
     calls = []
     sectors = scheme._mixer_sectors
 
@@ -403,21 +410,18 @@ def test_builder_engine_takes_one_readout(monkeypatch):
         return sectors(*args)
 
     monkeypatch.setattr(scheme, "_mixer_sectors", counting)
-    readouts = []
-    readout = scheme.SchemeFamilyBuilder._readout_columns
+    shapes = []
 
-    def counting_readout(self, cols, amps):
-        readouts.append(cols.shape)
-        return readout(self, cols, amps)
+    def recording(params, xs, cols, rows, mask):
+        shapes.append((cols.shape, rows))
+        return composed_reductions(params, xs, cols, rows, mask)
 
-    monkeypatch.setattr(scheme.SchemeFamilyBuilder, "_readout_columns",
-                        counting_readout)
+    monkeypatch.setattr(montecarlo, "composed_reductions", recording)
     params = SchemeParams(eta=0.5, sigma=1.5, phi_probe=0.3, cutoff=20)
     eng = TrialEngine(params, input_state=coherent_state(0.5, 20))
-    assert eng._builder is not None
     batch = eng.trials(RngSeed(5).generator(), 500, want_second=True)
     assert len(np.unique(batch.outcome)) >= 5
-    assert len(calls) == 1 and readouts == [(50, 1)]
+    assert calls == [] and shapes == [((50, 1), 20)]
 
 
 def test_batch_takes_its_distinct_outcomes_once(monkeypatch):
@@ -439,7 +443,6 @@ def test_batch_takes_its_distinct_outcomes_once(monkeypatch):
 
 def test_one_composition_per_batch_of_new_outcomes(monkeypatch):
     eng = TrialEngine(CANONICAL)
-    assert eng._builder is None
     calls = []
 
     def counting(params, xs, cols, rows, mask):

@@ -72,6 +72,18 @@ def passes_verify(res):
         and res.completeness_defect_family <= _SCHEMA["completeness_tol"][1]
 
 
+def builder_outcomes(b, xs, mask, width):
+    """The builder's Omega(x) on its n_work rows and the leading ``width``
+    unit columns, through the path that family and completeness_defect run
+    (_unit_readout, then _finish), with R_phi on both sides."""
+    vc = b._unit_readout(mask.pre_squeeze, width)[:, :, :width]
+    out = b._finish(np.asarray(xs, dtype=float), mask, vc)
+    if b.params.phi:
+        rot = np.exp(1j * b.params.phi * np.arange(b.n_work))
+        out = rot[:, None] * out * rot[:width].conj()
+    return out
+
+
 @pytest.fixture(scope="module")
 def canonical_result():
     return build_scheme_family(SchemeParams(eta=0.5, sigma=1.0))
@@ -432,12 +444,10 @@ def test_batched_family_matches_per_outcome_operators(monkeypatch):
         b = SchemeFamilyBuilder(SchemeParams(eta=0.4, sigma=1.5, cutoff=30,
                                              phi_probe=phi_probe))
         assert b.n_work == 75
-        eye = np.eye(75)[:, :30]
         for mask in masks:
             fam = b.family(grid, mask)
             for i, x in enumerate(grid.points):
-                one = b._outcomes([x], mask,
-                                  b._readout(eye, mask.pre_squeeze))[0, :30]
+                one = builder_outcomes(b, [x], mask, 30)[0, :30]
                 worst = max(worst, float(np.max(np.abs(
                     fam.operators[i] - one))))
     assert worst < 1e-12
@@ -462,8 +472,8 @@ def test_working_phase_enters_as_the_frame_rotation(monkeypatch):
         fam, fam0 = b.family(grid, mask), b0.family(grid, mask)
         worst = max(worst, float(np.max(np.abs(
             fam.operators - frame * fam0.operators))))
-        one, one0 = (m._outcomes([-1.5, 0.5], mask, m._readout(
-            np.eye(75)[:, :30], mask.pre_squeeze))[:, :30] for m in (b, b0))
+        one, one0 = (builder_outcomes(m, [-1.5, 0.5], mask, 30)[:, :30]
+                     for m in (b, b0))
         worst = max(worst, float(np.max(np.abs(one - frame * one0))))
     assert worst < 1e-12
 
@@ -498,8 +508,8 @@ def test_compensated_stages_compose_in_real_arithmetic(monkeypatch):
     column = np.zeros((b0.n_work, 1))
     column[0] = 1.0
     for mask in (StageMask(), StageMask(True, False, False)):
-        assert b0._outcomes(b0.params.grid.points, mask, b0._readout(
-            column, mask.pre_squeeze)).dtype == np.float64
+        assert builder_outcomes(b0, b0.params.grid.points, mask,
+                                1).dtype == np.float64
 
 
 def untruncated_sector_blocks(b):
@@ -539,12 +549,11 @@ def test_banded_readout_matches_dense_probe_contraction(sigma, phi_probe):
     assert np.iscomplexobj(b._unit_readout(False, 16)) \
         == (phi_probe is not None)
     v = dense_probe_contraction(b)
-    eye = np.eye(b.n_work)
     for xs in ([0.6], [-1.7, -0.2, 0.0, 0.9, 2.4]):
         chi = quadrature_eigenvector_matrix(
             xs, b.n_work, b.params.phi_probe).conj()
         dense = np.einsum("xp,mpn->xmn", chi, v)
-        got = b._outcomes(xs, StageMask.raw(), b._readout(eye, False))
+        got = builder_outcomes(b, xs, StageMask.raw(), b.n_work)
         assert np.max(np.abs(got - dense)) < 1e-13
 
 
@@ -609,6 +618,7 @@ def test_faithful_squeeze_runs_one_eigenvalue_solve(monkeypatch):
     monkeypatch.setattr(fock, "_x0_svd", counting)
     for n, r in ((140, 0.805), (100, -1.5), (49, 0.1)):
         calls.clear()
+        fock._gauss_rule.cache_clear()  # the solve of a rule not yet kept
         stage_squeeze(r, n)
         assert len(calls) == 1
         assert calls[0][0] is False and calls[0][1] <= n
@@ -744,8 +754,7 @@ def masked_pom(b, x, block, mask):
     # the probability operator at one outcome with the masked dressing
     # stages applied at working size before the quadratic product, on the
     # leading block levels: comparing masks measures the invariance
-    w = b._outcomes([x], mask, b._readout(np.eye(b.n_work)[:, :block],
-                                          mask.pre_squeeze))[0]
+    w = builder_outcomes(b, [x], mask, block)[0]
     return w.conj().T @ w
 
 
@@ -876,7 +885,9 @@ def test_probe_phase_sets_measured_quadrature_frame():
 
 
 def test_bch_factorization_report():
+    # the default working size is the CLI's, ceil(cutoff max(3.5, 0.7/eta))
     rep = verify_bch_factorization(0.3)
+    assert rep.working_cutoff == 140
     assert rep.factorization_deviation < 1e-8
     assert rep.su2_plus_minus_deviation < 1e-10
     assert rep.su2_z_plus_deviation < 1e-10
@@ -1141,10 +1152,11 @@ def test_bch_at_the_cli_size_stays_in_its_memory_budget():
     for eta in (0.2, 0.5, 0.8):
         tracemalloc.start()
         try:
-            verify_bch_factorization(eta, 40, working_cutoff=140)
+            rep = verify_bch_factorization(eta, 40)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert rep.working_cutoff == 140
         assert peak < 12 * 2 ** 20
 
 
@@ -1211,44 +1223,6 @@ def test_builder_density_fast_path_matches_family_born_rule():
     assert abs(np.trapezoid(fast, p.grid.points) - 1.0) < 1e-8
 
 
-def test_density_never_copies_the_probe_contraction():
-    # the real mixer sectors act on a complex column, as for a density,
-    # through its float view: no complex copy of them, nor the mixer-probe
-    # band of shape (n_work + k_max, n_work, K) the bound is taken from
-    b = SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=0.5, cutoff=40),
-                            margin=2.5)
-    assert len(b._levels) > 1
-    assert not np.iscomplexobj(b._amps)
-    band_bytes = 8 * (b.n_work + b._levels[-1]) * b.n_work * len(b._levels)
-    column = np.zeros((b.n_work, 1), dtype=complex)
-    column[0] = 1.0
-    tracemalloc.start()
-    try:
-        b._outcomes(b.params.grid.points, StageMask(True, False, False),
-                    b._readout(column, True))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.5 * band_bytes
-
-
-def test_pom_size_builder_stays_below_dense_contraction_memory():
-    # cutoff 100, margin 2.5: a dense n_work^3 contraction alone is 125 MB
-    tracemalloc.start()
-    try:
-        b = SchemeFamilyBuilder(SchemeParams(eta=0.5, sigma=0.5, cutoff=100),
-                                margin=2.5)
-        column = np.zeros((b.n_work, 1))
-        column[0] = 1.0
-        b._outcomes(b.params.grid.points, StageMask(True, False, False),
-                    b._readout(column, True))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert b.n_work == 250
-    assert peak < 50 * 2 ** 20
-
-
 @pytest.mark.parametrize("mask", [StageMask(), StageMask.raw()],
                          ids=["full", "raw"])
 @pytest.mark.parametrize("phi_probe", [None, 0.7])
@@ -1267,8 +1241,8 @@ def test_completeness_gram_sum_matches_outcome_stacks(mask, phi_probe,
                                          phi_probe=phi_probe), margin=3.0)
     assert b.n_work == 90
     block = 16
-    w = b._outcomes(grid.points, StageMask(mask.pre_squeeze, False, False),
-                    b._readout(np.eye(b.n_work)[:, :block], mask.pre_squeeze))
+    w = builder_outcomes(b, grid.points,
+                         StageMask(mask.pre_squeeze, False, False), block)
     acc = np.einsum("x,xmc,xmd->cd", grid.weights(), w.conj(), w)
     explicit = np.max(np.abs(acc - np.eye(block)))
     assert explicit > 1e-3
@@ -1444,8 +1418,7 @@ def test_composition_matches_the_builder_over_presets_and_masks():
             p = SchemeParams(eta=eta, sigma=sigma, phi=0.4, cutoff=12)
             b = SchemeFamilyBuilder(p, margin=16.0)
             for mask in ALL_MASKS:
-                built = b._outcomes(p.grid.points, mask, b._readout(
-                    np.eye(b.n_work)[:, :12], mask.pre_squeeze))[:, :12]
+                built = builder_outcomes(b, p.grid.points, mask, 12)[:, :12]
                 exact = composed_reductions(p, p.grid.points, np.eye(12), 12,
                                             mask)
                 worst = max(worst, float(np.max(np.abs(built - exact))))
@@ -1521,12 +1494,50 @@ def test_composed_reductions_take_enough_nodes_for_more_rows(eta, sigma):
     assert np.max(np.abs(got - want)) < 2e-15
 
 
-def test_composition_rejects_an_offset_probe_and_a_mixed_input():
-    p = SchemeParams(eta=0.5, sigma=1.0, phi=0.2, phi_probe=0.5, cutoff=10)
-    with pytest.raises(ParameterError):
-        composed_reductions(p, [0.0], np.eye(10), 10)
-    with pytest.raises(ParameterError):
-        composed_density(p, [1.0], [0.0])
-    with pytest.raises(ParameterError):  # a density matrix is no pure state
-        composed_density(SchemeParams(eta=0.5, sigma=1.0, cutoff=10),
-                         np.eye(10) / 10.0, [0.0])
+def test_composed_density_rejects_a_mixed_input():
+    for phi_probe in (None, 0.5):
+        with pytest.raises(ParameterError):  # a density matrix is no pure state
+            composed_density(SchemeParams(eta=0.5, sigma=1.0, phi=0.2,
+                                          phi_probe=phi_probe, cutoff=10),
+                             np.eye(10) / 10.0, [0.0])
+
+
+# (phi, delta = phi_probe - phi) of the offset-probe chain
+OFFSETS = [(0.0, 0.3), (0.4, 1.2)]
+
+
+@pytest.mark.parametrize("phi,delta", OFFSETS)
+def test_offset_composition_matches_the_builder(phi, delta):
+    # the chain R(delta) W_0 R(-delta) around the real readout against the
+    # builder's complex probe, both at working size 16 cutoff, where the
+    # two agree within 1.8e-15
+    worst = 0.0
+    for eta in (0.2, 0.5, 0.8):
+        for sigma in (0.5, 1.0, 2.0):
+            p = SchemeParams(eta=eta, sigma=sigma, phi=phi,
+                             phi_probe=phi + delta, cutoff=12)
+            b = SchemeFamilyBuilder(p, margin=16.0)
+            for mask in ALL_MASKS:
+                built = builder_outcomes(b, p.grid.points, mask, 12)[:, :12]
+                chain = composed_reductions(p, p.grid.points,
+                                            np.eye(b.n_work)[:, :12], 12, mask)
+                worst = max(worst, float(np.max(np.abs(built - chain))))
+    assert worst < 1e-13
+
+
+@pytest.mark.parametrize("phi,delta", OFFSETS)
+def test_offset_density_matches_the_builder_born_rule(phi, delta):
+    # ||Omega(x) psi||^2 on the builder's n_work rows against the power-2 rule on
+    # the chain's pre-squeezed column, for a displaced input
+    psi = np.exp(0.3j * np.arange(20)) * coherent(0.8, 20)
+    for eta, sigma in ((0.2, 0.5), (0.5, 1.0), (0.8, 2.0)):
+        p = SchemeParams(eta=eta, sigma=sigma, phi=phi, phi_probe=phi + delta,
+                         cutoff=20, grid=OutcomeGrid.from_range(-4, 4, 0.25))
+        b = SchemeFamilyBuilder(p, margin=16.0)
+        column = np.concatenate([psi, np.zeros(b.n_work - 20)])
+        for pre in (True, False):
+            w = builder_outcomes(b, p.grid.points, StageMask(pre, False, False),
+                                 20)
+            born = np.linalg.norm(w @ psi, axis=1) ** 2
+            dens = composed_density(p, column, p.grid.points, pre)
+            assert np.max(np.abs(dens - born)) < 1e-13
