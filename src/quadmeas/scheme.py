@@ -96,6 +96,13 @@ _STACK_ELEMENTS = 1 << 19
 # mixer-probe readout; each one dropped moves an operator entry by at most it.
 _PROBE_FLOOR = 1e-17
 
+# verify_bch_factorization's size rule grows the working size until the
+# compared states hold at most _BCH_GUARD in its guard band (the factorization
+# deviation then read at most 0.03 times it), and refuses a size whose
+# estimated peak memory passes _BCH_BYTES.
+_BCH_GUARD = 2e-10
+_BCH_BYTES = 1 << 30
+
 
 # ---------------------------------------------------------------------------
 # parameters
@@ -770,20 +777,28 @@ class SchemeFamilyBuilder:
         With vc the readout of the unit columns (W(x) = sum_p chi_p(x)
         vc[p]), sum_x w_x W(x)^dag W(x) = sum_m sum_{p,q} G[p, q]
         vc[p, m]^dag vc[q, m] for the n_work x n_work Gram matrix G =
-        chi^dag diag(w) chi of the probe functions of the flag's frame: a
-        product per row m of the readout, taken over blocks of rows of the
-        shared readout, so no (len(grid), n_work, block) stack forms and no
-        copy of the readout.  The sum is taken at phi = 0: R_phi moves no
-        modulus of its deviation."""
+        chi^dag diag(w) chi of the probe functions of the flag's frame: two
+        products per block of readout rows m, on a copy of the block alone,
+        so no (len(grid), n_work, block) stack forms and no copy of the
+        readout.  _readout_columns writes no sector s = m + p >= n_work +
+        k_max, so a block of rows from m = i on meets only the Gram rows and
+        columns p < n_work + k_max - i: at a vacuum probe (k_max = 0) the
+        products fall to about a third.  The sum is taken at phi = 0: R_phi
+        moves no modulus of its deviation."""
+        n = self.n_work
+        amps = self._frames[mask.pre_squeeze][1]
         vc = self._unit_readout(mask.pre_squeeze, block)[:, :, :block]
         chi = self._chi(grid.points, self._frames[mask.pre_squeeze][0])
         gram = (chi.conj().T * grid.weights()) @ chi
         acc = np.zeros((block, block), dtype=np.result_type(gram, vc))
-        step = max(1, _STACK_ELEMENTS // (self.n_work * block))
-        for i in range(0, self.n_work, step):
-            rows = vc[:, i:i + step].transpose(1, 0, 2)  # (m, p, c) view
-            acc += np.sum(rows.conj().transpose(0, 2, 1) @ (gram @ rows),
-                          axis=0)
+        # blocks of at most 16 rows follow the triangle to within 16 levels
+        step = max(1, min(16, _STACK_ELEMENTS // (n * block)))
+        for i in range(0, n, step):
+            top = min(n, n + len(amps) - 1 - i)
+            rows = vc[:top, i:i + step]  # (p, m, c) view
+            y = (gram[:top, :top] @ rows.reshape(top, -1)).reshape(rows.shape)
+            acc += np.sum(rows.transpose(1, 2, 0).conj()
+                          @ y.transpose(1, 0, 2), axis=0)
         return float(np.max(np.abs(acc - np.eye(block))))
 
 
@@ -865,13 +880,18 @@ class BchReport:
     (lowercase quadratures on the signal, uppercase on the probe) together
     with the su(2) commutators of the generators J+ = 2i y X, J- = 2i x Y,
     Jz = i(X Y - x y), and the equality of the mixer's ladder-operator and
-    quadrature-pair generator forms.
+    quadrature-pair generator forms.  ``guard_population`` certifies the
+    working size: the largest population that the state of a compared basis
+    vector holds, as the last factor takes it, in the top tenth of the
+    working levels of the signal plus that of the probe (at most
+    _BCH_GUARD where the size rule chose the size).
     """
 
     eta: float
     cutoff: int
     block_total: int
     working_cutoff: int
+    guard_population: float
     factorization_deviation: float
     su2_plus_minus_deviation: Optional[float]
     su2_z_plus_deviation: Optional[float]
@@ -951,6 +971,112 @@ def _corner(rows: np.ndarray, v: np.ndarray, cols: np.ndarray) -> np.ndarray:
             @ np.ascontiguousarray(cols.T))
 
 
+def _bch_bytes(n_w: int, block_total: int) -> int:
+    """Estimated peak bytes of the BCH check at working size n_w: eight
+    real (k, h, h) stacks, k = ceil(K/2) of the K compared basis vectors
+    (one parity class) and h = ceil(n_w/2), and eight real (K, b, b) ones,
+    b = block_total + 1.  tracemalloc peaks at the rule's sizes against
+    this estimate: 9.1 / 10.4 MiB at (eta 0.2, block_total 10), 273 / 318
+    at (0.1, 20) and 275 / 309 at (0.3, 36)."""
+    n_vecs = (block_total + 1) * (block_total + 2) // 2
+    h = (n_w + 1) // 2
+    return 64 * ((n_vecs + 1) // 2 * h * h + n_vecs * (block_total + 1) ** 2)
+
+
+def _factored_sides(eta: float, block_total: int, n_w: int):
+    """(guard population, factorization deviation, factor identity
+    deviations) of the check at working size n_w, in joint-parity sectors
+    (see verify_bch_factorization)."""
+    b = block_total + 1
+    pairs = _low_total_pairs(b, block_total)
+    m, p = pairs.T
+    basis = np.zeros((len(pairs), b, b))
+    basis[np.arange(len(pairs)), m, p] = 1.0
+
+    def low_dev(v, ref):  # over the compared rows of stacks (k, b, b)
+        return float(np.max(np.abs(v[:, m, p] - ref[:, m, p])))
+
+    c = math.sqrt((1.0 - eta) / eta)
+    lam, f = _parity_quadrature_basis(n_w)
+    e = np.exp(-2j * c * np.outer(lam, lam))  # exp(-2ic x Y) per pair
+    d = np.array([1.0, 1j, -1.0, -1j])[np.arange(n_w) % 4]
+    sgn = d.real + d.imag  # D is sgn on even levels and i sgn on odd ones
+    # S(-r) = S(r)^T, as S(r) is real orthogonal: the probe's squeeze is
+    # the explicit transpose of the signal's
+    sq_sys = _squeeze_displace(-0.5 * math.log(eta), [0.0], np.eye(n_w),
+                               n_w)[0]
+    sq_probe = sq_sys.T
+    # Q^T D^dag S_sys Q and Q^T S_probe D Q per parity: real, bar the -i
+    # and +i of the odd blocks
+    mid_sys = [f[k::2].T @ (sgn[k::2, None] * sq_sys[k::2, k::2]) @ f[k::2]
+               for k in (0, 1)]
+    mid_probe = [f[k::2].T @ (sq_probe[k::2, k::2] * sgn[k::2]) @ f[k::2]
+                 for k in (0, 1)]
+
+    # the guard band, the top tenth of the levels: its rows of parity k
+    top = np.arange(n_w - math.ceil(n_w / 10), n_w)
+    band = [f[top[top % 2 == k]] for k in (0, 1)]
+
+    def band_pop(v, sig, probe):  # per vector: slot v of parities sig, probe
+        return (np.sum(np.square(band[sig] @ v), axis=(1, 2))
+                + np.sum(np.square(v @ band[probe].T), axis=(1, 2)))
+
+    def gather(z, cls):  # the compared rows: slot A is Re z, B = i Im z
+        out = np.zeros((len(z), b, b), dtype=complex)
+        out[:, 0::2, cls::2] = _corner(f[0:b:2], z, f[cls:b:2]).real
+        out[:, 1::2, 1 - cls::2] = 1j * _corner(f[1:b:2], z,
+                                                f[1 - cls:b:2]).imag
+        return out
+
+    # exp(-2ic x Y) = (1 (x) D) Q^{(x)2} phase Q^{T(x)2} (1 (x) D^dag), and
+    # exp(+2ic y X) the same with D on the signal mode and phase conjugated;
+    # each factor alone is compared too, for the eta -> 1 limit where all
+    # become identity.  The basis vectors are real in the parity bases, so
+    # there the second factor alone gives the conjugate of the first.
+    g_yx, g_xy, right = (np.empty(basis.shape, complex) for _ in range(3))
+    guard = 0.0
+    for cls in (0, 1):
+        # the class's vectors, those that start in slot A first; z = (A +
+        # B) / start holds A / start and -iB / start, both real, as its
+        # real and imaginary parts (start = -i for a start in slot B)
+        cols = np.flatnonzero((m + p) % 2 == cls)
+        cols = cols[np.argsort(m[cols] % 2, kind="stable")]
+        mc, pc = m[cols], p[cols]
+        k_a = np.count_nonzero(mc % 2 == 0)
+        x = f[mc][:, :, None] * f[pc][:, None, :]
+        z = np.empty(x.shape, dtype=complex)
+        np.multiply(x[:k_a], e, out=z[:k_a])
+        np.multiply(x[k_a:], 1j * e, out=z[k_a:])
+        start = np.where(mc % 2 == 0, 1.0, -1j)[:, None, None]
+        alone = gather(z, cls) * start
+        g_yx[cols] = alone * d[pc].conj()[:, None, None] * d[:b]
+        g_xy[cols] = alone.conj() * d[mc].conj()[:, None, None] * d[:b, None]
+        # the middle factors: the signal and probe phases of slot A are
+        # 1 and i^cls, those of slot B -i and i^(1-cls), so both slots
+        # carry i^cls once B's block takes the sign (-1)^cls.  Each slot
+        # then enters the last factor, as f z in Fock levels: its
+        # population on the guard band of each mode is read on the way
+        a = _corner(mid_sys[0], np.ascontiguousarray(z.real), mid_probe[cls])
+        pop = band_pop(a, 0, cls)
+        z.real = a
+        del a  # one class stack fewer alive while the next forms
+        a = _corner((-1) ** cls * mid_sys[1], np.ascontiguousarray(z.imag),
+                    mid_probe[1 - cls])
+        pop += band_pop(a, 1, 1 - cls)
+        z.imag = a
+        guard = max(guard, float(np.max(pop)))
+        z *= e.conj()
+        right[cols] = (gather(z, cls) * start * 1j ** cls
+                       * d[pc].conj()[:, None, None] * d[:b, None])
+    # the squeezes alone map |m, p> to the outer product of their columns
+    devs = (low_dev(g_yx, basis),
+            low_dev(sq_sys[:b, m].T[:, :, None] * sq_probe[:b, p].T[:, None],
+                    basis),
+            low_dev(g_xy, basis))
+    left = _apply_mixer_sectors(eta, basis.transpose(1, 2, 0), block_total)
+    return guard, low_dev(left.transpose(2, 0, 1), right), devs
+
+
 def verify_bch_factorization(eta: float, cutoff: int = 40,
                              block_total: int = 10,
                              working_cutoff: Optional[int] = None,
@@ -960,11 +1086,23 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
 
     The two sides are applied to every joint basis vector with total
     occupancy <= block_total and compared on the rows of the same total,
-    inside a working space of ``working_cutoff`` levels per mode (default
-    ceil(cutoff max(3.5, 0.7/eta))): the factorization is an operator
-    identity, but products of individually truncated exponentials corrupt
-    low blocks, so the faithful route evaluates each factor in its own
-    eigenbasis.
+    inside a working space of ``working_cutoff`` levels per mode: the
+    factorization is an operator identity, but products of individually
+    truncated exponentials corrupt low blocks, so the faithful route
+    evaluates each factor in its own eigenbasis.
+    By default a size rule reads eta and block_total, not cutoff.  The
+    factored squeeze S(-ln(eta)/2) spreads a level over e^{2|r|} = 1/eta
+    times as many, and the compared states reach higher with block_total,
+    so the size starts at ceil((14 + 1.4 block_total) / eta) (140 at eta
+    0.2, 56 at 0.5 and 35 at 0.8 for block_total 10) and grows by a
+    sixteenth until the report's guard_population is at most _BCH_GUARD.
+    Over eta 0.05 to 0.99 at block_total 4, 10, 20 and 36, the first guess
+    met it everywhere, and the factorization deviation read at most 1.5e-12
+    (5.7e-13 from eta 0.2 up at block_total 10).  A size
+    whose estimated peak memory (_bch_bytes) passes _BCH_BYTES raises
+    ParameterError before anything is allocated.  An explicit
+    ``working_cutoff`` runs as given, and its guard_population shows a
+    short space.
     block_total is at most cutoff - 2: from total cutoff - 1 on, the su(2)
     products reach the truncation edge of the cutoff^2 joint space.
 
@@ -1007,87 +1145,24 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
         raise ParameterError(
             f"factorization check wants 0 <= block_total <= cutoff - 2 "
             f"= {cutoff - 2}, got {block_total}")
-    # small transmissivities need extra working room: the factored squeeze
-    # S(-ln(eta)/2) spreads a level over e^{2|r|} = 1/eta times as many, so
-    # the room grows as 0.7/eta below eta 0.2
     n_w = working_cutoff if working_cutoff is not None \
-        else int(math.ceil(cutoff * max(3.5, 0.7 / eta)))
+        else math.ceil((14.0 + 1.4 * block_total) / eta)
     if n_w <= block_total:
         raise ParameterError(
             f"factorization check wants working_cutoff > block_total "
             f"= {block_total}, got {n_w}")
-    b = block_total + 1
-    pairs = _low_total_pairs(b, block_total)
-    m, p = pairs.T
-    basis = np.zeros((len(pairs), b, b))
-    basis[np.arange(len(pairs)), m, p] = 1.0
-
-    def low_dev(v, ref):  # over the compared rows of stacks (k, b, b)
-        return float(np.max(np.abs(v[:, m, p] - ref[:, m, p])))
-
-    c = math.sqrt((1.0 - eta) / eta)
-    lam, f = _parity_quadrature_basis(n_w)
-    e = np.exp(-2j * c * np.outer(lam, lam))  # exp(-2ic x Y) per pair
-    d = np.array([1.0, 1j, -1.0, -1j])[np.arange(n_w) % 4]
-    sgn = d.real + d.imag  # D is sgn on even levels and i sgn on odd ones
-    # S(-r) = S(r)^T, as S(r) is real orthogonal: the probe's squeeze is
-    # the explicit transpose of the signal's
-    sq_sys = _squeeze_displace(-0.5 * math.log(eta), [0.0], np.eye(n_w),
-                               n_w)[0]
-    sq_probe = sq_sys.T
-    # Q^T D^dag S_sys Q and Q^T S_probe D Q per parity: real, bar the -i
-    # and +i of the odd blocks
-    mid_sys = [f[k::2].T @ (sgn[k::2, None] * sq_sys[k::2, k::2]) @ f[k::2]
-               for k in (0, 1)]
-    mid_probe = [f[k::2].T @ (sq_probe[k::2, k::2] * sgn[k::2]) @ f[k::2]
-                 for k in (0, 1)]
-
-    def gather(z, cls):  # the compared rows: slot A is Re z, B = i Im z
-        out = np.zeros((len(z), b, b), dtype=complex)
-        out[:, 0::2, cls::2] = _corner(f[0:b:2], z, f[cls:b:2]).real
-        out[:, 1::2, 1 - cls::2] = 1j * _corner(f[1:b:2], z,
-                                                f[1 - cls:b:2]).imag
-        return out
-
-    # exp(-2ic x Y) = (1 (x) D) Q^{(x)2} phase Q^{T(x)2} (1 (x) D^dag), and
-    # exp(+2ic y X) the same with D on the signal mode and phase conjugated;
-    # each factor alone is compared too, for the eta -> 1 limit where all
-    # become identity.  The basis vectors are real in the parity bases, so
-    # there the second factor alone gives the conjugate of the first.
-    g_yx, g_xy, right = (np.empty(basis.shape, complex) for _ in range(3))
-    for cls in (0, 1):
-        # the class's vectors, those that start in slot A first; z = (A +
-        # B) / start holds A / start and -iB / start, both real, as its
-        # real and imaginary parts (start = -i for a start in slot B)
-        cols = np.flatnonzero((m + p) % 2 == cls)
-        cols = cols[np.argsort(m[cols] % 2, kind="stable")]
-        mc, pc = m[cols], p[cols]
-        k_a = np.count_nonzero(mc % 2 == 0)
-        x = f[mc][:, :, None] * f[pc][:, None, :]
-        z = np.empty(x.shape, dtype=complex)
-        np.multiply(x[:k_a], e, out=z[:k_a])
-        np.multiply(x[k_a:], 1j * e, out=z[k_a:])
-        start = np.where(mc % 2 == 0, 1.0, -1j)[:, None, None]
-        alone = gather(z, cls) * start
-        g_yx[cols] = alone * d[pc].conj()[:, None, None] * d[:b]
-        g_xy[cols] = alone.conj() * d[mc].conj()[:, None, None] * d[:b, None]
-        # the middle factors: the signal and probe phases of slot A are
-        # 1 and i^cls, those of slot B -i and i^(1-cls), so both slots
-        # carry i^cls once B's block takes the sign (-1)^cls
-        z.real = _corner(mid_sys[0], np.ascontiguousarray(z.real),
-                         mid_probe[cls])
-        z.imag = _corner((-1) ** cls * mid_sys[1],
-                         np.ascontiguousarray(z.imag), mid_probe[1 - cls])
-        z *= e.conj()
-        right[cols] = (gather(z, cls) * start * 1j ** cls
-                       * d[pc].conj()[:, None, None] * d[:b, None])
-    # the squeezes alone map |m, p> to the outer product of their columns
-    devs = (low_dev(g_yx, basis),
-            low_dev(sq_sys[:b, m].T[:, :, None] * sq_probe[:b, p].T[:, None],
-                    basis),
-            low_dev(g_xy, basis))
-    left = _apply_mixer_sectors(eta, basis.transpose(1, 2, 0), block_total)
-    fac_dev = low_dev(left.transpose(2, 0, 1), right)
+    while True:
+        need = _bch_bytes(n_w, block_total)
+        if need > _BCH_BYTES:
+            raise ParameterError(
+                f"factorization check at eta {eta}, block_total "
+                f"{block_total} wants working_cutoff {n_w}, about "
+                f"{need / 2 ** 30:.1f} GiB, past its {_BCH_BYTES / 2 ** 30:g}"
+                f" GiB ceiling")
+        guard, fac_dev, devs = _factored_sides(eta, block_total, n_w)
+        if working_cutoff is not None or guard <= _BCH_GUARD:
+            break
+        n_w += -(-n_w // 16)
 
     su_pm = su_zp = su_zm = gen_dev = None
     if check_su2:
@@ -1125,9 +1200,9 @@ def verify_bch_factorization(eta: float, cutoff: int = 40,
 
     return BchReport(
         eta=eta, cutoff=cutoff, block_total=block_total, working_cutoff=n_w,
-        factorization_deviation=fac_dev, su2_plus_minus_deviation=su_pm,
-        su2_z_plus_deviation=su_zp, su2_z_minus_deviation=su_zm,
-        generator_form_deviation=gen_dev,
+        guard_population=guard, factorization_deviation=fac_dev,
+        su2_plus_minus_deviation=su_pm, su2_z_plus_deviation=su_zp,
+        su2_z_minus_deviation=su_zm, generator_form_deviation=gen_dev,
         factor_identity_deviations=devs)
 
 

@@ -515,6 +515,21 @@ def validate_density(rho: DensityOperator, trace_tol: float = 1e-10,
 # Hermite functions
 
 
+def gram_completeness_defect(builder, grid: OutcomeGrid, block: int = 16,
+                             pre_squeeze: bool = True) -> float:
+    """SchemeFamilyBuilder.completeness_defect as the full Gram contraction,
+    sum_m vc[:, m]^dag G vc[:, m] over every readout row m and every Gram
+    row and column p, q < n_work, one row at a time (the builder sums only
+    the triangle p < n_work + k_max - m, where the readout can be
+    nonzero)."""
+    vc = builder._unit_readout(pre_squeeze, block)[:, :, :block]
+    chi = builder._chi(grid.points, builder._frames[pre_squeeze][0])
+    gram = (chi.conj().T * grid.weights()) @ chi
+    acc = sum(vc[:, m].conj().T @ gram @ vc[:, m]
+              for m in range(builder.n_work))
+    return float(np.max(np.abs(acc - np.eye(block))))
+
+
 def hermite_functions_reference(xs, cutoff: int) -> np.ndarray:
     """A frozen copy of the straightforward form of the library's
     ``fock._hermite_functions``: the same three-term recurrence, far-point

@@ -229,9 +229,11 @@ class TestVerify:
             assert value["completeness"] < worst
 
     def test_bch_working_space_grows_at_small_eta(self, tmp_path):
-        # the factored squeeze S(-ln(eta)/2) needs 0.7 cutoff / eta levels
-        # below eta 0.2: at 140 levels bch-factorization read 0.343 at eta
-        # 0.05 and 5.5e-8 at eta 0.15, against its tolerance 1e-8
+        # the factored squeeze S(-ln(eta)/2) spreads a level over 1/eta
+        # times as many, so the size rule takes ceil((14 + 1.4 block_total)
+        # / eta) levels, 560 at eta 0.05 and 187 at 0.15 for block_total
+        # 10, whatever the cutoff: at a fixed 140 levels bch-factorization
+        # read 0.343 and 5.5e-8, against its tolerance 1e-8
         out = tmp_path / "verify.csv"
         for eta in ("0.05", "0.15"):
             assert main(["verify", "--eta", eta, "--sigma", "1",

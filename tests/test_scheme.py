@@ -52,6 +52,7 @@ from dense_reference import (
     _tridiagonal_expm_columns,
     born_density,
     eigen_route_squeeze,
+    gram_completeness_defect,
     laguerre_displacement,
     make_beam_splitter,
     make_phase_rotation,
@@ -885,9 +886,12 @@ def test_probe_phase_sets_measured_quadrature_frame():
 
 
 def test_bch_factorization_report():
-    # the default working size is the CLI's, ceil(cutoff max(3.5, 0.7/eta))
+    # the default working size is the size rule's first guess,
+    # ceil((14 + 1.4 block_total) / eta), whose guard band already holds
+    # less than _BCH_GUARD
     rep = verify_bch_factorization(0.3)
-    assert rep.working_cutoff == 140
+    assert rep.working_cutoff == 94
+    assert rep.guard_population <= scheme._BCH_GUARD
     assert rep.factorization_deviation < 1e-8
     assert rep.su2_plus_minus_deviation < 1e-10
     assert rep.su2_z_plus_deviation < 1e-10
@@ -950,9 +954,12 @@ def test_bch_never_forms_a_dense_joint_matrix():
 
 # block_total 38 = cutoff - 2 is the largest allowed: there the su(2)
 # products reach the last level of each mode; its reference costs 7-9 s at
-# the larger working sizes, so it runs at the two small ones
+# the larger working sizes, so it runs at the two small ones.  The last four
+# are the size rule's at eta 0.5 (40, 56) and 0.8 (25, 35), block_total 4
+# and 10 (test_bch_rule_sizes_have_dense_cases)
 _BCH_CASES = [(w, b) for w in (48, 49, 140, 141)
-              for b in (4, 10, 20, 36)] + [(48, 38), (49, 38)]
+              for b in (4, 10, 20, 36)] + [(48, 38), (49, 38)] + [
+    (40, 4), (56, 10), (25, 4), (35, 10)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -967,8 +974,10 @@ def _dense_bch_tables(eta, cutoff, working_cutoff):
     5.5e-14 at eta 0.5, against 40-digit mpmath, this route by 3.2e-15);
     the su(2) and generator checks run on sparse cutoff^2 x cutoff^2 joint
     quadratures.  None of this shares code with the library's mixer
-    recurrence, its squeeze stage or its Kronecker-term checks.  The basis columns go through
-    in chunks, which bounds memory and leaves every maximum as it is.
+    recurrence, its squeeze stage or its Kronecker-term checks.  The basis
+    columns go through in chunks, which bounds memory and leaves every
+    maximum as it is.  The guard population is read on the Fock stack that
+    the last factor takes, in the top ceil(n_w / 10) levels of each mode.
 
     It runs once per (eta, working_cutoff), at the largest block_total B of
     its cases in _BCH_CASES, and gives each compared quantity as a (B + 1,
@@ -976,7 +985,8 @@ def _dense_bch_tables(eta, cutoff, working_cutoff):
     and the total of the basis column.  A column's values do not depend on
     the block_total they are run at: the mixer conserves the total, so the
     sectors above a column's own stay zero.  So a case at block_total b
-    reads the maximum of the tables' leading (b + 1, b + 1) corner."""
+    reads the maximum of the tables' leading (b + 1, b + 1) corner, and of
+    the guard table, by the total of the basis column, its leading b + 1."""
     import scipy.sparse as sp
 
     n_w = working_cutoff
@@ -1015,6 +1025,8 @@ def _dense_bch_tables(eta, cutoff, working_cutoff):
         return out
 
     tables = np.zeros((5, big + 1, big + 1))
+    guard = np.zeros(big + 1)
+    band = n_w - math.ceil(n_w / 10)
 
     def update(table, dev, cols):  # dev[row pair, column of cols]
         np.maximum.at(table, (total[:, None], total[cols][None, :]), dev)
@@ -1032,7 +1044,11 @@ def _dense_bch_tables(eta, cutoff, working_cutoff):
         update(tables[1], low_dev(squeezes(basis), basis), chunk)
         update(tables[2], low_dev(bilinear(basis, ry, rx, (mu, nu), +1.0),
                                   basis), chunk)
-        right = bilinear(squeezes(v), ry, rx, (mu, nu), +1.0)
+        entering = squeezes(v)
+        np.maximum.at(guard, total[chunk],
+                      np.sum(np.abs(entering[band:]) ** 2, axis=(0, 1))
+                      + np.sum(np.abs(entering[:, band:]) ** 2, axis=(0, 1)))
+        right = bilinear(entering, ry, rx, (mu, nu), +1.0)
         update(tables[3], low_dev(mixer(basis), right), chunk)
 
     x = make_quadrature(cutoff, 0.0)
@@ -1057,22 +1073,23 @@ def _dense_bch_tables(eta, cutoff, working_cutoff):
            block_table(j_z @ j_minus - j_minus @ j_z + j_minus)]
     gen = float(np.max(np.abs((ladder_gen - 2j * (ys @ xp - xs @ yp)).data),
                        initial=0.0))
-    return tables, su2, gen
+    return tables, guard, su2, gen
 
 
 def _dense_bch_reference(eta, cutoff, block_total, working_cutoff):
     """The BchReport of the dense reference (_dense_bch_tables) at
     block_total: every deviation the maximum over the compared rows and
     basis columns of total <= block_total."""
-    tables, su2, gen = _dense_bch_tables(eta, cutoff, working_cutoff)
+    tables, guard, su2, gen = _dense_bch_tables(eta, cutoff, working_cutoff)
 
     def corner(table):
         return float(np.max(table[:block_total + 1, :block_total + 1]))
 
     return BchReport(
         eta=eta, cutoff=cutoff, block_total=block_total,
-        working_cutoff=working_cutoff, factorization_deviation=corner(
-            tables[3]),
+        working_cutoff=working_cutoff,
+        guard_population=float(np.max(guard[:block_total + 1])),
+        factorization_deviation=corner(tables[3]),
         su2_plus_minus_deviation=corner(su2[0]),
         su2_z_plus_deviation=corner(su2[1]),
         su2_z_minus_deviation=corner(su2[2]),
@@ -1146,18 +1163,91 @@ def test_bch_factorization_senses_a_perturbed_squeeze(monkeypatch):
 
 def test_bch_at_the_cli_size_stays_in_its_memory_budget():
     # the joint-parity chains hold one class, at most (36, 70, 70), at a
-    # time and peak at 9.3 MiB; the corner chains, with two (140, 140, 66)
-    # complex stacks alive at a time, peaked at 60.5 MiB, and the
-    # full-stack chains at 115 MB
-    for eta in (0.2, 0.5, 0.8):
+    # time and peak at 9.3 MiB at 140 levels; the corner chains, with two
+    # (140, 140, 66) complex stacks alive at a time, peaked at 60.5 MiB, and
+    # the full-stack chains at 115 MB.  The size rule's first guesses,
+    # ceil(28 / eta) at block_total 10, meet the guard band
+    for eta, n_w in ((0.2, 140), (0.5, 56), (0.8, 35)):
         tracemalloc.start()
         try:
             rep = verify_bch_factorization(eta, 40)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.working_cutoff == 140
+        assert rep.working_cutoff == n_w
         assert peak < 12 * 2 ** 20
+
+
+def test_bch_rule_sizes_have_dense_cases():
+    # the rule's sizes at eta 0.5 and 0.8 are among the dense reference's
+    for eta in (0.5, 0.8):
+        for block_total in (4, 10):
+            rep = verify_bch_factorization(eta, 40, block_total,
+                                           check_su2=False)
+            assert (rep.working_cutoff, block_total) in _BCH_CASES
+
+
+@pytest.mark.parametrize("eta,block_total", [(0.2, 20), (0.5, 36)])
+def test_bch_default_size_grows_with_block_total(eta, block_total):
+    # the size once read only cutoff (140 levels here), and (0.2, 20) read
+    # 1.45e-5 there with no warning (0.127 at block_total 36); the rule
+    # takes 210 and 129 levels
+    rep = verify_bch_factorization(eta, 40, block_total, check_su2=False)
+    assert rep.working_cutoff == {20: 210, 36: 129}[block_total]
+    assert rep.guard_population <= scheme._BCH_GUARD
+    assert rep.factorization_deviation <= 1e-12
+
+
+@pytest.mark.parametrize("block_total", [10, 36])
+def test_bch_explicit_short_space_runs_and_shows_in_the_guard(block_total):
+    # an explicit working_cutoff below the rule's size (56 and 129) runs as
+    # given, and its guard band holds more than the rule allows: 1.0e-8 and
+    # 0.21, where the deviation reads 4.9e-11 and 0.26
+    rep = verify_bch_factorization(0.5, 40, block_total, working_cutoff=48,
+                                   check_su2=False)
+    assert rep.working_cutoff == 48
+    assert rep.guard_population > 10 * scheme._BCH_GUARD
+
+
+def test_bch_size_does_not_read_the_cutoff():
+    small = verify_bch_factorization(0.5, cutoff=40)
+    large = verify_bch_factorization(0.5, cutoff=100)
+    assert large.working_cutoff == small.working_cutoff == 56
+    assert large.factorization_deviation == small.factorization_deviation
+    assert large.guard_population == small.guard_population
+
+
+def test_bch_size_grows_until_the_guard_band_is_met(monkeypatch):
+    # with a stricter guard the rule grows 56 by a sixteenth at a time
+    sizes = []
+    sides = scheme._factored_sides
+
+    def recording(eta, block_total, n_w):
+        sizes.append(n_w)
+        return sides(eta, block_total, n_w)
+
+    monkeypatch.setattr(scheme, "_factored_sides", recording)
+    monkeypatch.setattr(scheme, "_BCH_GUARD", 1e-16)
+    rep = verify_bch_factorization(0.5, 40, check_su2=False)
+    assert sizes[:3] == [56, 60, 64]
+    assert rep.working_cutoff == sizes[-1]
+    assert rep.guard_population <= 1e-16
+    assert all(g > 1e-16 for g in (
+        sides(0.5, 10, n)[0] for n in sizes[:-1]))
+
+
+def test_bch_past_its_memory_ceiling_raises_before_allocating(monkeypatch):
+    # block_total 36 at eta 0.05 starts at ceil(64.4 / 0.05) = 1288 levels,
+    # about 9 GiB of stacks
+    monkeypatch.setattr(scheme, "_factored_sides", None)  # never reached
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="working_cutoff 1288"):
+            verify_bch_factorization(0.05, 40, 36)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_bch_factors_approach_identity_at_full_transmission():
@@ -1247,6 +1337,24 @@ def test_completeness_gram_sum_matches_outcome_stacks(mask, phi_probe,
     explicit = np.max(np.abs(acc - np.eye(block)))
     assert explicit > 1e-3
     assert abs(b.completeness_defect(grid, block, mask) - explicit) < 1e-13
+
+
+@pytest.mark.parametrize("eta,sigma,k_max", [
+    (0.5, 1.0, 0), (0.2, 2.0, 36), (0.8, 0.5, 68)])
+def test_completeness_sums_the_readout_triangle(eta, sigma, k_max):
+    # the readout writes no sector m + p >= n_work + k_max, so the triangle
+    # that completeness_defect sums holds every nonzero product of the full
+    # Gram contraction
+    b = SchemeFamilyBuilder(SchemeParams(eta=eta, sigma=sigma, cutoff=40),
+                            margin=4.0)
+    n = b.n_work
+    assert len(b._frames[True][1]) - 1 == k_max
+    vc = b._unit_readout(True, 16)
+    p, m = np.indices((n, n))  # vc[p, m]
+    assert np.all(vc[p + m >= n + k_max] == 0.0)
+    grid = OutcomeGrid.from_range(-8.0, 8.0, 0.02)
+    assert abs(b.completeness_defect(grid, 16)
+               - gram_completeness_defect(b, grid, 16)) <= 1e-15
 
 
 def test_cli_size_passes_the_strict_checks_at_the_hardest_preset():
