@@ -492,12 +492,14 @@ def _print_warnings(warnings: Iterable[str]) -> None:
 
 def cmd_verify(cfg: RunConfig) -> int:
     """Pipeline-identity, POM-identity, completeness, operator-splitting
-    and generator-form checks over the preset grid (or one explicit pair)."""
+    and generator-form checks over the preset grid (or one explicit pair).
+    Each pair's working size comes from build_scheme_family's size rule,
+    certified against the exact composition; a --margin runs as given."""
     if "eta" in cfg.provided or "sigma" in cfg.provided:
         pairs = [(cfg.values["eta"], cfg.values["sigma"])]
     else:
         pairs = [(e, s) for e in _PRESET_ETAS for s in _PRESET_SIGMAS]
-    margin = cfg.resolved_margin(4.0)
+    margin = cfg.values["margin"]
     tols = {
         "pipeline-identity": cfg.values["identity_tol"],
         "pom-identity": cfg.values["pom_tol"],
@@ -638,11 +640,14 @@ def _finite_lo_reference_error(beta: float, cutoff: int = 30
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    """Long-format metric table over Cartesian parameter ranges."""
+    """Long-format metric table over Cartesian parameter ranges.  Each
+    (eta, sigma) cell is sized as verify sizes it (build_scheme_family's
+    size rule, or a --margin as given); a cell whose size passes the memory
+    ceiling reads error:ParameterError."""
     etas = cfg.values["sweep_eta"] or [cfg.values["eta"]]
     sigmas = cfg.values["sweep_sigma"] or [cfg.values["sigma"]]
     betas = cfg.values["sweep_beta"] or []
-    margin = cfg.resolved_margin(4.0)
+    margin = cfg.values["margin"]
     columns: Dict[str, list] = {name: [] for name in (
         "eta", "sigma", "beta", "metric", "value", "status")}
     warnings: List[str] = []

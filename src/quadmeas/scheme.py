@@ -48,10 +48,12 @@ which truncates at the length of the columns it is given (see
 composed_reductions).
 
 SchemeFamilyBuilder, which verify and sweep check against the target,
-composes the stages as matrices in a working space of margin * cutoff
-levels, every entry exact to rounding, and truncates only the result (see
-its docstring).  verify_bch_factorization runs in joint-parity sectors on
-the corner of the joint space that its comparison reads.
+composes the stages as matrices in a working space of n_work levels, every
+entry exact to rounding, and truncates only the result (see its
+docstring); build_scheme_family sizes that space from the parameters and
+certifies it against the exact composition.  verify_bch_factorization runs
+in joint-parity sectors on the corner of the joint space that its
+comparison reads.
 """
 
 from __future__ import annotations
@@ -102,6 +104,13 @@ _PROBE_FLOOR = 1e-17
 # estimated peak memory passes _BCH_BYTES.
 _BCH_GUARD = 2e-10
 _BCH_BYTES = 1 << 30
+
+# build_scheme_family's size rule grows the working size until the family
+# matches the exact composition within _CONVERGENCE on what verify compares
+# (100 times under its pom tolerance), and refuses a size whose estimated
+# peak memory passes _FAMILY_BYTES.
+_CONVERGENCE = 1e-12
+_FAMILY_BYTES = 1 << 30
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +218,12 @@ def _check_margin(margin: float) -> None:
     if not (margin >= 1.0 and math.isfinite(margin)):
         raise ParameterError(f"working-space margin must be a finite "
                              f"number >= 1, got {margin}")
+
+
+def _margin_size(cutoff: int, margin: float) -> int:
+    """The working size max(cutoff, ceil(margin cutoff)) of a margin."""
+    _check_margin(margin)
+    return max(cutoff, int(math.ceil(margin * cutoff)))
 
 
 def measurement_width(eta: float, sigma: float) -> float:
@@ -582,7 +597,12 @@ def composed_density(params: SchemeParams, psi, xs,
 
 
 class SchemeFamilyBuilder:
-    """Assembles the scheme's reduction operators in a working Fock space.
+    """Assembles the scheme's reduction operators in a working Fock space
+    of ``n_work`` levels, as given or max(cutoff, ceil(margin cutoff)).  A
+    builder runs at the size it is given and certifies nothing;
+    build_scheme_family chooses the size from the parameters and grows it
+    until the family matches the exact composition (composed_reductions)
+    on what verify compares.
 
     A composition runs in two stages.  The readout stage takes input
     columns through the pre-squeeze and the mixer and contracts the probe,
@@ -632,11 +652,11 @@ class SchemeFamilyBuilder:
     size.
     """
 
-    def __init__(self, params: SchemeParams, margin: float = 2.5):
-        _check_margin(margin)
+    def __init__(self, params: SchemeParams, margin: float = 2.5,
+                 n_work: Optional[int] = None):
         self.params = params
-        self.n_work = max(params.cutoff,
-                          int(math.ceil(margin * params.cutoff)))
+        self.n_work = n_work if n_work is not None \
+            else _margin_size(params.cutoff, margin)
         self._levels, self._amps, self.warnings = self._probe(0.0)
         tau = _frame_squeeze(params, True)
         # pre-squeeze flag -> (tau, probe amplitudes) of its frame
@@ -808,7 +828,10 @@ class SchemeFamilyBuilder:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Comparison of the composed pipeline against its analytic target."""
+    """Comparison of the composed pipeline against its analytic target.
+    ``n_work`` is the builder's working size and ``convergence_defect`` its
+    gap to the exact composition on what the comparison reads (see
+    build_scheme_family)."""
 
     params: SchemeParams
     mask: StageMask
@@ -820,12 +843,109 @@ class PipelineResult:
     pom_deviation: float
     completeness_defect_family: float
     completeness_grid: OutcomeGrid
+    n_work: int
+    convergence_defect: float
+
+
+def _first_size(params: SchemeParams, mask: StageMask, block: int) -> int:
+    """The size rule's first guess of n_work, at least the cutoff: with b =
+    min(block, cutoff) compared columns, r = r_in - tau the input squeeze
+    and s = ln(sigma)/2 - tau the probe's in the builder's frame
+    (_frame_squeeze), the larger of
+
+        b (0.9 + 1.85 e^{2|r|} + 0.3 (e^{2|s|} - 1))    and
+        2 ln(1e13) / (-ln tanh|s|),
+
+    the second the levels in which the probe's amplitudes, which fall as
+    tanh|s|^{k/2}, reach 1e-13.  The size the composition needs reads the
+    block, not the cutoff: at (0.8, 0.5) it is 163 at cutoff 20, 40 and 80.
+    At the nine verify presets at cutoff 40 the guess is 57 / 52 / 53 (eta
+    0.2), 79 / 74 / 44 (0.5) and 168 / 163 / 89 (0.8) at sigma 0.5 / 1 / 2,
+    where the composition needs 54 / 48 / 49, 72 / 64 / 41 and 163 / 148 /
+    76 (the least size that meets _CONVERGENCE).  |s| is clipped at 350,
+    where any size is far past the memory ceiling, so that the guess stays
+    finite down to the smallest positive sigma."""
+    tau = _frame_squeeze(params, mask.pre_squeeze)
+    r = (presqueeze_param(params.eta) if mask.pre_squeeze else 0.0) - tau
+    s = min(abs(0.5 * math.log(params.sigma) - tau), 350.0)
+    b = min(block, params.cutoff)
+    n = b * (0.9 + 1.85 * math.exp(2.0 * abs(r)) + 0.3 * math.expm1(2.0 * s))
+    if s:
+        q = math.exp(-2.0 * s)  # -ln tanh s = ln((1 + q) / (1 - q))
+        n = max(n, 2.0 * math.log(1e13) / math.log1p(2.0 * q / (1.0 - q)))
+    return max(params.cutoff, math.ceil(n))
+
+
+def _family_bytes(n: int, width: int, complex_: bool) -> float:
+    """Estimated peak bytes of a family at working size n: the readout of
+    the ``width`` unit columns, n x n x width elements (complex at
+    phi_probe != phi), the n x n complex Gram matrix of
+    completeness_defect, and 16 bytes per element of a stage chunk
+    (_STACK_ELEMENTS).  tracemalloc peaks against this estimate at cutoff
+    40: 4.2 / 9.0 MiB at (0.2, 0.5) (n_work 57), 14.0 / 17.0 at (0.8, 0.5)
+    (168), 124 / 126 at (0.95, 1) (607), and 27.8 / 28.0 at (0.8, 2) with
+    phi_probe 0.3 (179).  It is a float, inf past the float range."""
+    square = float(n) * n  # multiplication, unlike **, overflows to inf
+    return (16 if complex_ else 8) * square * width + 16 * square \
+        + 16 * _STACK_ELEMENTS
+
+
+def _check_family_size(params: SchemeParams, n: int, block: int,
+                       defect: Optional[float] = None) -> None:
+    """Raise ParameterError, naming n and the ``defect`` of the size before
+    it, where _family_bytes passes _FAMILY_BYTES."""
+    need = _family_bytes(n, max(block, params.cutoff),
+                         params.phi_probe != params.phi)
+    if need > _FAMILY_BYTES:
+        before = "" if defect is None else \
+            f"; the size before read {defect:.3g} against the composition"
+        raise ParameterError(
+            f"scheme family at eta {params.eta}, sigma {params.sigma}, "
+            f"cutoff {params.cutoff} wants n_work {n}, about "
+            f"{need / 2 ** 30:.3g} GiB, past its "
+            f"{_FAMILY_BYTES / 2 ** 30:g} GiB ceiling{before}")
+
+
+def _reference(params: SchemeParams, mask: StageMask, block: int,
+               n: int) -> np.ndarray:
+    """The exact composition (composed_reductions) of the leading
+    min(block, cutoff) unit columns on the cutoff rows, at every grid
+    outcome.  At phi_probe = phi it is one stage, exact to rounding.  At
+    phi_probe != phi the chain truncates at the length of its columns, so
+    they are padded to n rows and grown by a sixteenth until two sizes in a
+    row agree within _CONVERGENCE, each size under the memory ceiling."""
+    cutoff, xs = params.cutoff, params.grid.points
+    b = min(block, cutoff)
+    if params.phi_probe == params.phi:
+        return composed_reductions(params, xs, np.eye(cutoff, b), cutoff,
+                                   mask)
+    ref = composed_reductions(params, xs, np.eye(n, b), cutoff, mask)
+    while True:
+        n += -(-n // 16)
+        _check_family_size(params, n, block)
+        grown = composed_reductions(params, xs, np.eye(n, b), cutoff, mask)
+        if np.max(np.abs(grown - ref)) <= _CONVERGENCE:
+            return grown
+        ref = grown
+
+
+def _convergence_defect(ops: np.ndarray, ref: np.ndarray) -> float:
+    """The largest gap of a family's operators to the reference (shaped
+    (len(xs), cutoff, b)) on what build_scheme_family compares: the b x b
+    entries, and the probability operators of the b columns, which read
+    every row."""
+    b = ref.shape[2]
+    f = ops[:, :, :b]
+    pom_gap = f.conj().transpose(0, 2, 1) @ f \
+        - ref.conj().transpose(0, 2, 1) @ ref
+    return float(max(np.max(np.abs(f[:, :b] - ref[:, :b])),
+                     np.max(np.abs(pom_gap))))
 
 
 def build_scheme_family(params: SchemeParams,
                         feedback: Optional[FeedbackSpec] = None,
                         compensate: StageMask = StageMask(),
-                        margin: float = 2.5, block: int = 16,
+                        margin: Optional[float] = None, block: int = 16,
                         completeness_grid: Optional[OutcomeGrid] = None,
                         ) -> PipelineResult:
     """Compose the pipeline and compare it against the analytic Gaussian
@@ -839,6 +959,21 @@ def build_scheme_family(params: SchemeParams,
     max(8, 8 Delta): a fixed [-8, 8] would cut the kernel's tails once
     Delta passes 1.  All numbers are reported whether or not they
     meet any tolerance; the caller adjudicates.
+
+    The working size.  Without a ``margin`` a size rule chooses the
+    builder's n_work: it starts at _first_size, which reads the squeezes
+    in the builder's frame, the cutoff and the block, and grows by a
+    sixteenth until ``convergence_defect`` is at most _CONVERGENCE.  That
+    is the family's largest gap to the exact composition on what the two
+    comparisons read: the block x block entries, and the block's
+    probability operators, which read every cutoff row of the block
+    columns (_convergence_defect, against _reference).  At the nine verify
+    presets at cutoff 40 the first guess holds, at 44 to 168 levels.  A
+    size whose estimated peak memory (_family_bytes) passes _FAMILY_BYTES
+    raises ParameterError naming it, before anything is allocated: eta
+    0.99 at cutoff 40 wants 2975 levels.  An explicit ``margin``
+    runs as given, at max(cutoff, ceil(margin cutoff)) levels, and its
+    convergence_defect shows a short space.
     """
     feedback = feedback if feedback is not None else FeedbackSpec.ideal()
     if feedback.mode != "ideal":
@@ -846,8 +981,18 @@ def build_scheme_family(params: SchemeParams,
             "the operator-family identity is defined for ideal feedback; "
             "finite-lo feedback acts as a channel on states - use the "
             "monte-carlo trial engine for it")
-    builder = SchemeFamilyBuilder(params, margin)
-    family = builder.family(params.grid, compensate)
+    n = _first_size(params, compensate, block) if margin is None \
+        else _margin_size(params.cutoff, margin)
+    _check_family_size(params, n, block)
+    reference = _reference(params, compensate, block, n)
+    while True:
+        builder = SchemeFamilyBuilder(params, n_work=n)
+        family = builder.family(params.grid, compensate)
+        defect = _convergence_defect(family.operators, reference)
+        if margin is not None or defect <= _CONVERGENCE:
+            break
+        n += -(-n // 16)
+        _check_family_size(params, n, block, defect)
     target = vn_target_family(params.delta, params.grid, params.cutoff,
                               phase=params.phi)
     per_x = np.max(np.abs(family.operators[:, :block, :block]
@@ -863,7 +1008,8 @@ def build_scheme_family(params: SchemeParams,
         params=params, mask=compensate, family=family, target=target,
         block=block, max_deviation=float(np.max(per_x)),
         per_outcome_deviation=per_x, pom_deviation=pom_dev,
-        completeness_defect_family=cf, completeness_grid=cgrid)
+        completeness_defect_family=cf, completeness_grid=cgrid,
+        n_work=n, convergence_defect=defect)
 
 
 # ---------------------------------------------------------------------------

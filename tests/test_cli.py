@@ -192,10 +192,11 @@ class TestVerify:
     def test_tampered_tolerance_exits_1_naming_check(self, tmp_path,
                                                      capsys):
         cfgfile = tmp_path / "tight.cfg"
-        # (0.8, 0.5) reads 2.4e-12 on the block at the CLI size: the
-        # builder composes it with no balanced-squeeze frame (sigma < 1)
+        # (0.8, 0.5) reads 2.4e-12 on the block at margin 4 (2.9e-13 at the
+        # size rule's 168 levels): the builder composes it with no
+        # balanced-squeeze frame (sigma < 1)
         cfgfile.write_text("identity_tol = 1e-12\neta = 0.8\n"
-                           "sigma = 0.5\n")
+                           "sigma = 0.5\nmargin = 4\n")
         out = tmp_path / "verify.csv"
         assert main(["verify", "--config", str(cfgfile),
                      "--out", str(out)]) == 1
@@ -205,6 +206,33 @@ class TestVerify:
                            column(header, rows, "status", str)))
         assert by_name["pipeline-identity"] == "FAIL"
         assert by_name["completeness"] == "pass"
+
+    def test_full_transmission_passes_at_the_defaults(self, tmp_path):
+        # margin 4 failed pipeline-identity (0.175), pom-identity (0.154)
+        # and completeness (0.498) here
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--eta", "0.95", "--sigma", "1",
+                     "--out", str(out)]) == 0
+        _, header, rows, _ = read_csv(out)
+        assert all(s == "pass" for s in column(header, rows, "status", str))
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_margin_reaches_the_builder_only_when_given(self, command,
+                                                        tmp_path,
+                                                        monkeypatch):
+        margins = []
+        build = cli.build_scheme_family
+
+        def spy(params, **kwargs):
+            margins.append(kwargs.get("margin"))
+            return build(params, **kwargs)
+
+        monkeypatch.setattr(cli, "build_scheme_family", spy)
+        argv = [command, "--eta", "0.5", "--sigma", "1", "--cutoff", "20",
+                "--out", str(tmp_path / "v.csv")]
+        assert main(argv) == 0
+        assert main(argv + ["--margin", "3.5"]) == 0
+        assert margins == [None, 3.5]
 
     def test_wide_probe_at_eta_0_2_passes(self, tmp_path):
         # sigma 20: the builder composes in the balanced-squeeze frame; in
@@ -477,7 +505,8 @@ class TestSweep:
         # stderr, as a failing verify check does
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--sweep-eta", "0.95,0.5", "--sigma", "1",
-                     "--cutoff", "40", "--out", str(out)]) == 1
+                     "--cutoff", "40", "--margin", "4",
+                     "--out", str(out)]) == 1
         _, header, rows, _ = read_csv(out)
         values = column(header, rows, "value")
         assert values[0] > 0.1 and values[1] <= 1e-6
@@ -487,6 +516,16 @@ class TestSweep:
         assert len(fails) == 1
         assert fails[0].startswith("FAIL identity-deviation at eta 0.95, "
                                    "sigma 1: value 0.175")
+
+    def test_default_cell_at_full_transmission_reads_ok(self, tmp_path):
+        # the size rule takes (0.95, 1) to 607 levels, where margin 4's 160
+        # read 0.175
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--sweep-eta", "0.95", "--sigma", "1",
+                     "--cutoff", "40", "--out", str(out)]) == 0
+        _, header, rows, _ = read_csv(out)
+        assert column(header, rows, "value")[0] <= 1e-12
+        assert column(header, rows, "status", str) == ["ok"]
 
     def test_beta_sweep_feedback_error_decreasing(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -416,7 +416,10 @@ def test_pipeline_identity_fits_no_phase(monkeypatch):
                                        fam.origin, fam.warnings)
 
     monkeypatch.setattr(SchemeFamilyBuilder, "family", turned)
-    res = build_scheme_family(SchemeParams(eta=0.5, sigma=1.0, cutoff=30))
+    # a turned family never meets the exact composition, so the size rule
+    # would grow it to the memory ceiling: it runs at an explicit margin
+    res = build_scheme_family(SchemeParams(eta=0.5, sigma=1.0, cutoff=30),
+                              margin=2.5)
     largest = np.max(np.abs(res.target.operators[:, :16, :16]))
     want = abs(1.0 - cmath.exp(0.3j)) * largest
     assert want > 0.1
@@ -1358,11 +1361,11 @@ def test_completeness_sums_the_readout_triangle(eta, sigma, k_max):
 
 
 def test_cli_size_passes_the_strict_checks_at_the_hardest_preset():
-    # the preset whose pom-identity is largest at the CLI size, 8.2e-13,
-    # within the CLI's pom_tol 1e-10; (0.8, 2) read 3.5e-14 in the lab
-    # frame and 1.3e-15 in the balanced-squeeze frame
-    res = build_scheme_family(SchemeParams(eta=0.8, sigma=0.5, cutoff=40),
-                              margin=4.0)
+    # the preset whose pom-identity is largest at the CLI size: 8.2e-13 at
+    # margin 4 (160 levels), 1.9e-13 at the size rule's 168, within the
+    # CLI's pom_tol 1e-10; (0.8, 2) read 3.5e-14 in the lab frame and
+    # 1.3e-15 in the balanced-squeeze frame
+    res = build_scheme_family(SchemeParams(eta=0.8, sigma=0.5, cutoff=40))
     assert passes_verify(res)
     assert res.pom_deviation <= 1e-12
 
@@ -1372,7 +1375,7 @@ def test_scheme_family_at_the_cli_size_stays_in_its_memory_budget():
     p = SchemeParams(eta=0.2, sigma=2.0, cutoff=40)
     tracemalloc.start()
     try:
-        build_scheme_family(p, margin=4.0)
+        build_scheme_family(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1414,11 +1417,137 @@ def test_scheme_family_runs_the_sector_recurrence_once(monkeypatch):
 
     monkeypatch.setattr(SchemeFamilyBuilder, "_readout_columns",
                         counting_readout)
-    res = build_scheme_family(SchemeParams(eta=0.5, sigma=0.5, cutoff=40),
-                              margin=4.0)
+    res = build_scheme_family(SchemeParams(eta=0.5, sigma=0.5, cutoff=40))
     assert len(calls) == 1
-    assert readouts == [(160, 40)]
+    assert readouts == [(res.n_work, 40)]
     assert passes_verify(res)
+
+
+# ---------------------------------------------------------------------------
+# the working-size rule
+
+
+PRESETS = [(eta, sigma) for eta in (0.2, 0.5, 0.8)
+           for sigma in (0.5, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("eta,sigma", PRESETS)
+def test_size_rule_certifies_each_preset_in_one_pass(eta, sigma,
+                                                     monkeypatch):
+    # margin 4 took 160 levels at every preset; the rule's first guess
+    # holds at 44 to 168, so the family runs one readout
+    calls = []
+    sectors = scheme._mixer_sectors
+
+    def counting(*args):
+        calls.append(args)
+        return sectors(*args)
+
+    monkeypatch.setattr(scheme, "_mixer_sectors", counting)
+    p = SchemeParams(eta=eta, sigma=sigma, cutoff=40)
+    res = build_scheme_family(p)
+    assert len(calls) == 1
+    assert res.n_work == scheme._first_size(p, StageMask(), 16) <= 168
+    assert res.convergence_defect <= 1e-12
+    assert passes_verify(res)
+
+
+def test_size_rule_reads_the_block_not_the_cutoff():
+    # the composition at (0.8, 0.5) needs 163 levels at cutoff 20, 40 and 80
+    guess = [scheme._first_size(SchemeParams(eta=0.8, sigma=0.5,
+                                             cutoff=cutoff), StageMask(), 16)
+             for cutoff in (20, 40, 80)]
+    assert guess == [168, 168, 168]
+    # the cutoff is a floor: at sigma 2 the eta-0.5 frame has no squeeze
+    p = SchemeParams(eta=0.5, sigma=2.0, cutoff=80)
+    assert scheme._first_size(p, StageMask(), 16) == 80
+
+
+def test_size_rule_grows_until_the_family_converges(monkeypatch):
+    # from a first guess of 48 levels at (0.8, 1), where the composition
+    # needs 148, the size grows by a sixteenth until it certifies
+    sizes = []
+    init = SchemeFamilyBuilder.__init__
+
+    def recording(self, params, margin=2.5, n_work=None):
+        sizes.append(n_work)
+        init(self, params, margin, n_work)
+
+    monkeypatch.setattr(scheme, "_first_size", lambda p, mask, block: 48)
+    monkeypatch.setattr(SchemeFamilyBuilder, "__init__", recording)
+    res = build_scheme_family(SchemeParams(eta=0.8, sigma=1.0, cutoff=40))
+    assert sizes[:4] == [48, 51, 55, 59]
+    assert all(b == a + -(-a // 16) for a, b in zip(sizes, sizes[1:]))
+    assert res.n_work == sizes[-1] >= 148
+    assert res.convergence_defect <= 1e-12
+    assert passes_verify(res)
+
+
+def test_explicit_margin_runs_as_given_and_reports_its_defect():
+    # margin 4 is short at (0.95, 1): the family's gap to the composition
+    # is the failing identity itself (the size rule takes 607 levels there,
+    # see test_cli)
+    res = build_scheme_family(SchemeParams(eta=0.95, sigma=1.0, cutoff=40),
+                              margin=4.0)
+    assert res.n_work == 160
+    assert res.convergence_defect > 0.1
+    assert res.max_deviation > 0.1
+
+
+def test_size_past_the_ceiling_raises_before_allocating(monkeypatch):
+    # eta 0.99 squeezes the input by e^{2 r} = 100: the first guess of 2975
+    # levels wants a 2.8 GiB readout at cutoff 40
+    monkeypatch.setattr(scheme, "composed_reductions", None)  # never reached
+    monkeypatch.setattr(scheme, "SchemeFamilyBuilder", None)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="n_work 2975"):
+            build_scheme_family(SchemeParams(eta=0.99, sigma=1.0, cutoff=40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("eta,sigma", [(0.5, 1e-310), (0.5, 1e300),
+                                       (1.0 - 1e-16, 1.0)])
+def test_size_rule_at_extreme_parameters_raises_at_the_ceiling(eta, sigma):
+    # the guess stays finite, and its estimate overflows to inf, not to an
+    # OverflowError
+    with pytest.raises(ParameterError, match="ceiling"):
+        build_scheme_family(SchemeParams(eta=eta, sigma=sigma, cutoff=40))
+
+
+def test_size_rule_seeded_coverage():
+    # eta from [0.05, 0.95] and sigma log-uniform on [0.05, 20] at cutoff 40,
+    # plus a working phase phi != 0: each case certifies or raises at the
+    # memory ceiling
+    rng = np.random.default_rng(30)
+    cases = [(rng.uniform(0.05, 0.95),
+              math.exp(rng.uniform(math.log(0.05), math.log(20.0))), 0.0)
+             for _ in range(12)] + [(0.8, 0.5, 1.3)]
+    for eta, sigma, phi in cases:
+        p = SchemeParams(eta=eta, sigma=sigma, phi=phi, cutoff=40)
+        try:
+            res = build_scheme_family(p)
+        except ParameterError as exc:
+            assert "ceiling" in str(exc)
+            continue
+        assert res.convergence_defect <= 1e-12
+        assert res.n_work >= scheme._first_size(p, StageMask(), 16)
+        assert res.max_deviation <= _SCHEMA["identity_tol"][1]
+
+
+def test_size_rule_at_an_offset_probe_against_a_wide_builder():
+    # at phi_probe != phi the chain truncates at the length of its columns,
+    # so the reference grows until it converges itself; the certified
+    # family then matches the builder at margin 16 (192 levels)
+    p = SchemeParams(eta=0.8, sigma=2.0, phi=0.4, phi_probe=1.2, cutoff=12)
+    res = build_scheme_family(p)
+    assert res.convergence_defect <= 1e-12
+    wide = SchemeFamilyBuilder(p, margin=16.0).family()
+    assert np.max(np.abs(res.family.operators[:, :, :12]
+                         - wide.operators[:, :, :12])) <= 1e-12
 
 
 def test_working_level_completeness_across_presets():
